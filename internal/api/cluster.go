@@ -105,21 +105,35 @@ type ClusterStatus struct {
 	Workers []WorkerStatus `json:"workers,omitempty"`
 }
 
-// ShardScanRequest is the POST /v2/internal/scan body: one contiguous
-// row-range shard of a suspect corpus plus every certificate riding the
-// audit. The worker scans the shard once with the certificate loop inside
-// the block loop (pipeline.ScanMany) and returns one partial tally per
-// certificate.
+// ShardScanRequest describes one contiguous row-range shard of a suspect
+// corpus plus every certificate riding the audit. The worker scans the
+// shard once with the certificate loop inside the block loop
+// (pipeline.ScanMany) and returns one partial tally per certificate.
+//
+// On the wire (POST /v2/internal/scan, Content-Type ContentTypeShard) it
+// is the framing header, not the whole body: the JSON-encoded request
+// with Data empty comes first and the shard's raw CSV or JSONL bytes
+// follow it directly, so the rows travel unescaped and the worker's block
+// reader parses them straight off the request body. A header that still
+// carries inline Data is rejected. cluster.ReadShardRequest splits such
+// a body; client.ScanShard writes one.
+//
+// The certificates ship lean: the coordinator sends copies with Profile
+// nil, because a shard scan never reads the frequency profile (only
+// single-record remap recovery does) and core's scanner-cache key
+// excludes it.
 type ShardScanRequest struct {
 	// Shard is the shard's index in row order — echoed back so responses
 	// can be matched to ranges, and the order partials merge in.
 	Shard int `json:"shard"`
 	// Schema is the schema-spec string the shard rows conform to.
 	Schema string `json:"schema"`
-	// Format of Data: "csv" (default) or "jsonl".
+	// Format of the rows: "csv" (default) or "jsonl".
 	Format string `json:"format,omitempty"`
-	// Data is the shard's rows, serialized in Format.
-	Data string `json:"data"`
+	// Data holds the shard's rows, serialized in Format, for in-process
+	// callers (cluster.ExecuteShard, client.ScanShard). It is always
+	// empty in a wire header: the rows follow the header raw.
+	Data string `json:"data,omitempty"`
 	// Records is the certificate set, secrets included — every scan
 	// parameter derives deterministically from a record, which is what
 	// keeps worker-side scanners identical to the coordinator's.

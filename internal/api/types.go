@@ -21,6 +21,11 @@ const (
 	ContentTypeJSON   = "application/json"
 )
 
+// ContentTypeShard is the media type of a POST /v2/internal/scan body: a
+// compact JSON ShardScanRequest header with Data empty, followed directly
+// by the shard's raw rows in the header's Format (see ShardScanRequest).
+const ContentTypeShard = "application/x-wm-shard"
+
 // WatermarkRequest is the POST /v1/watermark and /v2/watermark body, and
 // the payload of a "watermark" job.
 type WatermarkRequest struct {

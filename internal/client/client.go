@@ -267,10 +267,29 @@ func (c *Client) RegisterWorker(ctx context.Context, reg api.WorkerRegistration)
 
 // ScanShard asks a worker to scan one row-range shard of a suspect corpus
 // against the request's certificate set, returning one partial tally per
-// certificate.
+// certificate. The body is framed as api.ContentTypeShard: req with Data
+// cleared, JSON-encoded, then req.Data verbatim — the rows are never
+// escaped or copied on their way to the wire.
 func (c *Client) ScanShard(ctx context.Context, req api.ShardScanRequest) (*api.ShardScanResponse, error) {
+	rows := req.Data
+	req.Data = ""
+	hdr, err := json.Marshal(req)
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding shard header: %w", err)
+	}
+	body := func() io.Reader { return io.MultiReader(bytes.NewReader(hdr), strings.NewReader(rows)) }
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/internal/scan", body())
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	hreq.ContentLength = int64(len(hdr) + len(rows))
+	// NewRequest sets no GetBody for a MultiReader; without one the
+	// transport could not replay the request on a stale keep-alive
+	// connection and would fail the shard instead.
+	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(body()), nil }
+	hreq.Header.Set("Content-Type", api.ContentTypeShard)
 	var out api.ShardScanResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/internal/scan", req, &out); err != nil {
+	if err := c.exchange(hreq, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -208,9 +208,10 @@ func TestScanShardsAutoUnequalShards(t *testing.T) {
 			sizes[worker] = append(sizes[worker], rows)
 			mu.Unlock()
 			if worker == "slow" {
-				// ~200µs per row caps the slow worker near 5k rows/s,
-				// far under what any real scan manages.
-				time.Sleep(time.Duration(rows) * 200 * time.Microsecond)
+				// ~1ms per row caps the slow worker near 1k rows/s,
+				// far under what any real scan manages, even one slowed
+				// by the race detector.
+				time.Sleep(time.Duration(rows) * time.Millisecond)
 			}
 		}
 	}
@@ -240,7 +241,7 @@ func TestScanShardsAutoUnequalShards(t *testing.T) {
 	// The discriminating signal is the largest shard each worker was
 	// trusted with: the fast worker's rate keeps growing its shards
 	// while the slow worker's throttle keeps its target near
-	// rate * latency ≈ 500 rows.
+	// rate * latency ≈ 100 rows.
 	if maxInts(sizes["fast"]) <= maxInts(sizes["slow"]) {
 		t.Fatalf("auto sizing gave the fast worker no larger shards: fast %v, slow %v",
 			sizes["fast"], sizes["slow"])

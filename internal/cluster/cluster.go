@@ -13,8 +13,9 @@
 //	        POST /v2/jobs (verify_batch)           [public API]
 //	                  │
 //	            coordinator ──────────────┐
-//	             │ row-range shards +     │ merge partial tallies
-//	             ▼ certificate set        │ in row order, Report
+//	             │ JSON header (lean      │ merge partial tallies
+//	             │ certificates), then    │ in row order, Report
+//	             ▼ the shard's raw rows   │
 //	POST {worker}/v2/internal/scan        │
 //	     worker-1 … worker-N ─────────────┘
 //	     └─ heartbeat: POST {coordinator}/v2/internal/workers
@@ -28,13 +29,26 @@
 // failures additionally mark the worker unreachable immediately (faster
 // than waiting out the TTL); its next successful heartbeat revives it.
 //
-// The worker side is ExecuteShard: prepare scanners from the certificates
-// in the request (every scan parameter derives deterministically from a
-// certificate, which is why coordinator- and worker-side scanners cannot
-// disagree), run pipeline.ScanMany over the shard rows, and return the
-// partial tallies in wire form (mark.TallyWire). internal/server binds it
-// to POST /v2/internal/scan and the coordinator to the public audit
-// endpoints; cmd/wmserver's -coordinator and -join flags pick the role.
+// A shard travels as a framed body (api.ContentTypeShard): a compact
+// JSON api.ShardScanRequest header with Data empty, then the shard's raw
+// CSV or JSONL bytes exactly as the coordinator cut them from the
+// suspect, so rows are never escaped on the way out or unescaped on the
+// way in. The certificates in the header are lean: copies without the
+// frequency profile, which workers never read and which the scanner-cache
+// key excludes. A reply merges only if it carries one bandwidth-checked
+// tally per certificate and scanned exactly the shard's row count; a
+// short reply is retried like a worker error.
+//
+// The worker side is ReadShardRequest plus ExecuteShardStream: split the
+// body into header and rows, prepare scanners from the certificates
+// (every scan parameter derives deterministically from a certificate,
+// which is why coordinator- and worker-side scanners cannot disagree),
+// run pipeline.ScanMany with the block reader parsing the rows straight
+// off the request body, and return the partial tallies in wire form
+// (mark.TallyWire). ExecuteShard is the same scan over rows held in
+// memory. internal/server binds the worker side to POST
+// /v2/internal/scan and the coordinator to the public audit endpoints;
+// cmd/wmserver's -coordinator and -join flags pick the role.
 package cluster
 
 import (

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -83,6 +84,9 @@ type testWorker struct {
 	// delay, when non-nil, sleeps before scanning (for forcing
 	// out-of-order shard completion).
 	delay func(req api.ShardScanRequest)
+	// dropLastRow makes the worker scan every shard without its last
+	// row and reply with the short, otherwise well-formed tally.
+	dropLastRow bool
 	// maxConcurrent observes the capacity ceiling the coordinator honors.
 	inflight      atomic.Int64
 	maxConcurrent atomic.Int64
@@ -104,10 +108,21 @@ func startTestWorker(t *testing.T) *testWorker {
 				break
 			}
 		}
-		var req api.ShardScanRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// Decode through the real framing; the rows are buffered into
+		// req.Data so the hooks can inspect the payload.
+		req, rows, err := ReadShardRequest(r.Body)
+		if err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
+		}
+		data, err := io.ReadAll(rows)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		req.Data = string(data)
+		if w.dropLastRow {
+			req.Data = dropLastLine(req.Data)
 		}
 		if w.failWith != nil {
 			if err := w.failWith(req); err != nil {
@@ -131,6 +146,12 @@ func startTestWorker(t *testing.T) *testWorker {
 	}))
 	t.Cleanup(w.ts.Close)
 	return w
+}
+
+// dropLastLine removes the final newline-terminated line of data.
+func dropLastLine(data string) string {
+	trimmed := strings.TrimSuffix(data, "\n")
+	return trimmed[:strings.LastIndexByte(trimmed, '\n')+1]
 }
 
 func (w *testWorker) register(c *Coordinator, id string, capacity int) {
@@ -395,6 +416,62 @@ func TestScanShardsRetriesOnWorkerError(t *testing.T) {
 			t.Fatal("an HTTP-level error should not cost the worker its lease")
 		}
 	}
+}
+
+// TestScanShardsRejectsShortReplies pins the row-count check on shard
+// replies: a worker that scans all but the last row of every shard
+// answers with well-formed tallies, which must never merge. Beside a
+// healthy worker the short replies cost retries and the report stays
+// bit-identical; with every worker short the scan fails with a cluster
+// error instead of returning a report with holes.
+func TestScanShardsRejectsShortReplies(t *testing.T) {
+	f := newAuditFixture(t, 1500, 2)
+	prep := core.PrepareBatch(f.records, f.schema, core.BatchOptions{})
+	want := f.localTallies(t, prep)
+
+	t.Run("one short worker", func(t *testing.T) {
+		c := NewCoordinator(Config{ShardRows: 200})
+		startTestWorker(t).register(c, "good", 1)
+		short := startTestWorker(t)
+		short.dropLastRow = true
+		short.register(c, "short", 1)
+
+		got, err := c.ScanShards(context.Background(), f.rows(), prep.Scanners(), ScanJob{
+			Records: prep.Records(), Schema: f.spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("a short shard reply merged into the tallies")
+		}
+		if short.served.Load() == 0 {
+			t.Fatal("test never exercised the short worker")
+		}
+		for _, w := range c.Status().Workers {
+			if !w.Live {
+				t.Fatalf("worker %s lost its lease over a short reply", w.ID)
+			}
+		}
+	})
+
+	t.Run("every worker short", func(t *testing.T) {
+		c := NewCoordinator(Config{ShardRows: 200})
+		for i := 0; i < 2; i++ {
+			w := startTestWorker(t)
+			w.dropLastRow = true
+			w.register(c, fmt.Sprintf("short%d", i), 1)
+		}
+		_, err := c.ScanShards(context.Background(), f.rows(), prep.Scanners(), ScanJob{
+			Records: prep.Records(), Schema: f.spec,
+		})
+		if !errors.Is(err, errInvalidShardResponse) || !strings.HasPrefix(err.Error(), "cluster: ") {
+			t.Fatalf("err = %v, want a cluster: error wrapping the invalid shard response", err)
+		}
+		if !strings.Contains(err.Error(), "scanned 199 rows, want 200") {
+			t.Fatalf("err = %v, want the row-count mismatch named", err)
+		}
+	})
 }
 
 // TestScanShardsProgressAndCapacity checks the aggregate progress ticks

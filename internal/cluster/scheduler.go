@@ -20,7 +20,7 @@ import (
 // ScanJob parameterises one distributed corpus scan.
 type ScanJob struct {
 	// Records is the certificate set, in scanner order — core.BatchPrep's
-	// live records. Shipped verbatim to every worker.
+	// live records. Shipped to every worker without frequency profiles.
 	Records []*core.Record
 	// Schema is the schema-spec string shard payloads conform to.
 	Schema string
@@ -142,6 +142,17 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RowReader, sc
 	if raw, ok := src.(relation.RawShardSource); ok {
 		format = raw.FormatName()
 	}
+	// Ship lean certificates: a shard scan never reads the frequency
+	// profile (only single-record remap recovery does) and core's
+	// scanner-cache key excludes it, so dropping it shrinks every shard
+	// header without costing a worker cache hit.
+	lean := make([]*core.Record, len(job.Records))
+	for i, rec := range job.Records {
+		r := *rec
+		r.Profile = nil
+		lean[i] = &r
+	}
+	job.Records = lean
 	s := &scan{
 		c:            c,
 		ctx:          ctx,
@@ -720,6 +731,13 @@ func (s *scan) callWorker(ctx context.Context, task *shardTask, m *member) ([]*m
 	if len(resp.Tallies) != len(s.job.Records) {
 		return nil, fmt.Errorf("cluster: worker %s returned %d tallies for %d certificates: %w",
 			m.id, len(resp.Tallies), len(s.job.Records), errInvalidShardResponse)
+	}
+	// A short reply — a truncated body, or an older worker that reads
+	// the framed header as a whole JSON request and scans no rows — is
+	// well-formed but would merge a hole into the report.
+	if resp.Rows != task.rows {
+		return nil, fmt.Errorf("cluster: worker %s shard %d: scanned %d rows, want %d: %w",
+			m.id, task.idx, resp.Rows, task.rows, errInvalidShardResponse)
 	}
 	tallies := make([]*mark.Tally, len(resp.Tallies))
 	for j, w := range resp.Tallies {

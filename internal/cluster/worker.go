@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -20,13 +23,38 @@ import (
 	"repro/internal/relation"
 )
 
-// ExecuteShard is the worker half of the shard protocol: prepare one
-// scanner per certificate in the request, run the one-pass
-// multi-certificate block engine over the shard rows, and return the
-// partial tallies in wire form. internal/server's POST /v2/internal/scan
-// handler is a thin decode/encode wrapper around this call — which also
-// makes it the single-node reference the cluster tests check the HTTP
-// path against.
+// ReadShardRequest splits a POST /v2/internal/scan body
+// (api.ContentTypeShard) into its JSON header and the raw shard rows that
+// follow it. The returned reader starts at the first byte after the
+// header's closing brace — the bytes the JSON decoder buffered past it,
+// then the rest of body — so the block reader parses the rows straight
+// off the request body. A header that still carries inline Data is
+// rejected: rows travel only after the header.
+func ReadShardRequest(body io.Reader) (api.ShardScanRequest, io.Reader, error) {
+	var req api.ShardScanRequest
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("cluster: shard header: %w", err)
+	}
+	if req.Data != "" {
+		return req, nil, errors.New("cluster: shard header carries inline data; rows must follow the header")
+	}
+	return req, io.MultiReader(dec.Buffered(), body), nil
+}
+
+// ExecuteShard is ExecuteShardStream over the rows in req.Data — the
+// in-process form of a shard scan, and the single-node reference the
+// cluster tests check the HTTP path against.
+func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.BatchOptions) (*api.ShardScanResponse, error) {
+	return ExecuteShardStream(ctx, req, strings.NewReader(req.Data), opts)
+}
+
+// ExecuteShardStream is the worker half of the shard protocol: prepare
+// one scanner per certificate in the request, run the one-pass
+// multi-certificate block engine over the shard rows read from rows (in
+// req.Format; req.Data is ignored), and return the partial tallies in
+// wire form. internal/server's POST /v2/internal/scan handler is
+// ReadShardRequest followed by this call.
 //
 // opts supplies the worker-local execution knobs (scanner cache, hash
 // kernel, default parallelism); the request's Workers/BlockRows override
@@ -35,7 +63,7 @@ import (
 // accepted, so a disagreement here means corrupt wire data, and failing
 // loudly (the shard is retried, then the audit fails) beats merging a
 // tally hole silently.
-func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.BatchOptions) (*api.ShardScanResponse, error) {
+func ExecuteShardStream(ctx context.Context, req api.ShardScanRequest, rows io.Reader, opts core.BatchOptions) (*api.ShardScanResponse, error) {
 	// The worker-side execution span: a child of the coordinator's
 	// dispatch span when the RPC carried traceparent (the server
 	// middleware joined it into ctx). Phase clocks ride the pipeline
@@ -61,9 +89,9 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 	var src relation.RowReader
 	switch strings.ToLower(req.Format) {
 	case "", "csv":
-		src, err = relation.NewCSVBlockReader(strings.NewReader(req.Data), schema)
+		src, err = relation.NewCSVBlockReader(rows, schema)
 	case "jsonl":
-		src = relation.NewJSONLBlockReader(strings.NewReader(req.Data), schema)
+		src = relation.NewJSONLBlockReader(rows, schema)
 	default:
 		err = fmt.Errorf("unknown format %q (want csv or jsonl)", req.Format)
 	}

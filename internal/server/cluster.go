@@ -100,32 +100,48 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 
 // handleInternalScan is POST /v2/internal/scan: scan one row-range shard
 // against the request's certificate set and return the partial tallies.
+// The body is an api.ContentTypeShard frame — a JSON header, then the
+// raw rows, which the block reader parses straight off the request body.
 // Served by every role — the shard carries everything the scan needs, so
 // even a coordinator can execute one (and a single binary can be pointed
 // at itself in tests).
 func (s *Server) handleInternalScan(w http.ResponseWriter, r *http.Request) {
-	var req api.ShardScanRequest
-	if !decodeBody(w, r, &req) {
+	if mt := requestMediaType(r); mt != api.ContentTypeShard {
+		writeErr(w, api.Errorf(api.CodeInvalidArgument,
+			"shard scan body must be %s, got %q", api.ContentTypeShard, mt))
+		return
+	}
+	req, rows, err := cluster.ReadShardRequest(r.Body)
+	if err != nil {
+		writeErr(w, shardScanErr(err))
 		return
 	}
 	if len(req.Records) == 0 {
 		writeErr(w, api.Errorf(api.CodeInvalidArgument, "shard scan needs at least one certificate"))
 		return
 	}
-	resp, err := cluster.ExecuteShard(r.Context(), req, core.BatchOptions{
+	resp, err := cluster.ExecuteShardStream(r.Context(), req, rows, core.BatchOptions{
 		Workers:    s.workersFor(req.Workers),
 		Cache:      s.cache,
 		HashKernel: s.cfg.HashKernel,
 	})
 	if err != nil {
-		if aerr := ctxErr(err); aerr != nil {
-			writeErr(w, aerr)
-			return
-		}
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "shard scan: %v", err))
+		writeErr(w, shardScanErr(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// shardScanErr classifies a failed shard request: a tripped body limit
+// is payload_too_large and a cancellation is cancelled, as on every
+// streaming path; anything else — framing, certificates, rows — is the
+// request's fault.
+func shardScanErr(err error) *api.Error {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) || ctxErr(err) != nil {
+		return scanErr(err)
+	}
+	return api.Errorf(api.CodeInvalidArgument, "shard scan: %v", err)
 }
 
 // clusterVerifyBatch is the distributed middle of execVerifyBatchScan:
