@@ -125,7 +125,7 @@ func TestSplitTask(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := &scan{job: ScanJob{Schema: f.spec}, ctx: context.Background()}
+	s := &scan{job: ScanJob{Schema: f.spec}, ctx: context.Background(), schema: f.schema, format: "csv"}
 	task := &shardTask{
 		idx: 7, data: buf.String(), rows: 101, attempts: 1,
 		failed: map[string]bool{"w-dead": true},

@@ -13,11 +13,13 @@
 //	        POST /v2/jobs (verify_batch)           [public API]
 //	                  │
 //	            coordinator ──────────────┐
-//	             │ JSON header (lean      │ merge partial tallies
-//	             │ certificates), then    │ in row order, Report
-//	             ▼ the shard's raw rows   │
+//	             │ skims record           │ merge partial tallies
+//	             │ boundaries; JSON       │ in row order, Report
+//	             │ header (lean certs),   │
+//	             ▼ then the raw rows      │
 //	POST {worker}/v2/internal/scan        │
 //	     worker-1 … worker-N ─────────────┘
+//	     (workers parse the rows)
 //	     └─ heartbeat: POST {coordinator}/v2/internal/workers
 //
 // Membership is lease-based: workers register (and keep re-registering —
@@ -28,6 +30,17 @@
 // killing a worker mid-audit costs latency, not correctness. Transport
 // failures additionally mark the worker unreachable immediately (faster
 // than waiting out the TTL); its next successful heartbeat revives it.
+//
+// The coordinator never parses the suspect. ScanShards takes a
+// relation.RawShardSource and cuts shards with its SkimRecords, which
+// finds record boundaries without decoding a field, so every row is
+// parsed exactly once — on the worker that scans it. Only records the
+// skim cannot delimit fail the scan on the coordinator. Field-level
+// errors surface as a worker's 400 invalid_argument, which is ambiguous
+// (bad rows, or a faulty worker); the coordinator settles it by parsing
+// that one shard itself, failing the scan without retry — naming the
+// shard's row range — when the parse fails, and retrying the shard
+// elsewhere when it succeeds.
 //
 // A shard travels as a framed body (api.ContentTypeShard): a compact
 // JSON api.ShardScanRequest header with Data empty, then the shard's raw

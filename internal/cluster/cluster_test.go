@@ -30,6 +30,7 @@ import (
 // inputs every distributed-vs-local equivalence test shares.
 type auditFixture struct {
 	rel     *relation.Relation
+	csv     string // rel serialized by relation.WriteCSV
 	schema  *relation.Schema
 	spec    string
 	records []*core.Record
@@ -56,10 +57,24 @@ func newAuditFixture(t *testing.T, rows, certs int) *auditFixture {
 		}
 		f.records = append(f.records, rec)
 	}
+	// Serialized after watermarking: Watermark marks r in place.
+	var csv strings.Builder
+	if err := relation.WriteCSV(&csv, r); err != nil {
+		t.Fatal(err)
+	}
+	f.csv = csv.String()
 	return f
 }
 
-func (f *auditFixture) rows() relation.RowReader { return relation.Rows(f.rel) }
+// rows opens a fresh block-reader source over the fixture's CSV — the
+// kind of source every server ingress hands ScanShards.
+func (f *auditFixture) rows() relation.RawShardSource {
+	src, err := relation.NewCSVBlockReader(strings.NewReader(f.csv), f.schema)
+	if err != nil {
+		panic(err) // WriteCSV output always has a parseable header
+	}
+	return src
+}
 
 // localTallies is the single-node reference: one pipeline.ScanMany pass.
 func (f *auditFixture) localTallies(t *testing.T, prep *core.BatchPrep) []*mark.Tally {
@@ -639,17 +654,19 @@ func TestAgentHeartbeats(t *testing.T) {
 	}
 }
 
-// blockingRowReader wraps a RowReader and counts Read calls, so a test
-// can assert the reader goroutine has truly let go of the source.
-type blockingRowReader struct {
-	inner relation.RowReader
-	reads atomic.Int64
+// countingSource wraps a RawShardSource and counts skim calls and the
+// rows they hand out, so a test can assert the reader goroutine has
+// truly let go of the source and measure how far ahead it ran.
+type countingSource struct {
+	relation.RawShardSource
+	calls, rows atomic.Int64
 }
 
-func (b *blockingRowReader) Schema() *relation.Schema { return b.inner.Schema() }
-func (b *blockingRowReader) Read() (relation.Tuple, error) {
-	b.reads.Add(1)
-	return b.inner.Read()
+func (c *countingSource) SkimRecords(dst []byte, maxRows int) ([]byte, int, error) {
+	c.calls.Add(1)
+	dst, n, err := c.RawShardSource.SkimRecords(dst, maxRows)
+	c.rows.Add(int64(n))
+	return dst, n, err
 }
 
 // TestScanShardsReleasesSourceOnFailure pins the reader-lifetime
@@ -665,20 +682,20 @@ func TestScanShardsReleasesSourceOnFailure(t *testing.T) {
 	bad.failWith = func(api.ShardScanRequest) error { return errors.New("nope") }
 	bad.register(c, "bad", 1)
 
-	src := &blockingRowReader{inner: f.rows()}
+	src := &countingSource{RawShardSource: f.rows()}
 	_, err := c.ScanShards(context.Background(), src, prep.Scanners(), ScanJob{
 		Records: prep.Records(), Schema: f.spec,
 	})
 	if err == nil {
 		t.Fatal("scan against an always-failing worker succeeded")
 	}
-	after := src.reads.Load()
+	after := src.calls.Load()
 	time.Sleep(50 * time.Millisecond)
-	if got := src.reads.Load(); got != after {
+	if got := src.calls.Load(); got != after {
 		t.Fatalf("source read %d more times after ScanShards returned", got-after)
 	}
-	if after >= 5001 {
-		t.Fatalf("reader drained the whole corpus (%d reads) despite the early failure", after)
+	if rows := src.rows.Load(); rows >= 5000 {
+		t.Fatalf("reader drained the whole corpus (%d rows) despite the early failure", rows)
 	}
 }
 
@@ -697,7 +714,7 @@ func TestScanShardsBackpressure(t *testing.T) {
 	w.delay = func(api.ShardScanRequest) { time.Sleep(time.Millisecond) }
 	w.register(c, "slow", 1)
 
-	src := &blockingRowReader{inner: f.rows()}
+	src := &countingSource{RawShardSource: f.rows()}
 	var maxLead int64
 	done := make(chan struct{})
 	go func() {
@@ -708,7 +725,7 @@ func TestScanShardsBackpressure(t *testing.T) {
 				return
 			default:
 			}
-			lead := src.reads.Load()/100 - w.served.Load()
+			lead := src.rows.Load()/100 - w.served.Load()
 			if lead > atomic.LoadInt64(&maxLead) {
 				atomic.StoreInt64(&maxLead, lead)
 			}

@@ -20,18 +20,15 @@ import (
 // rawFixtureData serializes the fixture corpus in both wire formats.
 func rawFixtureData(t testing.TB, f *auditFixture) (csvData, jsonlData string) {
 	t.Helper()
-	var cb, jb strings.Builder
-	if err := relation.WriteCSV(&cb, f.rel); err != nil {
-		t.Fatal(err)
-	}
+	var jb strings.Builder
 	if err := relation.WriteJSONL(&jb, f.rel); err != nil {
 		t.Fatal(err)
 	}
-	return cb.String(), jb.String()
+	return f.csv, jb.String()
 }
 
 // rawSource opens a zero-copy block reader over serialized fixture data.
-func rawSource(t testing.TB, f *auditFixture, format, data string) relation.RowReader {
+func rawSource(t testing.TB, f *auditFixture, format, data string) relation.RawShardSource {
 	t.Helper()
 	if format == "jsonl" {
 		return relation.NewJSONLBlockReader(strings.NewReader(data), f.schema)
@@ -43,7 +40,7 @@ func rawSource(t testing.TB, f *auditFixture, format, data string) relation.RowR
 	return br
 }
 
-// TestScanShardsRawSourceMatchesLocalScan is the byte-range encoder's
+// TestScanShardsRawSourceMatchesLocalScan is the shard cutter's
 // equivalence and verbatim-slicing proof, per format: a distributed scan
 // fed by a zero-copy block reader (a) produces tallies bit-identical to
 // the local pass, (b) stamps every shard request with the source's own
@@ -111,7 +108,7 @@ func TestScanShardsRawSourceMatchesLocalScan(t *testing.T) {
 	}
 }
 
-// TestScanShardsRawSourceResplit drives the raw re-split path end to
+// TestScanShardsRawSourceResplit drives the skim re-split path end to
 // end on a JSONL source: a worker that fails every shard forces each
 // one to be re-cut into two children, whose payloads must still be
 // verbatim byte ranges and whose merged tallies must match the local
@@ -183,8 +180,9 @@ func TestScanShardsRawSourceResplit(t *testing.T) {
 
 // TestSplitTaskRawSlices pins the format-aware re-split mechanics: for
 // both formats the two children's payloads are verbatim byte ranges of
-// the parent — concatenating them (dropping the second child's repeated
-// header) reproduces the parent payload exactly.
+// the parent, skimmed without parsing — concatenating them (dropping the
+// second child's repeated header) reproduces the parent payload exactly
+// — and each child knows its first row in the stream.
 func TestSplitTaskRawSlices(t *testing.T) {
 	f := newAuditFixture(t, 101, 1)
 	csvData, jsonlData := rawFixtureData(t, f)
@@ -194,9 +192,9 @@ func TestSplitTaskRawSlices(t *testing.T) {
 		{"csv", csvData, csvData[:strings.IndexByte(csvData, '\n')+1]},
 		{"jsonl", jsonlData, ""},
 	} {
-		s := &scan{job: ScanJob{Schema: f.spec}, ctx: context.Background(), format: tc.format}
+		s := &scan{job: ScanJob{Schema: f.spec}, ctx: context.Background(), schema: f.schema, format: tc.format}
 		task := &shardTask{
-			idx: 7, data: tc.data, rows: 101, attempts: 1,
+			idx: 7, data: tc.data, first: 300, rows: 101, attempts: 1,
 			failed: map[string]bool{"w-dead": true},
 		}
 		children, err := s.splitTask(task)
@@ -207,7 +205,8 @@ func TestSplitTaskRawSlices(t *testing.T) {
 			t.Fatalf("%s: children = %+v, want rows 50 + 51", tc.format, children)
 		}
 		for i, ch := range children {
-			if ch.idx != 7 || ch.sub != i || !ch.child || ch.attempts != 1 || !ch.failed["w-dead"] {
+			if ch.idx != 7 || ch.sub != i || !ch.child || ch.attempts != 1 || !ch.failed["w-dead"] ||
+				ch.first != 300+50*i {
 				t.Fatalf("%s child %d metadata wrong: %+v", tc.format, i, ch)
 			}
 		}
@@ -223,7 +222,8 @@ func TestSplitTaskRawSlices(t *testing.T) {
 
 // BenchmarkShardEncode measures the coordinator's shard-payload encoder:
 // the legacy parse-then-reprint pipeline (row reader + row writer)
-// against the zero-copy raw byte-range slicer, per wire format.
+// against the record skim that cuts shards without parsing a field, per
+// wire format.
 func BenchmarkShardEncode(b *testing.B) {
 	r, _, err := datagen.ItemScan(datagen.ItemScanConfig{
 		N: 50000, CatalogSize: 120, ZipfS: 1.0, Seed: "shard-encode-bench",
@@ -266,7 +266,7 @@ func BenchmarkShardEncode(b *testing.B) {
 			return relation.NewJSONLRowWriter(&out, schema)
 		}
 		w := newWriter()
-		rows, shards := 0, 0
+		rows := 0
 		for {
 			tup, err := src.Read()
 			if err == io.EOF {
@@ -282,7 +282,6 @@ func BenchmarkShardEncode(b *testing.B) {
 				if err := w.Flush(); err != nil {
 					b.Fatal(err)
 				}
-				shards++
 				rows = 0
 				w = newWriter()
 			}
@@ -291,37 +290,17 @@ func BenchmarkShardEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	raw := func(b *testing.B, data, format string) {
-		var src relation.RawShardSource
-		if format == "csv" {
-			br, err := relation.NewCSVBlockReader(strings.NewReader(data), schema)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src = br
-		} else {
-			src = relation.NewJSONLBlockReader(strings.NewReader(data), schema)
-		}
-		src.SetRecordRaw(true)
+	skim := func(b *testing.B, data, format string) {
+		f := &auditFixture{schema: schema}
+		src := rawSource(b, f, format, data)
 		hdr := src.RawHeader()
-		blk := relation.GetBlock(schema)
-		defer relation.PutBlock(blk)
-		var out strings.Builder
-		out.Write(hdr)
-		rows := 0
+		var buf []byte
 		for {
-			n, err := src.ReadBlock(blk, min(shardRows-rows, rawReadRows))
-			if err == io.EOF {
+			var err error
+			if buf, _, err = src.SkimRecords(append(buf[:0], hdr...), shardRows); err == io.EOF {
 				break
-			}
-			if err != nil {
+			} else if err != nil {
 				b.Fatal(err)
-			}
-			out.Write(blk.RawBytes())
-			if rows += n; rows >= shardRows {
-				out.Reset()
-				out.Write(hdr)
-				rows = 0
 			}
 		}
 	}
@@ -331,9 +310,9 @@ func BenchmarkShardEncode(b *testing.B) {
 		run        func(b *testing.B, data, format string)
 	}{
 		{"csv/reprint", csvData, reprint},
-		{"csv/raw", csvData, raw},
+		{"csv/skim", csvData, skim},
 		{"jsonl/reprint", jsonlData, reprint},
-		{"jsonl/raw", jsonlData, raw},
+		{"jsonl/skim", jsonlData, skim},
 	} {
 		format := strings.SplitN(tc.name, "/", 2)[0]
 		b.Run(tc.name, func(b *testing.B) {
@@ -344,5 +323,48 @@ func BenchmarkShardEncode(b *testing.B) {
 			}
 			b.ReportMetric(float64(r.Len())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
+	}
+}
+
+// TestScanShardsBadRowsFailWithoutRetry pins the arbitration of a
+// worker's invalid_argument reply: when the coordinator's own parse of
+// the shard fails too, the rows are at fault, so the scan fails at once
+// — no retry on another worker — with the shard's row range named.
+func TestScanShardsBadRowsFailWithoutRetry(t *testing.T) {
+	f := newAuditFixture(t, 300, 1)
+	prep := core.PrepareBatch(f.records, f.schema, core.BatchOptions{})
+	_, jsonlData := rawFixtureData(t, f)
+	// Row 150 names a column the schema lacks: the skim passes it, the
+	// worker's parse rejects it.
+	lines := strings.SplitAfter(jsonlData, "\n")
+	lines[149] = strings.Replace(lines[149], `"Item_Nbr"`, `"Wrong"`, 1)
+	bad := strings.Join(lines, "")
+
+	c := NewCoordinator(Config{ShardRows: 100})
+	var mu sync.Mutex
+	tries := map[int]int{}
+	for i := 0; i < 2; i++ {
+		w := startTestWorker(t)
+		w.delay = func(req api.ShardScanRequest) {
+			mu.Lock()
+			tries[req.Shard]++
+			mu.Unlock()
+		}
+		w.register(c, fmt.Sprintf("w%d", i), 1)
+	}
+	_, err := c.ScanShards(context.Background(), rawSource(t, f, "jsonl", bad), prep.Scanners(), ScanJob{
+		Records: prep.Records(), Schema: f.spec,
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "suspect rows 101-200: ") ||
+		!strings.Contains(err.Error(), `unknown column "Wrong"`) {
+		t.Fatalf("err = %v, want the rejected shard's rows and the parse error", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if tries[1] != 1 {
+		t.Fatalf("bad shard tried %d times, want 1 (no retry of bad rows)", tries[1])
+	}
+	if live := c.LiveWorkers(); live != 2 {
+		t.Fatalf("bad rows cost a worker its lease: %d live", live)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"sync"
 	"time"
@@ -36,8 +37,12 @@ type ScanJob struct {
 
 // shardTask is one row-range shard travelling through the scheduler.
 type shardTask struct {
-	idx      int
-	data     string // serialized rows, CSV with header
+	idx int
+	// data is the payload: the source's header, then the shard's
+	// skimmed records in the scan's wire format.
+	data string
+	// first is the 0-based stream position of the shard's first row.
+	first    int
 	rows     int
 	attempts int
 	// failed is the set of worker IDs that already failed this shard;
@@ -60,9 +65,10 @@ type scan struct {
 	c   *Coordinator
 	ctx context.Context
 	job ScanJob
-	// format is the wire format shard payloads are serialized in: the
-	// source's own format when it can hand out raw record bytes
-	// (relation.RawShardSource), "csv" re-serialization otherwise.
+	// schema and format describe the source the shard payloads are cut
+	// from: its schema, and the wire format ("csv" or "jsonl") workers
+	// parse the payloads in.
+	schema *relation.Schema
 	format string
 	// bandwidths holds each scanner's |wm_data|, the shape every wire
 	// tally is validated against before it may merge.
@@ -117,7 +123,7 @@ func (s *scan) failLocked(err error) {
 }
 
 // ScanShards fans one streaming pass of src out across the cluster:
-// contiguous row-range shards are serialized and dispatched to live
+// contiguous row-range shards are skimmed off src and dispatched to live
 // workers (capacity-bounded, least-loaded first), failed or timed-out
 // shards are retried on surviving workers, and the returned partial
 // tallies are folded in row order — so the result is one merged tally per
@@ -131,16 +137,12 @@ func (s *scan) failLocked(err error) {
 // reader between shards, abandons in-flight RPCs, and returns ctx.Err().
 // If every worker dies mid-scan the call fails with ErrNoWorkers (wrapped
 // with the stranded shard's index) once retries are exhausted.
-func (c *Coordinator) ScanShards(ctx context.Context, src relation.RowReader, scanners []*mark.Scanner, job ScanJob) ([]*mark.Tally, error) {
+func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSource, scanners []*mark.Scanner, job ScanJob) ([]*mark.Tally, error) {
 	if len(scanners) != len(job.Records) {
 		return nil, fmt.Errorf("cluster: %d scanners for %d records", len(scanners), len(job.Records))
 	}
 	if len(scanners) == 0 {
 		return nil, errors.New("cluster: no certificates to scan")
-	}
-	format := "csv"
-	if raw, ok := src.(relation.RawShardSource); ok {
-		format = raw.FormatName()
 	}
 	// Ship lean certificates: a shard scan never reads the frequency
 	// profile (only single-record remap recovery does) and core's
@@ -157,7 +159,8 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RowReader, sc
 		c:            c,
 		ctx:          ctx,
 		job:          job,
-		format:       format,
+		schema:       src.Schema(),
+		format:       src.FormatName(),
 		bandwidths:   make([]int, len(scanners)),
 		kick:         make(chan struct{}, 1),
 		feed:         make(chan struct{}, 1),
@@ -216,37 +219,27 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RowReader, sc
 	return totals, nil
 }
 
-// readShards streams src into serialized shard payloads, appending each
-// to the pending queue as it fills. Runs on its own goroutine so shard 0
-// can be scanning on a worker while shard 1 is still being read, but
-// under backpressure: when MaxBufferedShards undispatched payloads are
-// already queued the reader parks until the dispatcher drains one, so
-// coordinator memory stays bounded by buffered + in-flight shards, never
-// by the corpus. The reader also stops at the next shard boundary (and
-// between rows) once the scan has failed or been cancelled.
-func (s *scan) readShards(src relation.RowReader) {
+// readShards cuts src into shard payloads — the source's header plus
+// the verbatim bytes of each shard's records, skimmed without parsing a
+// field — and appends each to the pending queue as it fills. Rows are
+// parsed once, on the worker that scans them; a record the skim cannot
+// delimit fails the scan at its row, as a parse would. Runs on its own
+// goroutine so shard 0 can be scanning on a worker while shard 1 is
+// still being read, but under backpressure: when MaxBufferedShards
+// undispatched payloads are already queued the reader parks until the
+// dispatcher drains one, so coordinator memory stays bounded by
+// buffered + in-flight shards, never by the corpus. The reader also
+// stops at the next shard boundary once the scan has failed or been
+// cancelled.
+func (s *scan) readShards(src relation.RawShardSource) {
 	defer close(s.readerExited)
-	if raw, ok := src.(relation.RawShardSource); ok {
-		// Zero-reprint fast path: the source slices shard payloads
-		// straight out of the input bytes (see readRawShards).
-		s.readRawShards(raw)
-		return
-	}
 	auto := s.c.cfg.AutoShardRows
 	shardRows := s.c.cfg.shardRows()
 	maxBuffered := s.c.cfg.maxBufferedShards()
-	var (
-		buf  strings.Builder
-		w    *relation.CSVRowWriter
-		rows int
-	)
-	reset := func() error {
-		buf.Reset()
-		var err error
-		w, err = relation.NewCSVRowWriter(&buf, src.Schema())
-		rows = 0
-		return err
-	}
+	hdr := src.RawHeader()
+	// buf is reused across shards; each payload is one exact-size copy.
+	buf := append([]byte(nil), hdr...)
+	rows, first := 0, 0
 	finish := func(readErr error) {
 		s.mu.Lock()
 		s.readerDone = true
@@ -260,11 +253,9 @@ func (s *scan) readShards(src relation.RowReader) {
 	// while the queue is full. Reports false when the scan has died and
 	// the reader should stop.
 	cut := func() bool {
-		if err := w.Flush(); err != nil {
-			finish(err)
-			return false
-		}
-		task := &shardTask{data: buf.String(), rows: rows, failed: make(map[string]bool)}
+		task := &shardTask{data: string(buf), first: first, rows: rows, failed: make(map[string]bool)}
+		first += rows
+		buf, rows = append(buf[:0], hdr...), 0
 		for {
 			s.mu.Lock()
 			if s.err != nil {
@@ -293,10 +284,6 @@ func (s *scan) readShards(src relation.RowReader) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return s.err != nil
-	}
-	if err := reset(); err != nil {
-		finish(err)
-		return
 	}
 	for {
 		if s.ctx.Err() != nil {
@@ -318,7 +305,9 @@ func (s *scan) readShards(src relation.RowReader) {
 				return
 			}
 		}
-		t, err := src.Read()
+		var n int
+		var err error
+		buf, n, err = src.SkimRecords(buf, shardRows-rows)
 		if err == io.EOF {
 			break
 		}
@@ -326,127 +315,8 @@ func (s *scan) readShards(src relation.RowReader) {
 			finish(err)
 			return
 		}
-		if err := w.Write(t); err != nil {
-			finish(err)
+		if rows += n; rows >= shardRows && !cut() {
 			return
-		}
-		rows++
-		if rows >= shardRows {
-			if !cut() {
-				return
-			}
-			if err := reset(); err != nil {
-				finish(err)
-				return
-			}
-		}
-	}
-	if rows > 0 && !cut() {
-		return
-	}
-	finish(nil)
-}
-
-// rawReadRows caps how many rows one ReadBlock call of the raw shard
-// encoder parses at a time, bounding the reused block's arena while a
-// multi-thousand-row shard accumulates.
-const rawReadRows = 4096
-
-// readRawShards is readShards for sources that hand out raw record
-// bytes (relation.RawShardSource): each shard payload is the source's
-// own header plus verbatim slices of the input stream — the rows are
-// still parsed (a malformed record fails the scan exactly where the
-// row path would fail), but never re-printed, so the coordinator does
-// no per-row string materialization or CSV quoting work at all. The
-// backpressure, auto-sizing and failure semantics match readShards.
-func (s *scan) readRawShards(src relation.RawShardSource) {
-	src.SetRecordRaw(true)
-	auto := s.c.cfg.AutoShardRows
-	shardRows := s.c.cfg.shardRows()
-	maxBuffered := s.c.cfg.maxBufferedShards()
-	hdr := string(src.RawHeader())
-	blk := relation.GetBlock(src.Schema())
-	defer relation.PutBlock(blk)
-	var (
-		buf  strings.Builder
-		rows int
-	)
-	reset := func() {
-		buf.Reset()
-		buf.WriteString(hdr)
-		rows = 0
-	}
-	finish := func(readErr error) {
-		s.mu.Lock()
-		s.readerDone = true
-		if readErr != nil {
-			s.failLocked(readErr)
-		}
-		s.mu.Unlock()
-		s.wake()
-	}
-	cut := func() bool {
-		task := &shardTask{data: buf.String(), rows: rows, failed: make(map[string]bool)}
-		for {
-			s.mu.Lock()
-			if s.err != nil {
-				s.mu.Unlock()
-				finish(nil)
-				return false
-			}
-			if len(s.pending) < maxBuffered {
-				task.idx = s.produced
-				s.produced++
-				s.pending = append(s.pending, task)
-				s.mu.Unlock()
-				s.wake()
-				return true
-			}
-			s.mu.Unlock()
-			select {
-			case <-s.feed:
-			case <-s.ctx.Done():
-				finish(s.ctx.Err())
-				return false
-			}
-		}
-	}
-	stopped := func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.err != nil
-	}
-	reset()
-	for {
-		if s.ctx.Err() != nil {
-			finish(s.ctx.Err())
-			return
-		}
-		if stopped() {
-			finish(nil)
-			return
-		}
-		if auto && rows == 0 {
-			if shardRows = s.autoShardRows(); shardRows == 0 {
-				finish(s.ctx.Err())
-				return
-			}
-		}
-		n, err := src.ReadBlock(blk, min(shardRows-rows, rawReadRows))
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			finish(err)
-			return
-		}
-		buf.Write(blk.RawBytes())
-		rows += n
-		if rows >= shardRows {
-			if !cut() {
-				return
-			}
-			reset()
 		}
 	}
 	if rows > 0 && !cut() {
@@ -534,7 +404,8 @@ func (s *scan) dispatch() error {
 
 // runShard executes one shard RPC against one worker and routes the
 // outcome: park the decoded tallies on success, requeue (avoiding this
-// worker) on failure, fail the scan once the shard's attempts are spent.
+// worker) on failure, fail the scan once the shard's attempts are spent
+// — or at once when the shard's rows fail the coordinator's own parse.
 func (s *scan) runShard(task *shardTask, m *member) {
 	if met := s.c.met; met != nil {
 		met.dispatched.With(m.id).Inc()
@@ -571,9 +442,15 @@ func (s *scan) runShard(task *shardTask, m *member) {
 	// so a version-skewed node degrades to retries elsewhere instead of
 	// emptying the membership table.
 	var aerr *api.Error
-	transport := err != nil && !errors.As(err, &aerr) &&
-		!errors.Is(err, errInvalidShardResponse) && s.ctx.Err() == nil
-	s.c.release(m, transport)
+	answered := errors.As(err, &aerr) || errors.Is(err, errInvalidShardResponse)
+	s.c.release(m, err != nil && !answered && s.ctx.Err() == nil)
+
+	// A worker answering invalid_argument either met bad rows or is
+	// faulty; only a local parse of the shard can tell which.
+	var rowsErr error
+	if aerr != nil && aerr.Code == api.CodeInvalidArgument && s.ctx.Err() == nil {
+		rowsErr = s.checkShardRows(task)
+	}
 
 	if err == nil {
 		// Feed the autotuner: rows over wall time for this worker. Runs
@@ -595,6 +472,10 @@ func (s *scan) runShard(task *shardTask, m *member) {
 	case s.ctx.Err() != nil || s.err != nil:
 		// Cancelled or already failing — drop the shard, the dispatcher
 		// is only waiting for in-flight RPCs to unwind.
+	case rowsErr != nil:
+		// The suspect is at fault: no worker will scan these rows, so
+		// fail now rather than spend the retries.
+		s.failLocked(rowsErr)
 	default:
 		task.attempts++
 		attempt = task.attempts
@@ -646,63 +527,71 @@ func (s *scan) runShard(task *shardTask, m *member) {
 }
 
 // splitTask cuts a failed shard's payload into two half-sized children
-// (same idx, sub 0 and 1) by re-parsing the serialized rows with the
-// payload format's raw-recording block reader and slicing each child's
-// record bytes verbatim — no re-printing, in either format. The
-// children inherit the shard's attempt count and failure history.
+// (same idx, sub 0 and 1) by skimming its records again and copying
+// each child's share verbatim. The children inherit the shard's attempt
+// count and failure history.
 func (s *scan) splitTask(task *shardTask) ([]*shardTask, error) {
-	schema, err := relation.ParseSchemaSpec(s.job.Schema)
+	src, err := s.shardSource(task.data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: re-split shard %d: %w", task.idx, err)
 	}
-	var src relation.RawShardSource
-	if s.format == "jsonl" {
-		src = relation.NewJSONLBlockReader(strings.NewReader(task.data), schema)
-	} else {
-		csrc, err := relation.NewCSVBlockReader(strings.NewReader(task.data), schema)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: re-split shard %d: %w", task.idx, err)
-		}
-		src = csrc
-	}
-	src.SetRecordRaw(true)
-	hdr := string(src.RawHeader())
-	blk := relation.GetBlock(schema)
-	defer relation.PutBlock(blk)
 	sizes := [2]int{task.rows / 2, task.rows - task.rows/2}
 	children := make([]*shardTask, 0, len(sizes))
+	var buf []byte
+	first := task.first
 	for sub, want := range sizes {
 		if err := s.ctx.Err(); err != nil {
 			return nil, err
 		}
-		var buf strings.Builder
-		buf.WriteString(hdr)
-		for got := 0; got < want; {
-			n, err := src.ReadBlock(blk, min(want-got, rawReadRows))
-			if err != nil || n == 0 {
-				if err == nil {
-					err = io.ErrUnexpectedEOF
-				}
-				return nil, fmt.Errorf("cluster: re-split shard %d: %w", task.idx, err)
+		var n int
+		buf, n, err = src.SkimRecords(append(buf[:0], src.RawHeader()...), want)
+		if err != nil || n != want {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			buf.Write(blk.RawBytes())
-			got += n
-		}
-		failed := make(map[string]bool, len(task.failed))
-		for id := range task.failed {
-			failed[id] = true
+			return nil, fmt.Errorf("cluster: re-split shard %d: %w", task.idx, err)
 		}
 		children = append(children, &shardTask{
 			idx:      task.idx,
 			sub:      sub,
 			child:    true,
-			data:     buf.String(),
+			data:     string(buf),
+			first:    first,
 			rows:     want,
 			attempts: task.attempts,
-			failed:   failed,
+			failed:   maps.Clone(task.failed),
 		})
+		first += want
 	}
 	return children, nil
+}
+
+// shardSource opens a block reader over one shard payload.
+func (s *scan) shardSource(data string) (relation.RawShardSource, error) {
+	if s.format == "jsonl" {
+		return relation.NewJSONLBlockReader(strings.NewReader(data), s.schema), nil
+	}
+	return relation.NewCSVBlockReader(strings.NewReader(data), s.schema)
+}
+
+// checkShardRows parses a shard payload locally with the format's block
+// reader, the arbiter when a worker rejects the shard as invalid. A
+// parse error is the suspect's, reported with the shard's row range.
+func (s *scan) checkShardRows(task *shardTask) error {
+	src, err := s.shardSource(task.data)
+	if err == nil {
+		blk := relation.GetBlock(s.schema)
+		defer relation.PutBlock(blk)
+		for err == nil {
+			if err = s.ctx.Err(); err == nil {
+				_, err = src.ReadBlock(blk, 0)
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+	}
+	return fmt.Errorf("suspect rows %d-%d: %w", task.first+1, task.first+task.rows, err)
 }
 
 // errInvalidShardResponse marks a shard reply that arrived but failed

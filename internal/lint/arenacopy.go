@@ -9,7 +9,7 @@ import (
 // block-pipeline packages, a string(...) conversion of an arena-backed
 // byte slice silently reintroduces the per-row allocation the columnar
 // path exists to eliminate. Arena-backed means derived from the
-// relation block accessors — Column.Value, Column.Raw, Block.RawBytes —
+// relation block accessors — Column.Value, Block.Value, Column.Raw —
 // whose results alias pooled block storage. The analyzer tracks simple
 // local aliases (v := col.Value(i), data, _ := col.Raw(), subslices of
 // either) and flags conversions of any of them to a string type.
@@ -42,12 +42,11 @@ func runArenaCopy(pass *Pass) error {
 }
 
 // arenaSourceCall reports whether call returns bytes aliasing a block
-// arena: Column.Value / Block.Value (a row's bytes), Block.RawBytes
-// (the raw record spans). Column.Raw is handled at its assignment site,
-// since only its first result is the arena.
+// arena: Column.Value / Block.Value (a row's bytes). Column.Raw is
+// handled at its assignment site, since only its first result is the
+// arena.
 func arenaSourceCall(info *types.Info, call *ast.CallExpr) bool {
-	return methodOn(info, call, relationPath, "Value", "Column", "Block") ||
-		methodOn(info, call, relationPath, "RawBytes", "Block")
+	return methodOn(info, call, relationPath, "Value", "Column", "Block")
 }
 
 // checkArenaCopies flags arena-to-string conversions within one

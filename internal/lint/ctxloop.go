@@ -102,7 +102,9 @@ func loopCrossesBlocks(body *ast.BlockStmt, info *types.Info) bool {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "ReadBlock",
-			"BlockReader", "RawShardSource", "CSVBlockReader", "JSONLBlockReader") {
+			"BlockReader", "RawShardSource", "CSVBlockReader", "JSONLBlockReader") ||
+			methodOn(info, call, "repro/internal/relation", "SkimRecords",
+				"RawShardSource", "CSVBlockReader", "JSONLBlockReader") {
 			found = true
 		}
 	})

@@ -20,10 +20,6 @@ func namedStringConversion(col *relation.Column, i int) key {
 	return key(col.Value(i)) // want `string conversion copies arena-backed block bytes`
 }
 
-func rawBytesConversion(blk *relation.Block) string {
-	return string(blk.RawBytes()) // want `string conversion copies arena-backed block bytes`
-}
-
 func aliasConversion(col *relation.Column, n int) []string {
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {

@@ -74,6 +74,16 @@ func readBlocksNoCancel(src relation.BlockReader, blk *relation.Block) error {
 	}
 }
 
+func skimNoCancel(src relation.RawShardSource) error {
+	var buf []byte
+	for { // want `loop crosses scan-block/row boundaries`
+		var err error
+		if buf, _, err = src.SkimRecords(buf[:0], 512); err != nil {
+			return err
+		}
+	}
+}
+
 func scanColumnsNoCancel(sc *mark.Scanner, blks []*relation.Block, t *mark.Tally) error {
 	var bs mark.BlockScratch
 	for _, blk := range blks { // want `loop crosses scan-block/row boundaries`

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -68,17 +69,11 @@ func (c *Column) appendByte(b byte) { c.data = append(c.data, b) }
 // closeRow seals the currently open field as the next row's value.
 func (c *Column) closeRow() { c.offs = append(c.offs, int32(len(c.data))) }
 
-// Block is one batch of rows in columnar form, plus (optionally) the
-// raw input byte spans the rows were parsed from — what the cluster
-// coordinator slices shard payloads out of instead of re-serializing
-// parsed tuples.
+// Block is one batch of rows in columnar form.
 type Block struct {
 	schema *Schema
 	rows   int
 	cols   []Column
-	// raw holds the concatenated raw record spans when recording is on
-	// (see RawShardSource.SetRecordRaw).
-	raw []byte
 	// gen increments on every Reset, giving pooled blocks a cheap
 	// identity: (pointer, gen) pins one filling of one block, which is
 	// how mark.BlockScratch knows when its per-block memo went stale.
@@ -107,7 +102,6 @@ func (b *Block) Reset(schema *Schema) {
 	for i := range b.cols {
 		b.cols[i].reset()
 	}
-	b.raw = b.raw[:0]
 }
 
 // Schema returns the schema the block's columns conform to.
@@ -152,13 +146,6 @@ func (b *Block) AppendTuple(t Tuple) error {
 	return nil
 }
 
-// RawBytes returns the concatenated raw record spans of the block's
-// rows — exact input bytes for CSV (every span newline-terminated as in
-// the input, except possibly a final record at EOF), newline-terminated
-// object spans for JSONL. Empty unless the reader recorded raw spans.
-// Aliases block storage; same lifetime rules as Value.
-func (b *Block) RawBytes() []byte { return b.raw }
-
 // blockPool recycles blocks across reads and workers; arenas stay warm,
 // so steady-state ingestion does not allocate per block, let alone per
 // row.
@@ -194,20 +181,89 @@ type BlockReader interface {
 	ReadBlock(b *Block, maxRows int) (int, error)
 }
 
-// RawShardSource is a BlockReader that can also report the exact input
-// byte ranges its rows were parsed from, which lets the cluster
-// coordinator build shard payloads by slicing the original stream
-// (header + record spans) instead of parsing and re-printing every row.
-// Both zero-copy block readers implement it.
+// compatBlockRows sizes the internal block of the RowReader
+// compatibility view and the default ReadBlock/SkimRecords batch.
+const compatBlockRows = 512
+
+// cursor is the record bookkeeping both block readers share: the row
+// position errors name, the sticky terminal error, the batching loop
+// behind ReadBlock and SkimRecords, and the block behind the RowReader
+// compatibility view.
+type cursor struct {
+	row    int   // next data row, 1-based (error reporting)
+	err    error // sticky terminal parse/read error
+	rowBlk *Block
+	rowIdx int
+}
+
+// records calls next for up to maxRows records (<= 0 means a default
+// batch) and returns how many it handled. io.EOF from next ends the
+// batch; it is returned only when no record came before it, and never
+// together with records. Any other error is sticky.
+func (c *cursor) records(maxRows int, next func() error) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	if maxRows <= 0 {
+		maxRows = compatBlockRows
+	}
+	n := 0
+	for ; n < maxRows; n++ {
+		if err := next(); err == io.EOF {
+			if n == 0 {
+				return 0, io.EOF
+			}
+			break
+		} else if err != nil {
+			c.err = err
+			return n, err
+		}
+		c.row++
+	}
+	return n, nil
+}
+
+// read returns the next tuple of br or io.EOF — the RowReader
+// compatibility view, materializing tuples from an internal block. Rows
+// parsed before a mid-block error are yielded first, exactly like the
+// legacy readers.
+func (c *cursor) read(br BlockReader) (Tuple, error) {
+	if c.rowBlk == nil {
+		c.rowBlk = NewBlock(br.Schema())
+	}
+	if c.rowIdx >= c.rowBlk.Rows() {
+		if n, err := br.ReadBlock(c.rowBlk, compatBlockRows); n == 0 && err != nil {
+			return nil, err
+		}
+		c.rowIdx = 0
+	}
+	c.rowIdx++
+	return c.rowBlk.Tuple(c.rowIdx - 1), nil
+}
+
+// RawShardSource is a suspect stream the cluster coordinator can cut
+// into shards without parsing it: besides the row and block views it
+// skims whole records — finding record boundaries and copying their
+// exact bytes, decoding no field — so each shard payload is the
+// source's header plus verbatim record bytes, parsed once, on the
+// worker that scans it. Both zero-copy block readers implement it; do
+// not interleave SkimRecords with Read or ReadBlock on one reader.
 type RawShardSource interface {
+	RowReader
 	BlockReader
-	// SetRecordRaw toggles raw-span recording into the blocks passed to
-	// ReadBlock. Off by default; turn it on before the first ReadBlock.
-	SetRecordRaw(on bool)
+	// SkimRecords appends up to maxRows whole records to dst and returns
+	// the extended slice and the number of records appended. Field-level
+	// problems (an unknown column, a wrong arity, a bad escape) pass
+	// through untouched for the parser to reject; only structural errors
+	// — a record that cannot be delimited — surface here, sticky and
+	// positioned at their row, with dst holding the records before it.
+	// At end of input it returns (dst, 0, io.EOF) — never records
+	// together with io.EOF.
+	SkimRecords(dst []byte, maxRows int) ([]byte, int, error)
 	// RawHeader returns the raw bytes of the stream preamble — the CSV
 	// header line including its newline — or nil for formats without one.
 	RawHeader() []byte
 	// FormatName returns the shard wire-format name ("csv" or "jsonl")
-	// a worker needs to re-parse the sliced payload.
+	// a worker needs to parse the skimmed payload.
 	FormatName() string
 }

@@ -143,6 +143,8 @@ func TestCSVBlockReaderMatchesLegacy(t *testing.T) {
 var jsonlOracleCases = []string{
 	"{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"10\"}\n{\"Visit_Nbr\":\"2\",\"Item_Nbr\":\"11\"}\n",
 	"{\"Item_Nbr\":\"10\",\"Visit_Nbr\":\"1\"}\n", // reordered keys
+	// key order changing from record to record, duplicates included
+	"{\"Item_Nbr\":\"1\",\"Visit_Nbr\":\"2\"}\n{\"Visit_Nbr\":\"3\",\"Item_Nbr\":\"4\"}\n{\"Item_Nbr\":\"5\",\"Visit_Nbr\":\"6\",\"Item_Nbr\":\"7\"}\n{\"Visit_Nbr\":\"8\",\"Visit_Nbr\":\"9\",\"Item_Nbr\":\"0\"}\n",
 	"  {\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"10\"}  ",
 	"{\n  \"Visit_Nbr\": \"1\",\n  \"Item_Nbr\": \"10\"\n}\n", // pretty-printed
 	"{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"10\"}{\"Visit_Nbr\":\"2\",\"Item_Nbr\":\"11\"}",
@@ -198,9 +200,119 @@ func FuzzJSONLBlockReader(f *testing.F) {
 	})
 }
 
-// TestCSVBlockReaderRawSpans checks the raw record spans: header plus
-// concatenated spans must re-parse to the identical row stream, and for
-// input with no blank lines the concatenation is the input itself.
+// skimShards cuts src into shard payloads of up to maxRows records
+// each — the source header plus the skimmed record bytes, exactly as the
+// cluster coordinator cuts them — and returns them with their record
+// counts and the skim's terminal error, if any.
+func skimShards(src RawShardSource, maxRows int) (payloads []string, counts []int, err error) {
+	for {
+		buf := append([]byte(nil), src.RawHeader()...)
+		buf, n, err := src.SkimRecords(buf, maxRows)
+		if n > 0 {
+			payloads = append(payloads, string(buf))
+			counts = append(counts, n)
+		}
+		if err == io.EOF {
+			return payloads, counts, nil
+		}
+		if err != nil {
+			return payloads, counts, err
+		}
+	}
+}
+
+// checkSkim is the skim's differential oracle against the block parser
+// on one input, for every shard size 1..8: input the parser accepts
+// must skim without error into shards that re-parse to exactly the
+// parser's rows, shard by shard with the skim's counts; and input the
+// parser rejects must never come out as a clean skim whose shards all
+// parse.
+func checkSkim(t *testing.T, format, in string) {
+	t.Helper()
+	schema := rowioSchema(t)
+	open := func(in string) (RawShardSource, error) {
+		if format == "csv" {
+			return NewCSVBlockReader(strings.NewReader(in), schema)
+		}
+		return NewJSONLBlockReader(strings.NewReader(in), schema), nil
+	}
+	br, err := open(in)
+	if err != nil {
+		return // the header is parsed, not skimmed: nothing to cut
+	}
+	want, wantErr := drainBlockRows(t, br, 512)
+	for maxRows := 1; maxRows <= 8; maxRows++ {
+		src, err := open(in)
+		if err != nil {
+			t.Fatalf("%s %q: reopen: %v", format, in, err)
+		}
+		payloads, counts, skimErr := skimShards(src, maxRows)
+		if wantErr == nil && skimErr != nil {
+			t.Fatalf("%s %q: parser accepts, skim rejects: %v", format, in, skimErr)
+		}
+		var got [][]string
+		var shardErr error
+		for i, p := range payloads {
+			sb, err := open(p)
+			if err != nil {
+				shardErr = err
+				break
+			}
+			rows, err := drainBlockRows(t, sb, 512)
+			if err != nil {
+				shardErr = err
+				break
+			}
+			if len(rows) != counts[i] {
+				t.Fatalf("%s %q maxRows %d: shard %d parses to %d rows, skim counted %d\npayload %q",
+					format, in, maxRows, i, len(rows), counts[i], p)
+			}
+			got = append(got, rows...)
+		}
+		if wantErr != nil {
+			if skimErr == nil && shardErr == nil {
+				t.Fatalf("%s %q maxRows %d: parser rejects (%v) but every skimmed shard parses\nshards %q",
+					format, in, maxRows, wantErr, payloads)
+			}
+			continue
+		}
+		if shardErr != nil {
+			t.Fatalf("%s %q maxRows %d: parser accepts, a skimmed shard fails: %v\nshards %q",
+				format, in, maxRows, shardErr, payloads)
+		}
+		if !sameRows(want, got) {
+			t.Fatalf("%s %q maxRows %d: skimmed shards re-parse differently:\nwant %q\ngot  %q",
+				format, in, maxRows, want, got)
+		}
+	}
+}
+
+func TestSkimMatchesParser(t *testing.T) {
+	for _, in := range csvOracleCases {
+		checkSkim(t, "csv", in)
+	}
+	for _, in := range jsonlOracleCases {
+		checkSkim(t, "jsonl", in)
+	}
+}
+
+func FuzzSkimCSV(f *testing.F) {
+	for _, in := range csvOracleCases {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) { checkSkim(t, "csv", in) })
+}
+
+func FuzzSkimJSONL(f *testing.F) {
+	for _, in := range jsonlOracleCases {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) { checkSkim(t, "jsonl", in) })
+}
+
+// TestCSVBlockReaderRawSpans checks the skimmed record bytes: header
+// plus skimmed records must re-parse to the identical row stream, and
+// for input with no blank lines they are the input itself.
 func TestCSVBlockReaderRawSpans(t *testing.T) {
 	schema := rowioSchema(t)
 	in := "Visit_Nbr,Item_Nbr\r\n1,10\r\n\n\"2\",\"a\"\"b\"\n3,\"multi\nline\"\n4,40"
@@ -208,93 +320,119 @@ func TestCSVBlockReaderRawSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br.SetRecordRaw(true)
-	var payload []byte
-	payload = append(payload, br.RawHeader()...)
-	blk := NewBlock(schema)
-	var want [][]string
+	want, err := drainBlockRows(t, br, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br, err = NewCSVBlockReader(strings.NewReader(in), schema); err != nil {
+		t.Fatal(err)
+	}
+	payload := append([]byte(nil), br.RawHeader()...)
 	for {
-		n, err := br.ReadBlock(blk, 2)
-		for i := 0; i < n; i++ {
-			want = append(want, []string(blk.Tuple(i)))
-		}
-		payload = append(payload, blk.RawBytes()...)
-		if err == io.EOF {
+		var err error
+		if payload, _, err = br.SkimRecords(payload, 2); err == io.EOF {
 			break
-		}
-		if err != nil {
+		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
 	rr, err := NewCSVRowReader(strings.NewReader(string(payload)), schema)
 	if err != nil {
-		t.Fatalf("raw payload header: %v\npayload: %q", err, payload)
+		t.Fatalf("skimmed payload header: %v\npayload: %q", err, payload)
 	}
 	got, err := drainRows(rr)
 	if err != nil {
-		t.Fatalf("raw payload re-parse: %v\npayload: %q", err, payload)
+		t.Fatalf("skimmed payload re-parse: %v\npayload: %q", err, payload)
 	}
 	if !sameRows(want, got) {
-		t.Fatalf("raw payload rows differ:\nwant %q\ngot  %q", want, got)
+		t.Fatalf("skimmed payload rows differ:\nwant %q\ngot  %q", want, got)
 	}
 
-	// Without blank lines the raw spans are exactly the input bytes.
+	// Without blank lines the skimmed records are exactly the input bytes.
 	in2 := "Visit_Nbr,Item_Nbr\n1,10\n2,\"a,b\"\n"
 	br2, err := NewCSVBlockReader(strings.NewReader(in2), schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	br2.SetRecordRaw(true)
-	var exact []byte
-	exact = append(exact, br2.RawHeader()...)
-	for {
-		n, err := br2.ReadBlock(blk, 512)
-		_ = n
-		exact = append(exact, blk.RawBytes()...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	exact, n, err := br2.SkimRecords(append([]byte(nil), br2.RawHeader()...), 512)
+	if err != nil || n != 2 {
+		t.Fatalf("SkimRecords = %d records, %v; want 2, nil", n, err)
 	}
 	if string(exact) != in2 {
-		t.Fatalf("raw spans not byte-identical to input:\nin  %q\nout %q", in2, exact)
+		t.Fatalf("skimmed records not byte-identical to input:\nin  %q\nout %q", in2, exact)
+	}
+	if _, n, err := br2.SkimRecords(nil, 512); n != 0 || err != io.EOF {
+		t.Fatalf("SkimRecords at end = %d records, %v; want 0, io.EOF", n, err)
 	}
 }
 
-// TestJSONLBlockReaderRawSpans: concatenated object spans (one per
-// line) must re-parse to the identical row stream.
+// TestJSONLBlockReaderRawSpans: skimmed objects (one per line) must
+// re-parse to the identical row stream.
 func TestJSONLBlockReaderRawSpans(t *testing.T) {
 	schema := rowioSchema(t)
-	in := "{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"a\\\"b\"}   \n\n  {\"Item_Nbr\":\"11\",\"Visit_Nbr\":\"2\"}"
+	in := "{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"a\\\"b}\"}   \n\n  {\"Item_Nbr\":\"11\",\"Visit_Nbr\":\"2\"}"
+	want, err := drainBlockRows(t, NewJSONLBlockReader(strings.NewReader(in), schema), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
 	br := NewJSONLBlockReader(strings.NewReader(in), schema)
-	br.SetRecordRaw(true)
 	if br.RawHeader() != nil {
 		t.Fatal("JSONL RawHeader should be nil")
 	}
-	blk := NewBlock(schema)
 	var payload []byte
-	var want [][]string
 	for {
-		n, err := br.ReadBlock(blk, 1)
-		for i := 0; i < n; i++ {
-			want = append(want, []string(blk.Tuple(i)))
-		}
-		payload = append(payload, blk.RawBytes()...)
-		if err == io.EOF {
+		var err error
+		if payload, _, err = br.SkimRecords(payload, 1); err == io.EOF {
 			break
-		}
-		if err != nil {
+		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
+	wantPayload := "{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"a\\\"b}\"}\n{\"Item_Nbr\":\"11\",\"Visit_Nbr\":\"2\"}\n"
+	if string(payload) != wantPayload {
+		t.Fatalf("skimmed payload:\n got %q\nwant %q", payload, wantPayload)
+	}
 	got, err := drainRows(NewJSONLRowReader(strings.NewReader(string(payload)), schema))
 	if err != nil {
-		t.Fatalf("raw payload re-parse: %v\npayload: %q", err, payload)
+		t.Fatalf("skimmed payload re-parse: %v\npayload: %q", err, payload)
 	}
 	if !sameRows(want, got) {
-		t.Fatalf("raw payload rows differ:\nwant %q\ngot  %q", want, got)
+		t.Fatalf("skimmed payload rows differ:\nwant %q\ngot  %q", want, got)
+	}
+}
+
+// TestSkimStructuralErrors pins the errors the skim itself raises — a
+// record that cannot be delimited — at their row, with the records
+// before it handed out and the error sticky.
+func TestSkimStructuralErrors(t *testing.T) {
+	schema := rowioSchema(t)
+	for _, tc := range []struct {
+		format, in, msg string
+	}{
+		{"jsonl", "{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"2\"}\ngarbage\n", "row 2: invalid character 'g'"},
+		{"jsonl", "{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"2\"}\n{\"Visit_Nbr\":\"1", "row 2: unexpected end of JSON input"},
+		{"jsonl", "{\"Visit_Nbr\":\"1\",\"Item_Nbr\":\"2\"}\n{\"Visit_Nbr\":\"}\n", "row 2: unexpected end of JSON input"},
+		{"csv", "Visit_Nbr,Item_Nbr\n1,2\n3,\"4\n", "row 2: parse error: unterminated quoted field"},
+		{"csv", "Visit_Nbr,Item_Nbr\n1,2\n3,\"4", "row 2: parse error: unterminated quoted field"},
+	} {
+		var src RawShardSource = NewJSONLBlockReader(strings.NewReader(tc.in), schema)
+		if tc.format == "csv" {
+			var err error
+			if src, err = NewCSVBlockReader(strings.NewReader(tc.in), schema); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, n, err := src.SkimRecords(nil, 8)
+		if n != 1 || err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("%s %q: SkimRecords = %d records, %v; want 1 and an error containing %q",
+				tc.format, tc.in, n, err, tc.msg)
+		}
+		if strings.Count(string(out), "\n") != 1 {
+			t.Fatalf("%s %q: skimmed bytes %q should hold exactly the first record", tc.format, tc.in, out)
+		}
+		if _, n, again := src.SkimRecords(nil, 8); n != 0 || again != err {
+			t.Fatalf("%s %q: error not sticky: %d records, %v", tc.format, tc.in, n, again)
+		}
 	}
 }
 

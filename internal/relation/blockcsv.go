@@ -22,11 +22,13 @@ import (
 // may differ from schema order and is mapped by name, exactly as in
 // NewCSVRowReader.
 //
-// CSVBlockReader implements both BlockReader (the zero-allocation
-// path) and RowReader (a compatibility view that materializes tuples
-// from an internal block); do not interleave Read and ReadBlock calls
-// on one reader.
+// CSVBlockReader implements BlockReader (the zero-allocation path),
+// RawShardSource (the record skim the cluster coordinator cuts shards
+// with) and RowReader (a compatibility view that materializes tuples
+// from an internal block); do not interleave Read, ReadBlock and
+// SkimRecords calls on one reader.
 type CSVBlockReader struct {
+	cursor
 	schema *Schema
 	br     *bufio.Reader
 	colFor []int // file column -> schema position
@@ -37,25 +39,23 @@ type CSVBlockReader struct {
 	// spill assembles physical lines longer than the bufio buffer.
 	spill     []byte
 	rawHeader []byte
-	recordRaw bool
-	row       int   // next data row, 1-based (error reporting)
-	err       error // sticky terminal parse/read error
-
-	// rowBlk/rowIdx back the RowReader compatibility view.
-	rowBlk *Block
-	rowIdx int
 }
-
-// compatBlockRows sizes the internal block of the RowReader
-// compatibility path and the default ReadBlock batch.
-const compatBlockRows = 512
 
 // NewCSVBlockReader reads and validates the CSV header, returning a
 // reader positioned at the first data row.
 func NewCSVBlockReader(rd io.Reader, schema *Schema) (*CSVBlockReader, error) {
-	r := &CSVBlockReader{schema: schema, br: bufio.NewReader(rd), row: 1}
-	r.scrap.reset()
-	nf, err := r.parseRecord(nil, &r.rawHeader)
+	r := &CSVBlockReader{cursor: cursor{row: 1}, schema: schema, br: bufio.NewReader(rd)}
+	// The header is skimmed first, so RawHeader is its verbatim bytes,
+	// then parsed from those bytes: a record's lines parse the same
+	// wherever they are read from.
+	raw, err := r.skimRecord(nil)
+	if err != nil {
+		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
+	}
+	r.rawHeader = raw
+	hp := &CSVBlockReader{cursor: cursor{row: 1}, br: bufio.NewReaderSize(bytes.NewReader(raw), len(raw)+1)}
+	hp.scrap.reset()
+	nf, err := hp.parseRecord(nil)
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
 	}
@@ -63,6 +63,7 @@ func NewCSVBlockReader(rd io.Reader, schema *Schema) (*CSVBlockReader, error) {
 		return nil, fmt.Errorf("relation: reading CSV header: record has %d fields, schema has %d",
 			nf, schema.Arity())
 	}
+	r.scrap = hp.scrap
 	colFor := make([]int, nf)
 	seen := make(map[string]bool, nf)
 	for fileCol := 0; fileCol < nf; fileCol++ {
@@ -85,9 +86,6 @@ func NewCSVBlockReader(rd io.Reader, schema *Schema) (*CSVBlockReader, error) {
 // Schema returns the reader's schema.
 func (r *CSVBlockReader) Schema() *Schema { return r.schema }
 
-// SetRecordRaw toggles raw record-span recording into filled blocks.
-func (r *CSVBlockReader) SetRecordRaw(on bool) { r.recordRaw = on }
-
 // RawHeader returns the raw header bytes, including the newline.
 func (r *CSVBlockReader) RawHeader() []byte { return r.rawHeader }
 
@@ -98,60 +96,24 @@ func (r *CSVBlockReader) FormatName() string { return "csv" }
 // default batch). See BlockReader for the contract.
 func (r *CSVBlockReader) ReadBlock(b *Block, maxRows int) (int, error) {
 	b.Reset(r.schema)
-	if r.err != nil {
-		return 0, r.err
-	}
-	if maxRows <= 0 {
-		maxRows = compatBlockRows
-	}
 	r.scrap.reset()
-	var rawDst *[]byte
-	if r.recordRaw {
-		rawDst = &b.raw
-	}
-	n := 0
-	for n < maxRows {
-		nf, err := r.parseRecord(b, rawDst)
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
+	return r.records(maxRows, func() error {
+		nf, err := r.parseRecord(b)
 		if err != nil {
-			r.err = err
-			return n, err
+			return err
 		}
 		if nf != r.schema.Arity() {
-			r.err = fmt.Errorf("relation: reading CSV row %d: record has %d fields, schema has %d",
+			return fmt.Errorf("relation: reading CSV row %d: record has %d fields, schema has %d",
 				r.row, nf, r.schema.Arity())
-			return n, r.err
 		}
 		b.rows++
-		n++
-		r.row++
-	}
-	return n, nil
+		return nil
+	})
 }
 
 // Read returns the next tuple or io.EOF — the RowReader compatibility
-// view, materializing tuples from an internal block. Rows parsed before
-// a mid-block error are yielded first, exactly like the legacy reader.
-func (r *CSVBlockReader) Read() (Tuple, error) {
-	if r.rowBlk == nil {
-		r.rowBlk = NewBlock(r.schema)
-	}
-	if r.rowIdx >= r.rowBlk.Rows() {
-		n, err := r.ReadBlock(r.rowBlk, compatBlockRows)
-		if n == 0 && err != nil {
-			return nil, err
-		}
-		r.rowIdx = 0
-	}
-	t := r.rowBlk.Tuple(r.rowIdx)
-	r.rowIdx++
-	return t, nil
-}
+// view.
+func (r *CSVBlockReader) Read() (Tuple, error) { return r.read(r) }
 
 // parseErr positions a terminal parse error at the current data row.
 func (r *CSVBlockReader) parseErr(msg string) error {
@@ -194,26 +156,65 @@ func (r *CSVBlockReader) readLine() (content, raw []byte, nl bool, err error) {
 	return line, raw, nl, nil
 }
 
-// parseRecord parses one record. Data fields land in b's columns
-// through the header mapping (b == nil routes every field to scrap —
-// the header parse); raw line spans append to *rawDst when non-nil. It
-// returns the record's field count, or io.EOF when the input ends
-// before a record starts. Blank lines are skipped, never recorded.
-func (r *CSVBlockReader) parseRecord(b *Block, rawDst *[]byte) (int, error) {
-	var content, raw []byte
-	var nl bool
+// nextRecordLine returns the first line of the next record, skipping
+// blank lines exactly as encoding/csv does; io.EOF when the input ends
+// before a record starts.
+func (r *CSVBlockReader) nextRecordLine() (content, raw []byte, nl bool, err error) {
 	for {
-		var err error
 		content, raw, nl, err = r.readLine()
-		if err != nil {
-			return 0, err // io.EOF at a record boundary, or a read error
-		}
-		if len(content) > 0 {
-			break
+		if err != nil || len(content) > 0 {
+			return content, raw, nl, err
 		}
 	}
-	if rawDst != nil {
-		*rawDst = append(*rawDst, raw...)
+}
+
+// SkimRecords appends up to maxRows whole records' exact input bytes to
+// dst without parsing fields (see RawShardSource). A record ends at the
+// first newline after which its quote count is even — the one place a
+// record the parser accepts can end, since strict quoting admits quotes
+// only as field delimiters and "" pairs.
+func (r *CSVBlockReader) SkimRecords(dst []byte, maxRows int) ([]byte, int, error) {
+	n, err := r.records(maxRows, func() (err error) {
+		dst, err = r.skimRecord(dst)
+		return err
+	})
+	return dst, n, err
+}
+
+// skimRecord appends the next record's lines to dst, or returns io.EOF
+// at a clean end of input. On error dst is returned unextended.
+func (r *CSVBlockReader) skimRecord(dst []byte) ([]byte, error) {
+	_, raw, nl, err := r.nextRecordLine()
+	if err != nil {
+		return dst, err
+	}
+	mark := len(dst)
+	dst = append(dst, raw...)
+	for quotes := bytes.Count(raw, quote); quotes%2 == 1; quotes += bytes.Count(raw, quote) {
+		if !nl {
+			return dst[:mark], r.parseErr(`unterminated quoted field`)
+		}
+		if _, raw, nl, err = r.readLine(); err != nil {
+			if err == io.EOF {
+				err = r.parseErr(`unterminated quoted field`)
+			}
+			return dst[:mark], err
+		}
+		dst = append(dst, raw...)
+	}
+	return dst, nil
+}
+
+var quote = []byte{'"'}
+
+// parseRecord parses one record. Data fields land in b's columns
+// through the header mapping (b == nil routes every field to scrap —
+// the header parse). It returns the record's field count, or io.EOF
+// when the input ends before a record starts.
+func (r *CSVBlockReader) parseRecord(b *Block) (int, error) {
+	content, _, nl, err := r.nextRecordLine()
+	if err != nil {
+		return 0, err // io.EOF at a record boundary, or a read error
 	}
 	nf := 0
 	line := content
@@ -258,15 +259,12 @@ parseField:
 				}
 				cur.appendByte('\n')
 				var err error
-				line, raw, nl, err = r.readLine()
+				line, _, nl, err = r.readLine()
 				if err == io.EOF {
 					return nf, r.parseErr(`unterminated quoted field`)
 				}
 				if err != nil {
 					return nf, err
-				}
-				if rawDst != nil {
-					*rawDst = append(*rawDst, raw...)
 				}
 				continue
 			}

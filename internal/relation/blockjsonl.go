@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"unicode"
@@ -20,56 +21,76 @@ import (
 // unpaired surrogates and invalid UTF-8 replaced by U+FFFD without
 // error), and control characters inside strings rejected.
 //
-// JSONLBlockReader implements BlockReader, RawShardSource, and a
-// RowReader compatibility view; do not interleave Read and ReadBlock
-// calls on one reader.
+// The hot loops run on the buffered window rather than byte by byte
+// through the refill path: whitespace skips and runs of plain ASCII
+// string bytes are consumed in window-local loops, and a key is first
+// compared in place against the attribute that followed the previous
+// key in the last record — schema order until a record says otherwise,
+// so any writer with a stable key order (json.Marshal's sorted map keys
+// included) hits — before it is decoded and looked up by name.
+//
+// JSONLBlockReader implements BlockReader, RawShardSource (the record
+// skim) and a RowReader compatibility view; do not interleave Read,
+// ReadBlock and SkimRecords calls on one reader.
 type JSONLBlockReader struct {
+	cursor
 	schema *Schema
 	rd     io.Reader
-	// buf is the sliding input window [r:w); bytes from recStart on are
-	// preserved across refills so a record's raw span stays addressable.
-	buf      []byte
-	r, w     int
-	eof      bool
-	recStart int
-	// rowBuf holds the decoded field bytes of the record being parsed;
-	// spanLo/spanHi index into it per schema position, seen tracks the
-	// distinct-key count (duplicate keys overwrite their span: last
-	// write wins, exactly like a map decode).
-	rowBuf []byte
+	// buf is the sliding input window [r:w); fill slides the consumed
+	// bytes out before reading more.
+	buf  []byte
+	r, w int
+	eof  bool
+	// keyBuf holds a key decoded for lookup by name. seen tracks the
+	// record's distinct keys; a duplicate key's value replaces the one
+	// already in its column's open field (last write wins, exactly like
+	// a map decode).
 	keyBuf []byte
-	spanLo []int32
-	spanHi []int32
 	seen   []bool
-
-	recordRaw bool
-	row       int   // next data row, 1-based (error reporting)
-	err       error // sticky terminal parse/read error
-
-	// rowBlk/rowIdx back the RowReader compatibility view.
-	rowBlk *Block
-	rowIdx int
+	// names holds each attribute's name where a key spelling it with
+	// plain bytes decodes to exactly the name (see literalKey); nil
+	// entries always take the decode-and-lookup path. follow predicts
+	// key order: follow[0] is the position of the last record's first
+	// key, follow[p+1] the position of the key that followed p.
+	names  [][]byte
+	follow []int
 }
 
 // NewJSONLBlockReader returns a reader decoding one JSON object per
 // record from rd.
 func NewJSONLBlockReader(rd io.Reader, schema *Schema) *JSONLBlockReader {
 	arity := schema.Arity()
+	names := make([][]byte, arity)
+	follow := make([]int, arity+1)
+	for i, a := range schema.attrs {
+		if literalKey(a.Name) {
+			names[i] = []byte(a.Name)
+		}
+		follow[i] = i
+	}
 	return &JSONLBlockReader{
+		cursor: cursor{row: 1},
 		schema: schema,
 		rd:     rd,
-		spanLo: make([]int32, arity),
-		spanHi: make([]int32, arity),
 		seen:   make([]bool, arity),
-		row:    1,
+		names:  names,
+		follow: follow,
 	}
+}
+
+// literalKey reports whether name's bytes, written verbatim between
+// quotes, decode to exactly name: plain ASCII string bytes throughout.
+func literalKey(name string) bool {
+	for i := 0; i < len(name); i++ {
+		if !plain[name[i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // Schema returns the reader's schema.
 func (r *JSONLBlockReader) Schema() *Schema { return r.schema }
-
-// SetRecordRaw toggles raw record-span recording into filled blocks.
-func (r *JSONLBlockReader) SetRecordRaw(on bool) { r.recordRaw = on }
 
 // RawHeader returns nil: JSONL streams have no preamble.
 func (r *JSONLBlockReader) RawHeader() []byte { return nil }
@@ -81,52 +102,70 @@ func (r *JSONLBlockReader) FormatName() string { return "jsonl" }
 // default batch). See BlockReader for the contract.
 func (r *JSONLBlockReader) ReadBlock(b *Block, maxRows int) (int, error) {
 	b.Reset(r.schema)
-	if r.err != nil {
-		return 0, r.err
-	}
-	if maxRows <= 0 {
-		maxRows = compatBlockRows
-	}
-	var rawDst *[]byte
-	if r.recordRaw {
-		rawDst = &b.raw
-	}
-	n := 0
-	for n < maxRows {
-		err := r.parseRecord(b, rawDst)
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		if err != nil {
-			r.err = err
-			return n, err
+	return r.records(maxRows, func() error {
+		if err := r.parseRecord(b); err != nil {
+			return err
 		}
 		b.rows++
-		n++
-		r.row++
-	}
-	return n, nil
+		return nil
+	})
 }
 
 // Read returns the next tuple or io.EOF — the RowReader compatibility
-// view. Rows parsed before a mid-block error are yielded first.
-func (r *JSONLBlockReader) Read() (Tuple, error) {
-	if r.rowBlk == nil {
-		r.rowBlk = NewBlock(r.schema)
+// view.
+func (r *JSONLBlockReader) Read() (Tuple, error) { return r.read(r) }
+
+// SkimRecords appends up to maxRows whole records to dst without
+// decoding a field (see RawShardSource): each object's exact bytes from
+// '{' through its closing '}', plus a newline. An object ends at the
+// first '}' outside a string — the one place an object the parser
+// accepts can end, since accepted records are flat and hold only
+// strings and nulls; strings are tracked with their backslash escapes.
+func (r *JSONLBlockReader) SkimRecords(dst []byte, maxRows int) ([]byte, int, error) {
+	n, err := r.records(maxRows, func() (err error) {
+		dst, err = r.skimRecord(dst)
+		return err
+	})
+	return dst, n, err
+}
+
+// skimRecord appends the next record to dst, or returns io.EOF at a
+// clean end of input. On error dst is returned unextended.
+func (r *JSONLBlockReader) skimRecord(dst []byte) ([]byte, error) {
+	if err := r.skipSpace(); err != nil {
+		return dst, err
 	}
-	if r.rowIdx >= r.rowBlk.Rows() {
-		n, err := r.ReadBlock(r.rowBlk, compatBlockRows)
-		if n == 0 && err != nil {
-			return nil, err
+	if c := r.buf[r.r]; c != '{' {
+		return dst, r.rowErrf("invalid character %q looking for beginning of object", c)
+	}
+	mark := len(dst)
+	inStr, esc := false, false
+	start := r.r
+	r.r++
+	for {
+		for i := r.r; i < r.w; i++ {
+			c := r.buf[i]
+			switch {
+			case esc:
+				esc = false
+			case inStr:
+				esc = c == '\\'
+				inStr = c != '"'
+			case c == '"':
+				inStr = true
+			case c == '}':
+				r.r = i + 1
+				dst = append(dst, r.buf[start:r.r]...)
+				return append(dst, '\n'), nil
+			}
 		}
-		r.rowIdx = 0
+		dst = append(dst, r.buf[start:r.w]...)
+		r.r = r.w
+		if err := r.fill(); err != nil {
+			return dst[:mark], r.unexpEOF(err)
+		}
+		start = r.r
 	}
-	t := r.rowBlk.Tuple(r.rowIdx)
-	r.rowIdx++
-	return t, nil
 }
 
 // rowErrf positions a terminal parse error at the current data row.
@@ -142,18 +181,16 @@ func (r *JSONLBlockReader) unexpEOF(err error) error {
 	return err
 }
 
-// fill reads more input into the window, sliding out everything before
-// recStart (the live record) and growing the buffer when a record
-// outsizes it. Returns io.EOF only when no byte was added at EOF.
+// fill reads more input into the window, sliding the consumed bytes
+// before r out first and growing the buffer only when the unread bytes
+// fill it. Returns io.EOF only when no byte was added at EOF.
 func (r *JSONLBlockReader) fill() error {
 	if r.eof {
 		return io.EOF
 	}
-	if r.recStart > 0 {
-		n := copy(r.buf, r.buf[r.recStart:r.w])
-		r.r -= r.recStart
-		r.w = n
-		r.recStart = 0
+	if r.r > 0 {
+		r.w = copy(r.buf, r.buf[r.r:r.w])
+		r.r = 0
 	}
 	if r.w == len(r.buf) {
 		if len(r.buf) == 0 {
@@ -198,8 +235,17 @@ func (r *JSONLBlockReader) ensure(n int) error {
 }
 
 // peekByte returns the next byte without consuming it; io.EOF when the
-// input is exhausted.
+// input is exhausted. The window hit is small enough to inline; only a
+// refill takes the call.
 func (r *JSONLBlockReader) peekByte() (byte, error) {
+	if r.r < r.w {
+		return r.buf[r.r], nil
+	}
+	return r.peekSlow()
+}
+
+// peekSlow is peekByte's refill path.
+func (r *JSONLBlockReader) peekSlow() (byte, error) {
 	for r.r == r.w {
 		if err := r.fill(); err != nil {
 			return 0, err
@@ -210,100 +256,121 @@ func (r *JSONLBlockReader) peekByte() (byte, error) {
 
 // nextByte consumes and returns the next byte.
 func (r *JSONLBlockReader) nextByte() (byte, error) {
-	c, err := r.peekByte()
+	if r.r < r.w {
+		c := r.buf[r.r]
+		r.r++
+		return c, nil
+	}
+	c, err := r.peekSlow()
 	if err == nil {
 		r.r++
 	}
 	return c, err
 }
 
-// skipSpace consumes JSON whitespace; io.EOF when the input ends.
+// skipSpace consumes JSON whitespace; io.EOF when the input ends. On
+// success the next byte is in the window.
 func (r *JSONLBlockReader) skipSpace() error {
 	for {
-		c, err := r.peekByte()
-		if err != nil {
+		for ; r.r < r.w; r.r++ {
+			if c := r.buf[r.r]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+				return nil
+			}
+		}
+		if err := r.fill(); err != nil {
 			return err
 		}
-		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-			return nil
-		}
-		r.r++
 	}
 }
 
-// parseRecord decodes the next object into b's columns; raw span (the
-// object's exact bytes plus a normalizing newline) appends to *rawDst
-// when non-nil. Returns io.EOF when the input ends at a record
-// boundary.
-func (r *JSONLBlockReader) parseRecord(b *Block, rawDst *[]byte) error {
-	r.recStart = r.r
+// matchKey consumes name and the closing quote after it when the window
+// holds them at the cursor, refilling if the window is too short to
+// tell. A nil name never matches.
+func (r *JSONLBlockReader) matchKey(name []byte) bool {
+	if name == nil || r.w-r.r <= len(name) && (r.ensure(len(name)+1) != nil || r.w-r.r <= len(name)) {
+		return false
+	}
+	if r.buf[r.r+len(name)] != '"' || !bytes.Equal(r.buf[r.r:r.r+len(name)], name) {
+		return false
+	}
+	r.r += len(name) + 1
+	return true
+}
+
+// parseRecord decodes the next object into b's columns, each value
+// straight into its column's open field; the fields close only once the
+// whole record parsed, so a failed record leaves the committed rows
+// intact. Returns io.EOF when the input ends at a record boundary.
+func (r *JSONLBlockReader) parseRecord(b *Block) error {
 	if err := r.skipSpace(); err != nil {
 		return err // io.EOF: clean end of input
 	}
-	r.recStart = r.r
 	c, _ := r.nextByte()
 	if c != '{' {
 		return r.rowErrf("invalid character %q looking for beginning of object", c)
 	}
-	r.rowBuf = r.rowBuf[:0]
-	for i := range r.seen {
-		r.seen[i] = false
-	}
+	clear(r.seen)
 	distinct := 0
 	if err := r.skipSpace(); err != nil {
 		return r.unexpEOF(err)
 	}
-	if c, _ = r.peekByte(); c == '}' {
+	if r.buf[r.r] == '}' {
 		r.r++
 	} else {
+		slot := 0 // follow slot of the previous key
 		for {
 			if err := r.skipSpace(); err != nil {
 				return r.unexpEOF(err)
 			}
-			c, err := r.nextByte()
-			if err != nil {
-				return r.unexpEOF(err)
-			}
-			if c != '"' {
+			if c := r.buf[r.r]; c != '"' {
 				return r.rowErrf("invalid character %q looking for object key", c)
 			}
-			r.keyBuf, err = r.appendUnquoted(r.keyBuf[:0])
-			if err != nil {
-				return err
+			r.r++
+			pos := r.follow[slot]
+			if !r.matchKey(r.names[pos]) {
+				var err error
+				if r.keyBuf, err = r.appendUnquoted(r.keyBuf[:0]); err != nil {
+					return err
+				}
+				// Direct map index so the string(...) conversion stays
+				// on the stack — the method-call form would allocate per
+				// key.
+				var ok bool
+				if pos, ok = r.schema.byName[string(r.keyBuf)]; !ok {
+					return r.rowErrf("unknown column %q", r.keyBuf)
+				}
 			}
-			// Direct map index so the string(...) conversion stays on
-			// the stack — the method-call form would allocate per key.
-			pos, ok := r.schema.byName[string(r.keyBuf)]
-			if !ok {
-				return r.rowErrf("unknown column %q", r.keyBuf)
-			}
+			r.follow[slot], slot = pos, pos+1
 			if err := r.skipSpace(); err != nil {
 				return r.unexpEOF(err)
 			}
-			if c, err = r.nextByte(); err != nil {
-				return r.unexpEOF(err)
-			} else if c != ':' {
+			if c := r.buf[r.r]; c != ':' {
 				return r.rowErrf("invalid character %q after object key", c)
 			}
+			r.r++
 			if err := r.skipSpace(); err != nil {
 				return r.unexpEOF(err)
 			}
-			lo := int32(len(r.rowBuf))
-			c, err = r.nextByte()
-			if err != nil {
-				return r.unexpEOF(err)
+			col := &b.cols[pos]
+			if r.seen[pos] {
+				col.data = col.data[:col.offs[len(col.offs)-1]]
+			} else {
+				r.seen[pos] = true
+				distinct++
 			}
-			switch c {
+			switch c := r.buf[r.r]; c {
 			case '"':
-				r.rowBuf, err = r.appendUnquoted(r.rowBuf)
-				if err != nil {
+				r.r++
+				var err error
+				if col.data, err = r.appendUnquoted(col.data); err != nil {
 					return err
 				}
 			case 'n':
 				// null decodes into map[string]string as the empty
 				// string without error; values must match that.
+				r.r++
 				for _, want := range [3]byte{'u', 'l', 'l'} {
-					if c, err = r.nextByte(); err != nil {
+					if c, err := r.nextByte(); err != nil {
 						return r.unexpEOF(err)
 					} else if c != want {
 						return r.rowErrf("invalid literal")
@@ -312,19 +379,11 @@ func (r *JSONLBlockReader) parseRecord(b *Block, rawDst *[]byte) error {
 			default:
 				return r.rowErrf("invalid character %q looking for string value", c)
 			}
-			hi := int32(len(r.rowBuf))
-			if !r.seen[pos] {
-				r.seen[pos] = true
-				distinct++
-			}
-			r.spanLo[pos], r.spanHi[pos] = lo, hi
 			if err := r.skipSpace(); err != nil {
 				return r.unexpEOF(err)
 			}
-			c, err = r.nextByte()
-			if err != nil {
-				return r.unexpEOF(err)
-			}
+			c := r.buf[r.r]
+			r.r++
 			if c == '}' {
 				break
 			}
@@ -336,20 +395,20 @@ func (r *JSONLBlockReader) parseRecord(b *Block, rawDst *[]byte) error {
 	if distinct != r.schema.Arity() {
 		return r.rowErrf("object has %d fields, schema has %d", distinct, r.schema.Arity())
 	}
-	if b != nil {
-		for pos := range b.cols {
-			col := &b.cols[pos]
-			col.appendBytes(r.rowBuf[r.spanLo[pos]:r.spanHi[pos]])
-			col.closeRow()
-		}
+	for pos := range b.cols {
+		b.cols[pos].closeRow()
 	}
-	if rawDst != nil {
-		*rawDst = append(*rawDst, r.buf[r.recStart:r.r]...)
-		*rawDst = append(*rawDst, '\n')
-	}
-	r.recStart = r.r
 	return nil
 }
+
+// plain marks the string bytes that decode to themselves: printable
+// ASCII other than the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // appendUnquoted decodes a JSON string body (opening quote already
 // consumed) into dst, consuming through the closing quote. Semantics
@@ -358,6 +417,12 @@ func (r *JSONLBlockReader) parseRecord(b *Block, rawDst *[]byte) error {
 // error, control characters are rejected.
 func (r *JSONLBlockReader) appendUnquoted(dst []byte) ([]byte, error) {
 	for {
+		i := r.r
+		for i < r.w && plain[r.buf[i]] {
+			i++
+		}
+		dst = append(dst, r.buf[r.r:i]...)
+		r.r = i
 		c, err := r.peekByte()
 		if err != nil {
 			return dst, r.unexpEOF(err)

@@ -88,7 +88,7 @@ func (s *Server) Join() {
 // registered and falls through to the structured 404.
 func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	var reg api.WorkerRegistration
-	if !decodeBody(w, r, &reg) {
+	if !s.decodeBody(w, r, &reg) {
 		return
 	}
 	if reg.URL == "" {
@@ -150,7 +150,7 @@ func shardScanErr(err error) *api.Error {
 // to the local scan by the tally-merge contract (see the equivalence
 // tests); per-certificate prep failures are reported identically because
 // they never leave the coordinator.
-func (s *Server) clusterVerifyBatch(ctx context.Context, recs []*core.Record, src relation.RowReader, opts core.BatchOptions) ([]core.BatchReport, error) {
+func (s *Server) clusterVerifyBatch(ctx context.Context, recs []*core.Record, src relation.RawShardSource, opts core.BatchOptions) ([]core.BatchReport, error) {
 	prep := core.PrepareBatch(recs, src.Schema(), opts)
 	if len(prep.Scanners()) == 0 {
 		return prep.Reports(nil), nil

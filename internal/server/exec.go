@@ -193,7 +193,7 @@ func (s *Server) execVerifyBatch(ctx context.Context, req api.BatchVerifyRequest
 // resolve (an unknown one is not_found); in whole-catalog mode a record
 // deleted between List and Get is reported per-certificate instead of
 // failing the audit.
-func (s *Server) execVerifyBatchScan(ctx context.Context, ids []string, explicit bool, src relation.RowReader, workers int, progress func(tuples int)) (*api.BatchVerifyResponse, *api.Error) {
+func (s *Server) execVerifyBatchScan(ctx context.Context, ids []string, explicit bool, src relation.RawShardSource, workers int, progress func(tuples int)) (*api.BatchVerifyResponse, *api.Error) {
 	if !explicit {
 		all, err := s.store.List()
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req api.JobRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	// The job outlives this request, but its work should stay

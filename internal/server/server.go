@@ -45,6 +45,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -346,9 +347,15 @@ func writeErr(w http.ResponseWriter, e *api.Error) {
 
 // decodeBody decodes a JSON request body, distinguishing a size-limit
 // rejection (413, the client can shrink and retry) from a malformed
-// request (400, retrying is pointless). Returns false after replying.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// request (400, retrying is pointless). The body must be exactly one
+// JSON value: bytes after it other than whitespace are malformed too.
+// Returns false after replying.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	data, err := readBody(r, s.cfg.MaxBodyBytes)
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
+	if err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			writeErr(w, api.Errorf(api.CodePayloadTooLarge,
@@ -359,6 +366,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// readBody reads the (already size-limited) request body whole into one
+// buffer sized up front from Content-Length — capped at limit, so a
+// declared length cannot make the server allocate past the body limit —
+// which spares the copies of growing the buffer as the body arrives.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		buf.Grow(int(min(r.ContentLength, limit)) + bytes.MinRead) // room to read EOF
+	}
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // decodeRelation parses an inline relation payload.
@@ -406,12 +426,11 @@ func isStreamType(mt string) bool {
 }
 
 // rowReaderForFormat builds a streaming reader for an inline payload
-// format name ("csv" or "jsonl"). The zero-copy block readers returned
-// here implement RowReader for every consumer, and the scan engines
-// (pipeline.ScanMany, cluster.ScanShards) recognize their BlockReader /
-// RawShardSource sides to take the zero-allocation columnar and raw
-// byte-range shard paths.
-func rowReaderForFormat(format string, rd io.Reader, schema *relation.Schema) (relation.RowReader, error) {
+// format name ("csv" or "jsonl"): one of the zero-copy block readers,
+// whose views serve every engine — rows for the row-at-a-time paths,
+// blocks for pipeline.ScanMany's columnar path, and record skims for
+// cluster.ScanShards' shard cutter.
+func rowReaderForFormat(format string, rd io.Reader, schema *relation.Schema) (relation.RawShardSource, error) {
 	switch strings.ToLower(format) {
 	case "", "csv":
 		return relation.NewCSVBlockReader(rd, schema)
@@ -423,7 +442,7 @@ func rowReaderForFormat(format string, rd io.Reader, schema *relation.Schema) (r
 }
 
 // streamRowReader builds a row reader over a raw streamed request body.
-func streamRowReader(body io.Reader, mt, schemaSpec string) (relation.RowReader, error) {
+func streamRowReader(body io.Reader, mt, schemaSpec string) (relation.RawShardSource, error) {
 	if schemaSpec == "" {
 		return nil, errors.New("missing schema query parameter")
 	}
@@ -469,7 +488,7 @@ func (s *Server) workersFor(requested int) int {
 
 func (s *Server) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	var req api.WatermarkRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	resp, aerr := s.execWatermark(r.Context(), req, nil)
@@ -486,7 +505,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.VerifyRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	resp, aerr := s.execVerify(r.Context(), req)
@@ -559,7 +578,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.BatchVerifyRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	resp, aerr := s.execVerifyBatch(r.Context(), req, nil)

@@ -194,7 +194,7 @@ func (s *Server) handleGetLogLevel(w http.ResponseWriter, r *http.Request) {
 // floor, Info) so the log stream records why its own density changed.
 func (s *Server) handleSetLogLevel(w http.ResponseWriter, r *http.Request) {
 	var req api.LogLevelRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	lvl, ok := obs.LookupLevel(req.Level)
