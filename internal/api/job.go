@@ -33,7 +33,10 @@ func (s JobState) Terminal() bool {
 }
 
 // JobRequest is the POST /v2/jobs body: a kind plus exactly the matching
-// payload.
+// payload. The server decodes it with DecodeBody, which unescapes the
+// payload's inline data string in one pass inside the request buffer;
+// a suspect too large to hold in memory is better streamed as a raw
+// text/csv or application/x-ndjson body to POST /v2/verify/batch.
 type JobRequest struct {
 	// Kind is one of the JobKind* constants.
 	Kind string `json:"kind"`

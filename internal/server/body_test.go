@@ -30,6 +30,17 @@ func TestJSONBodyTrailingBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch, err := json.Marshal(api.BatchVerifyRequest{Records: []string{id}, Schema: testSchemaSpec, Data: marked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wm, err := json.Marshal(api.WatermarkRequest{
+		Schema: testSchemaSpec, Data: csv, Secret: "trailing-owner-2",
+		Attribute: "Item_Nbr", WM: "1011001110", E: 30, Domain: domain,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, route := range []struct {
 		path string
 		body []byte
@@ -37,6 +48,8 @@ func TestJSONBodyTrailingBytes(t *testing.T) {
 	}{
 		{"/v2/verify", verify, http.StatusOK},
 		{"/v2/jobs", job, http.StatusAccepted},
+		{"/v2/watermark", wm, http.StatusOK},
+		{"/v2/verify/batch", batch, http.StatusOK},
 	} {
 		for _, tc := range []struct {
 			suffix string

@@ -349,11 +349,15 @@ func writeErr(w http.ResponseWriter, e *api.Error) {
 // rejection (413, the client can shrink and retry) from a malformed
 // request (400, retrying is pointless). The body must be exactly one
 // JSON value: bytes after it other than whitespace are malformed too.
-// Returns false after replying.
+// Bodies that carry a suspect relation go through api.DecodeBody, which
+// unescapes the suspect in one pass inside the buffer readBody filled,
+// so the decoded Data string aliases that buffer and reaches the row
+// readers without another copy; every other body is plain
+// encoding/json. Returns false after replying.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	data, err := readBody(r, s.cfg.MaxBodyBytes)
 	if err == nil {
-		err = json.Unmarshal(data, v)
+		err = api.DecodeBody(data, v)
 	}
 	if err != nil {
 		var maxErr *http.MaxBytesError

@@ -13,6 +13,8 @@
 package store
 
 import (
+	"bytes"
+	"container/list"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -38,8 +40,73 @@ const recordExt = ".json"
 
 // Store is a directory of certificate files.
 type Store struct {
-	dir string
-	mu  sync.RWMutex
+	dir   string
+	mu    sync.RWMutex
+	cache recordCache
+}
+
+// recordCache keeps the decoded form of recently read certificates, keyed
+// by ID and checked against the file's raw bytes, so a catalog audited
+// job after job is read from disk but decoded once. It holds at most
+// core.DefaultScannerCacheEntries records and evicts the least recently
+// used. Safe for concurrent use.
+type recordCache struct {
+	mu      sync.Mutex
+	lru     *list.List // of *cachedRecord, front = most recently used
+	entries map[string]*list.Element
+}
+
+type cachedRecord struct {
+	id  string
+	raw []byte
+	rec *core.Record
+}
+
+// get returns a copy of the record cached for id when raw equals the
+// bytes it was decoded from.
+func (c *recordCache) get(id string, raw []byte) (*core.Record, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[id]
+	if !ok || !bytes.Equal(el.Value.(*cachedRecord).raw, raw) {
+		return nil, false
+	}
+	c.lru.MoveToFront(el)
+	rec := *el.Value.(*cachedRecord).rec
+	return &rec, true
+}
+
+// put caches rec, decoded from raw, under id. It keeps its own copy of
+// the record, so later changes to rec's fields do not reach the cache.
+func (c *recordCache) put(id string, raw []byte, rec *core.Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries == nil {
+		c.lru, c.entries = list.New(), make(map[string]*list.Element)
+	}
+	cp := *rec
+	slot := &cachedRecord{id: id, raw: raw, rec: &cp}
+	if el, ok := c.entries[id]; ok {
+		el.Value = slot
+		c.lru.MoveToFront(el)
+		return
+	}
+	c.entries[id] = c.lru.PushFront(slot)
+	if c.lru.Len() > core.DefaultScannerCacheEntries {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cachedRecord).id)
+	}
+}
+
+// drop forgets id.
+func (c *recordCache) drop(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[id]; ok {
+		c.lru.Remove(el)
+		delete(c.entries, id)
+	}
 }
 
 // Open creates the directory if needed, migrates any pre-sharding flat
@@ -139,7 +206,12 @@ func (s *Store) Put(rec *core.Record) (string, error) {
 	return id, nil
 }
 
-// Get loads the record stored under id.
+// Get loads the record stored under id. The file is read on every call;
+// when its bytes are the ones last decoded for id, the decoded record is
+// reused, so a file rewritten behind the store's back is decoded again.
+// Each call returns its own copy of the record's top-level fields; the
+// Domain slice and Profile map may be shared between calls and must not
+// be modified.
 func (s *Store) Get(id string) (*core.Record, error) {
 	if !idPattern.MatchString(id) {
 		return nil, fmt.Errorf("%w: invalid id %q", ErrNotFound, id)
@@ -162,10 +234,14 @@ func (s *Store) Get(id string) (*core.Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	if rec, ok := s.cache.get(id, data); ok {
+		return rec, nil
+	}
 	rec, err := core.LoadRecord(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: record %s: %w", id, err)
 	}
+	s.cache.put(id, data, rec)
 	return rec, nil
 }
 
@@ -176,6 +252,7 @@ func (s *Store) Delete(id string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.cache.drop(id)
 	err := os.Remove(s.path(id))
 	if errors.Is(err, os.ErrNotExist) {
 		err = os.Remove(filepath.Join(s.dir, id+recordExt))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -365,5 +366,146 @@ func TestListPageShortCursor(t *testing.T) {
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("cursor %q returned %d ids, want %d", "!", len(ids), len(want))
+	}
+}
+
+// getTwice reads id through the store twice, so the second read is
+// served by the decoded-record cache.
+func getTwice(t *testing.T, s *Store, id string) (first, second *core.Record) {
+	t.Helper()
+	first, err := s.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err = s.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return first, second
+}
+
+func TestRecordCacheMatchesLoadRecord(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord("1011001110")
+	rec.Profile = map[string]float64{"10": 0.5, "11": 0.25, "12": 0.25}
+	rec.HasFrequencyChannel = true
+	id, err := s.Put(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(s.path(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.LoadRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, cached := getTwice(t, s, id)
+	if s.cache.entries[id] == nil {
+		t.Fatal("Get left no cache entry")
+	}
+	for _, got := range []*core.Record{first, cached} {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Get = %+v, LoadRecord = %+v", got, want)
+		}
+	}
+}
+
+func TestRecordCacheRewrittenFile(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Put(testRecord("1011001110"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	getTwice(t, s, id)
+	// Rewrite the certificate behind the store's back.
+	data, err := testRecord("0100110001").Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(id), data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	first, second := getTwice(t, s, id)
+	if first.WM != "0100110001" || second.WM != "0100110001" {
+		t.Fatalf("rewritten record read back as %q, %q", first.WM, second.WM)
+	}
+}
+
+func TestRecordCacheDelete(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Put(testRecord("101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	getTwice(t, s, id)
+	if err := s.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after Delete: %v, want ErrNotFound", err)
+	}
+	if s.cache.entries[id] != nil {
+		t.Fatal("Delete left the cache entry")
+	}
+}
+
+func TestRecordCacheCopiesTopLevelFields(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Put(testRecord("101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := getTwice(t, s, id)
+	if first == second {
+		t.Fatal("two Gets returned the same *core.Record")
+	}
+	first.WM, first.E, first.Domain = "000", 1, nil
+	second.Secret, second.HasFrequencyChannel = "changed", true
+	third, err := s.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := testRecord("101"); !reflect.DeepEqual(third, want) {
+		t.Fatalf("changes to returned records leaked: Get = %+v, want %+v", third, want)
+	}
+}
+
+func TestRecordCacheBound(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < core.DefaultScannerCacheEntries+10; i++ {
+		id, err := s.Put(testRecord("101"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		if n := s.cache.lru.Len(); n != len(s.cache.entries) || n > core.DefaultScannerCacheEntries {
+			t.Fatalf("after %d records: %d cached, %d indexed, bound %d", i+1, n, len(s.cache.entries), core.DefaultScannerCacheEntries)
+		}
+	}
+	// Least recently used out first: the earliest IDs are gone, the
+	// latest are still cached.
+	if s.cache.entries[ids[0]] != nil || s.cache.entries[ids[len(ids)-1]] == nil {
+		t.Fatal("eviction is not least-recently-used")
 	}
 }
