@@ -1,10 +1,14 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"testing"
+
+	"repro/internal/mark"
 )
 
 // TestErrorEnvelopeShape pins the wire shape: the /v1-era {"error": msg}
@@ -99,5 +103,45 @@ func TestJobTimestampsOmitted(t *testing.T) {
 		if _, present := m[key]; present {
 			t.Errorf("queued job serialized %q: %s", key, data)
 		}
+	}
+}
+
+// TestShardScanResponseBinary round-trips a reply through the binary
+// form and checks the decoder's strictness: truncation anywhere, a
+// trailing byte, and a tally count the input cannot hold all fail, and
+// the encoding stays within MaxShardResponseLen.
+func TestShardScanResponseBinary(t *testing.T) {
+	resp := ShardScanResponse{Shard: -3, Rows: 5000, Tallies: []mark.TallyWire{
+		{Rows: 5000, Fit: 70, UnknownValues: 2, Zeros: []int{9, 0}, Ones: []int{1, 300}, Last: []byte{0, 0xFF}},
+		{Rows: 5000, Fit: 0, Zeros: []int{}, Ones: []int{}, Last: []byte{}},
+	}}
+	data, err := resp.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if max := MaxShardResponseLen([]int{2, 0}); int64(len(data)) > max {
+		t.Fatalf("%d-byte reply over the %d-byte bound", len(data), max)
+	}
+	var back ShardScanResponse
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, resp) {
+		t.Fatalf("round trip diverged:\n got  %+v\n want %+v", back, resp)
+	}
+	for n := range data {
+		if err := back.UnmarshalBinary(data[:n]); err == nil {
+			t.Fatalf("reply truncated to %d of %d bytes accepted", n, len(data))
+		}
+	}
+	if err := back.UnmarshalBinary(append(bytes.Clone(data), 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	// shard 0, rows 0, then a count of 2^32 tallies in five bytes.
+	if err := back.UnmarshalBinary([]byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x10}); err == nil {
+		t.Fatal("tally count past the input accepted")
+	}
+	if _, err := (&ShardScanResponse{Rows: -1}).AppendBinary(nil); err == nil {
+		t.Fatal("negative row count encoded")
 	}
 }

@@ -1,6 +1,10 @@
 package api
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/mark"
 )
@@ -111,12 +115,17 @@ type ClusterStatus struct {
 // (pipeline.ScanMany) and returns one partial tally per certificate.
 //
 // On the wire (POST /v2/internal/scan, Content-Type ContentTypeShard) it
-// is the framing header, not the whole body: the JSON-encoded request
-// with Data empty comes first and the shard's raw CSV or JSONL bytes
-// follow it directly, so the rows travel unescaped and the worker's block
-// reader parses them straight off the request body. A header that still
-// carries inline Data is rejected. cluster.ReadShardRequest splits such
-// a body; client.ScanShard writes one.
+// is the framing header, not the whole body. The JSON-encoded request,
+// with Data and Records empty and RecordsLen set, comes first. Exactly
+// RecordsLen bytes of the JSON certificate array follow it, then the
+// shard's raw CSV or JSONL bytes to the end of the body. So the rows
+// travel unescaped and the worker's block reader parses them straight
+// off the request body, and the certificate array is a byte string the
+// coordinator encodes once per job and a worker decodes once per
+// distinct set: workers cache decoded sets by their exact bytes. A
+// header that carries inline Data or Records, or no positive
+// RecordsLen, is rejected. ShardHeader writes the header;
+// client.ScanShard sends a frame and cluster.ReadShardRequest splits one.
 //
 // The certificates ship lean: the coordinator sends copies with Profile
 // nil, because a shard scan never reads the frequency profile (only
@@ -132,12 +141,17 @@ type ShardScanRequest struct {
 	Format string `json:"format,omitempty"`
 	// Data holds the shard's rows, serialized in Format, for in-process
 	// callers (cluster.ExecuteShard, client.ScanShard). It is always
-	// empty in a wire header: the rows follow the header raw.
+	// empty in a wire header: the rows follow the certificate array raw.
 	Data string `json:"data,omitempty"`
 	// Records is the certificate set, secrets included — every scan
 	// parameter derives deterministically from a record, which is what
-	// keeps worker-side scanners identical to the coordinator's.
-	Records []*core.Record `json:"records"`
+	// keeps worker-side scanners identical to the coordinator's. It is
+	// always empty in a wire header: the set travels as the frame's
+	// certificate array.
+	Records []*core.Record `json:"records,omitempty"`
+	// RecordsLen is the byte length of the JSON certificate array that
+	// follows a wire header. Unused by in-process callers.
+	RecordsLen int `json:"records_len,omitempty"`
 	// BlockRows overrides the worker's scan-block size (0 = default,
 	// negative = tuple-at-a-time engine).
 	BlockRows int `json:"block_rows,omitempty"`
@@ -145,8 +159,17 @@ type ShardScanRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
+// ShardHeader returns the JSON header of a ContentTypeShard frame for
+// req, announcing a certificate array of recordsLen bytes. req's Data
+// and Records are left out: they travel after the header.
+func ShardHeader(req ShardScanRequest, recordsLen int) ([]byte, error) {
+	req.Data, req.Records, req.RecordsLen = "", nil, recordsLen
+	return json.Marshal(req)
+}
+
 // ShardScanResponse is the shard scan reply: partial tallies in request
-// certificate order.
+// certificate order. A worker sends it in binary (ContentTypeTally,
+// AppendBinary); the JSON tags serve in-process tooling and tests.
 type ShardScanResponse struct {
 	// Shard echoes the request's shard index.
 	Shard int `json:"shard"`
@@ -155,4 +178,54 @@ type ShardScanResponse struct {
 	// Tallies holds one partial tally per request certificate, to be
 	// merged in shard order with mark.Tally.Merge.
 	Tallies []mark.TallyWire `json:"tallies"`
+}
+
+// AppendBinary appends the binary form of r to b: Shard as a zigzag
+// varint, Rows and the tally count as uvarints, then each tally in
+// mark.TallyWire's binary form. Rows must be non-negative.
+func (r *ShardScanResponse) AppendBinary(b []byte) ([]byte, error) {
+	if r.Rows < 0 {
+		return b, fmt.Errorf("api: negative shard row count %d", r.Rows)
+	}
+	b = binary.AppendVarint(b, int64(r.Shard))
+	b = binary.AppendUvarint(b, uint64(r.Rows))
+	b = binary.AppendUvarint(b, uint64(len(r.Tallies)))
+	for i := range r.Tallies {
+		var err error
+		if b, err = r.Tallies[i].AppendBinary(b); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+// minBinaryTallyLen is the smallest binary TallyWire: six one-byte
+// uvarints (three counters, three zero lengths).
+const minBinaryTallyLen = 6
+
+// UnmarshalBinary decodes exactly the binary form AppendBinary writes:
+// minimal uvarints, every length checked against the remaining input,
+// no trailing bytes.
+func (r *ShardScanResponse) UnmarshalBinary(data []byte) error {
+	d := mark.NewBinaryDecoder(data)
+	v := ShardScanResponse{Shard: d.Varint(), Rows: d.Int()}
+	v.Tallies = make([]mark.TallyWire, d.Len(minBinaryTallyLen))
+	for i := range v.Tallies {
+		v.Tallies[i] = d.TallyWire()
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("api: shard response: %w", err)
+	}
+	*r = v
+	return nil
+}
+
+// MaxShardResponseLen bounds the binary ShardScanResponse a worker may
+// send for certificates of the given bandwidths — the reply read limit.
+func MaxShardResponseLen(bandwidths []int) int64 {
+	n := int64(3 * binary.MaxVarintLen64)
+	for _, b := range bandwidths {
+		n += int64(mark.MaxBinaryLen(b))
+	}
+	return n
 }

@@ -21,10 +21,17 @@ const (
 	ContentTypeJSON   = "application/json"
 )
 
-// ContentTypeShard is the media type of a POST /v2/internal/scan body: a
-// compact JSON ShardScanRequest header with Data empty, followed directly
-// by the shard's raw rows in the header's Format (see ShardScanRequest).
+// ContentTypeShard is the media type of a POST /v2/internal/scan body, a
+// frame of three parts: a compact JSON ShardScanRequest header with Data
+// and Records empty and RecordsLen set; exactly RecordsLen bytes of the
+// JSON certificate array; then the shard's raw rows in the header's
+// Format, to the end of the body (see ShardScanRequest).
 const ContentTypeShard = "application/x-wm-shard"
+
+// ContentTypeTally is the media type of a successful POST
+// /v2/internal/scan reply: ShardScanResponse in its binary form (see
+// ShardScanResponse.AppendBinary). Error replies stay JSON envelopes.
+const ContentTypeTally = "application/x-wm-tally"
 
 // WatermarkRequest is the POST /v1/watermark and /v2/watermark body, and
 // the payload of a "watermark" job.

@@ -26,9 +26,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"mime"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -98,6 +100,27 @@ func (c *Client) exchange(req *http.Request, out any) error {
 // calls that read advertisement headers (long-poll discovery). Headers
 // are returned only on success.
 func (c *Client) exchangeHeader(req *http.Request, out any) (http.Header, error) {
+	var header http.Header
+	err := c.exchangeBody(req, func(resp *http.Response) error {
+		header = resp.Header
+		if out == nil {
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
+			return nil
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return fmt.Errorf("client: decoding response: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return header, nil
+}
+
+// exchangeBody sends req and hands a 2xx response to decode; any other
+// status becomes a typed *api.Error.
+func (c *Client) exchangeBody(req *http.Request, decode func(*http.Response) error) error {
 	// Propagate the caller's request ID (when its ctx carries one) so a
 	// coordinator's shard fan-out — and any other downstream hop — stays
 	// correlatable with the API call that caused it.
@@ -113,20 +136,13 @@ func (c *Client) exchangeHeader(req *http.Request, out any) (http.Header, error)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, decodeAPIError(resp)
+		return decodeAPIError(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-		return resp.Header, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return nil, fmt.Errorf("client: decoding response: %w", err)
-	}
-	return resp.Header, nil
+	return decode(resp)
 }
 
 // decodeAPIError reconstructs the typed error from an error response. A
@@ -265,31 +281,58 @@ func (c *Client) RegisterWorker(ctx context.Context, reg api.WorkerRegistration)
 	return &out, nil
 }
 
+// ErrInvalidResponse marks a 2xx reply whose body arrived whole but did
+// not decode: the server answered, so a caller must not treat it as
+// unreachable. A failure to read the body wraps the read error instead.
+var ErrInvalidResponse = errors.New("invalid response")
+
 // ScanShard asks a worker to scan one row-range shard of a suspect corpus
-// against the request's certificate set, returning one partial tally per
-// certificate. The body is framed as api.ContentTypeShard: req with Data
-// cleared, JSON-encoded, then req.Data verbatim — the rows are never
-// escaped or copied on their way to the wire.
-func (c *Client) ScanShard(ctx context.Context, req api.ShardScanRequest) (*api.ShardScanResponse, error) {
-	rows := req.Data
-	req.Data = ""
-	hdr, err := json.Marshal(req)
+// against a certificate set, returning one partial tally per
+// certificate. records is the JSON encoding of that set, in place of
+// req.Records — a caller sending many shards of one job encodes it once.
+// The body is framed as api.ContentTypeShard: the header
+// (api.ShardHeader), records, then req.Data verbatim, so neither the
+// certificates nor the rows are re-encoded or copied on their way to the
+// wire. The binary reply (api.ContentTypeTally) is read up to maxReply
+// bytes (api.MaxShardResponseLen); a longer, mistyped or undecodable
+// reply is an error wrapping ErrInvalidResponse.
+func (c *Client) ScanShard(ctx context.Context, req api.ShardScanRequest, records []byte, maxReply int64) (*api.ShardScanResponse, error) {
+	hdr, err := api.ShardHeader(req, len(records))
 	if err != nil {
 		return nil, fmt.Errorf("client: encoding shard header: %w", err)
 	}
-	body := func() io.Reader { return io.MultiReader(bytes.NewReader(hdr), strings.NewReader(rows)) }
+	rows := req.Data
+	body := func() io.Reader {
+		return io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(records), strings.NewReader(rows))
+	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/internal/scan", body())
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	hreq.ContentLength = int64(len(hdr) + len(rows))
+	hreq.ContentLength = int64(len(hdr) + len(records) + len(rows))
 	// NewRequest sets no GetBody for a MultiReader; without one the
 	// transport could not replay the request on a stale keep-alive
 	// connection and would fail the shard instead.
 	hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(body()), nil }
 	hreq.Header.Set("Content-Type", api.ContentTypeShard)
 	var out api.ShardScanResponse
-	if err := c.exchange(hreq, &out); err != nil {
+	err = c.exchangeBody(hreq, func(resp *http.Response) error {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxReply+1))
+		if err != nil {
+			return fmt.Errorf("client: reading shard reply: %w", err)
+		}
+		if int64(len(data)) > maxReply {
+			return fmt.Errorf("client: shard reply exceeds %d bytes: %w", maxReply, ErrInvalidResponse)
+		}
+		if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != api.ContentTypeTally {
+			return fmt.Errorf("client: shard reply has content type %q, want %s: %w", mt, api.ContentTypeTally, ErrInvalidResponse)
+		}
+		if err := out.UnmarshalBinary(data); err != nil {
+			return fmt.Errorf("client: %v: %w", err, ErrInvalidResponse)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil

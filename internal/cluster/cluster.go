@@ -14,12 +14,15 @@
 //	                  │
 //	            coordinator ──────────────┐
 //	             │ skims record           │ merge partial tallies
-//	             │ boundaries; JSON       │ in row order, Report
-//	             │ header (lean certs),   │
-//	             ▼ then the raw rows      │
+//	             │ boundaries; frame:     │ in row order, Report
+//	             │ JSON header, the job's │
+//	             │ cert array (encoded    │ binary tallies
+//	             │ once), the raw rows    │ (application/x-wm-tally)
+//	             ▼                        │
 //	POST {worker}/v2/internal/scan        │
 //	     worker-1 … worker-N ─────────────┘
-//	     (workers parse the rows)
+//	     (workers parse the rows; cert arrays
+//	      decode once per set, then hit a cache)
 //	     └─ heartbeat: POST {coordinator}/v2/internal/workers
 //
 // Membership is lease-based: workers register (and keep re-registering —
@@ -34,34 +37,43 @@
 // The coordinator never parses the suspect. ScanShards takes a
 // relation.RawShardSource and cuts shards with its SkimRecords, which
 // finds record boundaries without decoding a field, so every row is
-// parsed exactly once — on the worker that scans it. Only records the
-// skim cannot delimit fail the scan on the coordinator. Field-level
+// parsed exactly once — on the worker that scans it. A JSONL suspect
+// that arrived inline in a JSON job body is already whole in memory; its
+// relation.JSONLPayloadReader skims with SkimSpan instead, so each shard
+// is a substring of that payload and the coordinator copies no row. Only
+// records the skim cannot delimit fail the scan on the coordinator. Field-level
 // errors surface as a worker's 400 invalid_argument, which is ambiguous
 // (bad rows, or a faulty worker); the coordinator settles it by parsing
 // that one shard itself, failing the scan without retry — naming the
 // shard's row range — when the parse fails, and retrying the shard
 // elsewhere when it succeeds.
 //
-// A shard travels as a framed body (api.ContentTypeShard): a compact
-// JSON api.ShardScanRequest header with Data empty, then the shard's raw
-// CSV or JSONL bytes exactly as the coordinator cut them from the
-// suspect, so rows are never escaped on the way out or unescaped on the
-// way in. The certificates in the header are lean: copies without the
-// frequency profile, which workers never read and which the scanner-cache
-// key excludes. A reply merges only if it carries one bandwidth-checked
-// tally per certificate and scanned exactly the shard's row count; a
-// short reply is retried like a worker error.
+// A shard travels as a framed body (api.ContentTypeShard): a small JSON
+// api.ShardScanRequest header carrying records_len, then that many bytes
+// of the JSON certificate array, then the shard's raw CSV or JSONL bytes
+// exactly as the coordinator cut them from the suspect, so rows are
+// never escaped on the way out or unescaped on the way in. The
+// certificates are lean: copies without the frequency profile, which
+// workers never read and which the scanner-cache key excludes.
+// ScanShards encodes them once per job, so every shard of the job
+// carries the same bytes. The reply is binary (api.ContentTypeTally):
+// uvarint counters and raw last-vote bytes, about an eighth the size of
+// the indented JSON tallies it replaced. A reply merges only if it carries one
+// bandwidth-checked tally per certificate and scanned exactly the
+// shard's row count; a short or undecodable reply is retried like a
+// worker error, and the worker keeps its lease.
 //
-// The worker side is ReadShardRequest plus ExecuteShardStream: split the
-// body into header and rows, prepare scanners from the certificates
-// (every scan parameter derives deterministically from a certificate,
-// which is why coordinator- and worker-side scanners cannot disagree),
-// run pipeline.ScanMany with the block reader parsing the rows straight
-// off the request body, and return the partial tallies in wire form
-// (mark.TallyWire). ExecuteShard is the same scan over rows held in
-// memory. internal/server binds the worker side to POST
-// /v2/internal/scan and the coordinator to the public audit endpoints;
-// cmd/wmserver's -coordinator and -join flags pick the role.
+// The worker side is ExecuteShardFrame: ReadShardRequest splits the body
+// into header, certificate array and rows; a RecordSetCache keyed by the
+// array's exact bytes decodes each job's certificates once; scanners are
+// prepared from them (every scan parameter derives deterministically
+// from a certificate, which is why coordinator- and worker-side scanners
+// cannot disagree); pipeline.ScanMany runs with the block reader parsing
+// the rows straight off the request body; and the partial tallies come
+// back in wire form (mark.TallyWire). ExecuteShard is the same scan over
+// rows and records held in memory. internal/server binds the worker side
+// to POST /v2/internal/scan and the coordinator to the public audit
+// endpoints; cmd/wmserver's -coordinator and -join flags pick the role.
 package cluster
 
 import (

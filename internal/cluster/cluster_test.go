@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -36,7 +37,7 @@ type auditFixture struct {
 	records []*core.Record
 }
 
-func newAuditFixture(t *testing.T, rows, certs int) *auditFixture {
+func newAuditFixture(t testing.TB, rows, certs int) *auditFixture {
 	t.Helper()
 	r, _, err := datagen.ItemScan(datagen.ItemScanConfig{
 		N: rows, CatalogSize: 120, ZipfS: 1.0, Seed: "cluster-test",
@@ -102,6 +103,8 @@ type testWorker struct {
 	// dropLastRow makes the worker scan every shard without its last
 	// row and reply with the short, otherwise well-formed tally.
 	dropLastRow bool
+	// sets decodes the frames' certificate arrays, as a server does.
+	sets *RecordSetCache
 	// maxConcurrent observes the capacity ceiling the coordinator honors.
 	inflight      atomic.Int64
 	maxConcurrent atomic.Int64
@@ -109,7 +112,7 @@ type testWorker struct {
 
 func startTestWorker(t *testing.T) *testWorker {
 	t.Helper()
-	w := &testWorker{}
+	w := &testWorker{sets: NewRecordSetCache()}
 	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/v2/internal/scan" {
 			http.NotFound(rw, r)
@@ -123,9 +126,12 @@ func startTestWorker(t *testing.T) *testWorker {
 				break
 			}
 		}
-		// Decode through the real framing; the rows are buffered into
-		// req.Data so the hooks can inspect the payload.
-		req, rows, err := ReadShardRequest(r.Body)
+		// Decode through the real framing and record-set cache; the rows
+		// are buffered into req.Data so the hooks can inspect the payload.
+		req, records, rows, err := ReadShardRequest(r.Body, 1<<30)
+		if err == nil {
+			req.Records, _, err = w.sets.Records(records)
+		}
 		if err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
@@ -156,8 +162,14 @@ func startTestWorker(t *testing.T) *testWorker {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
+		body, err := resp.AppendBinary(nil)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.served.Add(1)
-		json.NewEncoder(rw).Encode(resp)
+		rw.Header().Set("Content-Type", api.ContentTypeTally)
+		rw.Write(body)
 	}))
 	t.Cleanup(w.ts.Close)
 	return w
@@ -788,7 +800,12 @@ func TestScanShardsMalformedResponseKeepsLease(t *testing.T) {
 	startTestWorker(t).register(c, "good", 1)
 	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// 200 with a wrong-shaped body: zero tallies for one certificate.
-		json.NewEncoder(w).Encode(api.ShardScanResponse{}) //nolint:errcheck
+		body, err := (&api.ShardScanResponse{}).AppendBinary(nil)
+		if err != nil {
+			panic(err)
+		}
+		w.Header().Set("Content-Type", api.ContentTypeTally)
+		w.Write(body) //nolint:errcheck
 	}))
 	t.Cleanup(garbage.Close)
 	c.Register(api.WorkerRegistration{ID: "skewed", URL: garbage.URL, Capacity: 1})
@@ -806,5 +823,72 @@ func TestScanShardsMalformedResponseKeepsLease(t *testing.T) {
 		if w.ID == "skewed" && !w.Live {
 			t.Fatal("a worker that answers (with garbage) lost its lease as if unreachable")
 		}
+	}
+}
+
+// TestScanShardsUndecodableReplyKeepsLease: a worker whose 2xx body
+// arrives whole but does not decode — not binary at all, the wrong
+// media type, trailing bytes, or longer than any honest reply — answered,
+// so it keeps its lease while its shards retry elsewhere. A body that
+// breaks off mid-read is a transport failure and marks the worker
+// unreachable.
+func TestScanShardsUndecodableReplyKeepsLease(t *testing.T) {
+	f := newAuditFixture(t, 1000, 1)
+	prep := core.PrepareBatch(f.records, f.schema, core.BatchOptions{})
+	want := f.localTallies(t, prep)
+	valid, err := (&api.ShardScanResponse{}).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name        string
+		contentType string
+		body        []byte
+		live        bool
+	}{
+		{"not json", "text/plain", []byte("not json"), true},
+		{"json reply", api.ContentTypeJSON, []byte(`{"shard":0,"rows":200,"tallies":[]}`), true},
+		{"trailing bytes", api.ContentTypeTally, append(bytes.Clone(valid), 0), true},
+		{"oversized", api.ContentTypeTally, make([]byte, 1<<20), true},
+		{"cut off", api.ContentTypeTally, nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCoordinator(Config{ShardRows: 200})
+			startTestWorker(t).register(c, "good", 1)
+			var hit atomic.Bool
+			odd := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hit.Store(true)
+				w.Header().Set("Content-Type", tc.contentType)
+				if tc.body == nil {
+					// Promise more than is sent, then drop the connection.
+					w.Header().Set("Content-Length", "100")
+					w.Write([]byte("partial")) //nolint:errcheck
+					w.(http.Flusher).Flush()
+					panic(http.ErrAbortHandler)
+				}
+				w.Write(tc.body) //nolint:errcheck
+			}))
+			t.Cleanup(odd.Close)
+			c.Register(api.WorkerRegistration{ID: "odd", URL: odd.URL, Capacity: 1})
+
+			got, err := c.ScanShards(context.Background(), f.rows(), prep.Scanners(), ScanJob{
+				Records: prep.Records(), Schema: f.spec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("undecodable replies corrupted the merged tallies")
+			}
+			if !hit.Load() {
+				t.Fatal("test never dispatched to the odd worker")
+			}
+			for _, w := range c.Status().Workers {
+				if w.ID == "odd" && w.Live != tc.live {
+					t.Fatalf("odd worker live = %v, want %v", w.Live, tc.live)
+				}
+			}
+		})
 	}
 }

@@ -54,12 +54,17 @@ func TestScanShardsRawSourceMatchesLocalScan(t *testing.T) {
 	csvData, jsonlData := rawFixtureData(t, f)
 
 	for _, tc := range []struct {
-		format, data, header string
+		name, format, data, header string
+		src                        relation.RawShardSource
+		// rejoined is what the payloads reassemble to: a span source's
+		// last payload ends with the last record, before the final newline.
+		rejoined string
 	}{
-		{"csv", csvData, csvData[:strings.IndexByte(csvData, '\n')+1]},
-		{"jsonl", jsonlData, ""},
+		{"csv", "csv", csvData, csvData[:strings.IndexByte(csvData, '\n')+1], rawSource(t, f, "csv", csvData), csvData},
+		{"jsonl", "jsonl", jsonlData, "", rawSource(t, f, "jsonl", jsonlData), jsonlData},
+		{"jsonl-payload", "jsonl", jsonlData, "", relation.NewJSONLPayloadReader(jsonlData, f.schema), strings.TrimSuffix(jsonlData, "\n")},
 	} {
-		t.Run(tc.format, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			c := NewCoordinator(Config{ShardRows: 256})
 			var mu sync.Mutex
 			payloads := map[int]string{}
@@ -76,7 +81,7 @@ func TestScanShardsRawSourceMatchesLocalScan(t *testing.T) {
 				w.register(c, fmt.Sprintf("w%d", i), 2)
 			}
 
-			got, err := c.ScanShards(context.Background(), rawSource(t, f, tc.format, tc.data), prep.Scanners(), ScanJob{
+			got, err := c.ScanShards(context.Background(), tc.src, prep.Scanners(), ScanJob{
 				Records: prep.Records(), Schema: f.spec,
 			})
 			if err != nil {
@@ -101,7 +106,7 @@ func TestScanShardsRawSourceMatchesLocalScan(t *testing.T) {
 				}
 				rejoined.WriteString(body)
 			}
-			if rejoined.String() != tc.data {
+			if rejoined.String() != tc.rejoined {
 				t.Fatalf("%s shard payloads are not verbatim slices of the input", tc.format)
 			}
 		})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/mark"
 	"repro/internal/obs"
@@ -65,14 +67,19 @@ type scan struct {
 	c   *Coordinator
 	ctx context.Context
 	job ScanJob
+	// records is the JSON certificate array every shard frame carries:
+	// job.Records without frequency profiles, encoded once per scan.
+	records []byte
 	// schema and format describe the source the shard payloads are cut
 	// from: its schema, and the wire format ("csv" or "jsonl") workers
 	// parse the payloads in.
 	schema *relation.Schema
 	format string
 	// bandwidths holds each scanner's |wm_data|, the shape every wire
-	// tally is validated against before it may merge.
+	// tally is validated against before it may merge; maxReply bounds a
+	// shard reply by them.
 	bandwidths []int
+	maxReply   int64
 
 	// kick wakes the dispatcher after any state change; buffered so a
 	// wake between dispatcher polls is never lost. feed is the same
@@ -147,18 +154,24 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSourc
 	// Ship lean certificates: a shard scan never reads the frequency
 	// profile (only single-record remap recovery does) and core's
 	// scanner-cache key excludes it, so dropping it shrinks every shard
-	// header without costing a worker cache hit.
+	// without costing a worker cache hit. The set is encoded once here,
+	// and every shard attempt sends the same bytes, which is what lets
+	// workers decode it once per job.
 	lean := make([]*core.Record, len(job.Records))
 	for i, rec := range job.Records {
 		r := *rec
 		r.Profile = nil
 		lean[i] = &r
 	}
-	job.Records = lean
+	records, err := json.Marshal(lean)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encoding certificates: %w", err)
+	}
 	s := &scan{
 		c:            c,
 		ctx:          ctx,
 		job:          job,
+		records:      records,
 		schema:       src.Schema(),
 		format:       src.FormatName(),
 		bandwidths:   make([]int, len(scanners)),
@@ -171,6 +184,7 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSourc
 	for j, sc := range scanners {
 		s.bandwidths[j] = sc.Bandwidth()
 	}
+	s.maxReply = api.MaxShardResponseLen(s.bandwidths)
 	c.addScan(s)
 	defer c.removeScan(s)
 
@@ -192,7 +206,7 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSourc
 	// before returning: the caller may close the stream (net/http closes
 	// a request body when its handler returns) the moment this call
 	// unwinds.
-	err := s.dispatch()
+	err = s.dispatch()
 	s.wakeFeeder()
 	<-s.readerExited
 	if err != nil {
@@ -221,16 +235,17 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSourc
 
 // readShards cuts src into shard payloads — the source's header plus
 // the verbatim bytes of each shard's records, skimmed without parsing a
-// field — and appends each to the pending queue as it fills. Rows are
-// parsed once, on the worker that scans them; a record the skim cannot
-// delimit fails the scan at its row, as a parse would. Runs on its own
-// goroutine so shard 0 can be scanning on a worker while shard 1 is
-// still being read, but under backpressure: when MaxBufferedShards
-// undispatched payloads are already queued the reader parks until the
-// dispatcher drains one, so coordinator memory stays bounded by
-// buffered + in-flight shards, never by the corpus. The reader also
-// stops at the next shard boundary once the scan has failed or been
-// cancelled.
+// field — and appends each to the pending queue as it fills. A
+// relation.JSONLPayloadReader is cut with SkimSpan, so its payloads
+// alias the input instead of copying it. Rows are parsed once, on the
+// worker that scans them; a record the skim cannot delimit fails the
+// scan at its row, as a parse would. Runs on its own goroutine so shard
+// 0 can be scanning on a worker while shard 1 is still being read, but
+// under backpressure: when MaxBufferedShards undispatched payloads are
+// already queued the reader parks until the dispatcher drains one, so
+// coordinator memory stays bounded by buffered + in-flight shards, never
+// by the corpus. The reader also stops at the next shard boundary once
+// the scan has failed or been cancelled.
 func (s *scan) readShards(src relation.RawShardSource) {
 	defer close(s.readerExited)
 	auto := s.c.cfg.AutoShardRows
@@ -238,7 +253,11 @@ func (s *scan) readShards(src relation.RawShardSource) {
 	maxBuffered := s.c.cfg.maxBufferedShards()
 	hdr := src.RawHeader()
 	// buf is reused across shards; each payload is one exact-size copy.
+	// A source held whole in memory needs neither: a payload is the
+	// substring of the input that holds the shard's records (span).
 	buf := append([]byte(nil), hdr...)
+	spans, _ := src.(*relation.JSONLPayloadReader)
+	var span string
 	rows, first := 0, 0
 	finish := func(readErr error) {
 		s.mu.Lock()
@@ -253,7 +272,11 @@ func (s *scan) readShards(src relation.RawShardSource) {
 	// while the queue is full. Reports false when the scan has died and
 	// the reader should stop.
 	cut := func() bool {
-		task := &shardTask{data: string(buf), first: first, rows: rows, failed: make(map[string]bool)}
+		data := span // JSONL has no header
+		if spans == nil {
+			data = string(buf)
+		}
+		task := &shardTask{data: data, first: first, rows: rows, failed: make(map[string]bool)}
 		first += rows
 		buf, rows = append(buf[:0], hdr...), 0
 		for {
@@ -307,7 +330,11 @@ func (s *scan) readShards(src relation.RawShardSource) {
 		}
 		var n int
 		var err error
-		buf, n, err = src.SkimRecords(buf, shardRows-rows)
+		if spans != nil {
+			span, n, err = spans.SkimSpan(shardRows - rows)
+		} else {
+			buf, n, err = src.SkimRecords(buf, shardRows-rows)
+		}
 		if err == io.EOF {
 			break
 		}
@@ -315,7 +342,9 @@ func (s *scan) readShards(src relation.RawShardSource) {
 			finish(err)
 			return
 		}
-		if rows += n; rows >= shardRows && !cut() {
+		// A span is the whole shard (or the rest of the input): cut it
+		// before the next skim replaces it.
+		if rows += n; (rows >= shardRows || spans != nil) && !cut() {
 			return
 		}
 	}
@@ -610,10 +639,15 @@ func (s *scan) callWorker(ctx context.Context, task *shardTask, m *member) ([]*m
 		Schema:    s.job.Schema,
 		Format:    s.format,
 		Data:      task.data,
-		Records:   s.job.Records,
 		BlockRows: s.job.BlockRows,
 		Workers:   s.job.Workers,
-	})
+	}, s.records, s.maxReply)
+	if errors.Is(err, client.ErrInvalidResponse) {
+		// The body arrived but did not decode: a worker that answers is
+		// alive, whatever it answered.
+		return nil, fmt.Errorf("cluster: worker %s shard %d: %v: %w",
+			m.id, task.idx, err, errInvalidShardResponse)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -24,37 +26,145 @@ import (
 )
 
 // ReadShardRequest splits a POST /v2/internal/scan body
-// (api.ContentTypeShard) into its JSON header and the raw shard rows that
-// follow it. The returned reader starts at the first byte after the
-// header's closing brace — the bytes the JSON decoder buffered past it,
-// then the rest of body — so the block reader parses the rows straight
-// off the request body. A header that still carries inline Data is
-// rejected: rows travel only after the header.
-func ReadShardRequest(body io.Reader) (api.ShardScanRequest, io.Reader, error) {
+// (api.ContentTypeShard) into its JSON header, the certificate array
+// that follows it, and a reader over the raw shard rows after that. The
+// array is read with io.ReadFull, exactly header.RecordsLen bytes and
+// no JSON scan; the rows reader yields the bytes the header's JSON
+// decoder buffered past the array, then the rest of body, so the block
+// reader parses the rows straight off the request body. A header that
+// carries inline Data or Records, or no positive RecordsLen, is
+// rejected, and so is a RecordsLen over limit, as the *http.MaxBytesError
+// the body itself would have raised.
+func ReadShardRequest(body io.Reader, limit int64) (api.ShardScanRequest, []byte, io.Reader, error) {
 	var req api.ShardScanRequest
 	dec := json.NewDecoder(body)
 	if err := dec.Decode(&req); err != nil {
-		return req, nil, fmt.Errorf("cluster: shard header: %w", err)
+		return req, nil, nil, fmt.Errorf("cluster: shard header: %w", err)
 	}
-	if req.Data != "" {
-		return req, nil, errors.New("cluster: shard header carries inline data; rows must follow the header")
+	switch {
+	case req.Data != "":
+		return req, nil, nil, errors.New("cluster: shard header carries inline data; rows must follow the certificates")
+	case len(req.Records) > 0:
+		return req, nil, nil, errors.New("cluster: shard header carries inline records; certificates must follow the header")
+	case req.RecordsLen <= 0:
+		return req, nil, nil, fmt.Errorf("cluster: shard header records_len %d, want a positive byte count", req.RecordsLen)
+	case int64(req.RecordsLen) > limit:
+		return req, nil, nil, &http.MaxBytesError{Limit: limit}
 	}
-	return req, io.MultiReader(dec.Buffered(), body), nil
+	rest := io.MultiReader(dec.Buffered(), body)
+	records := make([]byte, req.RecordsLen)
+	if _, err := io.ReadFull(rest, records); err != nil {
+		return req, nil, nil, fmt.Errorf("cluster: shard certificates: %w", err)
+	}
+	return req, records, rest, nil
 }
 
-// ExecuteShard is ExecuteShardStream over the rows in req.Data — the
-// in-process form of a shard scan, and the single-node reference the
-// cluster tests check the HTTP path against.
+// RecordSetCacheEntries bounds a RecordSetCache. A worker sees one
+// certificate set per concurrent job, so a few dozen sets cover every
+// job in flight.
+const RecordSetCacheEntries = 32
+
+// RecordSetCache maps the exact bytes of a shard's certificate array to
+// its decoded records, so a worker decodes each job's set once, not once
+// per shard. The key is the whole byte string, not a digest: two sets
+// share an entry only if they are byte-for-byte equal. It holds at most
+// RecordSetCacheEntries sets and evicts the least recently used. Safe
+// for concurrent use.
+type RecordSetCache struct {
+	mu      sync.Mutex
+	lru     *list.List // of *recordSet, front = most recently used
+	entries map[string]*list.Element
+}
+
+type recordSet struct {
+	key     string
+	records []*core.Record
+}
+
+// NewRecordSetCache returns an empty cache.
+func NewRecordSetCache() *RecordSetCache {
+	return &RecordSetCache{lru: list.New(), entries: make(map[string]*list.Element)}
+}
+
+// Records returns the certificates encoded in data and whether they came
+// from the cache. The slice and the records are shared between every
+// caller that passed the same bytes: read-only.
+func (c *RecordSetCache) Records(data []byte) ([]*core.Record, bool, error) {
+	c.mu.Lock()
+	el, ok := c.entries[string(data)]
+	if ok {
+		c.lru.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if ok {
+		return el.Value.(*recordSet).records, true, nil
+	}
+	var recs []*core.Record
+	if err := json.Unmarshal(data, &recs); err != nil {
+		return nil, false, fmt.Errorf("cluster: shard certificates: %w", err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[string(data)]; ok {
+		// A concurrent miss on the same set inserted first; share its.
+		c.lru.MoveToFront(el)
+		return el.Value.(*recordSet).records, false, nil
+	}
+	key := string(data)
+	c.entries[key] = c.lru.PushFront(&recordSet{key: key, records: recs})
+	if c.lru.Len() > RecordSetCacheEntries {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*recordSet).key)
+	}
+	return recs, false, nil
+}
+
+// ExecuteShardFrame is the worker's whole POST /v2/internal/scan: split
+// the frame (ReadShardRequest, under the body limit), resolve its
+// certificate array through sets, and scan the rows straight off body.
+// The shard.execute span records whether the array was a cache hit
+// (records_cached) and its size (records_bytes).
+func ExecuteShardFrame(ctx context.Context, body io.Reader, limit int64, sets *RecordSetCache, opts core.BatchOptions) (*api.ShardScanResponse, error) {
+	ctx, span := trace.Start(ctx, "shard.execute")
+	defer span.End()
+	req, records, rows, err := ReadShardRequest(body, limit)
+	if err == nil {
+		span.SetInt("records_bytes", int64(len(records)))
+		var cached bool
+		req.Records, cached, err = sets.Records(records)
+		span.SetAttr("records_cached", strconv.FormatBool(cached))
+	}
+	if err == nil && len(req.Records) == 0 {
+		err = errors.New("cluster: shard scan needs at least one certificate")
+	}
+	if err != nil {
+		span.SetError(err)
+		return nil, err
+	}
+	return executeShard(ctx, span, req, rows, opts)
+}
+
+// ExecuteShard is the shard scan over the rows in req.Data — the
+// in-process form of ExecuteShardFrame, and the single-node reference
+// the cluster tests check the HTTP path against.
 func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.BatchOptions) (*api.ShardScanResponse, error) {
-	return ExecuteShardStream(ctx, req, strings.NewReader(req.Data), opts)
+	ctx, span := trace.Start(ctx, "shard.execute")
+	defer span.End()
+	return executeShard(ctx, span, req, strings.NewReader(req.Data), opts)
 }
 
-// ExecuteShardStream is the worker half of the shard protocol: prepare
-// one scanner per certificate in the request, run the one-pass
+// executeShard is the worker half of the shard protocol: prepare one
+// scanner per certificate in the request, run the one-pass
 // multi-certificate block engine over the shard rows read from rows (in
 // req.Format; req.Data is ignored), and return the partial tallies in
-// wire form. internal/server's POST /v2/internal/scan handler is
-// ReadShardRequest followed by this call.
+// wire form.
+//
+// span is the worker-side execution span: a child of the coordinator's
+// dispatch span when the RPC carried traceparent (the server middleware
+// joined it into ctx). Phase clocks ride the pipeline config only when
+// the trace is sampled — ph stays nil otherwise and the zero-alloc scan
+// path never reads a clock.
 //
 // opts supplies the worker-local execution knobs (scanner cache, hash
 // kernel, default parallelism); the request's Workers/BlockRows override
@@ -63,14 +173,7 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 // accepted, so a disagreement here means corrupt wire data, and failing
 // loudly (the shard is retried, then the audit fails) beats merging a
 // tally hole silently.
-func ExecuteShardStream(ctx context.Context, req api.ShardScanRequest, rows io.Reader, opts core.BatchOptions) (*api.ShardScanResponse, error) {
-	// The worker-side execution span: a child of the coordinator's
-	// dispatch span when the RPC carried traceparent (the server
-	// middleware joined it into ctx). Phase clocks ride the pipeline
-	// config only when the trace is sampled — ph stays nil otherwise and
-	// the zero-alloc scan path never reads a clock.
-	ctx, span := trace.Start(ctx, "shard.execute")
-	defer span.End()
+func executeShard(ctx context.Context, span *trace.Span, req api.ShardScanRequest, rows io.Reader, opts core.BatchOptions) (*api.ShardScanResponse, error) {
 	span.SetInt("shard", int64(req.Shard))
 	var ph *trace.Phases
 	if span != nil {

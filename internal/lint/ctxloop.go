@@ -98,13 +98,14 @@ func loopCrossesBlocks(body *ast.BlockStmt, info *types.Info) bool {
 		}
 		if methodOn(info, call, "repro/internal/relation", "Read",
 			"RowReader", "CSVRowReader", "JSONLRowReader",
-			"CSVBlockReader", "JSONLBlockReader") {
+			"CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "ReadBlock",
-			"BlockReader", "RawShardSource", "CSVBlockReader", "JSONLBlockReader") ||
+			"BlockReader", "RawShardSource", "CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") ||
 			methodOn(info, call, "repro/internal/relation", "SkimRecords",
-				"RawShardSource", "CSVBlockReader", "JSONLBlockReader") {
+				"RawShardSource", "CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") ||
+			methodOn(info, call, "repro/internal/relation", "SkimSpan", "JSONLPayloadReader") {
 			found = true
 		}
 	})

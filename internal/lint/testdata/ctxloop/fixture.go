@@ -84,6 +84,14 @@ func skimNoCancel(src relation.RawShardSource) error {
 	}
 }
 
+func skimSpanNoCancel(src *relation.JSONLPayloadReader) error {
+	for { // want `loop crosses scan-block/row boundaries`
+		if _, _, err := src.SkimSpan(512); err != nil {
+			return err
+		}
+	}
+}
+
 func scanColumnsNoCancel(sc *mark.Scanner, blks []*relation.Block, t *mark.Tally) error {
 	var bs mark.BlockScratch
 	for _, blk := range blks { // want `loop crosses scan-block/row boundaries`

@@ -1,9 +1,12 @@
 package mark
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -230,6 +233,116 @@ func sortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
+// FuzzTallyWireBinary holds the binary form to the JSON one:
+//   - a tally built from the fuzz input survives binary encode/decode
+//     exactly, and its JSON form through the binary round trip is
+//     unchanged;
+//   - arbitrary bytes never panic the decoder, and it allocates no more
+//     than the input justifies (8 bytes per decoded count, 1 per Last
+//     byte, each backed by at least one input byte);
+//   - every accepted input re-encodes to the same bytes, directly and
+//     after a JSON round trip.
+func FuzzTallyWireBinary(f *testing.F) {
+	golden := TallyWire{Rows: 7, Fit: 4, UnknownValues: 1, Zeros: []int{2, 0, 0}, Ones: []int{0, 1, 0}, Last: []byte{0, 1, 0xFF}}
+	enc, err := golden.AppendBinary(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0x80, 0x00, 0, 0, 0, 0, 0})                                     // non-minimal uvarint
+	f.Add([]byte{1, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0})                   // length past the input
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}) // over MaxInt
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Build a tally from the input: one position per byte.
+		built := TallyWire{Rows: len(data), Fit: len(data) / 2, Zeros: make([]int, len(data)), Ones: make([]int, len(data)), Last: make([]byte, len(data))}
+		for i, c := range data {
+			built.Zeros[i], built.Ones[i], built.Last[i] = int(c)<<(c%40), int(c&7), c
+		}
+		bin, err := built.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back TallyWire
+		if err := back.UnmarshalBinary(bin); err != nil {
+			t.Fatalf("own encoding rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, built) || !sameJSON(t, back, built) {
+			t.Fatalf("binary round trip diverged:\n got  %+v\n want %+v", back, built)
+		}
+
+		var w TallyWire
+		if alloc := decodeAlloc(func() { err = w.UnmarshalBinary(data) }); alloc > uint64(16*len(data)+1024) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		again, err := w.AppendBinary(nil)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("accepted input re-encodes to %x (err %v), want %x", again, err, data)
+		}
+		js, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var viaJSON TallyWire
+		if err := json.Unmarshal(js, &viaJSON); err != nil {
+			t.Fatal(err)
+		}
+		if again, err = viaJSON.AppendBinary(nil); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("JSON round trip re-encodes to %x (err %v), want %x", again, err, data)
+		}
+	})
+}
+
+// decodeAlloc reports the bytes fn allocates. The counter is process
+// wide, so other goroutines (the fuzz engine's) can only inflate it:
+// the least of three runs is the measurement.
+func decodeAlloc(fn func()) uint64 {
+	var least uint64 = math.MaxUint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+func sameJSON(t *testing.T, a, b TallyWire) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb)
+}
+
+// TestTallyWireBinaryGolden pins the binary form byte-for-byte, like
+// the JSON golden: it is the shard reply's compatibility contract.
+func TestTallyWireBinaryGolden(t *testing.T) {
+	w := TallyWire{Rows: 300, Fit: 4, UnknownValues: 1, Zeros: []int{2, 0, 0}, Ones: []int{0, 1, 0}, Last: []byte{0, 1, 0xFF}}
+	got, err := w.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{0xac, 0x02, 4, 1, 3, 2, 0, 0, 3, 0, 1, 0, 3, 0, 1, 0xff}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("binary form drifted:\n got  %x\n want %x", got, want)
+	}
+	for _, bad := range []TallyWire{{Rows: -1}, {Zeros: []int{-1}}, {Ones: []int{0, -2}}} {
+		if _, err := bad.AppendBinary(nil); err == nil {
+			t.Fatalf("negative counts encoded: %+v", bad)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package relation
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The zero-copy block readers must be bit-identical to the legacy
@@ -98,6 +100,16 @@ func compareJSONLWithOracle(t *testing.T, in string, blockRows int) {
 	}
 	if !sameRows(want, got) {
 		t.Fatalf("row disagreement on %q:\nlegacy: %q\nblock:  %q", in, want, got)
+	}
+	// The payload reader parses its input in place: same rows, same
+	// error, and the input left untouched.
+	orig := strings.Clone(in)
+	pay, payErr := drainBlockRows(t, NewJSONLPayloadReader(in, schema), blockRows)
+	if fmt.Sprint(payErr) != fmt.Sprint(gotErr) || !sameRows(got, pay) {
+		t.Fatalf("payload reader disagrees on %q:\nblock:   %q, %v\npayload: %q, %v", in, got, gotErr, pay, payErr)
+	}
+	if in != orig {
+		t.Fatalf("payload reader wrote to its input: %q, was %q", in, orig)
 	}
 }
 
@@ -221,6 +233,24 @@ func skimShards(src RawShardSource, maxRows int) (payloads []string, counts []in
 	}
 }
 
+// skimSpans is skimShards through SkimSpan: each payload is the
+// substring of the input the span covers.
+func skimSpans(src *JSONLPayloadReader, maxRows int) (payloads []string, counts []int, err error) {
+	for {
+		span, n, err := src.SkimSpan(maxRows)
+		if n > 0 {
+			payloads = append(payloads, span)
+			counts = append(counts, n)
+		}
+		if err == io.EOF {
+			return payloads, counts, nil
+		}
+		if err != nil {
+			return payloads, counts, err
+		}
+	}
+}
+
 // checkSkim is the skim's differential oracle against the block parser
 // on one input, for every shard size 1..8: input the parser accepts
 // must skim without error into shards that re-parse to exactly the
@@ -247,6 +277,9 @@ func checkSkim(t *testing.T, format, in string) {
 			t.Fatalf("%s %q: reopen: %v", format, in, err)
 		}
 		payloads, counts, skimErr := skimShards(src, maxRows)
+		if format == "jsonl" {
+			checkSpans(t, in, maxRows, counts, skimErr)
+		}
 		if wantErr == nil && skimErr != nil {
 			t.Fatalf("%s %q: parser accepts, skim rejects: %v", format, in, skimErr)
 		}
@@ -283,6 +316,34 @@ func checkSkim(t *testing.T, format, in string) {
 		if !sameRows(want, got) {
 			t.Fatalf("%s %q maxRows %d: skimmed shards re-parse differently:\nwant %q\ngot  %q",
 				format, in, maxRows, want, got)
+		}
+	}
+}
+
+// checkSpans holds SkimSpan to the skim of the same input: the same
+// record counts and error, and spans lying back to back in the input
+// that hold exactly the skimmed records and the whitespace between
+// them.
+func checkSpans(t *testing.T, in string, maxRows int, wantCounts []int, wantErr error) {
+	t.Helper()
+	schema := rowioSchema(t)
+	spans, counts, err := skimSpans(NewJSONLPayloadReader(in, schema), maxRows)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(counts, wantCounts) {
+		t.Fatalf("jsonl %q maxRows %d: SkimSpan gave counts %v, %v; SkimRecords %v, %v",
+			in, maxRows, counts, err, wantCounts, wantErr)
+	}
+	off := 0
+	for i, span := range spans {
+		if !strings.HasPrefix(in[off:], span) || len(span) > 0 && unsafe.StringData(span) != unsafe.StringData(in[off:]) {
+			t.Fatalf("jsonl %q maxRows %d: span %d %q is not the input at %d", in, maxRows, i, span, off)
+		}
+		off += len(span)
+		skimmed, n, err := NewJSONLBlockReader(strings.NewReader(span), schema).SkimRecords(nil, maxRows)
+		if n != counts[i] || err != nil {
+			t.Fatalf("jsonl %q maxRows %d: span %d %q re-skims to %d records, %v", in, maxRows, i, span, n, err)
+		}
+		if strings.Join(strings.Fields(span), "") != strings.Join(strings.Fields(string(skimmed)), "") {
+			t.Fatalf("jsonl %q maxRows %d: span %d %q holds more than its records %q", in, maxRows, i, span, skimmed)
 		}
 	}
 }
@@ -432,6 +493,18 @@ func TestSkimStructuralErrors(t *testing.T) {
 		}
 		if _, n, again := src.SkimRecords(nil, 8); n != 0 || again != err {
 			t.Fatalf("%s %q: error not sticky: %d records, %v", tc.format, tc.in, n, again)
+		}
+		if tc.format != "jsonl" {
+			continue
+		}
+		pr := NewJSONLPayloadReader(tc.in, schema)
+		span, n, err := pr.SkimSpan(8)
+		if n != 1 || err == nil || !strings.Contains(err.Error(), tc.msg) || span != strings.TrimSuffix(string(out), "\n") {
+			t.Fatalf("%s %q: SkimSpan = %q, %d records, %v; want the first record and an error containing %q",
+				tc.format, tc.in, span, n, err, tc.msg)
+		}
+		if _, n, again := pr.SkimSpan(8); n != 0 || again != err {
+			t.Fatalf("%s %q: SkimSpan error not sticky: %d records, %v", tc.format, tc.in, n, again)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // JSONLBlockReader is the zero-copy JSONL ingestion path: a windowed
@@ -78,6 +79,25 @@ func NewJSONLBlockReader(rd io.Reader, schema *Schema) *JSONLBlockReader {
 	}
 }
 
+// JSONLPayloadReader is a JSONLBlockReader over input held whole in
+// memory. Its window is the input itself — nothing is read or copied
+// into a buffer — and SkimSpan cuts shards from it that alias the input.
+// No reader method writes to the window: fill, the one place that does,
+// returns at end of input before touching it.
+type JSONLPayloadReader struct {
+	*JSONLBlockReader
+	payload string
+}
+
+// NewJSONLPayloadReader returns a reader decoding one JSON object per
+// record from data.
+func NewJSONLPayloadReader(data string, schema *Schema) *JSONLPayloadReader {
+	r := NewJSONLBlockReader(nil, schema)
+	r.buf = unsafe.Slice(unsafe.StringData(data), len(data))
+	r.w, r.eof = len(data), true
+	return &JSONLPayloadReader{JSONLBlockReader: r, payload: data}
+}
+
 // literalKey reports whether name's bytes, written verbatim between
 // quotes, decode to exactly name: plain ASCII string bytes throughout.
 func literalKey(name string) bool {
@@ -123,15 +143,33 @@ func (r *JSONLBlockReader) Read() (Tuple, error) { return r.read(r) }
 // strings and nulls; strings are tracked with their backslash escapes.
 func (r *JSONLBlockReader) SkimRecords(dst []byte, maxRows int) ([]byte, int, error) {
 	n, err := r.records(maxRows, func() (err error) {
-		dst, err = r.skimRecord(dst)
+		dst, err = r.skimRecord(dst, true)
 		return err
 	})
 	return dst, n, err
 }
 
+// SkimSpan is SkimRecords without the copy. It skims up to maxRows
+// whole records (all of them, not a batch) and returns the input bytes
+// that hold them — a substring running through the last record's end,
+// which may start with the whitespace before the first record — and the
+// number of records. Errors and io.EOF are exactly SkimRecords'.
+func (r *JSONLPayloadReader) SkimSpan(maxRows int) (string, int, error) {
+	start, end := r.r, r.r
+	n, err := r.records(maxRows, func() error {
+		_, err := r.skimRecord(nil, false)
+		if err == nil {
+			end = r.r
+		}
+		return err
+	})
+	return r.payload[start:end], n, err
+}
+
 // skimRecord appends the next record to dst, or returns io.EOF at a
-// clean end of input. On error dst is returned unextended.
-func (r *JSONLBlockReader) skimRecord(dst []byte) ([]byte, error) {
+// clean end of input. On error dst is returned unextended. With keep
+// false it only moves past the record, appending nothing.
+func (r *JSONLBlockReader) skimRecord(dst []byte, keep bool) ([]byte, error) {
 	if err := r.skipSpace(); err != nil {
 		return dst, err
 	}
@@ -155,11 +193,16 @@ func (r *JSONLBlockReader) skimRecord(dst []byte) ([]byte, error) {
 				inStr = true
 			case c == '}':
 				r.r = i + 1
+				if !keep {
+					return dst, nil
+				}
 				dst = append(dst, r.buf[start:r.r]...)
 				return append(dst, '\n'), nil
 			}
 		}
-		dst = append(dst, r.buf[start:r.w]...)
+		if keep {
+			dst = append(dst, r.buf[start:r.w]...)
+		}
 		r.r = r.w
 		if err := r.fill(); err != nil {
 			return dst[:mark], r.unexpEOF(err)

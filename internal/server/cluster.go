@@ -99,37 +99,34 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInternalScan is POST /v2/internal/scan: scan one row-range shard
-// against the request's certificate set and return the partial tallies.
-// The body is an api.ContentTypeShard frame — a JSON header, then the
-// raw rows, which the block reader parses straight off the request body.
-// Served by every role — the shard carries everything the scan needs, so
-// even a coordinator can execute one (and a single binary can be pointed
-// at itself in tests).
+// against the request's certificate set and return the partial tallies
+// in binary (api.ContentTypeTally). The body is an api.ContentTypeShard
+// frame — a JSON header, the certificate array, then the raw rows, which
+// the block reader parses straight off the request body; the array
+// resolves through this server's record-set cache, so each job's
+// certificates are decoded once. Served by every role — the shard
+// carries everything the scan needs, so even a coordinator can execute
+// one (and a single binary can be pointed at itself in tests).
 func (s *Server) handleInternalScan(w http.ResponseWriter, r *http.Request) {
 	if mt := requestMediaType(r); mt != api.ContentTypeShard {
 		writeErr(w, api.Errorf(api.CodeInvalidArgument,
 			"shard scan body must be %s, got %q", api.ContentTypeShard, mt))
 		return
 	}
-	req, rows, err := cluster.ReadShardRequest(r.Body)
-	if err != nil {
-		writeErr(w, shardScanErr(err))
-		return
-	}
-	if len(req.Records) == 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "shard scan needs at least one certificate"))
-		return
-	}
-	resp, err := cluster.ExecuteShardStream(r.Context(), req, rows, core.BatchOptions{
-		Workers:    s.workersFor(req.Workers),
+	resp, err := cluster.ExecuteShardFrame(r.Context(), r.Body, s.cfg.MaxBodyBytes, s.recordSets, core.BatchOptions{
+		Workers:    s.cfg.Workers,
 		Cache:      s.cache,
 		HashKernel: s.cfg.HashKernel,
 	})
-	if err != nil {
-		writeErr(w, shardScanErr(err))
-		return
+	if err == nil {
+		var body []byte
+		if body, err = resp.AppendBinary(nil); err == nil {
+			w.Header().Set("Content-Type", api.ContentTypeTally)
+			w.Write(body) //nolint:errcheck // nothing left to report
+			return
+		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeErr(w, shardScanErr(err))
 }
 
 // shardScanErr classifies a failed shard request: a tripped body limit

@@ -181,7 +181,7 @@ func (s *Server) execVerifyBatch(ctx context.Context, req api.BatchVerifyRequest
 	if err != nil {
 		return nil, api.Errorf(api.CodeInvalidArgument, "relation: %v", err)
 	}
-	src, err := rowReaderForFormat(req.Format, strings.NewReader(req.Data), schema)
+	src, err := payloadReaderForFormat(req.Format, req.Data, schema)
 	if err != nil {
 		return nil, api.Errorf(api.CodeInvalidArgument, "relation: %v", err)
 	}

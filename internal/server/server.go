@@ -126,14 +126,17 @@ type Config struct {
 // Server handles the HTTP API. Create with New, serve via Handler, and
 // Close when done — Close cancels running async jobs.
 type Server struct {
-	store   *store.Store
-	cfg     Config
-	cache   *core.ScannerCache
-	jobs    *jobs.Manager
-	coord   *cluster.Coordinator // nil unless Config.Cluster.Coordinator
-	agent   *cluster.Agent       // nil until Join on a worker
-	mux     *http.ServeMux
-	started time.Time
+	store *store.Store
+	cfg   Config
+	cache *core.ScannerCache
+	jobs  *jobs.Manager
+	// recordSets caches the certificate arrays of shard frames this
+	// server executes, decoded, by their exact bytes.
+	recordSets *cluster.RecordSetCache
+	coord      *cluster.Coordinator // nil unless Config.Cluster.Coordinator
+	agent      *cluster.Agent       // nil until Join on a worker
+	mux        *http.ServeMux
+	started    time.Time
 	// obs is this server's metrics registry — every subsystem registers
 	// into it, GET /metrics renders it, /healthz snapshots it.
 	obs     *obs.Registry
@@ -151,7 +154,7 @@ func New(st *store.Store, cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	s := &Server{store: st, cfg: cfg, mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{store: st, cfg: cfg, mux: http.NewServeMux(), started: time.Now(), recordSets: cluster.NewRecordSetCache()}
 	s.obs = obs.NewRegistry()
 	s.httpMet = obs.NewHTTPMetrics(s.obs)
 	if !cfg.TraceOff {
@@ -332,12 +335,11 @@ func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, api.Errorf(api.CodeNotFound, "no such route: %s %s", r.Method, r.URL.Path))
 }
 
+// writeJSON replies with v as compact JSON (pipe through jq to read it).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers are out; nothing left to report
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // headers are out; nothing left to report
 }
 
 // writeErr emits a typed api error with its canonical status.
@@ -443,6 +445,16 @@ func rowReaderForFormat(format string, rd io.Reader, schema *relation.Schema) (r
 	default:
 		return nil, fmt.Errorf("unknown format %q (want csv or jsonl)", format)
 	}
+}
+
+// payloadReaderForFormat is rowReaderForFormat over a payload held in
+// memory. A JSONL payload is read in place (relation.NewJSONLPayloadReader),
+// so the cluster coordinator's shards alias it instead of copying it.
+func payloadReaderForFormat(format, data string, schema *relation.Schema) (relation.RawShardSource, error) {
+	if strings.ToLower(format) == "jsonl" {
+		return relation.NewJSONLPayloadReader(data, schema), nil
+	}
+	return rowReaderForFormat(format, strings.NewReader(data), schema)
 }
 
 // streamRowReader builds a row reader over a raw streamed request body.

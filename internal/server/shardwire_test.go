@@ -109,6 +109,11 @@ func TestShardWireDifferential(t *testing.T) {
 	if want[0].Fit == 0 {
 		t.Fatal("fixture has no fit rows; the differential would compare empty tallies")
 	}
+	maxReply := api.MaxShardResponseLen([]int{prep.Scanners()[0].Bandwidth()})
+	records, err := json.Marshal([]*core.Record{f.rec})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := newTestServer(t)
 	c := client.New(ts.URL)
 	for format, data := range map[string]string{"csv": f.csv, "jsonl": f.jsonl} {
@@ -117,7 +122,7 @@ func TestShardWireDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s in memory: %v", format, err)
 		}
-		wire, err := c.ScanShard(ctx, req)
+		wire, err := c.ScanShard(ctx, req, records, maxReply)
 		if err != nil {
 			t.Fatalf("%s over HTTP: %v", format, err)
 		}
@@ -156,21 +161,34 @@ func TestInternalScanHostileInput(t *testing.T) {
 	ts := httptest.NewServer(New(st, Config{Workers: 2, MaxBodyBytes: 4096}).Handler())
 	t.Cleanup(ts.Close)
 
-	header := func(req api.ShardScanRequest) []byte {
-		data, err := json.Marshal(req)
+	jsonBytes := func(v any) []byte {
+		data, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
-	lean := api.ShardScanRequest{Schema: testSchemaSpec, Records: []*core.Record{streamLimitRecord()}}
-	hdr := header(lean)
+	// frame joins a header, a certificate array and rows.
+	frame := func(hdr []byte, parts ...string) []byte {
+		return append(bytes.Clone(hdr), strings.Join(parts, "")...)
+	}
+	recs := string(jsonBytes([]*core.Record{streamLimitRecord()}))
+	lean := api.ShardScanRequest{Schema: testSchemaSpec, RecordsLen: len(recs)}
+	hdr := jsonBytes(lean)
 	inline := lean
 	inline.Data = "Visit_Nbr,Item_Nbr\n1,2\n"
+	inlineRecords := lean
+	inlineRecords.Records = []*core.Record{streamLimitRecord()}
+	withLen := func(n int) []byte {
+		req := lean
+		req.RecordsLen = n
+		return jsonBytes(req)
+	}
 	huge := *streamLimitRecord()
 	for i := len(huge.Domain); len(huge.Domain) < 1000; i++ {
 		huge.Domain = append(huge.Domain, fmt.Sprint(i))
 	}
+	hugeRecs := string(jsonBytes([]*core.Record{&huge}))
 	bigRows := "Visit_Nbr,Item_Nbr\n"
 	for i := 0; len(bigRows) < 8192; i++ {
 		bigRows += fmt.Sprintf("%d,%d\n", i, i%4)
@@ -182,15 +200,22 @@ func TestInternalScanHostileInput(t *testing.T) {
 		status            int
 		code              string
 	}{
-		{"inline data", api.ContentTypeShard, header(inline), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"inline data", api.ContentTypeShard, frame(jsonBytes(inline), recs), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"inline records", api.ContentTypeShard, frame(jsonBytes(inlineRecords), recs, "Visit_Nbr,Item_Nbr\n1,2\n"), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"no records_len", api.ContentTypeShard, frame(withLen(0), recs, "Visit_Nbr,Item_Nbr\n1,2\n"), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"negative records_len", api.ContentTypeShard, frame(withLen(-len(recs)), recs, "Visit_Nbr,Item_Nbr\n1,2\n"), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"records_len past the body", api.ContentTypeShard, frame(withLen(len(recs)+100), recs), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"records_len over limit", api.ContentTypeShard, frame(withLen(5000), recs), http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge},
+		{"certificates not json", api.ContentTypeShard, frame(withLen(len(recs)), strings.Repeat("x", len(recs)), "Visit_Nbr,Item_Nbr\n1,2\n"), http.StatusBadRequest, api.CodeInvalidArgument},
 		{"truncated header", api.ContentTypeShard, hdr[:len(hdr)/2], http.StatusBadRequest, api.CodeInvalidArgument},
 		{"empty body", api.ContentTypeShard, nil, http.StatusBadRequest, api.CodeInvalidArgument},
 		{"rows without header", api.ContentTypeShard, []byte("Visit_Nbr,Item_Nbr\n1,2\n"), http.StatusBadRequest, api.CodeInvalidArgument},
-		{"json body", api.ContentTypeJSON, header(inline), http.StatusBadRequest, api.CodeInvalidArgument},
-		{"no certificates", api.ContentTypeShard, append(header(api.ShardScanRequest{Schema: testSchemaSpec}), "Visit_Nbr,Item_Nbr\n"...), http.StatusBadRequest, api.CodeInvalidArgument},
-		{"malformed rows", api.ContentTypeShard, append(bytes.Clone(hdr), "Visit_Nbr,Item_Nbr\n1,2,3\n"...), http.StatusBadRequest, api.CodeInvalidArgument},
-		{"header over limit", api.ContentTypeShard, header(api.ShardScanRequest{Schema: testSchemaSpec, Records: []*core.Record{&huge}}), http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge},
-		{"rows over limit", api.ContentTypeShard, append(bytes.Clone(hdr), bigRows...), http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge},
+		{"json body", api.ContentTypeJSON, frame(hdr, recs, "Visit_Nbr,Item_Nbr\n1,2\n"), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"no certificates", api.ContentTypeShard, frame(withLen(2), "[]", "Visit_Nbr,Item_Nbr\n"), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"malformed rows", api.ContentTypeShard, frame(hdr, recs, "Visit_Nbr,Item_Nbr\n1,2,3\n"), http.StatusBadRequest, api.CodeInvalidArgument},
+		{"certificates over limit", api.ContentTypeShard, frame(withLen(len(hugeRecs)), hugeRecs), http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge},
+		{"certificates past limit", api.ContentTypeShard, frame(withLen(4090), strings.Repeat(" ", 4090)), http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge},
+		{"rows over limit", api.ContentTypeShard, frame(hdr, recs, bigRows), http.StatusRequestEntityTooLarge, api.CodePayloadTooLarge},
 	} {
 		status, code := postShard(t, ts.URL, tc.contentType, tc.body)
 		if status != tc.status || code != tc.code {
@@ -198,7 +223,7 @@ func TestInternalScanHostileInput(t *testing.T) {
 		}
 	}
 	// The same framing under the limit scans fine.
-	if status, code := postShard(t, ts.URL, api.ContentTypeShard, append(bytes.Clone(hdr), "Visit_Nbr,Item_Nbr\n1,2\n"...)); status != http.StatusOK {
+	if status, code := postShard(t, ts.URL, api.ContentTypeShard, frame(hdr, recs, "Visit_Nbr,Item_Nbr\n1,2\n")); status != http.StatusOK {
 		t.Fatalf("well-formed shard: status %d code %q", status, code)
 	}
 }
@@ -261,16 +286,25 @@ func TestShardLeanCertificates(t *testing.T) {
 		t.Fatalf("worker saw %d shard bodies, want %d", len(bodies), shards)
 	}
 
-	var hdr struct {
-		Records []map[string]json.RawMessage `json:"records"`
-	}
-	if err := json.NewDecoder(bytes.NewReader(bodies[0])).Decode(&hdr); err != nil {
+	// Every shard carries the same certificate bytes: the coordinator
+	// encodes the set once per job.
+	_, records, _, err := cluster.ReadShardRequest(bytes.NewReader(bodies[0]), 1<<30)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hdr.Records) != len(stored) {
-		t.Fatalf("shard carried %d certificates, want %d", len(hdr.Records), len(stored))
+	for i, body := range bodies[1:] {
+		if _, other, _, err := cluster.ReadShardRequest(bytes.NewReader(body), 1<<30); err != nil || !bytes.Equal(other, records) {
+			t.Fatalf("shard %d certificate array differs from shard 0 (err %v)", i+1, err)
+		}
 	}
-	for _, got := range hdr.Records {
+	var certs []map[string]json.RawMessage
+	if err := json.Unmarshal(records, &certs); err != nil {
+		t.Fatal(err)
+	}
+	if len(certs) != len(stored) {
+		t.Fatalf("shard carried %d certificates, want %d", len(certs), len(stored))
+	}
+	for _, got := range certs {
 		if p := string(got["profile"]); p != "null" {
 			t.Fatalf("shard certificate carries profile %.40s…, want null", p)
 		}
