@@ -45,6 +45,18 @@ func (c *Column) String(i int) string {
 	return string(c.Value(i))
 }
 
+// fillStrings copies the column's first n rows out of the arena as one
+// owned string and stores row i's value, a substring of it, at
+// dst[i*stride+off]: one allocation per column, where String costs one
+// per row. Fields of a record a parse error cut short lie past row n.
+func (c *Column) fillStrings(dst []string, off, stride, n int) {
+	//wmlint:ignore arenacopy one owned copy per column; row values are substrings of it
+	s := string(c.data[:c.offs[n]])
+	for i := 0; i < n; i++ {
+		dst[i*stride+off] = s[c.offs[i]:c.offs[i+1]]
+	}
+}
+
 // Raw exposes the column's arena and offset table for batched hashing
 // (keyhash.Kernel.HashColumn operates on exactly this shape). Both
 // slices alias block storage; same lifetime rules as Value.
@@ -182,7 +194,8 @@ type BlockReader interface {
 }
 
 // compatBlockRows sizes the internal block of the RowReader
-// compatibility view and the default ReadBlock/SkimRecords batch.
+// compatibility view, the default ReadBlock/SkimRecords batch and the
+// blocks ReadCSV/ReadJSONL drain.
 const compatBlockRows = 512
 
 // cursor is the record bookkeeping both block readers share: the row
@@ -239,6 +252,56 @@ func (c *cursor) read(br BlockReader) (Tuple, error) {
 	}
 	c.rowIdx++
 	return c.rowBlk.Tuple(c.rowIdx - 1), nil
+}
+
+// readBlocks drains br into a materialized Relation — the engine behind
+// ReadCSV and ReadJSONL. Each block column leaves the arena as one
+// string whose substrings are the row values, and a block's tuples are
+// cut from one []string, so the cost is a few allocations per block,
+// not several per row. The key index is built once at the end,
+// pre-sized and in row order. Errors match ReadAll over the row
+// readers: a duplicate key is ErrDuplicateKey naming its 1-based row,
+// and it wins over a parse error, which can only come at a later row.
+func readBlocks(br BlockReader) (*Relation, error) {
+	schema := br.Schema()
+	a := schema.Arity()
+	b := GetBlock(schema)
+	defer PutBlock(b)
+	var blocks [][]string // each block's values, row-major
+	rows := 0
+	var readErr error
+	for readErr == nil {
+		n, err := br.ReadBlock(b, compatBlockRows)
+		if err == io.EOF {
+			break
+		}
+		readErr = err
+		vals := make([]string, n*a)
+		for c := 0; c < a; c++ {
+			b.cols[c].fillStrings(vals, c, a, n)
+		}
+		blocks = append(blocks, vals)
+		rows += n
+	}
+	out := &Relation{schema: schema, tuples: make([]Tuple, 0, rows)}
+	for _, vals := range blocks {
+		for i := 0; i < len(vals); i += a {
+			out.tuples = append(out.tuples, vals[i:i+a:i+a])
+		}
+	}
+	k := schema.keyIndex
+	keys := make(map[string]int, rows)
+	for i, t := range out.tuples {
+		// One map assignment per row: a repeated key leaves len short.
+		if keys[t[k]] = i; len(keys) != i+1 {
+			return nil, fmt.Errorf("row %d: %w: %q", i+1, ErrDuplicateKey, t[k])
+		}
+	}
+	if readErr != nil {
+		return nil, readErr
+	}
+	out.keys = keys
+	return out, nil
 }
 
 // RawShardSource is a suspect stream the cluster coordinator can cut

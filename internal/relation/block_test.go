@@ -198,8 +198,12 @@ func FuzzCSVBlockReader(f *testing.F) {
 	for _, in := range csvOracleCases {
 		f.Add(in, uint8(3))
 	}
+	for _, in := range csvMaterializeCases {
+		f.Add(in, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, in string, blockRows uint8) {
 		compareCSVWithOracle(t, in, int(blockRows%8)+1)
+		compareMaterialized(t, "csv", in)
 	})
 }
 
@@ -207,8 +211,12 @@ func FuzzJSONLBlockReader(f *testing.F) {
 	for _, in := range jsonlOracleCases {
 		f.Add(in, uint8(3))
 	}
+	for _, in := range jsonlMaterializeCases {
+		f.Add(in, uint8(3))
+	}
 	f.Fuzz(func(t *testing.T, in string, blockRows uint8) {
 		compareJSONLWithOracle(t, in, int(blockRows%8)+1)
+		compareMaterialized(t, "jsonl", in)
 	})
 }
 

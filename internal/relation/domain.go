@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/stats"
 )
@@ -25,7 +26,9 @@ type Domain struct {
 }
 
 // NewDomain builds a domain from a value catalog. Values are deduplicated
-// and sorted lexicographically.
+// and sorted lexicographically. The domain keeps its own copy of the
+// distinct values (ownStrings), so it never pins the storage of the
+// relation they came from (see Relation).
 func NewDomain(values []string) (*Domain, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("relation: empty domain")
@@ -39,11 +42,31 @@ func NewDomain(values []string) (*Domain, error) {
 		sorted = append(sorted, v)
 	}
 	sort.Strings(sorted)
+	ownStrings(sorted)
 	d := &Domain{values: sorted, index: make(map[string]int, len(sorted))}
 	for i, v := range sorted {
 		d.index[v] = i
 	}
 	return d, nil
+}
+
+// ownStrings re-points each string of vals into one fresh buffer holding
+// them all, so a value that outlives its relation keeps only that buffer
+// alive — never a block column string — for one allocation in total.
+func ownStrings(vals []string) {
+	n := 0
+	for _, v := range vals {
+		n += len(v)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, v := range vals {
+		b.WriteString(v)
+	}
+	all := b.String()
+	for i, v := range vals {
+		vals[i], all = all[:len(v)], all[len(v):]
+	}
 }
 
 // MustDomain is NewDomain that panics on error.
@@ -112,15 +135,28 @@ func (d *Domain) Contains(v string) bool {
 }
 
 // HistogramOf computes the occurrence histogram of attr over r — the
-// paper's frequency transform [f_A(a_i)] (Sections 3.1, 4.2).
+// paper's frequency transform [f_A(a_i)] (Sections 3.1, 4.2). It counts
+// with one map assignment per row, then copies the distinct labels out
+// (ownStrings), so labels that outlive r — a certificate's profile keys
+// — do not pin its storage.
 func HistogramOf(r *Relation, attr string) (*stats.Histogram, error) {
 	j, ok := r.Schema().Index(attr)
 	if !ok {
 		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
 	}
-	h := stats.NewHistogram()
-	for i := 0; i < r.Len(); i++ {
-		h.Add(r.Tuple(i)[j])
+	counts := make(map[string]int)
+	for _, t := range r.tuples {
+		counts[t[j]]++
 	}
-	return h, nil
+	labels := make([]string, 0, len(counts))
+	ns := make([]int, 0, len(counts))
+	for v, n := range counts {
+		labels, ns = append(labels, v), append(ns, n)
+	}
+	ownStrings(labels)
+	owned := make(map[string]int, len(labels))
+	for i, l := range labels {
+		owned[l] = ns[i]
+	}
+	return stats.HistogramOfCounts(owned), nil
 }

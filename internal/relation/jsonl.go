@@ -37,7 +37,8 @@ func WriteJSONL(w io.Writer, r *Relation) error {
 // ReadJSONL reads a relation under the given schema from JSON lines.
 // Every object must supply exactly the schema's attributes; extra or
 // missing keys are errors, as silent column loss would corrupt watermark
-// detection. It is the materializing loop over JSONLRowReader (rowio.go).
+// detection. It drains a JSONLBlockReader the way ReadCSV drains the CSV
+// one; JSONLRowReader remains as its test oracle.
 func ReadJSONL(rd io.Reader, schema *Schema) (*Relation, error) {
-	return ReadAll(NewJSONLRowReader(rd, schema))
+	return readBlocks(NewJSONLBlockReader(rd, schema))
 }

@@ -14,8 +14,8 @@ import (
 // these; they live here because they are ordinary relational operations.
 
 // SortBy reorders tuples by the named attribute ascending (numeric order
-// for TypeInt attributes, lexicographic otherwise), rebuilding the key
-// index. Ties keep their relative order.
+// for TypeInt attributes, lexicographic otherwise), dropping the key
+// index for its next use to rebuild. Ties keep their relative order.
 func (r *Relation) SortBy(attr string) error {
 	j, ok := r.schema.Index(attr)
 	if !ok {
@@ -33,7 +33,7 @@ func (r *Relation) SortBy(attr string) error {
 		}
 		return va < vb
 	})
-	r.reindex()
+	r.dropIndex()
 	return nil
 }
 
@@ -43,7 +43,7 @@ func (r *Relation) Shuffle(src *stats.Source) {
 	src.Shuffle(len(r.tuples), func(i, j int) {
 		r.tuples[i], r.tuples[j] = r.tuples[j], r.tuples[i]
 	})
-	r.reindex()
+	r.dropIndex()
 }
 
 // SelectRows returns a new relation containing clones of the rows at the
@@ -114,13 +114,4 @@ func (r *Relation) AppendAll(o *Relation) (rejected int, err error) {
 		}
 	}
 	return rejected, nil
-}
-
-func (r *Relation) reindex() {
-	for k := range r.keys {
-		delete(r.keys, k)
-	}
-	for i, t := range r.tuples {
-		r.keys[t[r.schema.keyIndex]] = i
-	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Type is the logical type of an attribute's values.
@@ -187,15 +188,33 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 
 // Relation is an ordered multiset of tuples under a schema, with primary
 // key uniqueness enforced on insert.
+//
+// Storage. Tuples that Clone, ReadCSV and ReadJSONL produce are cut from
+// one backing []string per relation (per block, for the readers), each a
+// full slice expression whose capacity ends at its own last value, so an
+// append on a Tuple(i) reallocates instead of writing into row i+1.
+// Values read by ReadCSV/ReadJSONL are substrings of one string per block
+// column, so a value kept beyond the relation's lifetime keeps its whole
+// column string alive unless copied out (NewDomain and HistogramOf copy).
+//
+// Key index. The key -> row index is built on demand, the first time
+// Append, SetValue on the key column, Lookup or EqualUnordered needs it;
+// Clone does not copy it and SortBy/Shuffle drop it. Building it is safe
+// under concurrent readers. SetValue on a non-key column never touches
+// it, so workers may rewrite disjoint rows of a non-key column at once.
 type Relation struct {
 	schema *Schema
 	tuples []Tuple
-	keys   map[string]int // key value -> row index
+	// keys maps key value -> row index; nil until built. keysOnce
+	// serializes the lazy build among concurrent readers; mutators own
+	// the relation exclusively and may reset both.
+	keys     map[string]int
+	keysOnce sync.Once
 }
 
 // New returns an empty relation with the given schema.
 func New(schema *Schema) *Relation {
-	return &Relation{schema: schema, keys: make(map[string]int)}
+	return &Relation{schema: schema}
 }
 
 // Schema returns the relation's schema.
@@ -206,7 +225,7 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // in the streaming pipeline.
 func (r *Relation) Reset() {
 	r.tuples = r.tuples[:0]
-	clear(r.keys)
+	clear(r.keys) // an empty index is a valid one for no tuples
 }
 
 // Len returns the number of tuples (the paper's N).
@@ -214,6 +233,28 @@ func (r *Relation) Len() int { return len(r.tuples) }
 
 // ErrDuplicateKey is returned by Append when a tuple reuses a primary key.
 var ErrDuplicateKey = errors.New("relation: duplicate primary key")
+
+// index returns the key index, building it on first use.
+func (r *Relation) index() map[string]int {
+	r.keysOnce.Do(func() {
+		if r.keys != nil {
+			return // installed pre-built (readBlocks)
+		}
+		r.keys = make(map[string]int, len(r.tuples))
+		k := r.schema.keyIndex
+		for i, t := range r.tuples {
+			r.keys[t[k]] = i
+		}
+	})
+	return r.keys
+}
+
+// dropIndex discards the key index after a reordering; the next use
+// rebuilds it.
+func (r *Relation) dropIndex() {
+	r.keys = nil
+	r.keysOnce = sync.Once{}
+}
 
 // Append adds a tuple. It validates arity and primary-key uniqueness.
 // The tuple is stored as given (not copied); callers retaining the slice
@@ -223,11 +264,12 @@ func (r *Relation) Append(t Tuple) error {
 		return fmt.Errorf("relation: tuple arity %d, schema arity %d",
 			len(t), r.schema.Arity())
 	}
+	keys := r.index()
 	key := t[r.schema.keyIndex]
-	if _, dup := r.keys[key]; dup {
+	if _, dup := keys[key]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
 	}
-	r.keys[key] = len(r.tuples)
+	keys[key] = len(r.tuples)
 	r.tuples = append(r.tuples, t)
 	return nil
 }
@@ -241,7 +283,8 @@ func (r *Relation) MustAppend(t Tuple) {
 }
 
 // Tuple returns the i-th tuple. The returned slice aliases internal
-// storage; mutate only through SetValue.
+// storage; mutate only through SetValue. Appending to it never writes
+// into another row (see Relation).
 func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
 
 // Value returns T_i(attr): the value of the named attribute in row i.
@@ -254,7 +297,9 @@ func (r *Relation) Value(i int, attr string) (string, error) {
 }
 
 // SetValue overwrites the named attribute in row i, maintaining the
-// primary-key index if the key column is the one changed.
+// primary-key index if the key column is the one changed. On a non-key
+// column it touches row i alone, so callers may run it concurrently on
+// distinct rows.
 func (r *Relation) SetValue(i int, attr, value string) error {
 	j, ok := r.schema.Index(attr)
 	if !ok {
@@ -265,11 +310,12 @@ func (r *Relation) SetValue(i int, attr, value string) error {
 		if old == value {
 			return nil
 		}
-		if _, dup := r.keys[value]; dup {
+		keys := r.index()
+		if _, dup := keys[value]; dup {
 			return fmt.Errorf("%w: %q", ErrDuplicateKey, value)
 		}
-		delete(r.keys, old)
-		r.keys[value] = i
+		delete(keys, old)
+		keys[value] = i
 	}
 	r.tuples[i][j] = value
 	return nil
@@ -280,25 +326,24 @@ func (r *Relation) Key(i int) string { return r.tuples[i][r.schema.keyIndex] }
 
 // Lookup returns the row index holding the given primary-key value.
 func (r *Relation) Lookup(key string) (int, bool) {
-	i, ok := r.keys[key]
+	i, ok := r.index()[key]
 	return i, ok
 }
 
-// Clone returns a deep copy: independent tuples and key index, shared
-// (immutable) schema.
+// Clone returns a deep copy with a shared (immutable) schema. All tuples
+// are cut from one backing slice, so the copy costs a constant number of
+// allocations; the key index is not copied (its keys are unique by
+// construction) and is rebuilt on the clone's first use.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{
-		schema: r.schema,
-		tuples: make([]Tuple, len(r.tuples)),
-		keys:   make(map[string]int, len(r.keys)),
-	}
+	a := r.schema.Arity()
+	vals := make([]string, len(r.tuples)*a)
+	tuples := make([]Tuple, len(r.tuples))
 	for i, t := range r.tuples {
-		c.tuples[i] = t.Clone()
+		row := vals[i*a : (i+1)*a : (i+1)*a]
+		copy(row, t)
+		tuples[i] = row
 	}
-	for k, v := range r.keys {
-		c.keys[k] = v
-	}
-	return c
+	return &Relation{schema: r.schema, tuples: tuples}
 }
 
 // Equal reports whether two relations have equal schemas and identical

@@ -12,9 +12,10 @@ import (
 // whole relation into memory; RowReader yields one tuple at a time so that
 // internal/pipeline can watermark and detect over datasets that never fit
 // in memory, chunk by chunk. RowWriter is the emitting half for streaming
-// embed output. Both CSV and JSONL implement the pair, and the
-// materializing codecs are thin loops over the readers so the formats
-// cannot drift.
+// embed output. Both CSV and JSONL implement the pair. The stdlib-backed
+// CSVRowReader and JSONLRowReader are the oracles the zero-copy block
+// readers — and through them ReadCSV/ReadJSONL — are fuzzed against, so
+// the formats cannot drift.
 
 // RowReader yields a relation's tuples one at a time in stream order.
 type RowReader interface {
@@ -215,7 +216,9 @@ func (w *JSONLRowWriter) Flush() error { return w.bw.Flush() }
 
 // ReadAll drains a RowReader into a materialized Relation, enforcing
 // primary-key uniqueness as it appends. Row numbers in errors are
-// 1-based, matching the readers' own parse errors.
+// 1-based, matching the readers' own parse errors. It allocates per row;
+// ReadCSV and ReadJSONL drain the block readers instead and report the
+// same rows and errors — ReadAll over the row readers is their oracle.
 func ReadAll(rr RowReader) (*Relation, error) {
 	out := New(rr.Schema())
 	row := 1

@@ -16,6 +16,21 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make(map[string]int)}
 }
 
+// HistogramOfCounts returns a histogram over counts, taking ownership of
+// the map: the caller must not use it afterwards. Labels with a count of
+// zero or less are dropped, as AddN would never have stored them.
+func HistogramOfCounts(counts map[string]int) *Histogram {
+	h := &Histogram{counts: counts}
+	for l, n := range counts {
+		if n <= 0 {
+			delete(counts, l)
+			continue
+		}
+		h.total += n
+	}
+	return h
+}
+
 // Add records one occurrence of label.
 func (h *Histogram) Add(label string) { h.AddN(label, 1) }
 

@@ -125,3 +125,17 @@ func TestHistogramClone(t *testing.T) {
 		t.Fatal("clone did not copy state")
 	}
 }
+
+func TestHistogramOfCountsMatchesAdd(t *testing.T) {
+	want := NewHistogram()
+	for _, l := range []string{"a", "b", "a", "c", "a"} {
+		want.Add(l)
+	}
+	got := HistogramOfCounts(map[string]int{"a": 3, "b": 1, "c": 1, "gone": 0, "neg": -2})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("HistogramOfCounts = %+v, want %+v", got, want)
+	}
+	if empty := HistogramOfCounts(map[string]int{}); !reflect.DeepEqual(empty, NewHistogram()) {
+		t.Fatalf("empty HistogramOfCounts = %+v", empty)
+	}
+}
