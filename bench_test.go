@@ -10,7 +10,6 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -478,8 +477,9 @@ func BenchmarkPipelineDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineStreamDetect: the streaming DetectReader over a CSV
-// stream of the same relation — the no-materialization path.
+// BenchmarkPipelineStreamDetect: streaming detection (one stream
+// scanner through pipeline.ScanMany) over a CSV stream of the same
+// relation — the no-materialization path.
 func BenchmarkPipelineStreamDetect(b *testing.B) {
 	r, dom := pipelineBenchData(b)
 	wm := ecc.MustParseBits("1011001110")
@@ -493,6 +493,10 @@ func BenchmarkPipelineStreamDetect(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts.BandwidthOverride = st.Bandwidth
+	sc, err := mark.NewStreamScanner(r.Schema(), len(wm), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -500,7 +504,11 @@ func BenchmarkPipelineStreamDetect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := pipeline.DetectReader(context.Background(), src, len(wm), opts, pipeline.Config{})
+		tallies, err := pipeline.ScanMany(context.Background(), src, []*mark.Scanner{sc}, pipeline.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := sc.Report(tallies[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -518,17 +526,6 @@ func BenchmarkPipelineStreamDetect(b *testing.B) {
 // receives it; "one-scan" pays the parse once and the per-certificate
 // keyed-hash votes ride the worker pool behind the reader, so its cost
 // grows far slower than the naive loop's K× re-ingestion.
-
-// benchEngineBlockSize reads the WM_BENCH_ENGINE toggle the CI bench job
-// uses to produce a tuple-at-a-time baseline run benchstat can diff
-// against the block engine: "tuple" selects the legacy per-tuple scan
-// loop, anything else the block engine at its default size.
-func benchEngineBlockSize() int {
-	if os.Getenv("WM_BENCH_ENGINE") == "tuple" {
-		return -1
-	}
-	return 0
-}
 
 func BenchmarkBatchVerify(b *testing.B) {
 	const maxCerts = 32
@@ -568,7 +565,7 @@ func BenchmarkBatchVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 		outs, err := core.VerifyBatch(context.Background(), recs, src, core.BatchOptions{
-			Workers: -1, Cache: cache, BlockSize: benchEngineBlockSize(),
+			Workers: -1, Cache: cache,
 		})
 		if err != nil {
 			b.Fatal(err)

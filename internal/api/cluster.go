@@ -152,8 +152,8 @@ type ShardScanRequest struct {
 	// RecordsLen is the byte length of the JSON certificate array that
 	// follows a wire header. Unused by in-process callers.
 	RecordsLen int `json:"records_len,omitempty"`
-	// BlockRows overrides the worker's scan-block size (0 = default,
-	// negative = tuple-at-a-time engine).
+	// BlockRows overrides the worker's scan-block size; 0 or negative
+	// means mark.DefaultBlockRows.
 	BlockRows int `json:"block_rows,omitempty"`
 	// Workers overrides the worker node's per-shard scan parallelism.
 	Workers int `json:"workers,omitempty"`

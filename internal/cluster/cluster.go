@@ -6,7 +6,7 @@
 // derives from the tuple's own key, so a suspect corpus partitions into
 // contiguous row-range shards that scan independently; and a detection
 // pass accumulates into a mark.Tally whose partials merge in row order
-// into exactly the sequential result (pipeline.DetectMany is the
+// into exactly the sequential result (pipeline.ScanMany is the
 // single-node form of the same identity). The cluster simply moves the
 // shard boundary from goroutines to machines:
 //

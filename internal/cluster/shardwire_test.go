@@ -179,6 +179,35 @@ func TestRecordSetCacheDecodesOnce(t *testing.T) {
 	}
 }
 
+// TestShardNegativeBlockRowsMeansDefault: a shard header carrying
+// "block_rows": -1 — what a coordinator from a build that still had a
+// tuple-at-a-time engine could forward — scans at the default block
+// size, so its binary tallies are byte-identical to block_rows 0.
+func TestShardNegativeBlockRowsMeansDefault(t *testing.T) {
+	f := newAuditFixture(t, 1300, 3)
+	records := marshalRecords(t, f.records)
+	reply := func(blockRows int) []byte {
+		t.Helper()
+		req := api.ShardScanRequest{Schema: f.spec, Data: f.csv, BlockRows: blockRows}
+		frame := shardBody(t, req, records)
+		if blockRows != 0 && !bytes.Contains(frame, []byte(fmt.Sprintf(`"block_rows":%d`, blockRows))) {
+			t.Fatalf("frame header lacks block_rows %d", blockRows)
+		}
+		resp, err := ExecuteShardFrame(context.Background(), bytes.NewReader(frame), 1<<30, NewRecordSetCache(), core.BatchOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := resp.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if want, got := reply(0), reply(-1); !bytes.Equal(got, want) {
+		t.Fatal("block_rows -1 tallies differ from block_rows 0")
+	}
+}
+
 // TestRecordSetCacheBound: the cache never holds more than
 // RecordSetCacheEntries sets and evicts the least recently used.
 func TestRecordSetCacheBound(t *testing.T) {

@@ -186,10 +186,9 @@ func executeShard(ctx context.Context, span *trace.Span, req api.ShardScanReques
 		span.SetError(err)
 		return nil, err
 	}
-	// The zero-copy block readers implement RowReader, so every engine
-	// accepts them; pipeline.ScanMany additionally recognizes the
-	// BlockReader side and takes its columnar zero-allocation path.
-	var src relation.RowReader
+	// The zero-copy block readers feed pipeline.ScanMany pooled columnar
+	// blocks: no per-row allocation between the wire and the tally.
+	var src relation.BlockReader
 	switch strings.ToLower(req.Format) {
 	case "", "csv":
 		src, err = relation.NewCSVBlockReader(rows, schema)

@@ -24,10 +24,9 @@ type BatchOptions struct {
 	// identical across backends.
 	HashKernel keyhash.KernelKind
 	// BlockSize is the scan-block size (pipeline.Config.BlockRows): the
-	// batch engine extracts each block's key column once and keeps its
-	// digests cache-resident while every certificate sweeps it. 0 means
-	// mark.DefaultBlockRows; negative selects the tuple-at-a-time legacy
-	// engine (the benchmark baseline). Tallies are bit-identical at
+	// batch engine hashes each block's key column once per lane and keeps
+	// its digests cache-resident while every certificate sweeps it. 0 or
+	// negative means mark.DefaultBlockRows. Tallies are bit-identical at
 	// every setting.
 	BlockSize int
 	// Progress, when non-nil, receives the tuple count of each scanned
@@ -151,7 +150,7 @@ func (p *BatchPrep) Reports(tallies []*mark.Tally) []BatchReport {
 // cancelled ctx stops the scan before the reader drains and fails the
 // call with ctx.Err() — this is how job cancellation and client
 // disconnects halt a corpus audit mid-pass.
-func VerifyBatch(ctx context.Context, records []*Record, src relation.RowReader, opts BatchOptions) ([]BatchReport, error) {
+func VerifyBatch(ctx context.Context, records []*Record, src relation.BlockReader, opts BatchOptions) ([]BatchReport, error) {
 	prep := PrepareBatch(records, src.Schema(), opts)
 	tallies, err := pipeline.ScanMany(ctx, src, prep.Scanners(), pipeline.Config{
 		Workers:   workerCount(opts.Workers),

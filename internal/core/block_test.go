@@ -13,7 +13,7 @@ import (
 
 // TestVerifyBatchBlockKnobsEquivalence proves the Spec/BatchOptions
 // knobs are pure execution strategy: every combination of hash kernel
-// and block size — the tuple-at-a-time legacy engine included — returns
+// and block size — -1 included, which means the default — returns
 // reports bit-identical to the defaults, and the progress hook counts
 // each suspect tuple exactly once per pass.
 func TestVerifyBatchBlockKnobsEquivalence(t *testing.T) {
@@ -24,7 +24,7 @@ func TestVerifyBatchBlockKnobsEquivalence(t *testing.T) {
 	}
 	scan := func(opts BatchOptions) []BatchReport {
 		t.Helper()
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv.String()), suspect.Schema())
+		src, err := relation.NewCSVBlockReader(strings.NewReader(csv.String()), suspect.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}

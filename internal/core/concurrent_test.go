@@ -79,9 +79,9 @@ func TestScannerCacheConcurrentVerifyBatch(t *testing.T) {
 	}
 }
 
-// countingReader serves synthetic rows and cancels the attached context
-// after gateAt rows — the core-level twin of the pipeline cancellation
-// test, driven through VerifyBatch.
+// countingReader serves blocks of synthetic rows and cancels the
+// attached context after gateAt rows — the core-level twin of the
+// pipeline cancellation test, driven through VerifyBatch.
 type countingReader struct {
 	schema *relation.Schema
 	total  int
@@ -92,15 +92,25 @@ type countingReader struct {
 
 func (c *countingReader) Schema() *relation.Schema { return c.schema }
 
-func (c *countingReader) Read() (relation.Tuple, error) {
-	n := int(c.served.Add(1))
-	if n > c.total {
-		return nil, io.EOF
+func (c *countingReader) ReadBlock(b *relation.Block, maxRows int) (int, error) {
+	b.Reset(c.schema)
+	for b.Rows() < maxRows {
+		n := int(c.served.Load()) + 1
+		if n > c.total {
+			break
+		}
+		c.served.Store(int64(n))
+		if n == c.gateAt && c.cancel != nil {
+			c.cancel()
+		}
+		if err := b.AppendTuple(relation.Tuple{strconv.Itoa(n), strconv.Itoa(n % 7)}); err != nil {
+			return b.Rows(), err
+		}
 	}
-	if n == c.gateAt && c.cancel != nil {
-		c.cancel()
+	if b.Rows() == 0 {
+		return 0, io.EOF
 	}
-	return relation.Tuple{strconv.Itoa(n), strconv.Itoa(n % 7)}, nil
+	return b.Rows(), nil
 }
 
 // TestVerifyBatchCancelledMidScan asserts a cancelled context fails the

@@ -77,7 +77,7 @@ type Spec struct {
 	// a verdict — only throughput.
 	HashKernel keyhash.KernelKind
 	// BlockSize is the number of tuples per scan block fed through the
-	// hash kernel (pipeline.Config.BlockRows). 0 means
+	// hash kernel (pipeline.Config.BlockRows). 0 or negative means
 	// mark.DefaultBlockRows; results are bit-identical at every size.
 	BlockSize int
 	// Progress, when non-nil, observes the embedding pass: it receives

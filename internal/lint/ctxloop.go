@@ -10,8 +10,9 @@ import (
 //
 //  1. In internal/pipeline and internal/cluster, any loop that crosses
 //     scan-block or row boundaries — a loop whose body calls
-//     mark.ScanBlock / mark.EmbedBlock / mark.ScanColumns or reads from
-//     a relation.RowReader or BlockReader — must contain a cancellation
+//     mark.EmbedBlock / mark.ScanColumns, fills a block from a relation
+//     (Relation.FillBlock) or reads from a relation.RowReader or
+//     BlockReader — must contain a cancellation
 //     point: a
 //     ctx.Err()/ctx.Done() check, a channel receive (the stop-latch
 //     pattern), or a call into a local helper that performs one.
@@ -91,18 +92,18 @@ func loopCrossesBlocks(body *ast.BlockStmt, info *types.Info) bool {
 		if !ok || found {
 			return
 		}
-		if methodOn(info, call, "repro/internal/mark", "ScanBlock") ||
-			methodOn(info, call, "repro/internal/mark", "EmbedBlock") ||
-			methodOn(info, call, "repro/internal/mark", "ScanColumns") {
+		if methodOn(info, call, "repro/internal/mark", "EmbedBlock") ||
+			methodOn(info, call, "repro/internal/mark", "ScanColumns") ||
+			methodOn(info, call, "repro/internal/relation", "FillBlock", "Relation") {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "Read",
-			"RowReader", "CSVRowReader", "JSONLRowReader",
+			"RowReader", "CSVRowReader", "JSONLRowReader", "RelationReader",
 			"CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "ReadBlock",
-			"BlockReader", "RawShardSource", "CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") ||
+			"BlockReader", "RawShardSource", "RelationReader", "CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") ||
 			methodOn(info, call, "repro/internal/relation", "SkimRecords",
 				"RawShardSource", "CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") ||
 			methodOn(info, call, "repro/internal/relation", "SkimSpan", "JSONLPayloadReader") {

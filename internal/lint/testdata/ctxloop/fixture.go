@@ -12,14 +12,11 @@ import (
 	"repro/internal/relation"
 )
 
-func scanNoCancel(sc *mark.Scanner, r *relation.Relation, t *mark.Tally) error {
-	var bs mark.BlockScratch
+func fillNoCancel(r *relation.Relation, blk *relation.Block, visit func(*relation.Block)) {
 	for lo := 0; lo < r.Len(); lo += 128 { // want `loop crosses scan-block/row boundaries`
-		if err := sc.ScanBlock(r, lo, min(lo+128, r.Len()), t, &bs); err != nil {
-			return err
-		}
+		r.FillBlock(blk, lo, min(lo+128, r.Len()))
+		visit(blk)
 	}
-	return nil
 }
 
 func readNoCancel(src relation.RowReader) error {
@@ -30,15 +27,13 @@ func readNoCancel(src relation.RowReader) error {
 	}
 }
 
-func scanWithCancel(ctx context.Context, sc *mark.Scanner, r *relation.Relation, t *mark.Tally) error {
-	var bs mark.BlockScratch
+func fillWithCancel(ctx context.Context, r *relation.Relation, blk *relation.Block, visit func(*relation.Block)) error {
 	for lo := 0; lo < r.Len(); lo += 128 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := sc.ScanBlock(r, lo, min(lo+128, r.Len()), t, &bs); err != nil {
-			return err
-		}
+		r.FillBlock(blk, lo, min(lo+128, r.Len()))
+		visit(blk)
 	}
 	return nil
 }

@@ -15,10 +15,13 @@ import (
 // bit position, value index) all start from keyed hashes of the tuple's
 // own key, so a block of tuples can batch those hashes through one
 // keyhash.Kernel call and then replay the per-tuple logic over the
-// precomputed digests. ScanBlock and EmbedBlock are bit-identical to the
-// ScanTuple / tuple-at-a-time loops — the property tests drive both over
-// random block shapes — and ScanTuple remains the block-size-1 special
-// case and the semantic definition of one tuple's work.
+// precomputed digests. ScanColumns is the one vote kernel: streams fill
+// columnar blocks straight from their bytes, and materialized relations
+// fill them through Relation.FillBlock. EmbedBlock is the embedding
+// counterpart over row ranges, because embedding rewrites the relation
+// in place. Both are bit-identical to the tuple-at-a-time loops — the
+// property tests drive them against ScanTuple and size-1 blocks — and
+// ScanTuple remains the semantic definition of one tuple's vote.
 //
 // BlockScratch is where the batching pays twice: the key column is
 // extracted once per block no matter how many certificates scan it, and
@@ -27,9 +30,10 @@ import (
 // fitness key, replay each other's digests instead of rehashing.
 
 // DefaultBlockRows is the block size Scan, EmbedRange and the pipeline
-// default to: large enough to amortize a kernel call, small enough that
-// a block's keys and digests stay cache-resident while every
-// certificate of a batch audit sweeps it.
+// default to, and what every block-size setting of zero or below means:
+// large enough to amortize a kernel call, small enough that a block's
+// keys and digests stay cache-resident while every certificate of a
+// batch audit sweeps it.
 const DefaultBlockRows = 512
 
 // keyColCache is one extracted key column of the current block.
@@ -56,7 +60,8 @@ type BlockScratch struct {
 	blk    *relation.Block
 	blkGen uint64
 
-	// staging for the current ScanBlock/EmbedBlock call
+	// staging for the current EmbedBlock call (fitRows, fitKeys) and
+	// ScanColumns call (fitBits); d2 serves both
 	fitRows []int32
 	fitBits []uint8
 	fitKeys []string
@@ -129,10 +134,10 @@ func (bs *BlockScratch) keyColumn(col int) []string {
 	return keys
 }
 
-// stage resets the voting-row staging arrays for a fresh block walk.
+// stage resets the embeddable-row staging arrays for a fresh
+// EmbedBlock walk.
 func (bs *BlockScratch) stage() {
 	bs.fitRows = bs.fitRows[:0]
-	bs.fitBits = bs.fitBits[:0]
 	bs.fitKeys = bs.fitKeys[:0]
 }
 
@@ -148,60 +153,6 @@ func (bs *BlockScratch) d2For(n int) []keyhash.Digest {
 func checkRange(r *relation.Relation, lo, hi int) error {
 	if lo < 0 || hi > r.Len() || lo > hi {
 		return fmt.Errorf("mark: row range [%d, %d) out of bounds (N=%d)", lo, hi, r.Len())
-	}
-	return nil
-}
-
-// ScanBlock accumulates the votes of rows [lo, hi) of r into t — the
-// batched form of the ScanTuple loop, in three passes over the block:
-// one kernel call for the fitness digests (replayed from the scratch
-// memo when another scanner of the same lane got there first), a fitness
-// and domain walk that stages the voting rows, one kernel call for their
-// position digests, and the vote tally in row order. Every counter and
-// vote, including the order-sensitive Last column, lands exactly as the
-// tuple-at-a-time pass would have it.
-//
-// bs may be shared across scanners (that is the point) but not across
-// goroutines; nil uses a throwaway scratch.
-func (s *Scanner) ScanBlock(r *relation.Relation, lo, hi int, t *Tally, bs *BlockScratch) error {
-	if err := checkRange(r, lo, hi); err != nil {
-		return err
-	}
-	if bs == nil {
-		bs = &BlockScratch{}
-	}
-	bs.setBlock(r, lo, hi)
-	keys := bs.keyColumn(s.keyCol)
-	d1 := bs.memo.Lane(s.keyCol, s.k1s, s.kern1, keys)
-
-	bs.stage()
-	t.Rows += hi - lo
-	for j, keyVal := range keys {
-		if !keyhash.Fit(d1[j], s.opts.E) {
-			continue
-		}
-		t.Fit++
-		idx, ok := s.dom.Index(r.Tuple(lo + j)[s.attrCol])
-		if !ok {
-			t.UnknownValues++
-			continue
-		}
-		bs.fitRows = append(bs.fitRows, int32(j))
-		bs.fitBits = append(bs.fitBits, uint8(idx&1))
-		bs.fitKeys = append(bs.fitKeys, keyVal)
-	}
-
-	d2 := bs.d2For(len(bs.fitKeys))
-	s.kern2.HashMany(bs.fitKeys, d2)
-	bw := uint64(s.bw)
-	for i, bit := range bs.fitBits {
-		pos := int(d2[i].Mod(bw))
-		if bit == ecc.One {
-			t.Votes[pos].Ones++
-		} else {
-			t.Votes[pos].Zeros++
-		}
-		t.Last[pos] = bit
 	}
 	return nil
 }
@@ -237,7 +188,8 @@ func (bs *BlockScratch) stageColumns() {
 }
 
 // ScanColumns accumulates the votes of a columnar block into t — the
-// zero-allocation form of ScanBlock: the key column's arena bytes feed
+// batched, zero-allocation form of the ScanTuple loop, and the only vote
+// kernel the detection paths run: the key column's arena bytes feed
 // Kernel.HashColumn directly (replayed from the scratch memo when
 // another scanner of the same lane got there first), the fitness and
 // domain walk stages the voting keys as one contiguous byte run, and a
@@ -245,7 +197,8 @@ func (bs *BlockScratch) stageColumns() {
 // vote, including the order-sensitive Last column, lands exactly as
 // ScanTuple over Block.Tuple(i) would have it.
 //
-// bs follows the ScanBlock sharing rules; nil uses a throwaway scratch.
+// bs may be shared across scanners (that is the point) but not across
+// goroutines; nil uses a throwaway scratch.
 func (s *Scanner) ScanColumns(blk *relation.Block, t *Tally, bs *BlockScratch) error {
 	if arity := blk.Schema().Arity(); s.keyCol >= arity || s.attrCol >= arity {
 		return fmt.Errorf("mark: block arity %d lacks column %d", arity, max(s.keyCol, s.attrCol))
@@ -321,7 +274,7 @@ func (s *Scanner) ScanColumns(blk *relation.Block, t *Tally, bs *BlockScratch) e
 // digests (pure functions of the keys) stay batched there.
 //
 // The same concurrency rules as EmbedRange apply; bs follows the
-// ScanBlock sharing rules.
+// ScanColumns sharing rules.
 func (e *Embedder) EmbedBlock(r *relation.Relation, lo, hi int, cs *ChunkStats, bs *BlockScratch) error {
 	cs.Bandwidth = e.bw
 	if cs.Touched == nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // blockTestRelation builds a relation with a mix of in-domain, unknown
-// and repeated categorical values so every ScanBlock branch (vote,
+// and repeated categorical values so every ScanColumns branch (vote,
 // unknown value, unfit) is exercised.
 func blockTestRelation(t testing.TB, n int, seed int64) *relation.Relation {
 	t.Helper()
@@ -64,11 +64,23 @@ func randomPartition(rng *rand.Rand, n int) [][2]int {
 	return parts
 }
 
-// TestScanBlockMatchesScanTuple is the block-engine equivalence
-// property: for random relations and random block partitions (block
-// size 1 and ragged tails included), ScanBlock accumulates exactly the
-// tally — and therefore exactly the report, under both vote
-// aggregations — that the ScanTuple loop produces.
+// tupleLoopTally is the reference tally: the ScanTuple loop over rows
+// [lo, hi) of r. Every block-at-a-time scan is compared against it.
+func tupleLoopTally(sc *Scanner, r *relation.Relation, lo, hi int) *Tally {
+	t := sc.NewTally()
+	for j := lo; j < hi; j++ {
+		sc.ScanTuple(r.Tuple(j), t)
+	}
+	return t
+}
+
+// TestScanBlockMatchesScanTuple is the block-walk equivalence property
+// for materialized relations: for random relations cut into random row
+// ranges (size 1, ragged tails and ranges spanning several
+// DefaultBlockRows blocks), Scanner.Scan — FillBlock into a pooled
+// block, then ScanColumns — accumulates exactly the tally, and
+// therefore exactly the report under both vote aggregations, that the
+// ScanTuple loop produces.
 func TestScanBlockMatchesScanTuple(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -86,20 +98,20 @@ func TestScanBlockMatchesScanTuple(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				want := sc.NewTally()
-				for j := 0; j < r.Len(); j++ {
-					sc.ScanTuple(r.Tuple(j), want)
-				}
-
+				want := tupleLoopTally(sc, r, 0, r.Len())
 				got := sc.NewTally()
-				var bs BlockScratch
-				for _, p := range randomPartition(rng, r.Len()) {
-					if err := sc.ScanBlock(r, p[0], p[1], got, &bs); err != nil {
+				for lo := 0; lo < r.Len(); {
+					hi := min(lo+1+rng.Intn(3*DefaultBlockRows), r.Len())
+					if rng.Intn(3) == 0 {
+						hi = min(lo+1+rng.Intn(8), r.Len())
+					}
+					if err := sc.Scan(r, lo, hi, got); err != nil {
 						t.Fatal(err)
 					}
+					lo = hi
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trial %d agg %v kernel %q: ScanBlock tally diverged from ScanTuple loop", trial, agg, kind)
+					t.Fatalf("trial %d agg %v kernel %q: Scan tally diverged from ScanTuple loop", trial, agg, kind)
 				}
 
 				wantRep, err1 := sc.Report(want)
@@ -112,8 +124,9 @@ func TestScanBlockMatchesScanTuple(t *testing.T) {
 	}
 }
 
-// TestScanBlockSizeOneIsScanTuple pins the special case the API doc
-// promises: a size-1 block is exactly one ScanTuple call.
+// TestScanBlockSizeOneIsScanTuple pins the degenerate block: a size-1
+// block filled from a relation and voted through ScanColumns is exactly
+// one ScanTuple call.
 func TestScanBlockSizeOneIsScanTuple(t *testing.T) {
 	r := blockTestRelation(t, 200, 7)
 	opts := Options{
@@ -126,21 +139,25 @@ func TestScanBlockSizeOneIsScanTuple(t *testing.T) {
 	}
 	want, got := sc.NewTally(), sc.NewTally()
 	var bs BlockScratch
+	blk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(blk)
 	for j := 0; j < r.Len(); j++ {
 		sc.ScanTuple(r.Tuple(j), want)
-		if err := sc.ScanBlock(r, j, j+1, got, &bs); err != nil {
+		r.FillBlock(blk, j, j+1)
+		if err := sc.ScanColumns(blk, got, &bs); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("row %d: size-1 ScanBlock diverged from ScanTuple", j)
+			t.Fatalf("row %d: size-1 block diverged from ScanTuple", j)
 		}
 	}
 }
 
 // TestScanBlockSharedScratchAcrossScanners proves scratch sharing is
-// sound: many scanners — some sharing a fitness key (same memo lane),
-// some not — sweeping the same blocks through ONE scratch produce the
-// same tallies as each scanning alone with its own scratch.
+// sound when the block pointer changes as well as its generation: many
+// scanners — some sharing a fitness key (same memo lane), some not —
+// sweeping blocks drawn alternately from two pooled blocks through ONE
+// scratch produce the same tallies as each scanner's ScanTuple loop.
 func TestScanBlockSharedScratchAcrossScanners(t *testing.T) {
 	r := blockTestRelation(t, 1500, 11)
 	dom := blockTestDomain(t)
@@ -164,32 +181,27 @@ func TestScanBlockSharedScratchAcrossScanners(t *testing.T) {
 		scanners[i] = sc
 	}
 
-	// Alone, fresh scratch each.
-	want := make([]*Tally, len(scanners))
-	for i, sc := range scanners {
-		want[i] = sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Together, one scratch, certificate-inner-loop-per-block.
 	got := make([]*Tally, len(scanners))
 	for i, sc := range scanners {
 		got[i] = sc.NewTally()
 	}
 	var bs BlockScratch
+	blks := [2]*relation.Block{relation.GetBlock(r.Schema()), relation.GetBlock(r.Schema())}
+	defer relation.PutBlock(blks[0])
+	defer relation.PutBlock(blks[1])
 	rng := rand.New(rand.NewSource(12))
 	for _, p := range randomPartition(rng, r.Len()) {
+		blk := blks[rng.Intn(2)]
+		r.FillBlock(blk, p[0], p[1])
 		for i, sc := range scanners {
-			if err := sc.ScanBlock(r, p[0], p[1], got[i], &bs); err != nil {
+			if err := sc.ScanColumns(blk, got[i], &bs); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for i := range scanners {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("scanner %d: shared-scratch tally diverged from solo scan", i)
+	for i, sc := range scanners {
+		if !reflect.DeepEqual(tupleLoopTally(sc, r, 0, r.Len()), got[i]) {
+			t.Fatalf("scanner %d: shared-scratch tally diverged from the ScanTuple loop", i)
 		}
 	}
 }
@@ -307,10 +319,11 @@ func TestEmbedBlockOrderDependentLedger(t *testing.T) {
 	}
 }
 
-// FuzzScanBlockEquivalence lets the fuzzer pick the relation size, seed,
-// fitness parameter and block partition seed, and re-checks the
-// ScanBlock ≡ ScanTuple-loop property.
-func FuzzScanBlockEquivalence(f *testing.F) {
+// FuzzScanColumnsEquivalence lets the fuzzer pick the relation size,
+// seed, fitness parameter and block partition seed, and re-checks that
+// ScanColumns over relation-filled blocks (one scratch, one pooled block
+// refilled per range) tallies exactly like the ScanTuple loop.
+func FuzzScanColumnsEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(500), uint8(3), int64(2))
 	f.Add(int64(9), uint16(1), uint8(1), int64(4))
 	f.Add(int64(17), uint16(1024), uint8(60), int64(8))
@@ -327,27 +340,29 @@ func FuzzScanBlockEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := sc.NewTally()
-		for j := 0; j < r.Len(); j++ {
-			sc.ScanTuple(r.Tuple(j), want)
-		}
 		got := sc.NewTally()
 		var bs BlockScratch
+		blk := relation.GetBlock(r.Schema())
+		defer relation.PutBlock(blk)
 		for _, p := range randomPartition(rand.New(rand.NewSource(partSeed)), r.Len()) {
-			if err := sc.ScanBlock(r, p[0], p[1], got, &bs); err != nil {
+			r.FillBlock(blk, p[0], p[1])
+			if err := sc.ScanColumns(blk, got, &bs); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("n=%d e=%d: ScanBlock diverged from ScanTuple loop", n, e)
+		if !reflect.DeepEqual(tupleLoopTally(sc, r, 0, r.Len()), got) {
+			t.Fatalf("n=%d e=%d: ScanColumns diverged from ScanTuple loop", n, e)
 		}
 	})
 }
 
-// BenchmarkScanBlock compares the tuple-at-a-time vote kernel against
-// ScanBlock across block sizes — the microbenchmark behind the block
-// engine's headline (the CI bench job tracks it).
-func BenchmarkScanBlock(b *testing.B) {
+// BenchmarkScanColumns compares the tuple-at-a-time reference kernel
+// (ScanTuple) against the ScanColumns block kernel across block sizes:
+// over pre-filled blocks (the streaming engine's steady state, zero
+// allocations once the tally exists), and with the FillBlock copy the
+// materialized paths pay per block (Scanner.Scan). The CI bench job
+// tracks it.
+func BenchmarkScanColumns(b *testing.B) {
 	r := blockTestRelation(b, 100000, 1)
 	opts := Options{
 		Attr: "cat", K1: keyhash.NewKey("bench-k1"), K2: keyhash.NewKey("bench-k2"),
@@ -361,41 +376,15 @@ func BenchmarkScanBlock(b *testing.B) {
 	b.Run("tuple-loop", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tally := sc.NewTally()
-			for j := 0; j < n; j++ {
-				sc.ScanTuple(r.Tuple(j), tally)
-			}
+			tupleLoopTally(sc, r, 0, n)
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 	})
 	for _, block := range []int{64, 512, 4096} {
-		b.Run(fmt.Sprintf("block=%d", block), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				tally := sc.NewTally()
-				var bs BlockScratch
-				for lo := 0; lo < n; lo += block {
-					if err := sc.ScanBlock(r, lo, min(lo+block, n), tally, &bs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-		})
-	}
-	// The columnar path: the same rows pre-packed into arena-backed
-	// blocks, voted through ScanColumns — the ingestion pipeline's
-	// steady state (zero allocations once the tally exists).
-	for _, block := range []int{512, 4096} {
 		var blks []*relation.Block
 		for lo := 0; lo < n; lo += block {
 			blk := relation.NewBlock(r.Schema())
-			blk.Reset(r.Schema())
-			for j := lo; j < min(lo+block, n); j++ {
-				if err := blk.AppendTuple(r.Tuple(j)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			r.FillBlock(blk, lo, min(lo+block, n))
 			blks = append(blks, blk)
 		}
 		b.Run(fmt.Sprintf("columns=%d", block), func(b *testing.B) {
@@ -412,4 +401,13 @@ func BenchmarkScanBlock(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
 	}
+	b.Run(fmt.Sprintf("fill+columns=%d", DefaultBlockRows), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := sc.Scan(r, 0, n, sc.NewTally()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+	})
 }

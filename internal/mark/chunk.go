@@ -83,34 +83,6 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 	return newEmbedder(opts, keyCol, attrCol, dom, bw, wmData)
 }
 
-// NewStreamEmbedder prepares an embedding pass for data arriving as a row
-// stream, where no full relation exists to derive parameters from. It
-// therefore requires opts.Domain (the value catalog) and
-// opts.BandwidthOverride (the embedding-time |wm_data|) to be set
-// explicitly.
-func NewStreamEmbedder(schema *relation.Schema, wm ecc.Bits, opts Options) (*Embedder, error) {
-	keyCol, attrCol, dom, err := opts.resolveSchema(schema, true)
-	if err != nil {
-		return nil, err
-	}
-	if len(wm) == 0 {
-		return nil, errors.New("mark: empty watermark")
-	}
-	if opts.BandwidthOverride <= 0 {
-		return nil, errors.New("mark: streaming embed requires BandwidthOverride (stream length is unknown)")
-	}
-	bw := opts.BandwidthOverride
-	if bw < len(wm) {
-		return nil, fmt.Errorf("%w: |wm|=%d, bandwidth=%d",
-			ErrInsufficientBandwidth, len(wm), bw)
-	}
-	wmData, err := opts.code().Encode(wm, bw)
-	if err != nil {
-		return nil, err
-	}
-	return newEmbedder(opts, keyCol, attrCol, dom, bw, wmData)
-}
-
 // Bandwidth returns the fixed |wm_data| of this pass — the value a
 // detector must be given after data-loss attacks.
 func (e *Embedder) Bandwidth() int { return e.bw }
@@ -217,10 +189,10 @@ func NewScanner(r *relation.Relation, wmLen int, opts Options) (*Scanner, error)
 	return newScanner(keyCol, attrCol, dom, r.Len(), wmLen, opts)
 }
 
-// NewStreamScanner prepares a detection pass for data arriving as a row
-// stream. Like NewStreamEmbedder it requires opts.Domain and
-// opts.BandwidthOverride, because neither the value catalog nor the
-// stream length can be derived up front.
+// NewStreamScanner prepares a detection pass for data arriving as a
+// stream. It requires opts.Domain and opts.BandwidthOverride, because
+// neither the value catalog nor the stream length can be derived up
+// front.
 func NewStreamScanner(schema *relation.Schema, wmLen int, opts Options) (*Scanner, error) {
 	keyCol, attrCol, dom, err := opts.resolveSchema(schema, true)
 	if err != nil {
@@ -314,10 +286,11 @@ func (t *Tally) Reset() {
 	}
 }
 
-// ScanTuple accumulates one tuple's vote into t — the single vote kernel
-// every detection path (sequential, chunked, streaming, batched) runs per
-// tuple: re-derive fitness and bit position from the tuple's own key, read
-// the value-index parity, tally it. tup must be in the schema attribute
+// ScanTuple accumulates one tuple's vote into t — the reference
+// definition of the vote that ScanColumns batches and that the
+// equivalence tests compare every detection path against: re-derive
+// fitness and bit position from the tuple's own key, read the
+// value-index parity, tally it. tup must be in the schema attribute
 // order the scanner was prepared against; the relation it came from is
 // never needed. Concurrent callers must use distinct tallies and merge
 // them afterwards in scan order with Tally.Merge.
@@ -345,8 +318,9 @@ func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 }
 
 // Scan reads rows [lo, hi) of r and accumulates their votes into t,
-// walking the range in DefaultBlockRows-sized blocks through ScanBlock
-// (one scratch for the whole call). The votes are bit-identical to the
+// copying the range DefaultBlockRows rows at a time into one pooled
+// block (Relation.FillBlock) and voting through ScanColumns with one
+// scratch for the whole call. The votes are bit-identical to the
 // ScanTuple loop over the same rows; the relation is never modified.
 // Concurrent Scan calls must use distinct tallies; merge them afterwards
 // with Tally.Merge.
@@ -355,15 +329,15 @@ func (s *Scanner) Scan(r *relation.Relation, lo, hi int, t *Tally) error {
 		return err
 	}
 	var bs BlockScratch
-	for blockLo := lo; ; blockLo += DefaultBlockRows {
-		blockHi := min(blockLo+DefaultBlockRows, hi)
-		if err := s.ScanBlock(r, blockLo, blockHi, t, &bs); err != nil {
+	blk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(blk)
+	for blockLo := lo; blockLo < hi; blockLo += DefaultBlockRows {
+		r.FillBlock(blk, blockLo, min(blockLo+DefaultBlockRows, hi))
+		if err := s.ScanColumns(blk, t, &bs); err != nil {
 			return err
 		}
-		if blockHi == hi {
-			return nil
-		}
 	}
+	return nil
 }
 
 // Merge folds a tally covering a LATER row range into t. Vote counts are

@@ -5,24 +5,18 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ecc"
 	"repro/internal/keyhash"
 	"repro/internal/relation"
 )
 
-// fillBlock loads rows [lo, hi) of r into a columnar block.
-func fillBlock(blk *relation.Block, r *relation.Relation, lo, hi int) {
-	blk.Reset(r.Schema())
-	for j := lo; j < hi; j++ {
-		blk.AppendTuple(r.Tuple(j))
-	}
-}
-
-// TestScanColumnsMatchesScanBlock is the columnar equivalence property:
-// for random relations and random partitions (size-1 blocks and ragged
-// tails included), ScanColumns over columnar blocks accumulates exactly
-// the tally — and exactly the report, under both vote aggregations —
-// that ScanBlock and the ScanTuple loop produce.
-func TestScanColumnsMatchesScanBlock(t *testing.T) {
+// TestScanColumnsMatchesScanTuple is the kernel-level equivalence
+// property: for random relations cut into random blocks (size-1 blocks
+// and ragged tails included) and filled into one pooled block, the
+// ScanColumns sweep through one scratch accumulates exactly the tally —
+// and exactly the report, under both vote aggregations and both hash
+// backends — that the ScanTuple loop produces.
+func TestScanColumnsMatchesScanTuple(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(700 + trial)))
 		n := 1 + rng.Intn(3000)
@@ -39,16 +33,12 @@ func TestScanColumnsMatchesScanBlock(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				want := sc.NewTally()
-				for j := 0; j < r.Len(); j++ {
-					sc.ScanTuple(r.Tuple(j), want)
-				}
-
+				want := tupleLoopTally(sc, r, 0, r.Len())
 				got := sc.NewTally()
 				var bs BlockScratch
 				blk := relation.GetBlock(r.Schema())
 				for _, p := range randomPartition(rng, r.Len()) {
-					fillBlock(blk, r, p[0], p[1])
+					r.FillBlock(blk, p[0], p[1])
 					if err := sc.ScanColumns(blk, got, &bs); err != nil {
 						t.Fatal(err)
 					}
@@ -68,11 +58,12 @@ func TestScanColumnsMatchesScanBlock(t *testing.T) {
 	}
 }
 
-// TestScanColumnsInterleavedWithScanBlock alternates the columnar and
-// row-range entry points through ONE scratch — a pooled block between
-// two row ranges and vice versa — proving the identity tracking
-// invalidates across modes instead of replaying a stale memo.
-func TestScanColumnsInterleavedWithScanBlock(t *testing.T) {
+// TestScanColumnsInterleavedWithEmbedBlock alternates the columnar
+// scan and the row-range embedding walk through ONE scratch, with the
+// embedder on the scanner's fitness key (the same memo lane) — proving
+// the identity tracking invalidates across modes instead of replaying
+// digests of another block's keys.
+func TestScanColumnsInterleavedWithEmbedBlock(t *testing.T) {
 	r := blockTestRelation(t, 2000, 31)
 	opts := Options{
 		Attr: "cat", K1: keyhash.NewKey("mix-k1"), K2: keyhash.NewKey("mix-k2"),
@@ -82,30 +73,38 @@ func TestScanColumnsInterleavedWithScanBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sc.NewTally()
-	if err := sc.Scan(r, 0, r.Len(), want); err != nil {
+	marked := r.Clone() // the embedder rewrites this copy, never r
+	em, err := NewEmbedder(marked, ecc.MustParseBits("10110011"), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	got := sc.NewTally()
+	var cs ChunkStats
 	var bs BlockScratch
 	blk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(blk)
 	rng := rand.New(rand.NewSource(33))
-	for i, p := range randomPartition(rng, r.Len()) {
-		if i%2 == 0 {
-			fillBlock(blk, r, p[0], p[1])
-			if err := sc.ScanColumns(blk, got, &bs); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := sc.ScanBlock(r, p[0], p[1], got, &bs); err != nil {
+	parts := randomPartition(rng, r.Len())
+	for i, p := range parts {
+		// Embed the NEXT range first, so the scratch memo holds another
+		// block's digests on the scan's lane when ScanColumns runs.
+		if i+1 < len(parts) {
+			q := parts[i+1]
+			if err := em.EmbedBlock(marked, q[0], q[1], &cs, &bs); err != nil {
 				t.Fatal(err)
 			}
 		}
+		r.FillBlock(blk, p[0], p[1])
+		if err := sc.ScanColumns(blk, got, &bs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	relation.PutBlock(blk)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("interleaved ScanColumns/ScanBlock diverged from sequential scan")
+	if cs.Fit == 0 {
+		t.Fatal("embedder never touched the scratch lane — test is vacuous")
+	}
+	if !reflect.DeepEqual(tupleLoopTally(sc, r, 0, r.Len()), got) {
+		t.Fatal("ScanColumns interleaved with EmbedBlock diverged from the ScanTuple loop")
 	}
 }
 
@@ -128,17 +127,12 @@ func TestScanColumnsSharedScratchAcrossScanners(t *testing.T) {
 		newOpts("colowner-b", "colowner-b2"),
 	}
 	scanners := make([]*Scanner, len(optsList))
-	want := make([]*Tally, len(optsList))
 	for i, o := range optsList {
 		sc, err := NewScanner(r, 8, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scanners[i] = sc
-		want[i] = sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), want[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	got := make([]*Tally, len(scanners))
@@ -149,7 +143,7 @@ func TestScanColumnsSharedScratchAcrossScanners(t *testing.T) {
 	blk := relation.GetBlock(r.Schema()) // one block, refilled per partition
 	rng := rand.New(rand.NewSource(14))
 	for _, p := range randomPartition(rng, r.Len()) {
-		fillBlock(blk, r, p[0], p[1])
+		r.FillBlock(blk, p[0], p[1])
 		for i, sc := range scanners {
 			if err := sc.ScanColumns(blk, got[i], &bs); err != nil {
 				t.Fatal(err)
@@ -157,9 +151,9 @@ func TestScanColumnsSharedScratchAcrossScanners(t *testing.T) {
 		}
 	}
 	relation.PutBlock(blk)
-	for i := range scanners {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("scanner %d: shared-scratch columnar tally diverged from solo scan", i)
+	for i, sc := range scanners {
+		if !reflect.DeepEqual(tupleLoopTally(sc, r, 0, r.Len()), got[i]) {
+			t.Fatalf("scanner %d: shared-scratch columnar tally diverged from the ScanTuple loop", i)
 		}
 	}
 }
@@ -181,8 +175,8 @@ func TestScanColumnsSteadyStateAllocs(t *testing.T) {
 	// generation changes) instead of replaying the previous call.
 	blkA := relation.GetBlock(r.Schema())
 	blkB := relation.GetBlock(r.Schema())
-	fillBlock(blkA, r, 0, 512)
-	fillBlock(blkB, r, 512, 1024)
+	r.FillBlock(blkA, 0, 512)
+	r.FillBlock(blkB, 512, 1024)
 	tally := sc.NewTally()
 	var bs BlockScratch
 	scanBoth := func() {

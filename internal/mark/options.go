@@ -200,7 +200,7 @@ func (o *Options) resolve(r *relation.Relation, needK2 bool) (keyCol, attrCol in
 	return keyCol, attrCol, dom, nil
 }
 
-// resolveSchema validates the options against a bare schema, for row
+// resolveSchema validates the options against a bare schema, for
 // streams where no relation exists to derive a domain from:
 // Options.Domain is mandatory.
 func (o *Options) resolveSchema(s *relation.Schema, needK2 bool) (keyCol, attrCol int, dom *relation.Domain, err error) {

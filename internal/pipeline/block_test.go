@@ -15,7 +15,7 @@ import (
 )
 
 // blockEngineRelation builds a marked relation plus its CSV form for the
-// streaming paths.
+// streaming path.
 func blockEngineRelation(t *testing.T, n int) (*relation.Relation, *relation.Domain, string, mark.Options, ecc.Bits) {
 	t.Helper()
 	schema := relation.MustSchema([]relation.Attribute{
@@ -48,49 +48,136 @@ func blockEngineRelation(t *testing.T, n int) (*relation.Relation, *relation.Dom
 	return r, dom, csv.String(), opts, wm
 }
 
+// tupleOracle is the reference detection: sc's ScanTuple loop over
+// every row of r, in order.
+func tupleOracle(sc *mark.Scanner, r *relation.Relation) *mark.Tally {
+	t := sc.NewTally()
+	for j := 0; j < r.Len(); j++ {
+		sc.ScanTuple(r.Tuple(j), t)
+	}
+	return t
+}
+
+// tupleOracleReport is the report of tupleOracle under opts.
+func tupleOracleReport(t *testing.T, r *relation.Relation, wmLen int, opts mark.Options) mark.DetectReport {
+	t.Helper()
+	sc, err := mark.NewScanner(r, wmLen, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sc.Report(tupleOracle(sc, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// detectStream recovers a wmLen-bit watermark from src through the
+// streaming engine: one stream scanner, ScanMany, Report. opts must
+// carry Domain and BandwidthOverride.
+func detectStream(src relation.BlockReader, wmLen int, opts mark.Options, cfg Config) (mark.DetectReport, error) {
+	sc, err := mark.NewStreamScanner(src.Schema(), wmLen, opts)
+	if err != nil {
+		return mark.DetectReport{}, err
+	}
+	tallies, err := ScanMany(context.Background(), src, []*mark.Scanner{sc}, cfg)
+	if err != nil {
+		return mark.DetectReport{}, err
+	}
+	return sc.Report(tallies[0])
+}
+
+// TestDetectMatchesScanTupleOracle is the one-engine differential:
+// pipeline.Detect and mark.Detect both vote through ScanColumns over
+// relation-filled blocks, and both must report exactly what the
+// ScanTuple loop reports — across worker counts, block sizes (size 1,
+// odd sizes with ragged tails, the default), chunk sizes that do not
+// divide the relation, both vote aggregations, and a suspect carrying
+// values outside the domain.
+func TestDetectMatchesScanTupleOracle(t *testing.T) {
+	r, dom := testData(t, 5003)
+	wm := ecc.MustParseBits("1011001110")
+	opts := testOptions(dom)
+	if _, err := mark.Embed(r, wm, opts); err != nil {
+		t.Fatal(err)
+	}
+	// Unknown values: every 13th row leaves the catalog, the way an
+	// un-reversed remap or noise would.
+	for j := 0; j < r.Len(); j += 13 {
+		if err := r.SetValue(j, "Item_Nbr", "not-in-domain"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
+		opts := opts
+		opts.Aggregation = agg
+		want := tupleOracleReport(t, r, len(wm), opts)
+		if want.UnknownValues == 0 {
+			t.Fatal("no unknown values reached the vote — test is vacuous")
+		}
+		seq, err := mark.Detect(r, len(wm), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, want) {
+			t.Fatalf("agg %v: mark.Detect diverged from the ScanTuple oracle:\n got %+v\nwant %+v", agg, seq, want)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, blockRows := range []int{1, 7, 512} {
+				cfg := Config{Workers: workers, ChunkRows: 1111, BlockRows: blockRows}
+				got, err := Detect(context.Background(), r, len(wm), opts, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("agg %v workers %d blockRows %d: pipeline.Detect diverged from the ScanTuple oracle:\n got %+v\nwant %+v",
+						agg, workers, blockRows, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDetectBlockRowsEquivalence proves the detection paths are
-// bit-identical across block sizes — including 1, odd sizes that leave
-// ragged tails, and the tuple-at-a-time legacy engine — for both vote
-// aggregations and both the materialized and streaming entry points.
+// bit-identical to the ScanTuple oracle across block sizes — 1, odd
+// sizes that leave ragged tails, one block for everything, and 0 and -1,
+// which both mean mark.DefaultBlockRows — for both vote aggregations and
+// both the materialized and streaming entry points.
 func TestDetectBlockRowsEquivalence(t *testing.T) {
 	r, _, csv, opts, wm := blockEngineRelation(t, 5000)
 	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
 		opts := opts
 		opts.Aggregation = agg
-		var want mark.DetectReport
-		for i, blockRows := range []int{0, -1, 1, 3, 511, 512, 4096, 1 << 20} {
+		want := tupleOracleReport(t, r, len(wm), opts)
+		if want.WM.String() != wm.String() {
+			t.Fatalf("agg %v: oracle lost the watermark: %s", agg, want.WM)
+		}
+		for _, blockRows := range []int{0, -1, 1, 3, 511, 512, 4096, 1 << 20} {
 			cfg := Config{Workers: 3, ChunkRows: 700, BlockRows: blockRows}
 			got, err := Detect(context.Background(), r, len(wm), opts, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := relation.NewCSVRowReader(strings.NewReader(csv), r.Schema())
+			src, err := relation.NewCSVBlockReader(strings.NewReader(csv), r.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
-			stream, err := DetectReader(context.Background(), src, len(wm), opts, cfg)
+			stream, err := detectStream(src, len(wm), opts, cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if i == 0 {
-				want = got
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("agg %v blockRows %d: Detect diverged from default engine", agg, blockRows)
+				t.Fatalf("agg %v blockRows %d: Detect diverged from the ScanTuple oracle", agg, blockRows)
 			}
 			if !reflect.DeepEqual(stream, want) {
-				t.Fatalf("agg %v blockRows %d: DetectReader diverged from default engine", agg, blockRows)
-			}
-			if got.WM.String() != wm.String() {
-				t.Fatalf("agg %v blockRows %d: lost the watermark: %s", agg, blockRows, got.WM)
+				t.Fatalf("agg %v blockRows %d: streaming detection diverged from the ScanTuple oracle", agg, blockRows)
 			}
 		}
 	}
 }
 
 // TestEmbedBlockRowsEquivalence proves embedding emits identical
-// relations and statistics across block sizes on both the materialized
-// and streaming paths.
+// relations and statistics across block sizes.
 func TestEmbedBlockRowsEquivalence(t *testing.T) {
 	schema := relation.MustSchema([]relation.Attribute{
 		{Name: "id", Type: relation.TypeString},
@@ -110,36 +197,18 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 		Attr: "cat", K1: keyhash.NewKey("pe-k1"), K2: keyhash.NewKey("pe-k2"),
 		E: 4, Domain: dom, BandwidthOverride: 900,
 	}
-	var csv strings.Builder
-	if err := relation.WriteCSV(&csv, base); err != nil {
-		t.Fatal(err)
-	}
 
 	var wantRel *relation.Relation
 	var wantStats mark.EmbedStats
-	var wantCSV string
-	for i, blockRows := range []int{0, 1, 7, 512, 1 << 20} {
+	for i, blockRows := range []int{0, -1, 1, 7, 512, 1 << 20} {
 		cfg := Config{Workers: 4, ChunkRows: 600, BlockRows: blockRows}
 		r := base.Clone()
 		st, err := Embed(context.Background(), r, wm, opts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv.String()), base.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var streamedOut strings.Builder
-		dst, err := relation.NewCSVRowWriter(&streamedOut, base.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamStats, err := EmbedReader(context.Background(), src, dst, wm, opts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if i == 0 {
-			wantRel, wantStats, wantCSV = r, st, streamedOut.String()
+			wantRel, wantStats = r, st
 			continue
 		}
 		if !r.Equal(wantRel) {
@@ -148,12 +217,6 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 		if st != wantStats {
 			t.Fatalf("blockRows %d: stats diverged: %+v vs %+v", blockRows, st, wantStats)
 		}
-		if streamedOut.String() != wantCSV {
-			t.Fatalf("blockRows %d: streamed embedding diverged", blockRows)
-		}
-		if streamStats != wantStats {
-			t.Fatalf("blockRows %d: streamed stats diverged: %+v vs %+v", blockRows, streamStats, wantStats)
-		}
 	}
 }
 
@@ -161,10 +224,9 @@ func TestEmbedBlockRowsEquivalence(t *testing.T) {
 // nothing: a scanner fleet where several certificates share a fitness
 // key (one owner, many certificates — the memo's fast path) tallies
 // exactly like each scanner scanning the stream alone, and exactly like
-// the memo-less tuple-at-a-time engine.
+// each scanner's memo-less ScanTuple loop.
 func TestScanManyMemoEquivalence(t *testing.T) {
-	r, dom, csv, opts, _ := blockEngineRelation(t, 6000)
-	_ = dom
+	r, _, csv, opts, _ := blockEngineRelation(t, 6000)
 	mkScanner := func(k1, k2 string) *mark.Scanner {
 		o := opts
 		o.K1, o.K2 = keyhash.NewKey(k1), keyhash.NewKey(k2)
@@ -185,7 +247,7 @@ func TestScanManyMemoEquivalence(t *testing.T) {
 	}
 
 	scan := func(scs []*mark.Scanner, cfg Config) []*mark.Tally {
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv), r.Schema())
+		src, err := relation.NewCSVBlockReader(strings.NewReader(csv), r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,14 +259,13 @@ func TestScanManyMemoEquivalence(t *testing.T) {
 	}
 
 	together := scan(scanners, Config{Workers: 3, ChunkRows: 900})
-	tuple := scan(scanners, Config{Workers: 3, ChunkRows: 900, BlockRows: -1})
 	for i, sc := range scanners {
 		alone := scan([]*mark.Scanner{sc}, Config{Workers: 1})
 		if !reflect.DeepEqual(together[i], alone[0]) {
 			t.Fatalf("scanner %d: memo-shared tally diverged from solo scan", i)
 		}
-		if !reflect.DeepEqual(together[i], tuple[i]) {
-			t.Fatalf("scanner %d: block tally diverged from tuple-at-a-time engine", i)
+		if !reflect.DeepEqual(together[i], tupleOracle(sc, r)) {
+			t.Fatalf("scanner %d: block tally diverged from the ScanTuple loop", i)
 		}
 	}
 }
@@ -227,7 +288,7 @@ func TestProgressCountsTuples(t *testing.T) {
 		}
 
 		n.Store(0)
-		src, err := relation.NewCSVRowReader(strings.NewReader(csv), r.Schema())
+		src, err := relation.NewCSVBlockReader(strings.NewReader(csv), r.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,5 +321,34 @@ func TestProgressCountsTuples(t *testing.T) {
 	}
 	if got := n.Load(); got != int64(r.Len()) {
 		t.Fatalf("Embed progress %d, want %d", got, r.Len())
+	}
+}
+
+// TestDetectAllocsIndependentOfRows pins the materialized detection path
+// at a fixed allocation budget per pass: filling pooled blocks from the
+// relation and voting through ScanColumns allocates per chunk (a tally,
+// a scratch) but nothing per row, so a 36k-row pass allocates no more
+// than a 9k-row pass cut into the same number of chunks.
+func TestDetectAllocsIndependentOfRows(t *testing.T) {
+	wm := ecc.MustParseBits("1011001110")
+	for _, workers := range []int{1, 2} {
+		allocs := make(map[int]float64)
+		for _, n := range []int{9000, 36000} {
+			r, dom := testData(t, n)
+			opts := testOptions(dom)
+			cfg := Config{Workers: workers}
+			pass := func() {
+				if _, err := Detect(context.Background(), r, len(wm), opts, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pass() // warm the block pool
+			allocs[n] = testing.AllocsPerRun(5, pass)
+		}
+		t.Logf("workers %d: %.0f allocs at 9k rows, %.0f at 36k", workers, allocs[9000], allocs[36000])
+		if allocs[36000] > allocs[9000]+16 {
+			t.Fatalf("workers %d: allocations grow with the row count: %.0f at 9k rows, %.0f at 36k",
+				workers, allocs[9000], allocs[36000])
+		}
 	}
 }

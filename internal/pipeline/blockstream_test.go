@@ -36,12 +36,12 @@ func blockStreamScanners(t testing.TB, r *relation.Relation, dom *relation.Domai
 	return scanners
 }
 
-// TestScanManyBlockReaderEquivalence is the columnar fast-path proof:
-// ScanMany fed by the zero-copy CSV and JSONL block readers produces,
-// for every scanner, tallies bit-identical to the row-reader path and
-// to the materialized pass — for both vote aggregations and across
-// worker counts, chunk sizes and block sizes (size-1 blocks and ragged
-// tails included).
+// TestScanManyBlockReaderEquivalence is the streaming engine's proof:
+// ScanMany fed by the zero-copy CSV and JSONL block readers, and by the
+// block view of a materialized relation, produces for every scanner
+// tallies bit-identical to its ScanTuple loop — for both vote
+// aggregations and across worker counts, chunk sizes and block sizes
+// (size-1 blocks, ragged tails, and -1, which means the default).
 func TestScanManyBlockReaderEquivalence(t *testing.T) {
 	r, dom := testData(t, 7000)
 	var csvData, jsonlData strings.Builder
@@ -54,55 +54,46 @@ func TestScanManyBlockReaderEquivalence(t *testing.T) {
 
 	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
 		scanners := blockStreamScanners(t, r, dom, agg)
-		want, err := ScanMany(context.Background(), relation.Rows(r), scanners, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		want := make([]*mark.Tally, len(scanners))
+		for i, sc := range scanners {
+			want[i] = tupleOracle(sc, r)
 		}
 		for _, cfg := range []Config{
 			{Workers: 1},
 			{Workers: 4, ChunkRows: 700},
 			{Workers: 3, ChunkRows: 1100, BlockRows: 1},
 			{Workers: 4, ChunkRows: 999, BlockRows: 37},
+			{Workers: 2, ChunkRows: 500, BlockRows: -1},
 			{Workers: 16, ChunkRows: 100, BlockRows: 512},
 		} {
-			for _, format := range []string{"csv", "jsonl"} {
-				var src relation.RowReader
-				if format == "csv" {
+			for _, format := range []string{"csv", "jsonl", "relation"} {
+				var src relation.BlockReader
+				switch format {
+				case "csv":
 					br, err := relation.NewCSVBlockReader(strings.NewReader(csvData.String()), r.Schema())
 					if err != nil {
 						t.Fatal(err)
 					}
 					src = br
-				} else {
+				case "jsonl":
 					src = relation.NewJSONLBlockReader(strings.NewReader(jsonlData.String()), r.Schema())
+				default:
+					src = relation.Rows(r)
 				}
 				got, err := ScanMany(context.Background(), src, scanners, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("agg %v cfg %+v %s: block-reader ScanMany diverged from materialized pass", agg, cfg, format)
+					t.Fatalf("agg %v cfg %+v %s: ScanMany diverged from the ScanTuple loop", agg, cfg, format)
 				}
 			}
-		}
-		// The legacy engine request (BlockRows < 0) must bypass the fast
-		// path and still agree.
-		br, err := relation.NewCSVBlockReader(strings.NewReader(csvData.String()), r.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ScanMany(context.Background(), br, scanners, Config{Workers: 2, ChunkRows: 500, BlockRows: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("agg %v: legacy-engine pass over a block reader diverged", agg)
 		}
 	}
 }
 
-// TestScanManyBlockReaderPropagatesReadError mirrors the row-path test:
-// a corrupt stream fails the whole batch, not partial tallies.
+// TestScanManyBlockReaderPropagatesReadError: a corrupt CSV stream fails
+// the whole batch, not partial tallies.
 func TestScanManyBlockReaderPropagatesReadError(t *testing.T) {
 	r, dom := testData(t, 300)
 	var csvData strings.Builder
@@ -166,7 +157,7 @@ func TestScanManyBlocksAllocsPerRow(t *testing.T) {
 	} {
 		t.Run(tc.format, func(t *testing.T) {
 			pass := func() {
-				var src relation.RowReader
+				var src relation.BlockReader
 				if tc.format == "csv" {
 					br, err := relation.NewCSVBlockReader(strings.NewReader(tc.data), r.Schema())
 					if err != nil {
@@ -191,8 +182,8 @@ func TestScanManyBlocksAllocsPerRow(t *testing.T) {
 }
 
 // BenchmarkScanManyIngestion measures the end-to-end streaming scan —
-// bytes in, tallies out — over the legacy row readers vs the zero-copy
-// block readers, for both wire formats.
+// bytes in, tallies out — over the zero-copy block readers, for both
+// wire formats.
 func BenchmarkScanManyIngestion(b *testing.B) {
 	r, dom := testData(b, 50000)
 	var csvData, jsonlData strings.Builder
@@ -203,29 +194,19 @@ func BenchmarkScanManyIngestion(b *testing.B) {
 		b.Fatal(err)
 	}
 	scanners := blockStreamScanners(b, r, dom, mark.MajorityVote)
-	mk := map[string]func(b *testing.B, data string) relation.RowReader{
-		"csv/rows": func(b *testing.B, data string) relation.RowReader {
-			rr, err := relation.NewCSVRowReader(strings.NewReader(data), r.Schema())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return rr
-		},
-		"csv/blocks": func(b *testing.B, data string) relation.RowReader {
+	mk := map[string]func(b *testing.B, data string) relation.BlockReader{
+		"csv/blocks": func(b *testing.B, data string) relation.BlockReader {
 			br, err := relation.NewCSVBlockReader(strings.NewReader(data), r.Schema())
 			if err != nil {
 				b.Fatal(err)
 			}
 			return br
 		},
-		"jsonl/rows": func(b *testing.B, data string) relation.RowReader {
-			return relation.NewJSONLRowReader(strings.NewReader(data), r.Schema())
-		},
-		"jsonl/blocks": func(b *testing.B, data string) relation.RowReader {
+		"jsonl/blocks": func(b *testing.B, data string) relation.BlockReader {
 			return relation.NewJSONLBlockReader(strings.NewReader(data), r.Schema())
 		},
 	}
-	for _, name := range []string{"csv/rows", "csv/blocks", "jsonl/rows", "jsonl/blocks"} {
+	for _, name := range []string{"csv/blocks", "jsonl/blocks"} {
 		data := csvData.String()
 		if strings.HasPrefix(name, "jsonl") {
 			data = jsonlData.String()

@@ -13,11 +13,11 @@ import (
 	"repro/internal/relation"
 )
 
-// gatedReader yields synthetic rows and, after gateAt rows, cancels the
-// supplied cancel func — simulating a client disconnect or job
-// cancellation arriving mid-stream. It counts every row handed out so
-// tests can assert the pipeline stopped pulling instead of draining all
-// total rows.
+// gatedReader yields blocks of synthetic rows and, once gateAt rows have
+// been handed out, cancels the supplied cancel func — simulating a
+// client disconnect or job cancellation arriving mid-stream. It counts
+// every row handed out so tests can assert the pipeline stopped pulling
+// instead of draining all total rows.
 type gatedReader struct {
 	schema  *relation.Schema
 	total   int
@@ -29,15 +29,25 @@ type gatedReader struct {
 
 func (g *gatedReader) Schema() *relation.Schema { return g.schema }
 
-func (g *gatedReader) Read() (relation.Tuple, error) {
-	n := int(g.served.Add(1))
-	if n > g.total {
-		return nil, io.EOF
+func (g *gatedReader) ReadBlock(b *relation.Block, maxRows int) (int, error) {
+	b.Reset(g.schema)
+	for b.Rows() < maxRows {
+		n := int(g.served.Load()) + 1
+		if n > g.total {
+			break
+		}
+		g.served.Store(int64(n))
+		if n == g.gateAt && g.cancel != nil {
+			g.cancel()
+		}
+		if err := b.AppendTuple(g.tupleFn(n)); err != nil {
+			return b.Rows(), err
+		}
 	}
-	if n == g.gateAt && g.cancel != nil {
-		g.cancel()
+	if b.Rows() == 0 {
+		return 0, io.EOF
 	}
-	return g.tupleFn(n), nil
+	return b.Rows(), nil
 }
 
 func cancelTestScanner(t *testing.T, schema *relation.Schema) *mark.Scanner {
@@ -134,7 +144,7 @@ func TestRunChunksCancelMidFlight(t *testing.T) {
 	defer cancel()
 	var processed atomic.Int64
 	chunks := partition(100_000, 100) // 1000 chunks
-	_, err := runChunks(ctx, 4, chunks, func(c chunkRange) (int, error) {
+	_, err := runChunks(ctx, 4, chunks, func(_ int, c chunkRange) (int, error) {
 		if processed.Add(1) == 5 {
 			cancel()
 		}

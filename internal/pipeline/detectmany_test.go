@@ -49,9 +49,10 @@ func detectManyData(t *testing.T, agg mark.VoteAggregation) (*relation.Relation,
 
 // TestDetectManyMatchesIndividualScans is the one-scan equivalence proof:
 // fanning N prepared scanners over a single stream pass yields, for every
-// scanner, exactly the report a dedicated sequential mark.Detect (and a
-// dedicated DetectReader pass) would produce — for both vote-aggregation
-// policies, and regardless of chunk boundaries.
+// scanner, exactly the report a dedicated sequential mark.Detect, a
+// dedicated one-scanner stream pass and the scanner's ScanTuple loop
+// produce — for both vote-aggregation policies, and regardless of chunk
+// boundaries.
 func TestDetectManyMatchesIndividualScans(t *testing.T) {
 	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
 		t.Run(agg.String(), func(t *testing.T) {
@@ -66,38 +67,39 @@ func TestDetectManyMatchesIndividualScans(t *testing.T) {
 				scanners[i] = sc
 			}
 			cfg := Config{Workers: 4, ChunkRows: 700} // uneven tail on purpose
-			outs, err := DetectMany(context.Background(), relation.Rows(r), scanners, cfg)
+			tallies, err := ScanMany(context.Background(), relation.Rows(r), scanners, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(outs) != len(optsSet) {
-				t.Fatalf("got %d outcomes, want %d", len(outs), len(optsSet))
+			if len(tallies) != len(optsSet) {
+				t.Fatalf("got %d tallies, want %d", len(tallies), len(optsSet))
 			}
 
 			for i, opts := range optsSet {
+				if !reflect.DeepEqual(tallies[i], tupleOracle(scanners[i], r)) {
+					t.Errorf("scanner %d: fan-out tally diverged from the ScanTuple loop", i)
+				}
+				got, err := scanners[i].Report(tallies[i])
+				if err != nil {
+					t.Fatalf("scanner %d: %v", i, err)
+				}
 				want, err := mark.Detect(r, len(wm), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if outs[i].Err != nil {
-					t.Fatalf("scanner %d: %v", i, outs[i].Err)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("scanner %d: fan-out report diverged:\n got %+v\nwant %+v", i, got, want)
 				}
-				if !reflect.DeepEqual(outs[i].Report, want) {
-					t.Errorf("scanner %d: DetectMany report diverged:\n got %+v\nwant %+v",
-						i, outs[i].Report, want)
-				}
-				solo, err := DetectReader(context.Background(), relation.Rows(r), len(wm), opts, cfg)
+				solo, err := detectStream(relation.Rows(r), len(wm), opts, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(solo, want) {
-					t.Errorf("scanner %d: DetectReader diverged from mark.Detect", i)
+					t.Errorf("scanner %d: one-scanner stream pass diverged from mark.Detect", i)
 				}
-			}
-			// The marked certificates recover their watermark perfectly.
-			for i := 0; i < 2; i++ {
-				if got := outs[i].Report.WM.String(); got != wm.String() {
-					t.Errorf("marked certificate %d recovered %s, want %s", i, got, wm)
+				// The marked certificates recover their watermark perfectly.
+				if i < 2 && got.WM.String() != wm.String() {
+					t.Errorf("marked certificate %d recovered %s, want %s", i, got.WM, wm)
 				}
 			}
 		})
@@ -121,8 +123,8 @@ func TestScanManyZeroScanners(t *testing.T) {
 	}
 }
 
-// TestScanManyPropagatesReadError asserts a corrupt stream fails the whole
-// batch rather than returning partial tallies.
+// TestScanManyPropagatesReadError asserts a corrupt JSONL stream fails
+// the whole batch rather than returning partial tallies.
 func TestScanManyPropagatesReadError(t *testing.T) {
 	r, dom := testData(t, 100)
 	opts := mark.Options{
@@ -133,15 +135,12 @@ func TestScanManyPropagatesReadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csvData strings.Builder
-	if err := relation.WriteCSV(&csvData, r); err != nil {
+	var jsonlData strings.Builder
+	if err := relation.WriteJSONL(&jsonlData, r); err != nil {
 		t.Fatal(err)
 	}
-	broken := csvData.String() + "not,a,valid,row,at,all\n"
-	src, err := relation.NewCSVRowReader(strings.NewReader(broken), r.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	broken := jsonlData.String() + "{not valid json\n"
+	src := relation.NewJSONLBlockReader(strings.NewReader(broken), r.Schema())
 	if _, err := ScanMany(context.Background(), src, []*mark.Scanner{sc}, Config{Workers: 2, ChunkRows: 16}); err == nil {
 		t.Fatal("ScanMany swallowed a stream read error")
 	}

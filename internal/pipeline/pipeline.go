@@ -4,14 +4,17 @@
 // contiguous key-ranges that workers process independently on
 // runtime.NumCPU() goroutines; per-chunk results merge into exactly what
 // the sequential pass would produce (bit-identical recovered watermarks —
-// see the equivalence tests). stream.go adds the same machinery over
-// relation.RowReader streams so datasets never need to be fully
-// materialized.
+// see the equivalence tests). stream.go runs detection over
+// relation.BlockReader streams (ScanMany) so suspect datasets never need
+// to be fully materialized.
 //
-// Within a chunk, every path — sequential, worker-pool, streaming,
-// multi-certificate fan-out — feeds fixed-size tuple blocks
-// (Config.BlockRows) through the batched keyed-hash kernels of
-// mark.ScanBlock/EmbedBlock rather than looping tuple-at-a-time, and the
+// Within a chunk, every path feeds fixed-size tuple blocks
+// (Config.BlockRows) through the batched keyed-hash kernels rather than
+// looping tuple-at-a-time. Detection has one vote kernel,
+// mark.Scanner.ScanColumns: streams fill columnar blocks from their
+// bytes, and materialized relations fill them with
+// relation.Relation.FillBlock. Embedding runs mark.EmbedBlock over row
+// ranges, because it rewrites the relation in place. The
 // multi-certificate engine runs its certificate loop inside the block
 // loop so a block's keys and digests stay cache-resident across all
 // certificates of a batch audit. Config.Progress observes the pass at
@@ -26,12 +29,11 @@
 // halts scan work mid-pass instead of burning CPU to the end of the
 // dataset. Cancellation is chunk-granular: a worker finishes the chunk in
 // its hands, then exits; the streaming reader additionally checks between
-// rows, so a cancelled streaming pass stops without draining its source.
+// blocks, so a cancelled streaming pass stops without draining its source.
 package pipeline
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -52,11 +54,9 @@ type Config struct {
 	ChunkRows int
 	// BlockRows is the number of rows per scan block — the unit the
 	// workers feed through the batched keyed-hash kernels
-	// (mark.ScanBlock / mark.EmbedBlock), and the granularity of
-	// Progress ticks. 0 means mark.DefaultBlockRows. A negative value
-	// selects the tuple-at-a-time legacy engine (mark.ScanTuple per row)
-	// on the detection paths — the baseline the block-engine benchmarks
-	// compare against; embedding always runs block-at-a-time.
+	// (mark.Scanner.ScanColumns / mark.Embedder.EmbedBlock), and the
+	// granularity of Progress ticks. 0 or negative means
+	// mark.DefaultBlockRows.
 	BlockRows int
 	// Progress, when non-nil, is invoked with the number of suspect
 	// tuples each completed scan block covered — the hook async jobs use
@@ -68,9 +68,8 @@ type Config struct {
 	// Phases, when non-nil, accumulates per-phase CPU time
 	// (ingest/hash/vote/merge) for the columnar streaming engine —
 	// coarse block-boundary clocks summed across workers, read by trace
-	// spans. Only scanManyBlocks (the ScanMany fast path) meters itself;
-	// leave nil on unsampled passes so the zero-allocation path never
-	// reads a clock.
+	// spans. Only ScanMany meters itself; leave nil on unsampled passes
+	// so the zero-allocation path never reads a clock.
 	Phases *trace.Phases
 }
 
@@ -101,7 +100,8 @@ func (c Config) chunkRows(n, workers int) int {
 	return per
 }
 
-// blockRows resolves the scan-block size for the block engine.
+// blockRows resolves the scan-block size: 0 or negative means
+// mark.DefaultBlockRows.
 func (c Config) blockRows() int {
 	if c.BlockRows > 0 {
 		return c.BlockRows
@@ -124,24 +124,19 @@ func (c Config) report(tuples int) {
 	}
 }
 
-// scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time
-// (or tuple-at-a-time when cfg.BlockRows < 0), checking ctx and ticking
-// progress between blocks. bs is the caller's per-goroutine scratch.
-func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, cfg Config) error {
-	if cfg.BlockRows < 0 {
-		for j := lo; j < hi; j++ {
-			sc.ScanTuple(r.Tuple(j), t)
-		}
-		cfg.report(hi - lo)
-		return nil
-	}
+// scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time:
+// each block is copied into blk and voted through ScanColumns, with ctx
+// checked and progress ticked between blocks. bs and blk are the
+// caller's per-goroutine scratch.
+func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, blk *relation.Block, cfg Config) error {
 	br := cfg.blockRows()
 	for blockLo := lo; blockLo < hi; blockLo += br {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		blockHi := min(blockLo+br, hi)
-		if err := sc.ScanBlock(r, blockLo, blockHi, t, bs); err != nil {
+		r.FillBlock(blk, blockLo, blockHi)
+		if err := sc.ScanColumns(blk, t, bs); err != nil {
 			return err
 		}
 		cfg.report(blockHi - blockLo)
@@ -192,11 +187,12 @@ func partition(n, chunkRows int) []chunkRange {
 	return out
 }
 
-// runChunks fans worker goroutines over the chunks, calling work for each;
-// results land in a slice indexed by chunk. The first error wins. A
-// cancelled ctx stops dispatch and lets in-flight chunks finish; the call
-// then reports ctx.Err().
-func runChunks[T any](ctx context.Context, workers int, chunks []chunkRange, work func(chunkRange) (T, error)) ([]T, error) {
+// runChunks fans worker goroutines over the chunks, calling work for each
+// with the index (in [0, workers)) of the worker running it, so callers
+// can keep per-worker scratch; results land in a slice indexed by chunk.
+// The first error wins. A cancelled ctx stops dispatch and lets in-flight
+// chunks finish; the call then reports ctx.Err().
+func runChunks[T any](ctx context.Context, workers int, chunks []chunkRange, work func(w int, c chunkRange) (T, error)) ([]T, error) {
 	results := make([]T, len(chunks))
 	errs := make([]error, len(chunks))
 	if workers > len(chunks) {
@@ -212,7 +208,7 @@ func runChunks[T any](ctx context.Context, workers int, chunks []chunkRange, wor
 				if ctx.Err() != nil {
 					return
 				}
-				results[c.Index], errs[c.Index] = work(c)
+				results[c.Index], errs[c.Index] = work(w, c)
 			}
 		}()
 	}
@@ -279,10 +275,10 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 		}
 		return mark.MergeChunks(agg), nil
 	}
-	parts, err := runChunks(ctx, workers, chunks, func(c chunkRange) (mark.ChunkStats, error) {
+	scratch := make([]mark.BlockScratch, workers)
+	parts, err := runChunks(ctx, workers, chunks, func(w int, c chunkRange) (mark.ChunkStats, error) {
 		var cs mark.ChunkStats
-		var bs mark.BlockScratch
-		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, &bs, cfg)
+		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, &scratch[w], cfg)
 		return cs, err
 	})
 	if err != nil {
@@ -306,25 +302,30 @@ func Detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 		return mark.DetectReport{}, err
 	}
 	chunks := partition(r.Len(), cfg.chunkRows(r.Len(), workers))
+	workers = min(workers, len(chunks))
 	if workers == 1 {
 		// In-order chunk walk over one tally: the same row loop as
 		// mark.Detect, split only to interleave cancellation checks.
 		total := sc.NewTally()
 		var bs mark.BlockScratch
+		blk := relation.GetBlock(r.Schema())
+		defer relation.PutBlock(blk)
 		for _, c := range chunks {
-			if err := ctx.Err(); err != nil {
-				return mark.DetectReport{}, err
-			}
-			if err := scanRange(ctx, sc, r, c.Lo, c.Hi, total, &bs, cfg); err != nil {
+			if err := scanRange(ctx, sc, r, c.Lo, c.Hi, total, &bs, blk, cfg); err != nil {
 				return mark.DetectReport{}, err
 			}
 		}
 		return sc.Report(total)
 	}
-	parts, err := runChunks(ctx, workers, chunks, func(c chunkRange) (*mark.Tally, error) {
+	scratch := make([]mark.BlockScratch, workers)
+	blks := make([]*relation.Block, workers)
+	for w := range blks {
+		blks[w] = relation.GetBlock(r.Schema())
+		defer relation.PutBlock(blks[w])
+	}
+	parts, err := runChunks(ctx, workers, chunks, func(w int, c chunkRange) (*mark.Tally, error) {
 		t := sc.NewTally()
-		var bs mark.BlockScratch
-		if err := scanRange(ctx, sc, r, c.Lo, c.Hi, t, &bs, cfg); err != nil {
+		if err := scanRange(ctx, sc, r, c.Lo, c.Hi, t, &scratch[w], blks[w], cfg); err != nil {
 			return nil, err
 		}
 		return t, nil
@@ -344,13 +345,4 @@ func Detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 func attrIsPrimaryKey(r *relation.Relation, attr string) bool {
 	i, ok := r.Schema().Index(attr)
 	return ok && i == r.Schema().KeyIndex()
-}
-
-// validateChunkable rejects option combinations the chunked paths cannot
-// honor; shared by the streaming entry points.
-func validateChunkable(opts mark.Options, verb string) error {
-	if opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil {
-		return fmt.Errorf("pipeline: streaming %s cannot honor Assessor/SkipRow/OnAlter (order-dependent hooks)", verb)
-	}
-	return nil
 }

@@ -13,8 +13,7 @@ var (
 	statBlocks atomic.Uint64
 )
 
-// Stats reports the cumulative number of tuples and scan blocks (or
-// progress ticks, for tuple-at-a-time and streaming chunk paths) that
+// Stats reports the cumulative number of tuples and scan blocks that
 // this process's pipelines have pushed through scan and embed passes.
 func Stats() (tuples, blocks uint64) {
 	return statTuples.Load(), statBlocks.Load()

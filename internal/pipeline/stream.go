@@ -4,27 +4,28 @@ import (
 	"context"
 	"io"
 	"sync"
+	"time"
 
-	"repro/internal/ecc"
 	"repro/internal/mark"
 	"repro/internal/relation"
 )
 
-// Streaming ingestion: the same chunked worker pool, fed from a
-// relation.RowReader instead of a materialized relation. Rows are
-// buffered into chunk-sized mini-relations; workers embed or scan each
-// chunk while the reader fills the next, and a single collector consumes
-// results in chunk order (so LastWriteWins detection and output row order
-// match the sequential pass). Memory is bounded by
+// Streaming detection: the reader goroutine fills pooled columnar blocks
+// straight from the input bytes (no per-row tuples, no per-field
+// strings), groups them into chunk-sized jobs, and the worker pool votes
+// over each block's arena bytes through Scanner.ScanColumns. Everything
+// cycles: blocks return to the relation block pool after scanning,
+// per-chunk tally groups and job shells return to free lists after
+// collection, and each worker keeps one BlockScratch for its lifetime —
+// steady state performs zero allocations per row. A single collector
+// merges tallies in stream order, so results (including LastWriteWins)
+// are bit-identical to the sequential pass. Memory is bounded by
 // workers × chunk size, never by the dataset.
 //
-// Because the stream's length is unknown up front, both entry points
-// require Options.BandwidthOverride (the embedding-time |wm_data|) and
-// Options.Domain (the value catalog) — exactly the parameters that travel
-// in a core.Record. Primary-key uniqueness is enforced only within a
-// chunk; a stream with duplicate keys across chunks is the caller's
-// responsibility, as detecting it would require materializing the key
-// set.
+// A stream's length is unknown up front, so its scanners come from
+// mark.NewStreamScanner, which takes Options.BandwidthOverride (the
+// embedding-time |wm_data|) and Options.Domain (the value catalog) —
+// exactly the parameters that travel in a core.Record.
 
 // StreamChunkRows is the default chunk size for streaming passes.
 const StreamChunkRows = 8192
@@ -36,40 +37,64 @@ func (c Config) streamChunkRows() int {
 	return StreamChunkRows
 }
 
-// streamJob is one chunk travelling through the streaming pool: the
-// mini-relation plus a rendezvous channel its result comes back on.
-type streamJob[T any] struct {
-	rel *relation.Relation
-	res chan streamResult[T]
-}
-
-type streamResult[T any] struct {
-	val T
-	err error
-}
-
-// runStream reads chunk mini-relations from src and routes each through
-// work on a pool of workers, invoking collect for every chunk result in
-// stream order. It returns the first error from reading, working, or
-// collecting; a collect error stops the reader early. A cancelled ctx
-// stops the reader between rows — the source is NOT drained — and the
-// call reports ctx.Err().
+// ScanMany is the fan-out detection engine: it drives every prepared
+// scanner over a SINGLE pass of src and returns one merged tally per
+// scanner, in scanner order. Chunks are scanned on the worker pool
+// block-at-a-time with the certificate loop INSIDE the block loop: each
+// block's fitness digests are computed once per distinct lane
+// (certificates sharing an owner secret replay each other's digests
+// through the scratch memo), and the block's keys and digests stay
+// cache-resident while every scanner sweeps it. Per-chunk tallies merge
+// in stream order, so every tally — including its LastWriteWins column —
+// is bit-identical to scanning the materialized stream with that scanner
+// alone. The dataset is read, parsed and chunked exactly once no matter
+// how many scanners ride the pass; this is what makes
+// corpus-against-catalog verification (core.VerifyBatch) scale with the
+// number of certificates.
 //
-// Chunk relations are recycled: once collect returns for a chunk, its
-// mini-relation goes back to the reader for refilling, so neither work
-// nor collect may retain it (or any tuple of it) past their return.
-func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, work func(*relation.Relation) (T, error), collect func(T) error) error {
-	workers := cfg.workers()
-	chunkRows := cfg.streamChunkRows()
+// Scanners must have been prepared against src's schema (their key and
+// attribute columns are resolved positions). With zero scanners the stream
+// is not consumed. cfg.Progress ticks once per block, with suspect tuples
+// covered (not multiplied by the number of scanners).
+func ScanMany(ctx context.Context, src relation.BlockReader, scanners []*mark.Scanner, cfg Config) ([]*mark.Tally, error) {
+	totals := make([]*mark.Tally, len(scanners))
+	for i, sc := range scanners {
+		totals[i] = sc.NewTally()
+	}
+	if len(scanners) == 0 {
+		return totals, nil
+	}
+	return scanManyBlocks(ctx, src, scanners, totals, cfg)
+}
 
-	jobs := make(chan *streamJob[T], workers)
-	ordered := make(chan *streamJob[T], workers)
-	freeRels := make(chan *relation.Relation, 2*workers)
+// blockJob is one group of columnar blocks travelling through the pool,
+// plus the rendezvous channel its per-scanner tallies come back on.
+type blockJob struct {
+	blks []*relation.Block
+	res  chan blockTallies
+}
+
+type blockTallies struct {
+	parts []*mark.Tally
+	err   error
+}
+
+// scanManyBlocks drives every scanner over a single pass of src,
+// accumulating into totals (one per scanner, in scanner order). Tallies
+// merge in stream order, the blocks buffered when a read error hits are
+// discarded, and a cancelled ctx stops the reader between blocks.
+func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*mark.Scanner, totals []*mark.Tally, cfg Config) ([]*mark.Tally, error) {
+	workers := cfg.workers()
+	blockRows := cfg.blockRows()
+	groupBlocks := max(cfg.streamChunkRows()/blockRows, 1)
+
+	jobs := make(chan *blockJob, workers)
+	ordered := make(chan *blockJob, workers)
+	freeJobs := make(chan *blockJob, 2*workers)
+	freeParts := make(chan []*mark.Tally, 2*workers)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 
-	// A cancelled ctx trips the same stop latch a collect error does, so
-	// the reader and dispatcher unwind through one path.
 	watcherDone := make(chan struct{})
 	defer close(watcherDone)
 	go func() {
@@ -85,13 +110,32 @@ func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var bs mark.BlockScratch // one scratch per worker, reused across jobs
+			if cfg.Phases != nil {
+				bs.EnableHashTiming()
+			}
 			for job := range jobs {
-				if ctx.Err() != nil {
-					job.res <- streamResult[T]{err: ctx.Err()}
-					continue
+				var res blockTallies
+				if err := ctx.Err(); err != nil {
+					res.err = err
+				} else if cfg.Phases == nil {
+					res.parts, res.err = scanBlockGroup(ctx, scanners, job.blks, &bs, freeParts, cfg)
+				} else {
+					// Phase clocks at job granularity: the scratch meters
+					// kernel time, the remainder of the scan elapsed is the
+					// fitness/vote walk.
+					start := time.Now()
+					res.parts, res.err = scanBlockGroup(ctx, scanners, job.blks, &bs, freeParts, cfg)
+					elapsed := time.Since(start)
+					hash := time.Duration(bs.HashNanos())
+					cfg.Phases.AddHash(hash)
+					cfg.Phases.AddVote(elapsed - hash)
 				}
-				val, err := work(job.rel)
-				job.res <- streamResult[T]{val, err}
+				for _, blk := range job.blks {
+					relation.PutBlock(blk)
+				}
+				job.blks = job.blks[:0]
+				job.res <- res
 			}
 		}()
 	}
@@ -100,25 +144,29 @@ func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, w
 	go func() {
 		defer close(jobs)
 		defer close(ordered)
-		newRel := func() *relation.Relation {
+		getJob := func() *blockJob {
 			select {
-			case r := <-freeRels:
-				r.Reset()
-				return r
+			case j := <-freeJobs:
+				return j
 			default:
-				return relation.New(src.Schema())
+				return &blockJob{res: make(chan blockTallies, 1)}
 			}
 		}
-		rel := newRel()
+		putBlocks := func(blks []*relation.Block) {
+			for _, blk := range blks {
+				relation.PutBlock(blk)
+			}
+		}
+		job := getJob()
+		defer func() { putBlocks(job.blks) }()
 		dispatch := func() bool {
-			job := &streamJob[T]{rel: rel, res: make(chan streamResult[T], 1)}
 			select {
 			case <-stop:
 				return false
 			case jobs <- job:
 			}
 			ordered <- job
-			rel = newRel()
+			job = getJob()
 			return true
 		}
 		stopped := func() bool {
@@ -133,25 +181,38 @@ func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, w
 			if stopped() {
 				return
 			}
-			t, err := src.Read()
+			blk := relation.GetBlock(src.Schema())
+			var readStart time.Time
+			if cfg.Phases != nil {
+				readStart = time.Now()
+			}
+			n, err := src.ReadBlock(blk, blockRows)
+			if cfg.Phases != nil {
+				cfg.Phases.AddIngest(time.Since(readStart))
+			}
 			if err == io.EOF {
+				relation.PutBlock(blk)
 				break
 			}
 			if err != nil {
+				// Discard the buffered group: the whole call errors out
+				// anyway.
+				relation.PutBlock(blk)
 				readErr = err
 				return
 			}
-			if err := rel.Append(t); err != nil {
-				readErr = err
-				return
+			if n == 0 {
+				relation.PutBlock(blk)
+				continue
 			}
-			if rel.Len() >= chunkRows {
+			job.blks = append(job.blks, blk)
+			if len(job.blks) >= groupBlocks {
 				if !dispatch() {
 					return
 				}
 			}
 		}
-		if rel.Len() > 0 {
+		if len(job.blks) > 0 {
 			dispatch()
 		}
 	}()
@@ -162,195 +223,69 @@ func runStream[T any](ctx context.Context, src relation.RowReader, cfg Config, w
 		if firstErr == nil {
 			if r.err != nil {
 				firstErr = r.err
-			} else if err := collect(r.val); err != nil {
-				firstErr = err
-			}
-			if firstErr != nil {
 				stopOnce.Do(func() { close(stop) })
+			} else {
+				var mergeStart time.Time
+				if cfg.Phases != nil {
+					mergeStart = time.Now()
+				}
+				for i := range totals {
+					totals[i].Merge(r.parts[i])
+				}
+				if cfg.Phases != nil {
+					cfg.Phases.AddMerge(time.Since(mergeStart))
+				}
 			}
 		}
-		select { // collect is done with the chunk — recycle it
-		case freeRels <- job.rel:
+		if r.parts != nil {
+			select {
+			case freeParts <- r.parts:
+			default:
+			}
+		}
+		select {
+		case freeJobs <- job:
 		default:
 		}
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if readErr != nil && firstErr == nil {
 		firstErr = readErr
 	}
-	return firstErr
-}
-
-// EmbedReader streams rows from src, watermarks them chunk-by-chunk on a
-// worker pool, and writes the (possibly rewritten) rows to dst in input
-// order. Requires opts.Domain and opts.BandwidthOverride — with an
-// unknown stream length there is no N to derive either from. The emitted
-// rows are identical to what a materialized mark.Embed pass would
-// produce under the same bandwidth and domain.
-func EmbedReader(ctx context.Context, src relation.RowReader, dst relation.RowWriter, wm ecc.Bits, opts mark.Options, cfg Config) (mark.EmbedStats, error) {
-	if err := validateChunkable(opts, "embed"); err != nil {
-		return mark.EmbedStats{}, err
-	}
-	em, err := mark.NewStreamEmbedder(src.Schema(), wm, opts)
-	if err != nil {
-		return mark.EmbedStats{}, err
-	}
-	var agg mark.ChunkStats
-	err = runStream(ctx, src, cfg,
-		func(rel *relation.Relation) (*streamEmbedOut, error) {
-			var cs mark.ChunkStats
-			var bs mark.BlockScratch
-			if err := embedRange(ctx, em, rel, 0, rel.Len(), &cs, &bs, cfg); err != nil {
-				return nil, err
-			}
-			return &streamEmbedOut{rel: rel, cs: cs}, nil
-		},
-		func(out *streamEmbedOut) error {
-			for i := 0; i < out.rel.Len(); i++ {
-				if err := dst.Write(out.rel.Tuple(i)); err != nil {
-					return err
-				}
-			}
-			agg.Add(out.cs)
-			return nil
-		})
-	if err != nil {
-		return mark.EmbedStats{}, err
-	}
-	if err := dst.Flush(); err != nil {
-		return mark.EmbedStats{}, err
-	}
-	st := mark.MergeChunks(agg)
-	st.Bandwidth = em.Bandwidth() // an empty stream still has a fixed |wm_data|
-	return st, nil
-}
-
-type streamEmbedOut struct {
-	rel *relation.Relation
-	cs  mark.ChunkStats
-}
-
-// ScanMany is the fan-out detection engine: it drives every prepared
-// scanner over a SINGLE pass of src and returns one merged tally per
-// scanner, in scanner order. Chunks are scanned on the worker pool
-// block-at-a-time with the certificate loop INSIDE the block loop: each
-// fixed-size block's key column is extracted once, its fitness digests
-// are computed once per distinct lane (certificates sharing an owner
-// secret replay each other's digests through the scratch memo), and the
-// block's keys and digests stay cache-resident while every scanner
-// sweeps it. Per-chunk tallies merge in stream order, so every tally —
-// including its LastWriteWins column — is bit-identical to scanning the
-// materialized stream with that scanner alone. The dataset is read,
-// parsed and chunked exactly once no matter how many scanners ride the
-// pass; this is what makes corpus-against-catalog verification
-// (core.VerifyBatch) scale with the number of certificates.
-//
-// Scanners must have been prepared against src's schema (their key and
-// attribute columns are resolved positions). With zero scanners the stream
-// is not consumed. cfg.Progress ticks once per block, with suspect tuples
-// covered (not multiplied by the number of scanners).
-func ScanMany(ctx context.Context, src relation.RowReader, scanners []*mark.Scanner, cfg Config) ([]*mark.Tally, error) {
-	totals := make([]*mark.Tally, len(scanners))
-	for i, sc := range scanners {
-		totals[i] = sc.NewTally()
-	}
-	if len(scanners) == 0 {
-		return totals, nil
-	}
-	if br, ok := src.(relation.BlockReader); ok && cfg.BlockRows >= 0 {
-		// Columnar fast path: the source fills pooled blocks directly
-		// (zero allocations per row), and the scanners vote over the
-		// arena bytes through Scanner.ScanColumns. Bit-identical to the
-		// row path below — the equivalence tests drive both.
-		return scanManyBlocks(ctx, br, scanners, totals, cfg)
-	}
-	err := runStream(ctx, src, cfg,
-		func(rel *relation.Relation) ([]*mark.Tally, error) {
-			parts := make([]*mark.Tally, len(scanners))
-			for i, sc := range scanners {
-				parts[i] = sc.NewTally()
-			}
-			if cfg.BlockRows < 0 {
-				// Tuple-at-a-time legacy engine: scanner-major, each
-				// scanner sweeping the chunk with its own hasher state.
-				for i, sc := range scanners {
-					for j := 0; j < rel.Len(); j++ {
-						sc.ScanTuple(rel.Tuple(j), parts[i])
-					}
-				}
-				cfg.report(rel.Len())
-				return parts, nil
-			}
-			var bs mark.BlockScratch
-			br := cfg.blockRows()
-			for lo := 0; lo < rel.Len(); lo += br {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				hi := min(lo+br, rel.Len())
-				for i, sc := range scanners {
-					if err := sc.ScanBlock(rel, lo, hi, parts[i], &bs); err != nil {
-						return nil, err
-					}
-				}
-				cfg.report(hi - lo)
-			}
-			return parts, nil
-		},
-		func(parts []*mark.Tally) error {
-			for i := range totals {
-				totals[i].Merge(parts[i])
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	return totals, nil
 }
 
-// DetectOutcome is one scanner's result from DetectMany. Err carries a
-// per-certificate decode failure (e.g. an ECC that cannot decode the
-// recovered wm_data); the scan itself either succeeds for all scanners or
-// fails the whole call.
-type DetectOutcome struct {
-	Report mark.DetectReport
-	Err    error
-}
-
-// DetectMany runs ScanMany and aggregates each scanner's tally into its
-// detection report. Outcomes are in scanner order.
-func DetectMany(ctx context.Context, src relation.RowReader, scanners []*mark.Scanner, cfg Config) ([]DetectOutcome, error) {
-	tallies, err := ScanMany(ctx, src, scanners, cfg)
-	if err != nil {
-		return nil, err
+// scanBlockGroup sweeps every scanner over one group of blocks,
+// certificate loop inside the block loop, into a recycled tally group.
+func scanBlockGroup(ctx context.Context, scanners []*mark.Scanner, blks []*relation.Block, bs *mark.BlockScratch, freeParts chan []*mark.Tally, cfg Config) ([]*mark.Tally, error) {
+	var parts []*mark.Tally
+	select {
+	case parts = <-freeParts:
+		for _, t := range parts {
+			t.Reset()
+		}
+	default:
+		parts = make([]*mark.Tally, len(scanners))
+		for i, sc := range scanners {
+			parts[i] = sc.NewTally()
+		}
 	}
-	out := make([]DetectOutcome, len(scanners))
-	for i, sc := range scanners {
-		out[i].Report, out[i].Err = sc.Report(tallies[i])
+	for _, blk := range blks {
+		if err := ctx.Err(); err != nil {
+			return parts, err
+		}
+		for i, sc := range scanners {
+			if err := sc.ScanColumns(blk, parts[i], bs); err != nil {
+				return parts, err
+			}
+		}
+		cfg.report(blk.Rows())
 	}
-	return out, nil
-}
-
-// DetectReader streams rows from src and recovers a wmLen-bit watermark —
-// the single-scanner case of DetectMany. Requires opts.Domain and
-// opts.BandwidthOverride. The recovered bit string is bit-identical to
-// running mark.Detect over the materialized stream with the same
-// parameters.
-func DetectReader(ctx context.Context, src relation.RowReader, wmLen int, opts mark.Options, cfg Config) (mark.DetectReport, error) {
-	if err := validateChunkable(opts, "detect"); err != nil {
-		return mark.DetectReport{}, err
-	}
-	sc, err := mark.NewStreamScanner(src.Schema(), wmLen, opts)
-	if err != nil {
-		return mark.DetectReport{}, err
-	}
-	outs, err := DetectMany(ctx, src, []*mark.Scanner{sc}, cfg)
-	if err != nil {
-		return mark.DetectReport{}, err
-	}
-	return outs[0].Report, outs[0].Err
+	return parts, nil
 }

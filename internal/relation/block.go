@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -156,6 +157,24 @@ func (b *Block) AppendTuple(t Tuple) error {
 	}
 	b.rows++
 	return nil
+}
+
+// FillBlock resets b for r's schema and copies rows [lo, hi) of r into
+// it — the one place materialized rows become columns, so the scan
+// engine votes over a relation through the same kernel it runs over a
+// stream. It panics if the range is out of bounds.
+func (r *Relation) FillBlock(b *Block, lo, hi int) {
+	b.Reset(r.schema)
+	rows := r.tuples[lo:hi]
+	for c := range b.cols {
+		col := &b.cols[c]
+		col.offs = slices.Grow(col.offs, len(rows))
+		for _, t := range rows {
+			col.data = append(col.data, t[c]...)
+			col.closeRow()
+		}
+	}
+	b.rows = len(rows)
 }
 
 // blockPool recycles blocks across reads and workers; arenas stay warm,

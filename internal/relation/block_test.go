@@ -563,6 +563,64 @@ func TestBlockPoolAndGen(t *testing.T) {
 	PutBlock(b)
 }
 
+// TestFillBlockMatchesAppendTuple: a block filled from a relation range
+// holds exactly the rows AppendTuple would put there, for every range
+// shape (empty, size 1, ragged tail), and a refill into the same block
+// advances its generation and drops the previous rows.
+func TestFillBlockMatchesAppendTuple(t *testing.T) {
+	schema := rowioSchema(t)
+	r := New(schema)
+	for i := 0; i < 300; i++ {
+		r.MustAppend(Tuple{fmt.Sprint(i), strings.Repeat("v", i%5)}) // "" values too
+	}
+	blk := GetBlock(schema)
+	defer PutBlock(blk)
+	for _, rg := range [][2]int{{0, 0}, {0, 1}, {7, 8}, {0, 300}, {299, 300}, {10, 123}} {
+		g := blk.Gen()
+		r.FillBlock(blk, rg[0], rg[1])
+		if blk.Gen() == g {
+			t.Fatalf("range %v: FillBlock did not advance the generation", rg)
+		}
+		want := NewBlock(schema)
+		for j := rg[0]; j < rg[1]; j++ {
+			if err := want.AppendTuple(r.Tuple(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if blk.Rows() != want.Rows() {
+			t.Fatalf("range %v: %d rows, want %d", rg, blk.Rows(), want.Rows())
+		}
+		for c := 0; c < schema.Arity(); c++ {
+			gotData, gotOffs := blk.Col(c).Raw()
+			wantData, wantOffs := want.Col(c).Raw()
+			if string(gotData) != string(wantData) || !slices.Equal(gotOffs, wantOffs) {
+				t.Fatalf("range %v column %d: arena or offsets differ", rg, c)
+			}
+		}
+	}
+}
+
+// TestRelationReaderBlocks: the block view of Rows(r) yields every row
+// once, in order, at any batch size, then (0, io.EOF).
+func TestRelationReaderBlocks(t *testing.T) {
+	r := New(rowioSchema(t))
+	var want [][]string
+	for i := 0; i < 1100; i++ {
+		tup := Tuple{fmt.Sprint(i), fmt.Sprint(10 + i%7)}
+		r.MustAppend(tup)
+		want = append(want, tup)
+	}
+	for _, maxRows := range []int{0, 1, 3, 512, 5000} {
+		got, err := drainBlockRows(t, Rows(r), maxRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(got, want) {
+			t.Fatalf("maxRows %d: block view diverged from the relation", maxRows)
+		}
+	}
+}
+
 // TestBlockReadAllocsCSV pins the warm block-read path at zero
 // allocations per block (hence per row) — the tentpole invariant.
 func TestBlockReadAllocsCSV(t *testing.T) {

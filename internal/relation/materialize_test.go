@@ -202,16 +202,6 @@ func TestFreshCloneIndex(t *testing.T) {
 			t.Fatal("EqualUnordered rejects a shuffled clone")
 		}
 	}
-
-	// Reset keeps a working index.
-	c.Reset()
-	c.MustAppend(Tuple{"7", "x", "y"})
-	if err := c.Append(Tuple{"7", "z", "z"}); !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("reset relation accepted a duplicate key: %v", err)
-	}
-	if i, ok := c.Lookup("7"); !ok || i != 0 || c.Len() != 1 {
-		t.Fatalf("after Reset: Lookup(7) = %d,%v, len %d", i, ok, c.Len())
-	}
 }
 
 // TestTupleAppendStaysInRow: tuples cut from one backing slice have

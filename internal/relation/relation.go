@@ -220,14 +220,6 @@ func New(schema *Schema) *Relation {
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// Reset empties the relation in place, keeping the schema and the
-// tuple/key capacity — the recycling half of the pooled chunk relations
-// in the streaming pipeline.
-func (r *Relation) Reset() {
-	r.tuples = r.tuples[:0]
-	clear(r.keys) // an empty index is a valid one for no tuples
-}
-
 // Len returns the number of tuples (the paper's N).
 func (r *Relation) Len() int { return len(r.tuples) }
 

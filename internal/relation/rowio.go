@@ -237,22 +237,43 @@ func ReadAll(rr RowReader) (*Relation, error) {
 	}
 }
 
-// Rows returns a RowReader over a materialized relation, for feeding
+// Rows returns a reader over a materialized relation, for feeding
 // in-memory data to streaming consumers.
-func Rows(r *Relation) RowReader { return &memRowReader{r: r} }
+func Rows(r *Relation) *RelationReader { return &RelationReader{r: r} }
 
-type memRowReader struct {
+// RelationReader streams a materialized relation's rows in order. It
+// implements both RowReader (cloned tuples) and BlockReader (blocks
+// filled through Relation.FillBlock); the two views share one cursor.
+type RelationReader struct {
 	r *Relation
 	i int
 }
 
-func (m *memRowReader) Schema() *Schema { return m.r.Schema() }
+// Schema returns the relation's schema.
+func (m *RelationReader) Schema() *Schema { return m.r.Schema() }
 
-func (m *memRowReader) Read() (Tuple, error) {
+// Read returns a clone of the next row, or io.EOF.
+func (m *RelationReader) Read() (Tuple, error) {
 	if m.i >= m.r.Len() {
 		return nil, io.EOF
 	}
 	t := m.r.Tuple(m.i).Clone()
 	m.i++
 	return t, nil
+}
+
+// ReadBlock fills b with up to maxRows rows (<= 0 means a default
+// batch). See BlockReader for the contract.
+func (m *RelationReader) ReadBlock(b *Block, maxRows int) (int, error) {
+	if m.i >= m.r.Len() {
+		b.Reset(m.r.schema)
+		return 0, io.EOF
+	}
+	if maxRows <= 0 {
+		maxRows = compatBlockRows
+	}
+	lo := m.i
+	m.i = min(lo+maxRows, m.r.Len())
+	m.r.FillBlock(b, lo, m.i)
+	return m.i - lo, nil
 }

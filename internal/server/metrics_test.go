@@ -132,7 +132,17 @@ func TestMetricsEndpointExposesAllLayers(t *testing.T) {
 		t.Fatalf("job finished %s: %+v", final.State, final.Error)
 	}
 
+	// The server counts a request after writing its response, so the
+	// reply to the last job poll can arrive before that poll is counted.
+	// Poll /metrics (bounded) until the HTTP layer has caught up, then
+	// assert.
 	m := scrapeMetrics(t, ts.URL)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); m = scrapeMetrics(t, ts.URL) {
+		if metricSum(m, `wm_http_requests_total{`) >= 3 && metricSum(m, `wm_http_request_duration_seconds_count{`) >= 3 {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	// HTTP layer: the watermark and job calls above must be counted as
 	// 2xx, and the duration histogram must have observed them.

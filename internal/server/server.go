@@ -38,7 +38,7 @@
 // schema-spec grammar of internal/relation, or — on the verify endpoints —
 // as RAW streamed request bodies: POST with Content-Type text/csv or
 // application/x-ndjson and the rows flow straight from the socket into
-// the detection pipeline tuple-at-a-time, never materialized in a request
+// the detection pipeline block by block, never materialized in a request
 // struct (parameters travel as query strings). Prepared certificate state
 // is cached across requests (core.ScannerCache), so auditing many
 // suspects against a registered catalog re-derives keys and domains once.
