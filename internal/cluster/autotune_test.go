@@ -108,21 +108,7 @@ func TestTargetShardRowsTracksObservedRate(t *testing.T) {
 func TestSplitTask(t *testing.T) {
 	f := newAuditFixture(t, 101, 1)
 	var buf strings.Builder
-	w, err := relation.NewCSVRowWriter(&buf, f.schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := f.rows()
-	for {
-		tup, err := src.Read()
-		if err != nil {
-			break
-		}
-		if err := w.Write(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := relation.WriteCSV(&buf, f.rel); err != nil {
 		t.Fatal(err)
 	}
 	s := &scan{job: ScanJob{Schema: f.spec}, ctx: context.Background(), schema: f.schema, format: "csv"}

@@ -70,8 +70,13 @@ type BatchPrep struct {
 // still ride the scan.
 func PrepareBatch(records []*Record, schema *relation.Schema, opts BatchOptions) *BatchPrep {
 	p := &BatchPrep{errs: make([]error, len(records))}
+	cache := opts.Cache
+	if cache == nil {
+		// A call-local cache still interns domains within the batch.
+		cache = NewScannerCache(len(records))
+	}
 	for i, rec := range records {
-		pr, err := prepared(rec, opts.Cache, opts.HashKernel)
+		pr, err := prepared(rec, cache, opts.HashKernel)
 		if err != nil {
 			p.errs[i] = err
 			continue

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"sync"
 
 	"repro/internal/ecc"
@@ -26,14 +27,18 @@ type preparedRecord struct {
 	opts mark.Options
 }
 
-func prepareRecord(rec *Record, kernel keyhash.KernelKind) (*preparedRecord, error) {
+// prepareRecord derives rec's prepared state. dom, when non-nil, is an
+// interned domain already built from rec.Domain (see ScannerCache);
+// nil builds it here.
+func prepareRecord(rec *Record, kernel keyhash.KernelKind, dom *relation.Domain) (*preparedRecord, error) {
 	want, err := ecc.ParseBits(rec.WM)
 	if err != nil {
 		return nil, fmt.Errorf("core: corrupt record: %w", err)
 	}
-	dom, err := relation.NewDomain(rec.Domain)
-	if err != nil {
-		return nil, fmt.Errorf("core: corrupt record: %w", err)
+	if dom == nil {
+		if dom, err = relation.NewDomain(rec.Domain); err != nil {
+			return nil, fmt.Errorf("core: corrupt record: %w", err)
+		}
 	}
 	s := Spec{Secret: rec.Secret}
 	k1, k2 := s.keys()
@@ -57,12 +62,56 @@ func (p *preparedRecord) streamScanner(schema *relation.Schema) (*mark.Scanner, 
 	return mark.NewStreamScanner(schema, len(p.want), p.opts)
 }
 
+// fieldDigest hashes a sequence of fields through one small buffer:
+// writing each string straight into a hash.Hash would copy it into a
+// fresh []byte per field, which over a 1000-value domain is most of
+// what a cache lookup allocates.
+type fieldDigest struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newFieldDigest() *fieldDigest {
+	return &fieldDigest{h: sha256.New(), buf: make([]byte, 0, 512)}
+}
+
+// str adds a length-prefixed string.
+func (f *fieldDigest) str(s string) {
+	f.u64(uint64(len(s)))
+	f.buf = append(f.buf, s...)
+	if len(f.buf) >= 448 {
+		f.h.Write(f.buf)
+		f.buf = f.buf[:0]
+	}
+}
+
+// u64 adds a fixed-width word.
+func (f *fieldDigest) u64(v uint64) { f.buf = binary.BigEndian.AppendUint64(f.buf, v) }
+
+// sum returns the digest of everything added.
+func (f *fieldDigest) sum() string {
+	f.h.Write(f.buf)
+	return string(f.h.Sum(nil))
+}
+
+// domainDigest is the digest of a certificate's domain value list, in
+// order: the key ScannerCache interns domains by. Equal digests mean
+// equal lists, and so equal domains.
+func domainDigest(values []string) string {
+	f := newFieldDigest()
+	for _, v := range values {
+		f.str(v)
+	}
+	return f.sum()
+}
+
 // fingerprint keys the scanner cache: a digest over every field that
 // feeds the prepared state (secret, attributes, expected bits, e,
-// bandwidth, domain). The frequency profile is deliberately excluded —
-// remap recovery reads it straight off the record, never from the
-// prepared state — so certificates differing only in profile share an
-// entry.
+// bandwidth) and over domDigest, rec's domainDigest — folded in so the
+// domain values are hashed once per lookup, for both keys. The
+// frequency profile is deliberately excluded — remap recovery reads it
+// straight off the record, never from the prepared state — so
+// certificates differing only in profile share an entry.
 //
 // The digest is recomputed per lookup, so a cache hit still costs one
 // hash pass over the domain strings. That is deliberate: Record is a
@@ -73,26 +122,16 @@ func (p *preparedRecord) streamScanner(schema *relation.Schema) (*mark.Scanner, 
 // still skips the expensive part — ParseBits, key derivation and the
 // O(|domain|) map build with its per-value allocations — which costs an
 // order of magnitude more than hashing the same bytes.
-func (rec *Record) fingerprint() string {
-	h := sha256.New()
-	var n [8]byte
-	ws := func(s string) {
-		binary.BigEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	ws(rec.Secret)
-	ws(rec.Attribute)
-	ws(rec.KeyAttr)
-	ws(rec.WM)
-	binary.BigEndian.PutUint64(n[:], rec.E)
-	h.Write(n[:])
-	binary.BigEndian.PutUint64(n[:], uint64(rec.Bandwidth))
-	h.Write(n[:])
-	for _, v := range rec.Domain {
-		ws(v)
-	}
-	return string(h.Sum(nil))
+func (rec *Record) fingerprint(domDigest string) string {
+	f := newFieldDigest()
+	f.str(rec.Secret)
+	f.str(rec.Attribute)
+	f.str(rec.KeyAttr)
+	f.str(rec.WM)
+	f.u64(rec.E)
+	f.u64(uint64(rec.Bandwidth))
+	f.str(domDigest)
+	return f.sum()
 }
 
 // DefaultScannerCacheEntries is the entry bound NewScannerCache applies
@@ -102,19 +141,31 @@ const DefaultScannerCacheEntries = 256
 // ScannerCache memoizes prepared certificate state across verifies, so a
 // service verifying many suspects against the same registered catalog
 // re-derives keys and domains once per certificate instead of once per
-// request. Entries evict least-recently-used. Safe for concurrent use.
+// request. Entries evict least-recently-used. Entries whose
+// certificates carry the same domain list share one *relation.Domain:
+// one value index to build, keep in memory and probe from every
+// scanner of a batch. Safe for concurrent use.
 type ScannerCache struct {
 	mu      sync.Mutex
 	max     int
 	lru     *list.List // of *cacheSlot, front = most recently used
 	entries map[string]*list.Element
+	domains map[string]*sharedDomain // by domainDigest
 	hits    uint64
 	misses  uint64
 }
 
 type cacheSlot struct {
-	key  string
-	prep *preparedRecord
+	key       string
+	domDigest string
+	prep      *preparedRecord
+}
+
+// sharedDomain is an interned domain and the number of cache entries
+// holding it; the last entry evicted drops it.
+type sharedDomain struct {
+	dom  *relation.Domain
+	refs int
 }
 
 // NewScannerCache returns a cache bounded to maxEntries prepared records
@@ -127,6 +178,7 @@ func NewScannerCache(maxEntries int) *ScannerCache {
 		max:     maxEntries,
 		lru:     list.New(),
 		entries: make(map[string]*list.Element),
+		domains: make(map[string]*sharedDomain),
 	}
 }
 
@@ -134,10 +186,12 @@ func NewScannerCache(maxEntries int) *ScannerCache {
 // kind, deriving and inserting it on miss. The kind is part of the cache
 // key — prepared state carries the kernel choice into every scanner it
 // spawns, so entries for different backends must not alias. Derivation
-// happens outside the lock; when two goroutines race on the same
-// certificate the first insert wins and both share its state.
+// happens outside the lock, reusing an interned domain when one exists;
+// when two goroutines race on the same certificate the first insert
+// wins and both share its state.
 func (c *ScannerCache) prepared(rec *Record, kernel keyhash.KernelKind) (*preparedRecord, error) {
-	key := rec.fingerprint() + "|" + string(kernel)
+	domDigest := domainDigest(rec.Domain)
+	key := rec.fingerprint(domDigest) + "|" + string(kernel)
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
@@ -147,9 +201,13 @@ func (c *ScannerCache) prepared(rec *Record, kernel keyhash.KernelKind) (*prepar
 		return p, nil
 	}
 	c.misses++
+	var dom *relation.Domain
+	if sd, ok := c.domains[domDigest]; ok {
+		dom = sd.dom
+	}
 	c.mu.Unlock()
 
-	p, err := prepareRecord(rec, kernel)
+	p, err := prepareRecord(rec, kernel, dom)
 	if err != nil {
 		return nil, err
 	}
@@ -159,11 +217,22 @@ func (c *ScannerCache) prepared(rec *Record, kernel keyhash.KernelKind) (*prepar
 		c.lru.MoveToFront(el)
 		return el.Value.(*cacheSlot).prep, nil
 	}
-	c.entries[key] = c.lru.PushFront(&cacheSlot{key: key, prep: p})
+	if sd, ok := c.domains[domDigest]; ok {
+		// p is still private: point it at the interned domain, which a
+		// racing miss may have inserted since the lookup above.
+		p.opts.Domain = sd.dom
+		sd.refs++
+	} else {
+		c.domains[domDigest] = &sharedDomain{dom: p.opts.Domain, refs: 1}
+	}
+	c.entries[key] = c.lru.PushFront(&cacheSlot{key: key, domDigest: domDigest, prep: p})
 	if c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheSlot).key)
+		oldest := c.lru.Remove(c.lru.Back()).(*cacheSlot)
+		delete(c.entries, oldest.key)
+		sd := c.domains[oldest.domDigest]
+		if sd.refs--; sd.refs == 0 {
+			delete(c.domains, oldest.domDigest)
+		}
 	}
 	return p, nil
 }
@@ -186,7 +255,7 @@ func (c *ScannerCache) Stats() CacheStats {
 // cache; a nil cache derives it fresh.
 func prepared(rec *Record, cache *ScannerCache, kernel keyhash.KernelKind) (*preparedRecord, error) {
 	if cache == nil {
-		return prepareRecord(rec, kernel)
+		return prepareRecord(rec, kernel, nil)
 	}
 	return cache.prepared(rec, kernel)
 }

@@ -1,6 +1,7 @@
 package keyhash
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -43,15 +44,31 @@ func BenchmarkHasher(b *testing.B) {
 
 // BenchmarkKernelHashMany compares the batched kernels against the
 // tuple-at-a-time Hasher loop over one block of realistic key values —
-// the per-certificate unit of work of every batch audit.
+// the per-certificate unit of work of every batch audit — at two value
+// lengths under a 32-byte NewKey key: 6 bytes, where the multibuffer
+// kernel takes its tail-block path (the value ends inside block 1), and
+// 32 bytes, a generic two-block message.
 func BenchmarkKernelHashMany(b *testing.B) {
 	k := NewKey("bench")
-	values := make([]string, 1024)
-	for i := range values {
-		values[i] = strconv.Itoa(500000 + i)
+	for _, vc := range []struct {
+		name   string
+		format string
+	}{
+		{"6B", "%d"},
+		{"32B", "%032d"},
+	} {
+		values := make([]string, 1024)
+		for i := range values {
+			values[i] = fmt.Sprintf(vc.format, 500000+i)
+		}
+		b.Run(vc.name, func(b *testing.B) { benchKernels(b, k, values) })
 	}
-	out := make([]Digest, len(values))
+}
 
+// benchKernels runs the hasher loop and every available backend over
+// values, plus the WM_BENCH_KERNEL-pinned backend when set.
+func benchKernels(b *testing.B, k Key, values []string) {
+	out := make([]Digest, len(values))
 	h, err := k.NewHasher()
 	if err != nil {
 		b.Fatal(err)

@@ -73,8 +73,14 @@ const (
 	// KernelMultiBuffer interleaves two one-shot SHA-256 message streams
 	// through the CPU's SHA extensions in one assembly loop, hiding the
 	// SHA256RNDS2 dependency-chain latency that leaves a single-stream
-	// implementation underutilizing the execution ports. amd64 with
-	// SHA-NI only; NewKernel reports an error elsewhere.
+	// implementation underutilizing the execution ports. When a value
+	// ends inside block 1 of a two-block message (8+len(k)+|V| <= 64,
+	// so every value of up to 24 bytes under a 32-byte NewKey key),
+	// block 2 holds only the key tail, padding and bit length: it is
+	// hashed from a W+K schedule precomputed once per key and value
+	// length, shared by both lanes of a same-length pair. The path is
+	// chosen from the key and value lengths alone. amd64 with SHA-NI
+	// only; NewKernel reports an error elsewhere.
 	KernelMultiBuffer KernelKind = "multibuffer"
 	// KernelMultiBuffer4 runs four independent SHA-256 streams per
 	// assembly call — two interleaved 2-lane schedule chains feeding one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -153,11 +154,115 @@ func TestKernelMatchesHashRandom(t *testing.T) {
 	}
 }
 
+// TestKernelTailBlockBoundaries sweeps every key length 1–64 over value
+// lengths from 0 to 3 bytes past 64−8−len(k), the last length whose
+// value ends inside block 1 — the multibuffer kernel's tail-block
+// condition — so each backend is checked on both sides of it. The
+// batches alternate lengths (A, A, B, A, B, B) so lanes are relaid
+// and reused out of step, leave one odd leftover per length class, and
+// mix tail-path values with generic one-block, two-block and
+// beyond-lane values.
+func TestKernelTailBlockBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	val := func(n int) string {
+		b := make([]byte, n)
+		rng.Read(b)
+		return string(b)
+	}
+	for keyLen := 1; keyLen <= 64; keyLen++ {
+		keyBytes := make([]byte, keyLen)
+		rng.Read(keyBytes)
+		k := Key(keyBytes)
+		maxLen := max(64-8-keyLen, 0) + 3
+		var batches [][]string
+		// Three values per length, lengths interleaved: one pair and
+		// one leftover per class.
+		var triples []string
+		for rep := 0; rep < 3; rep++ {
+			for n := 0; n <= maxLen; n++ {
+				triples = append(triples, val(n))
+			}
+		}
+		batches = append(batches, triples)
+		// A, A, B, A, B, B over each pair of neighbouring lengths.
+		for a := 0; a < maxLen; a++ {
+			b := a + 1
+			batches = append(batches, []string{val(a), val(a), val(b), val(a), val(b), val(b)})
+		}
+		// Tail-path values mixed with every other path.
+		var mixed []string
+		for i := 0; i < 9; i++ {
+			mixed = append(mixed, val(i%(maxLen+1)), val(maxLen+1+i*5), val(130+i))
+		}
+		batches = append(batches, mixed)
+
+		for kind, kern := range availableKernels(t, k) {
+			for bi, values := range batches {
+				out := make([]Digest, len(values))
+				kern.HashMany(values, out)
+				data, offs := column(values)
+				colOut := make([]Digest, len(values))
+				kern.HashColumn(data, offs, colOut)
+				for i, v := range values {
+					want := HashString(k, v)
+					if out[i] != want {
+						t.Fatalf("kernel %q keyLen %d batch %d value %d (len %d): HashMany digest mismatch",
+							kind, keyLen, bi, i, len(v))
+					}
+					if colOut[i] != want {
+						t.Fatalf("kernel %q keyLen %d batch %d value %d (len %d): HashColumn digest mismatch",
+							kind, keyLen, bi, i, len(v))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelConcurrentFirstUse shares each kernel among goroutines that
+// all hit value lengths no call has hashed yet, so the multibuffer
+// kernel's lazily cached tail schedules are built and read from several
+// goroutines at once (run under -race).
+func TestKernelConcurrentFirstUse(t *testing.T) {
+	k := NewKey("concurrent-first-use")
+	for kind, kern := range availableKernels(t, k) {
+		var wg sync.WaitGroup
+		errs := make(chan string, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var values []string
+				for n := 0; n <= 27; n++ {
+					values = append(values, strings.Repeat(string(rune('a'+g)), n), strings.Repeat("z", n))
+				}
+				out := make([]Digest, len(values))
+				kern.HashMany(values, out)
+				for i, v := range values {
+					if out[i] != HashString(k, v) {
+						errs <- fmt.Sprintf("kernel %q goroutine %d value len %d: digest mismatch", kind, g, len(v))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+}
+
 // FuzzKernelMatchesHash cross-checks every available kernel against the
-// scalar construct on fuzzer-chosen key and value bytes.
+// scalar construct on fuzzer-chosen key and value bytes. The NewKey
+// seeds start the fuzzer inside the multibuffer tail-block path (6 and
+// 24 bytes) and just past it (25 bytes).
 func FuzzKernelMatchesHash(f *testing.F) {
 	f.Add([]byte("seed-key"), "value-a", "value-b", "value-c")
 	f.Add([]byte{1}, "", strings.Repeat("q", 60), strings.Repeat("r", 130))
+	f.Add([]byte(NewKey("fuzz-seed")), "500123", strings.Repeat("s", 24), strings.Repeat("t", 25))
+	f.Add([]byte(NewKey("fuzz-seed")), "600321", "600322", strings.Repeat("u", 24))
 	f.Fuzz(func(t *testing.T, keyBytes []byte, v0, v1, v2 string) {
 		if len(keyBytes) == 0 {
 			t.Skip()

@@ -19,6 +19,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Key is a secret watermarking key. The paper prescribes a
@@ -111,6 +113,44 @@ func Fit(d Digest, e uint64) bool {
 		panic("keyhash: fitness parameter e must be positive")
 	}
 	return d.Mod(e) == 0
+}
+
+// FitCheck is Fit for one fixed e with the division replaced by a
+// multiply, for loops that test many digests against the same e. With
+// e = d·2^t and d odd, a word x is a multiple of e iff
+// rotr(x·d⁻¹ mod 2^64, t) <= ⌊(2^64−1)/e⌋: multiplying by the inverse
+// maps the multiples of d one-to-one onto [0, ⌊(2^64−1)/d⌋], and the
+// rotation sends every word with a nonzero low t bits above that range
+// (Hacker's Delight, 2nd ed., section 10-17). The test is exact for
+// every uint64, so FitCheck.Fit(d) == Fit(d, e) always.
+type FitCheck struct {
+	inv   uint64 // d⁻¹ mod 2^64
+	shift int    // t
+	limit uint64 // ⌊(2^64−1)/e⌋
+}
+
+// NewFitCheck precomputes the divisibility constants of e. e must be
+// positive.
+func NewFitCheck(e uint64) FitCheck {
+	if e == 0 {
+		panic("keyhash: fitness parameter e must be positive")
+	}
+	t := bits.TrailingZeros64(e)
+	d := e >> t
+	// Newton's iteration for the inverse of an odd d modulo 2^64:
+	// inv = d is right in the low 3 bits (d² ≡ 1 mod 8), and each step
+	// doubles the number of correct bits.
+	inv := d
+	for i := 0; i < 5; i++ {
+		inv *= 2 - d*inv
+	}
+	return FitCheck{inv: inv, shift: t, limit: math.MaxUint64 / e}
+}
+
+// Fit reports whether d satisfies the fitness criterion for the
+// FitCheck's e.
+func (f FitCheck) Fit(d Digest) bool {
+	return bits.RotateLeft64(d.Uint64()*f.inv, -f.shift) <= f.limit
 }
 
 // FitKey is a convenience composing HashString and Fit for a tuple's

@@ -1,7 +1,9 @@
 package keyhash
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -200,4 +202,37 @@ func itoa(i int) string {
 		buf[pos] = '-'
 	}
 	return string(buf[pos:])
+}
+
+// TestFitCheckMatchesMod is the exactness property of the precomputed
+// divisibility test: over odd, even, power-of-two and extreme moduli
+// and over random words, multiples of e and multiples plus one (the
+// words either side of every boundary the test could get wrong),
+// FitCheck.Fit agrees with Digest.Mod(e) == 0.
+func TestFitCheckMatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	es := []uint64{1, 2, 3, 60, 64, 65, 70, 75, 96, 1 << 40, 1 << 63, math.MaxUint64}
+	digest := func(x uint64) Digest {
+		var d Digest
+		binary.BigEndian.PutUint64(d[:8], x)
+		rng.Read(d[8:])
+		return d
+	}
+	for _, e := range es {
+		fc := NewFitCheck(e)
+		words := []uint64{0, 1, math.MaxUint64, math.MaxUint64 - 1, e, e - 1, e + 1}
+		for i := 0; i < 2000; i++ {
+			m := rng.Uint64() / e * e // a random multiple of e
+			words = append(words, rng.Uint64(), m, m+1)
+		}
+		for _, x := range words {
+			d := digest(x)
+			if got, want := fc.Fit(d), d.Mod(e) == 0; got != want {
+				t.Fatalf("e=%d x=%d: FitCheck.Fit = %v, Mod(e)==0 is %v", e, x, got, want)
+			}
+			if fc.Fit(d) != Fit(d, e) {
+				t.Fatalf("e=%d x=%d: FitCheck.Fit disagrees with Fit", e, x)
+			}
+		}
+	}
 }

@@ -19,6 +19,9 @@
 //	shared: X0 = WK staging (implicit SHA256RNDS2 operand),
 //	        X7 = scratch, X8 = byte-swap shuffle mask
 //
+// sha256tail2, below, is the companion for a second block whose message
+// schedule is precomputed: rounds only, both lanes fed from one table.
+//
 // Requires SHA-NI, SSSE3 (PSHUFB) and SSE4.1 (PBLENDW); the Go side
 // gates construction on CPUID.
 
@@ -199,6 +202,101 @@ roundLoop:
 	MOVOU   X10, 16(R9)
 
 done:
+	RET
+
+// func sha256tail2(s0, s1 *[8]uint32, wk *uint32)
+//
+// Folds one more 64-byte block into both states whose message schedule
+// is already known: wk holds the 64 words W[i]+K[i] of that block (plus
+// two zero pad words, so the last 16-byte load stays in bounds). The
+// multibuffer kernel uses it for the second block of a two-block
+// message whose value ends inside block 1 — that block holds only the
+// key tail, the padding and the bit length, so its schedule depends on
+// the key and the value length alone and both lanes share one table.
+//
+// With the schedule precomputed the round loop is just SHA256RNDS2:
+// each 16-byte load at an 8-byte stride puts the next two W+K words in
+// the low half of X0, which feeds two rounds of lane A and two of lane
+// B. No byte swap, no shuffles, no MSG1/MSG2.
+//
+//	lane A: X1 = ABEF, X2 = CDGH, X3/X4 = saved incoming state
+//	lane B: X9 = ABEF, X10 = CDGH, X11/X12 = saved incoming state
+//	shared: X0 = WK staging (implicit SHA256RNDS2 operand), X7 = scratch
+
+// Four rounds per lane: two from the words at off, two from off+8.
+#define T_RNDS4(off) \
+	MOVOU       off(AX), X0         \
+	SHA256RNDS2 X0, X1, X2          \
+	SHA256RNDS2 X0, X9, X10         \
+	MOVOU       off+8(AX), X0       \
+	SHA256RNDS2 X0, X2, X1          \
+	SHA256RNDS2 X0, X10, X9
+
+TEXT ·sha256tail2(SB), NOSPLIT, $0-24
+	MOVQ s0+0(FP), DI
+	MOVQ s1+8(FP), R9
+	MOVQ wk+16(FP), AX
+
+	// h[0..7] -> (ABEF, CDGH) working order, per lane.
+	MOVOU   (DI), X1
+	MOVOU   16(DI), X2
+	PSHUFD  $0xb1, X1, X1
+	PSHUFD  $0x1b, X2, X2
+	MOVO    X1, X7
+	PALIGNR $8, X2, X1
+	PBLENDW $0xf0, X7, X2
+
+	MOVOU   (R9), X9
+	MOVOU   16(R9), X10
+	PSHUFD  $0xb1, X9, X9
+	PSHUFD  $0x1b, X10, X10
+	MOVO    X9, X7
+	PALIGNR $8, X10, X9
+	PBLENDW $0xf0, X7, X10
+
+	MOVO X1, X3
+	MOVO X2, X4
+	MOVO X9, X11
+	MOVO X10, X12
+
+	T_RNDS4(0)
+	T_RNDS4(16)
+	T_RNDS4(32)
+	T_RNDS4(48)
+	T_RNDS4(64)
+	T_RNDS4(80)
+	T_RNDS4(96)
+	T_RNDS4(112)
+	T_RNDS4(128)
+	T_RNDS4(144)
+	T_RNDS4(160)
+	T_RNDS4(176)
+	T_RNDS4(192)
+	T_RNDS4(208)
+	T_RNDS4(224)
+	T_RNDS4(240)
+
+	// Feed-forward, then working order back to h[0..7], per lane.
+	PADDD X3, X1
+	PADDD X4, X2
+	PADDD X11, X9
+	PADDD X12, X10
+
+	PSHUFD  $0x1b, X1, X1
+	PSHUFD  $0xb1, X2, X2
+	MOVO    X1, X7
+	PBLENDW $0xf0, X2, X1
+	PALIGNR $8, X7, X2
+	MOVOU   X1, (DI)
+	MOVOU   X2, 16(DI)
+
+	PSHUFD  $0x1b, X9, X9
+	PSHUFD  $0xb1, X10, X10
+	MOVO    X9, X7
+	PBLENDW $0xf0, X10, X9
+	PALIGNR $8, X7, X10
+	MOVOU   X9, (R9)
+	MOVOU   X10, 16(R9)
 	RET
 
 // SHA-256 round constants, packed (16-byte stride, 4 constants per

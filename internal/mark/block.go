@@ -224,7 +224,7 @@ func (s *Scanner) ScanColumns(blk *relation.Block, t *Tally, bs *BlockScratch) e
 	t.Rows += n
 	attrCol := blk.Col(s.attrCol)
 	for j := 0; j < n; j++ {
-		if !keyhash.Fit(d1[j], s.opts.E) {
+		if !s.fit.Fit(d1[j]) {
 			continue
 		}
 		t.Fit++
@@ -296,7 +296,7 @@ func (e *Embedder) EmbedBlock(r *relation.Relation, lo, hi int, cs *ChunkStats, 
 		// Ledger-gated walk: sequential-identical hook interleaving.
 		var d2 [1]keyhash.Digest
 		for j := range keys {
-			if !keyhash.Fit(d1[j], opts.E) {
+			if !e.fit.Fit(d1[j]) {
 				continue
 			}
 			cs.Fit++
@@ -314,7 +314,7 @@ func (e *Embedder) EmbedBlock(r *relation.Relation, lo, hi int, cs *ChunkStats, 
 
 	bs.stage()
 	for j, keyVal := range keys {
-		if !keyhash.Fit(d1[j], opts.E) {
+		if !e.fit.Fit(d1[j]) {
 			continue
 		}
 		cs.Fit++

@@ -33,6 +33,7 @@ type Embedder struct {
 	dom          *relation.Domain
 	bw           int
 	wmData       ecc.Bits
+	fit          keyhash.FitCheck // opts.E's divisibility constants
 	kern1, kern2 keyhash.Kernel
 }
 
@@ -54,6 +55,7 @@ func newEmbedder(opts Options, keyCol, attrCol int, dom *relation.Domain, bw int
 		dom:     dom,
 		bw:      bw,
 		wmData:  wmData,
+		fit:     keyhash.NewFitCheck(opts.E),
 		kern1:   kern1,
 		kern2:   kern2,
 	}, nil
@@ -174,6 +176,7 @@ type Scanner struct {
 	dom          *relation.Domain
 	bw           int
 	wmLen        int
+	fit          keyhash.FitCheck // opts.E's divisibility constants
 	h1, h2       *keyhash.Hasher
 	kern1, kern2 keyhash.Kernel
 }
@@ -237,6 +240,7 @@ func newScanner(keyCol, attrCol int, dom *relation.Domain, n, wmLen int, opts Op
 		dom:     dom,
 		bw:      bw,
 		wmLen:   wmLen,
+		fit:     keyhash.NewFitCheck(opts.E),
 		h1:      h1,
 		h2:      h2,
 		kern1:   kern1,
@@ -276,8 +280,26 @@ func (s *Scanner) NewTally() *Tally {
 	return t
 }
 
+// ReuseTally returns t emptied and sized for the scanner's bandwidth,
+// keeping t's arrays when their capacity covers it and replacing them
+// otherwise; a nil t gets a fresh tally. It is the pooling hook through
+// which the pipeline recycles per-chunk part tallies across passes and
+// across scanners of different bandwidths.
+func (s *Scanner) ReuseTally(t *Tally) *Tally {
+	if t == nil {
+		return s.NewTally()
+	}
+	if cap(t.Votes) < s.bw || cap(t.Last) < s.bw {
+		t.Votes = make([]ecc.VoteTally, s.bw)
+		t.Last = make([]uint8, s.bw)
+	}
+	t.Votes, t.Last = t.Votes[:s.bw], t.Last[:s.bw]
+	t.Reset()
+	return t
+}
+
 // Reset clears t for reuse, keeping its bandwidth-sized arrays — the
-// pooling hook the streaming fan-out uses to recycle per-chunk tallies.
+// hook the streaming fan-out uses to recycle a part group within a pass.
 func (t *Tally) Reset() {
 	t.Rows, t.Fit, t.UnknownValues = 0, 0, 0
 	clear(t.Votes)

@@ -323,18 +323,22 @@ func Detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 		blks[w] = relation.GetBlock(r.Schema())
 		defer relation.PutBlock(blks[w])
 	}
-	parts, err := runChunks(ctx, workers, chunks, func(w int, c chunkRange) (*mark.Tally, error) {
-		t := sc.NewTally()
-		if err := scanRange(ctx, sc, r, c.Lo, c.Hi, t, &scratch[w], blks[w], cfg); err != nil {
-			return nil, err
-		}
-		return t, nil
+	// The per-chunk parts are one pooled group, handed back once the
+	// report is built or the pass fails.
+	same := make([]*mark.Scanner, len(chunks))
+	for i := range same {
+		same[i] = sc
+	}
+	parts := getGroup(same)
+	defer putGroup(parts)
+	_, err = runChunks(ctx, workers, chunks, func(w int, c chunkRange) (struct{}, error) {
+		return struct{}{}, scanRange(ctx, sc, r, c.Lo, c.Hi, parts.tallies[c.Index], &scratch[w], blks[w], cfg)
 	})
 	if err != nil {
 		return mark.DetectReport{}, err
 	}
-	total := parts[0]
-	for _, t := range parts[1:] {
+	total := parts.tallies[0]
+	for _, t := range parts.tallies[1:] {
 		total.Merge(t)
 	}
 	return sc.Report(total)

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"context"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mark"
@@ -16,7 +18,8 @@ import (
 // over each block's arena bytes through Scanner.ScanColumns. Everything
 // cycles: blocks return to the relation block pool after scanning,
 // per-chunk tally groups and job shells return to free lists after
-// collection, and each worker keeps one BlockScratch for its lifetime —
+// collection (and part groups to a process-wide pool when the pass
+// ends), and each worker keeps one BlockScratch for its lifetime —
 // steady state performs zero allocations per row. A single collector
 // merges tallies in stream order, so results (including LastWriteWins)
 // are bit-identical to the sequential pass. Memory is bounded by
@@ -75,7 +78,7 @@ type blockJob struct {
 }
 
 type blockTallies struct {
-	parts []*mark.Tally
+	parts *partGroup
 	err   error
 }
 
@@ -91,7 +94,7 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 	jobs := make(chan *blockJob, workers)
 	ordered := make(chan *blockJob, workers)
 	freeJobs := make(chan *blockJob, 2*workers)
-	freeParts := make(chan []*mark.Tally, 2*workers)
+	freeParts := make(chan *partGroup, 2*workers)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 
@@ -230,7 +233,7 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 					mergeStart = time.Now()
 				}
 				for i := range totals {
-					totals[i].Merge(r.parts[i])
+					totals[i].Merge(r.parts.tallies[i])
 				}
 				if cfg.Phases != nil {
 					cfg.Phases.AddMerge(time.Since(mergeStart))
@@ -241,6 +244,7 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 			select {
 			case freeParts <- r.parts:
 			default:
+				putGroup(r.parts)
 			}
 		}
 		select {
@@ -249,6 +253,14 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 		}
 	}
 	wg.Wait()
+	for drained := false; !drained; {
+		select {
+		case g := <-freeParts:
+			putGroup(g)
+		default:
+			drained = true
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -263,29 +275,71 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 
 // scanBlockGroup sweeps every scanner over one group of blocks,
 // certificate loop inside the block loop, into a recycled tally group.
-func scanBlockGroup(ctx context.Context, scanners []*mark.Scanner, blks []*relation.Block, bs *mark.BlockScratch, freeParts chan []*mark.Tally, cfg Config) ([]*mark.Tally, error) {
-	var parts []*mark.Tally
+func scanBlockGroup(ctx context.Context, scanners []*mark.Scanner, blks []*relation.Block, bs *mark.BlockScratch, freeParts chan *partGroup, cfg Config) (*partGroup, error) {
+	var parts *partGroup
 	select {
 	case parts = <-freeParts:
-		for _, t := range parts {
+		for _, t := range parts.tallies {
 			t.Reset()
 		}
 	default:
-		parts = make([]*mark.Tally, len(scanners))
-		for i, sc := range scanners {
-			parts[i] = sc.NewTally()
-		}
+		parts = getGroup(scanners)
 	}
 	for _, blk := range blks {
 		if err := ctx.Err(); err != nil {
 			return parts, err
 		}
 		for i, sc := range scanners {
-			if err := sc.ScanColumns(blk, parts[i], bs); err != nil {
+			if err := sc.ScanColumns(blk, parts.tallies[i], bs); err != nil {
 				return parts, err
 			}
 		}
 		cfg.report(blk.Rows())
 	}
 	return parts, nil
+}
+
+// partGroup is one part tally per scanner of a pass. Groups are pooled
+// across passes as a unit, so a repeated scanner set — the same
+// catalog audited again — gets back tallies of exactly its bandwidths;
+// a different set reuses whatever arrays are large enough
+// (Scanner.ReuseTally). A catalog audit's group is bandwidth ×
+// certificates, so allocating groups afresh on every call spent most of
+// the bytes the call allocated. Totals are never pooled: they are the
+// caller's result.
+type partGroup struct {
+	tallies []*mark.Tally
+}
+
+var partPool sync.Pool // of *partGroup
+
+// groupsOut counts groups taken from getGroup and not yet handed back
+// through putGroup; every pass returns it to where it started, which
+// the pool tests check.
+var groupsOut atomic.Int64
+
+// getGroup returns a group of empty tallies, one per scanner, reusing a
+// pooled group.
+func getGroup(scanners []*mark.Scanner) *partGroup {
+	groupsOut.Add(1)
+	g, _ := partPool.Get().(*partGroup)
+	if g == nil {
+		g = new(partGroup)
+	}
+	if c := cap(g.tallies); c < len(scanners) {
+		g.tallies = slices.Grow(g.tallies[:c], len(scanners)-c)
+	}
+	// Tallies past len(scanners) stay in the backing array for the
+	// next, larger set.
+	g.tallies = g.tallies[:len(scanners)]
+	for i, sc := range scanners {
+		g.tallies[i] = sc.ReuseTally(g.tallies[i])
+	}
+	return g
+}
+
+// putGroup hands a group back to the pool.
+func putGroup(g *partGroup) {
+	groupsOut.Add(-1)
+	partPool.Put(g)
 }

@@ -1,21 +1,18 @@
 package relation
 
 import (
-	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// Streaming row I/O. The materializing codecs (ReadCSV/ReadJSONL) load a
-// whole relation into memory; RowReader yields one tuple at a time so that
-// internal/pipeline can watermark and detect over datasets that never fit
-// in memory, chunk by chunk. RowWriter is the emitting half for streaming
-// embed output. Both CSV and JSONL implement the pair. The stdlib-backed
-// CSVRowReader and JSONLRowReader are the oracles the zero-copy block
-// readers — and through them ReadCSV/ReadJSONL — are fuzzed against, so
-// the formats cannot drift.
+// Row-at-a-time reading. The materializing codecs (ReadCSV/ReadJSONL)
+// load a whole relation into memory; RowReader yields one tuple at a
+// time. The stdlib-backed CSVRowReader and JSONLRowReader are the
+// oracles the zero-copy block readers — and through them
+// ReadCSV/ReadJSONL — are fuzzed against, so the formats cannot drift.
+// Output goes through WriteCSV/WriteJSONL.
 
 // RowReader yields a relation's tuples one at a time in stream order.
 type RowReader interface {
@@ -27,14 +24,6 @@ type RowReader interface {
 	// only a materialized Relation can afford the index; streaming callers
 	// that need it must track keys themselves.
 	Read() (Tuple, error)
-}
-
-// RowWriter consumes tuples one at a time.
-type RowWriter interface {
-	// Write appends one tuple, which must be in schema attribute order.
-	Write(Tuple) error
-	// Flush forces buffered rows out; call once after the last Write.
-	Flush() error
 }
 
 // CSVRowReader streams tuples from CSV input. The header row is consumed
@@ -99,40 +88,6 @@ func (r *CSVRowReader) Read() (Tuple, error) {
 	return t, nil
 }
 
-// CSVRowWriter streams tuples out as CSV, header first.
-type CSVRowWriter struct {
-	schema *Schema
-	cw     *csv.Writer
-}
-
-// NewCSVRowWriter writes the header row and returns a writer for the data
-// rows.
-func NewCSVRowWriter(w io.Writer, schema *Schema) (*CSVRowWriter, error) {
-	cw := csv.NewWriter(w)
-	header := make([]string, schema.Arity())
-	for i := range header {
-		header[i] = schema.Attr(i).Name
-	}
-	if err := cw.Write(header); err != nil {
-		return nil, fmt.Errorf("relation: writing CSV header: %w", err)
-	}
-	return &CSVRowWriter{schema: schema, cw: cw}, nil
-}
-
-// Write appends one tuple.
-func (w *CSVRowWriter) Write(t Tuple) error {
-	if len(t) != w.schema.Arity() {
-		return fmt.Errorf("relation: tuple arity %d, schema arity %d", len(t), w.schema.Arity())
-	}
-	return w.cw.Write(t)
-}
-
-// Flush flushes buffered rows.
-func (w *CSVRowWriter) Flush() error {
-	w.cw.Flush()
-	return w.cw.Error()
-}
-
 // JSONLRowReader streams tuples from JSON-lines input: one object per
 // line keyed by attribute name, with exactly the schema's attributes.
 type JSONLRowReader struct {
@@ -180,39 +135,6 @@ func (r *JSONLRowReader) Read() (Tuple, error) {
 	r.row++
 	return t, nil
 }
-
-// JSONLRowWriter streams tuples out as JSON lines.
-type JSONLRowWriter struct {
-	schema *Schema
-	bw     *bufio.Writer
-	enc    *json.Encoder
-	names  []string
-}
-
-// NewJSONLRowWriter returns a writer emitting one object per tuple.
-func NewJSONLRowWriter(w io.Writer, schema *Schema) *JSONLRowWriter {
-	bw := bufio.NewWriter(w)
-	names := make([]string, schema.Arity())
-	for i := range names {
-		names[i] = schema.Attr(i).Name
-	}
-	return &JSONLRowWriter{schema: schema, bw: bw, enc: json.NewEncoder(bw), names: names}
-}
-
-// Write appends one tuple.
-func (w *JSONLRowWriter) Write(t Tuple) error {
-	if len(t) != w.schema.Arity() {
-		return fmt.Errorf("relation: tuple arity %d, schema arity %d", len(t), w.schema.Arity())
-	}
-	obj := make(map[string]string, len(w.names))
-	for i, name := range w.names {
-		obj[name] = t[i]
-	}
-	return w.enc.Encode(obj)
-}
-
-// Flush flushes buffered rows.
-func (w *JSONLRowWriter) Flush() error { return w.bw.Flush() }
 
 // ReadAll drains a RowReader into a materialized Relation, enforcing
 // primary-key uniqueness as it appends. Row numbers in errors are
