@@ -143,11 +143,13 @@ func (p *BatchPrep) Reports(tallies []*mark.Tally) []BatchReport {
 // test); results are in records order.
 //
 // Because the suspect is consumed as a one-shot stream and never
-// materialized, the two rescanning fallbacks of Record.Verify are out of
-// scope here: Section 4.5 bijective-remap recovery is not attempted
-// (RemapRecovered is always false — a remapped suspect surfaces as a high
+// materialized, the two fallbacks of Record.Verify are out of scope
+// here. Section 4.5 bijective-remap recovery is not attempted: Verify
+// re-votes the fit rows its materialized pass kept and counts the
+// suspect's histogram, and this pass keeps neither (RemapRecovered is
+// always false — a remapped suspect surfaces as a high
 // Primary.UnknownValues count, at which point the caller can rerun
-// Record.Verify on a materialized copy), and the Section 4.2 frequency
+// Record.Verify on a materialized copy). The Section 4.2 frequency
 // channel is not scored (FrequencyMatch is -1).
 //
 // A stream-level error (unreadable or malformed suspect data) fails the

@@ -37,6 +37,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/quality"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
 
 // Spec is what the owner chooses before watermarking.
@@ -197,18 +198,19 @@ func WatermarkContext(ctx context.Context, r *relation.Relation, s Spec) (*Recor
 	}
 	st.Mark = mst
 
+	// The certificate's profile comes from the frequency channel's final
+	// counts when it ran, so the marked relation is counted once.
+	var hist *stats.Histogram
 	if s.WithFrequencyChannel {
 		fp := freq.DefaultParams(s.freqKey())
 		fp.Assessor = assessor
-		fst, err := freq.Embed(r, s.Attribute, wm, fp)
+		fst, h, err := freq.EmbedCounts(r, s.Attribute, wm, fp)
 		if err != nil {
 			return nil, st, fmt.Errorf("core: frequency channel: %w", err)
 		}
 		st.FrequencyMoved = fst.TuplesMoved
-	}
-
-	profile, err := freq.ProfileOf(r, s.Attribute)
-	if err != nil {
+		hist = h
+	} else if hist, err = relation.HistogramOf(r, s.Attribute); err != nil {
 		return nil, st, err
 	}
 	rec := &Record{
@@ -219,7 +221,7 @@ func WatermarkContext(ctx context.Context, r *relation.Relation, s Spec) (*Recor
 		E:                   e,
 		Bandwidth:           mst.Bandwidth,
 		Domain:              dom.Values(),
-		Profile:             profile,
+		Profile:             freq.ProfileOfHistogram(hist),
 		HasFrequencyChannel: s.WithFrequencyChannel,
 	}
 	return rec, st, nil
@@ -257,8 +259,9 @@ type Report struct {
 // relation. It tries the primary channel; if the suspect's values do not
 // resolve in the recorded domain (a bijective remap, attack A6), it
 // recovers an inverse mapping from the recorded frequency profile and
-// retries. The frequency channel, when present, is scored as a secondary
-// witness. The suspect relation is never modified.
+// re-votes the first pass's fit rows through it. The frequency channel,
+// when present, is scored as a secondary witness. The suspect relation
+// is never modified.
 func (rec *Record) Verify(suspect *relation.Relation) (Report, error) {
 	//wmlint:ignore ctxloop compatibility entry point; VerifyContext is the cancellable path
 	return rec.verify(context.Background(), suspect, VerifyOptions{})
@@ -303,6 +306,15 @@ func (rec *Record) VerifyContext(ctx context.Context, suspect *relation.Relation
 	return rec.verify(ctx, suspect, o)
 }
 
+// verify scans the suspect's key column once. Fitness depends on the
+// key alone, so a remap changes the values of the fit tuples but never
+// which tuples are fit: when the remap trigger fires, the retry re-votes
+// only the first pass's fit rows (about N/e of them), with their values
+// rewritten through the recovered inverse mapping, through the same
+// scanner and so at the same bandwidth. The suspect's attribute
+// histogram is counted at most once, and serves both remap recovery and
+// the frequency channel — which scores it pushed through the mapping,
+// exactly the histogram of a remapped copy.
 func (rec *Record) verify(ctx context.Context, suspect *relation.Relation, o VerifyOptions) (Report, error) {
 	var rep Report
 	rep.FrequencyMatch = -1
@@ -313,21 +325,25 @@ func (rec *Record) verify(ctx context.Context, suspect *relation.Relation, o Ver
 	want := p.want
 
 	cfg := pipeline.Config{Workers: workerCount(o.Workers), BlockRows: o.BlockSize}
-	working := suspect
-	det, err := pipeline.Detect(ctx, working, len(want), p.opts, cfg)
+	det, fit, err := pipeline.DetectFit(ctx, suspect, len(want), p.opts, cfg)
 	if err != nil {
 		return rep, err
 	}
+	defer fit.Release()
+	// The suspect's attribute histogram, counted on first use. The
+	// attribute resolved in the detection pass, so counting cannot fail.
+	var hist *stats.Histogram
+	var inverse map[string]string
 	// Heuristic remap trigger: most fit tuples failed to resolve.
 	if det.Fit > 0 && det.UnknownValues > det.Fit/2 && len(rec.Profile) > 0 {
-		inverse, rerr := freq.RecoverMapping(suspect, rec.Attribute, freq.Profile(rec.Profile))
-		if rerr == nil {
-			working = suspect.Clone()
-			if _, aerr := freq.ApplyMapping(working, rec.Attribute, inverse); aerr == nil {
-				if det2, derr := pipeline.Detect(ctx, working, len(want), p.opts, cfg); derr == nil {
-					det = det2
-					rep.RemapRecovered = true
-				}
+		if hist, err = relation.HistogramOf(suspect, rec.Attribute); err != nil {
+			return rep, err
+		}
+		if inv, rerr := freq.RecoverMappingFrom(hist, freq.Profile(rec.Profile)); rerr == nil {
+			inverse = inv
+			if det2, derr := fit.Revote(ctx, inverse); derr == nil {
+				det = det2
+				rep.RemapRecovered = true
 			}
 		}
 	}
@@ -339,8 +355,16 @@ func (rec *Record) verify(ctx context.Context, suspect *relation.Relation, o Ver
 	rep.Match = det.MatchFraction(want)
 
 	if rec.HasFrequencyChannel {
+		if hist == nil {
+			if hist, err = relation.HistogramOf(suspect, rec.Attribute); err != nil {
+				return rep, err
+			}
+		}
+		if inverse != nil {
+			hist = freq.MapHistogram(hist, inverse)
+		}
 		fp := freq.DefaultParams(Spec{Secret: rec.Secret}.freqKey())
-		if frep, ferr := freq.Detect(working, rec.Attribute, len(want), fp); ferr == nil {
+		if frep, ferr := freq.DetectHistogram(hist, len(want), fp); ferr == nil {
 			rep.FrequencyMatch = 1 - ecc.AlterationRate(want, frep.WM)
 		}
 	}

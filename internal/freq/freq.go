@@ -23,6 +23,7 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/quality"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
 
 // Params configures the frequency channel.
@@ -81,24 +82,33 @@ type EmbedStats struct {
 // to integer counts by largest-remainder apportionment, then moves the
 // minimum number of tuples from surplus values to deficit values.
 func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, error) {
+	st, _, err := EmbedCounts(r, attr, wm, p)
+	return st, err
+}
+
+// EmbedCounts is Embed that also returns attr's occurrence histogram as
+// the embedding left it — the counts it kept up to date move by move —
+// so a caller needing them does not recount r. It equals
+// relation.HistogramOf(r, attr) after the call; it is nil on error.
+func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, *stats.Histogram, error) {
 	var st EmbedStats
 	col, ok := r.Schema().Index(attr)
 	if !ok {
-		return st, fmt.Errorf("freq: attribute %q not in schema", attr)
+		return st, nil, fmt.Errorf("freq: attribute %q not in schema", attr)
 	}
 	if len(wm) == 0 {
-		return st, errors.New("freq: empty watermark")
+		return st, nil, errors.New("freq: empty watermark")
 	}
 	if r.Len() == 0 {
-		return st, errors.New("freq: empty relation")
+		return st, nil, errors.New("freq: empty relation")
 	}
 	hist, err := relation.HistogramOf(r, attr)
 	if err != nil {
-		return st, err
+		return st, nil, err
 	}
 	labels, freqs := hist.FreqVector()
 	if len(labels) < len(wm) {
-		return st, fmt.Errorf("freq: %d distinct values cannot carry %d bits", len(labels), len(wm))
+		return st, nil, fmt.Errorf("freq: %d distinct values cannot carry %d bits", len(labels), len(wm))
 	}
 
 	items := make([]numeric.Item, len(labels))
@@ -122,7 +132,7 @@ func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats
 	np.MinStep = math.Max(noiseStep, quantStep)
 	marked, encSt, err := numeric.Encode(items, wm, np)
 	if err != nil {
-		return st, err
+		return st, nil, err
 	}
 	st.Numeric = encSt
 
@@ -173,11 +183,13 @@ func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats
 				if errors.As(aerr, &verr) {
 					continue
 				}
-				return st, aerr
+				return st, nil, aerr
 			}
 		} else if serr := r.SetValue(row, attr, newVal); serr != nil {
-			return st, serr
+			return st, nil, serr
 		}
+		hist.AddN(v, -1)
+		hist.AddN(newVal, 1)
 		surplus[v]--
 		deficits[di].need--
 		st.TuplesMoved++
@@ -189,7 +201,7 @@ func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats
 	for ; di < len(deficits); di++ {
 		st.Residual += deficits[di].need
 	}
-	return st, nil
+	return st, hist, nil
 }
 
 // apportion converts target frequencies to integer counts summing to n
@@ -242,6 +254,13 @@ func Detect(r *relation.Relation, attr string, wmLen int, p Params) (numeric.Dec
 	if err != nil {
 		return numeric.DecodeReport{}, err
 	}
+	return DetectHistogram(hist, wmLen, p)
+}
+
+// DetectHistogram is Detect over an occurrence histogram the caller
+// already holds — the suspect's counts, or MapHistogram's image of them
+// after remap recovery.
+func DetectHistogram(hist *stats.Histogram, wmLen int, p Params) (numeric.DecodeReport, error) {
 	labels, freqs := hist.FreqVector()
 	items := make([]numeric.Item, len(labels))
 	for i, l := range labels {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
 
 // This file implements the Section 4.5 defence against bijective attribute
@@ -30,11 +31,18 @@ func ProfileOf(r *relation.Relation, attr string) (Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ProfileOfHistogram(hist), nil
+}
+
+// ProfileOfHistogram is the frequency profile of an attribute's
+// occurrence histogram — ProfileOf without the count, for a caller that
+// already holds the counts (core takes them from EmbedCounts).
+func ProfileOfHistogram(hist *stats.Histogram) Profile {
 	p := make(Profile, hist.Distinct())
 	for _, l := range hist.Labels() {
 		p[l] = hist.Freq(l)
 	}
-	return p, nil
+	return p
 }
 
 // RecoverMapping infers the inverse of a bijective remapping from the
@@ -45,12 +53,19 @@ func ProfileOf(r *relation.Relation, attr string) (Profile, error) {
 // Fails if the suspect has more distinct values than the reference (not a
 // bijective image).
 func RecoverMapping(suspect *relation.Relation, attr string, reference Profile) (map[string]string, error) {
-	if len(reference) == 0 {
-		return nil, errors.New("freq: empty reference profile")
-	}
 	hist, err := relation.HistogramOf(suspect, attr)
 	if err != nil {
 		return nil, err
+	}
+	return RecoverMappingFrom(hist, reference)
+}
+
+// RecoverMappingFrom is RecoverMapping over the suspect attribute's
+// occurrence histogram, counted by the caller: a verification counts
+// the suspect once for both remap recovery and the frequency channel.
+func RecoverMappingFrom(hist *stats.Histogram, reference Profile) (map[string]string, error) {
+	if len(reference) == 0 {
+		return nil, errors.New("freq: empty reference profile")
 	}
 	if hist.Distinct() > len(reference) {
 		return nil, fmt.Errorf("freq: suspect has %d distinct values, reference only %d — not a bijective image",
@@ -106,6 +121,23 @@ func ApplyMapping(r *relation.Relation, attr string, mapping map[string]string) 
 		}
 	}
 	return changed, nil
+}
+
+// MapHistogram returns the histogram of an attribute after ApplyMapping
+// would have rewritten it with mapping: each label's count moves to its
+// image, and labels absent from mapping keep theirs. It equals
+// relation.HistogramOf over a rewritten copy, without the copy; hist is
+// not modified.
+func MapHistogram(hist *stats.Histogram, mapping map[string]string) *stats.Histogram {
+	counts := make(map[string]int, hist.Distinct())
+	for _, l := range hist.Labels() {
+		to := l
+		if nv, ok := mapping[l]; ok {
+			to = nv
+		}
+		counts[to] += hist.Count(l)
+	}
+	return stats.HistogramOfCounts(counts)
 }
 
 // MappingAccuracy compares a recovered mapping with the true inverse

@@ -95,6 +95,27 @@ func (bs *BlockScratch) HashNanos() int64 {
 	return n
 }
 
+// Release drops every reference the scratch holds into a relation or a
+// block — the block identity, the extracted and retired key columns,
+// the staged keys and the digest memo's lanes — and switches hash
+// timing off, keeping the buffers. A pool puts scratches back through
+// it, so a pooled scratch pins neither and its next user starts clean.
+func (bs *BlockScratch) Release() {
+	bs.rel, bs.lo, bs.hi = nil, 0, 0
+	bs.blk, bs.blkGen = nil, 0
+	for i := range bs.cols {
+		bs.freeKeys = append(bs.freeKeys, bs.cols[i].keys[:0])
+	}
+	bs.cols = bs.cols[:0]
+	for _, keys := range bs.freeKeys {
+		clear(keys[:cap(keys)])
+	}
+	clear(bs.fitKeys[:cap(bs.fitKeys)])
+	bs.fitKeys = bs.fitKeys[:0]
+	bs.memo.Reset()
+	bs.timeHash, bs.hashNanos = false, 0
+}
+
 // setBlock points the scratch at rows [lo, hi) of r, invalidating the
 // extracted columns and the digest memo when the block changed. Retired
 // key slices are recycled into the next block's extractions.
@@ -200,8 +221,23 @@ func (bs *BlockScratch) stageColumns() {
 // bs may be shared across scanners (that is the point) but not across
 // goroutines; nil uses a throwaway scratch.
 func (s *Scanner) ScanColumns(blk *relation.Block, t *Tally, bs *BlockScratch) error {
+	_, err := s.scanColumns(blk, t, bs, 0, nil, false)
+	return err
+}
+
+// ScanColumnsFit is ScanColumns that also appends base+j to fit for
+// every row j of blk that passes fitness, voting or not, in row order,
+// and returns the extended slice. A materialized pass passes the
+// block's first relation row as base, so fit collects the pass's fit
+// rows: the set a Section 4.5 remap retry re-votes, because fitness
+// depends on the key alone and a value rewrite never changes it.
+func (s *Scanner) ScanColumnsFit(blk *relation.Block, t *Tally, bs *BlockScratch, base int, fit []int) ([]int, error) {
+	return s.scanColumns(blk, t, bs, base, fit, true)
+}
+
+func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, base int, fit []int, capture bool) ([]int, error) {
 	if arity := blk.Schema().Arity(); s.keyCol >= arity || s.attrCol >= arity {
-		return fmt.Errorf("mark: block arity %d lacks column %d", arity, max(s.keyCol, s.attrCol))
+		return fit, fmt.Errorf("mark: block arity %d lacks column %d", arity, max(s.keyCol, s.attrCol))
 	}
 	if bs == nil {
 		bs = &BlockScratch{}
@@ -228,6 +264,9 @@ func (s *Scanner) ScanColumns(blk *relation.Block, t *Tally, bs *BlockScratch) e
 			continue
 		}
 		t.Fit++
+		if capture {
+			fit = append(fit, base+j)
+		}
 		idx, ok := s.dom.IndexBytes(attrCol.Value(j))
 		if !ok {
 			t.UnknownValues++
@@ -258,7 +297,7 @@ func (s *Scanner) ScanColumns(blk *relation.Block, t *Tally, bs *BlockScratch) e
 		}
 		t.Last[pos] = bit
 	}
-	return nil
+	return fit, nil
 }
 
 // EmbedBlock embeds rows [lo, hi) of r, accumulating into cs — the

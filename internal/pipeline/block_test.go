@@ -326,13 +326,20 @@ func TestProgressCountsTuples(t *testing.T) {
 
 // TestDetectAllocsIndependentOfRows pins the materialized detection path
 // at a fixed allocation budget per pass: filling pooled blocks from the
-// relation and voting through ScanColumns allocates per chunk (a tally,
-// a scratch) but nothing per row, so a 36k-row pass allocates no more
-// than a 9k-row pass cut into the same number of chunks.
+// relation and voting through ScanColumns allocates per chunk (a tally)
+// but nothing per row, so a 36k-row pass allocates no more than a
+// 9k-row pass cut into the same number of chunks. The fit-row capture
+// of DetectFit rides the same budget: its buffers are pooled. Skipped
+// under -race, where sync.Pool drops a random share of its items and
+// pool-backed allocation counts vary from run to run.
 func TestDetectAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	wm := ecc.MustParseBits("1011001110")
 	for _, workers := range []int{1, 2} {
 		allocs := make(map[int]float64)
+		fitAllocs := make(map[int]float64)
 		for _, n := range []int{9000, 36000} {
 			r, dom := testData(t, n)
 			opts := testOptions(dom)
@@ -342,8 +349,22 @@ func TestDetectAllocsIndependentOfRows(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			fitPass := func() {
+				_, fit, err := DetectFit(context.Background(), r, len(wm), opts, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fit.Release()
+			}
 			pass() // warm the block pool
+			fitPass()
 			allocs[n] = testing.AllocsPerRun(5, pass)
+			fitAllocs[n] = testing.AllocsPerRun(5, fitPass)
+		}
+		t.Logf("workers %d: DetectFit %.0f allocs at 9k rows, %.0f at 36k", workers, fitAllocs[9000], fitAllocs[36000])
+		if fitAllocs[36000] > fitAllocs[9000]+16 {
+			t.Fatalf("workers %d: DetectFit allocations grow with the row count: %.0f at 9k rows, %.0f at 36k",
+				workers, fitAllocs[9000], fitAllocs[36000])
 		}
 		t.Logf("workers %d: %.0f allocs at 9k rows, %.0f at 36k", workers, allocs[9000], allocs[36000])
 		if allocs[36000] > allocs[9000]+16 {

@@ -124,11 +124,25 @@ func (c Config) report(tuples int) {
 	}
 }
 
+// scratchPool recycles mark.BlockScratch across passes and callers, so
+// memo lanes and staging arrays stay warm instead of being rebuilt on
+// every call. Scratches go back Released: a pooled scratch pins no
+// relation, block or key string.
+var scratchPool = sync.Pool{New: func() any { return new(mark.BlockScratch) }}
+
+func getScratch() *mark.BlockScratch { return scratchPool.Get().(*mark.BlockScratch) }
+
+func putScratch(bs *mark.BlockScratch) {
+	bs.Release()
+	scratchPool.Put(bs)
+}
+
 // scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time:
 // each block is copied into blk and voted through ScanColumns, with ctx
 // checked and progress ticked between blocks. bs and blk are the
-// caller's per-goroutine scratch.
-func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, blk *relation.Block, cfg Config) error {
+// caller's per-goroutine scratch. A non-nil fit collects the range's
+// fit rows in ascending order (Scanner.ScanColumnsFit).
+func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, blk *relation.Block, fit *[]int, cfg Config) error {
 	br := cfg.blockRows()
 	for blockLo := lo; blockLo < hi; blockLo += br {
 		if err := ctx.Err(); err != nil {
@@ -136,7 +150,13 @@ func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, 
 		}
 		blockHi := min(blockLo+br, hi)
 		r.FillBlock(blk, blockLo, blockHi)
-		if err := sc.ScanColumns(blk, t, bs); err != nil {
+		var err error
+		if fit != nil {
+			*fit, err = sc.ScanColumnsFit(blk, t, bs, blockLo, *fit)
+		} else {
+			err = sc.ScanColumns(blk, t, bs)
+		}
+		if err != nil {
 			return err
 		}
 		cfg.report(blockHi - blockLo)
@@ -264,21 +284,27 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 		// In-order chunk walk: identical to mark.Embed (EmbedBlock is its
 		// kernel, rows visited in the same order) plus cancellation points.
 		var agg mark.ChunkStats
-		var bs mark.BlockScratch
+		bs := getScratch()
+		defer putScratch(bs)
 		for _, c := range chunks {
 			if err := ctx.Err(); err != nil {
 				return mark.EmbedStats{}, err
 			}
-			if err := embedRange(ctx, em, r, c.Lo, c.Hi, &agg, &bs, cfg); err != nil {
+			if err := embedRange(ctx, em, r, c.Lo, c.Hi, &agg, bs, cfg); err != nil {
 				return mark.EmbedStats{}, err
 			}
 		}
 		return mark.MergeChunks(agg), nil
 	}
-	scratch := make([]mark.BlockScratch, workers)
+	workers = min(workers, len(chunks))
+	scratch := make([]*mark.BlockScratch, workers)
+	for w := range scratch {
+		scratch[w] = getScratch()
+		defer putScratch(scratch[w])
+	}
 	parts, err := runChunks(ctx, workers, chunks, func(w int, c chunkRange) (mark.ChunkStats, error) {
 		var cs mark.ChunkStats
-		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, &scratch[w], cfg)
+		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, scratch[w], cfg)
 		return cs, err
 	})
 	if err != nil {
@@ -293,55 +319,95 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 // bit-identical to the sequential pass for both vote-aggregation
 // policies; the suspect relation is never modified.
 func Detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Options, cfg Config) (mark.DetectReport, error) {
+	rep, _, err := detect(ctx, r, wmLen, opts, cfg, false)
+	return rep, err
+}
+
+// detect runs the materialized detection pass; with keepFit it also
+// returns the pass's FitPass.
+func detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Options, cfg Config, keepFit bool) (mark.DetectReport, *FitPass, error) {
 	if err := ctx.Err(); err != nil {
-		return mark.DetectReport{}, err
+		return mark.DetectReport{}, nil, err
 	}
 	workers := cfg.workers()
 	sc, err := mark.NewScanner(r, wmLen, opts)
 	if err != nil {
-		return mark.DetectReport{}, err
+		return mark.DetectReport{}, nil, err
 	}
 	chunks := partition(r.Len(), cfg.chunkRows(r.Len(), workers))
 	workers = min(workers, len(chunks))
-	if workers == 1 {
-		// In-order chunk walk over one tally: the same row loop as
-		// mark.Detect, split only to interleave cancellation checks.
-		total := sc.NewTally()
-		var bs mark.BlockScratch
-		blk := relation.GetBlock(r.Schema())
-		defer relation.PutBlock(blk)
-		for _, c := range chunks {
-			if err := scanRange(ctx, sc, r, c.Lo, c.Hi, total, &bs, blk, cfg); err != nil {
-				return mark.DetectReport{}, err
-			}
-		}
-		return sc.Report(total)
+	var fit *[]int
+	if keepFit {
+		fit = getRows()
 	}
-	scratch := make([]mark.BlockScratch, workers)
 	blks := make([]*relation.Block, workers)
+	scratch := make([]*mark.BlockScratch, workers)
 	for w := range blks {
 		blks[w] = relation.GetBlock(r.Schema())
 		defer relation.PutBlock(blks[w])
+		scratch[w] = getScratch()
+		defer putScratch(scratch[w])
 	}
-	// The per-chunk parts are one pooled group, handed back once the
-	// report is built or the pass fails.
-	same := make([]*mark.Scanner, len(chunks))
-	for i := range same {
-		same[i] = sc
+	var total *mark.Tally
+	if workers == 1 {
+		// In-order chunk walk over one tally: the same row loop as
+		// mark.Detect, split only to interleave cancellation checks.
+		total = sc.NewTally()
+		for _, c := range chunks {
+			if err = scanRange(ctx, sc, r, c.Lo, c.Hi, total, scratch[0], blks[0], fit, cfg); err != nil {
+				break
+			}
+		}
+	} else {
+		// The per-chunk parts are one pooled group, handed back once
+		// the report is built or the pass fails; so are the per-chunk
+		// fit rows, concatenated in chunk order once every chunk is in.
+		same := make([]*mark.Scanner, len(chunks))
+		for i := range same {
+			same[i] = sc
+		}
+		parts := getGroup(same)
+		defer putGroup(parts)
+		var chunkFit []*[]int
+		if fit != nil {
+			chunkFit = make([]*[]int, len(chunks))
+			for i := range chunkFit {
+				chunkFit[i] = getRows()
+				defer putRows(chunkFit[i])
+			}
+		}
+		_, err = runChunks(ctx, workers, chunks, func(w int, c chunkRange) (struct{}, error) {
+			var cf *[]int
+			if chunkFit != nil {
+				cf = chunkFit[c.Index]
+			}
+			return struct{}{}, scanRange(ctx, sc, r, c.Lo, c.Hi, parts.tallies[c.Index], scratch[w], blks[w], cf, cfg)
+		})
+		if err == nil {
+			total = parts.tallies[0]
+			for _, t := range parts.tallies[1:] {
+				total.Merge(t)
+			}
+			for _, rows := range chunkFit {
+				*fit = append(*fit, *rows...)
+			}
+		}
 	}
-	parts := getGroup(same)
-	defer putGroup(parts)
-	_, err = runChunks(ctx, workers, chunks, func(w int, c chunkRange) (struct{}, error) {
-		return struct{}{}, scanRange(ctx, sc, r, c.Lo, c.Hi, parts.tallies[c.Index], &scratch[w], blks[w], cfg)
-	})
+	var rep mark.DetectReport
+	if err == nil {
+		rep, err = sc.Report(total)
+	}
 	if err != nil {
-		return mark.DetectReport{}, err
+		if fit != nil {
+			putRows(fit)
+		}
+		return mark.DetectReport{}, nil, err
 	}
-	total := parts.tallies[0]
-	for _, t := range parts.tallies[1:] {
-		total.Merge(t)
+	if fit == nil {
+		return rep, nil, nil
 	}
-	return sc.Report(total)
+	attrCol, _ := r.Schema().Index(opts.Attr) // resolved by NewScanner
+	return rep, &FitPass{sc: sc, r: r, attrCol: attrCol, rows: fit, cfg: cfg}, nil
 }
 
 // attrIsPrimaryKey reports whether attr is the relation's primary key —

@@ -116,10 +116,17 @@ func TestCancelledPassesReturnParts(t *testing.T) {
 // repeated ScanMany allocates its totals and nothing bandwidth-sized
 // besides. The bandwidth is large enough that one more tally's arrays
 // would dwarf everything else a pass allocates.
+//
+// The pools are warmed under the one processor AllocsPerRun measures
+// with: sync.Pool keeps an item per processor that no other processor
+// can take, so a group pooled on processor 1 during a warm-up at full
+// GOMAXPROCS is out of reach once AllocsPerRun drops to one, and its
+// first pass (inside the measured window) allocates a group afresh.
 func TestScanManyWarmPassAllocatesNoParts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const bw = 1 << 15
 	r, dom := testData(t, 8000)
 	var csvData strings.Builder

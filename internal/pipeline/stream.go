@@ -19,8 +19,8 @@ import (
 // cycles: blocks return to the relation block pool after scanning,
 // per-chunk tally groups and job shells return to free lists after
 // collection (and part groups to a process-wide pool when the pass
-// ends), and each worker keeps one BlockScratch for its lifetime —
-// steady state performs zero allocations per row. A single collector
+// ends), and each worker takes one pooled BlockScratch for its
+// lifetime — steady state performs zero allocations per row. A single collector
 // merges tallies in stream order, so results (including LastWriteWins)
 // are bit-identical to the sequential pass. Memory is bounded by
 // workers × chunk size, never by the dataset.
@@ -113,7 +113,8 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var bs mark.BlockScratch // one scratch per worker, reused across jobs
+			bs := getScratch() // one scratch per worker, reused across jobs
+			defer putScratch(bs)
 			if cfg.Phases != nil {
 				bs.EnableHashTiming()
 			}
@@ -122,13 +123,13 @@ func scanManyBlocks(ctx context.Context, src relation.BlockReader, scanners []*m
 				if err := ctx.Err(); err != nil {
 					res.err = err
 				} else if cfg.Phases == nil {
-					res.parts, res.err = scanBlockGroup(ctx, scanners, job.blks, &bs, freeParts, cfg)
+					res.parts, res.err = scanBlockGroup(ctx, scanners, job.blks, bs, freeParts, cfg)
 				} else {
 					// Phase clocks at job granularity: the scratch meters
 					// kernel time, the remainder of the scan elapsed is the
 					// fitness/vote walk.
 					start := time.Now()
-					res.parts, res.err = scanBlockGroup(ctx, scanners, job.blks, &bs, freeParts, cfg)
+					res.parts, res.err = scanBlockGroup(ctx, scanners, job.blks, bs, freeParts, cfg)
 					elapsed := time.Since(start)
 					hash := time.Duration(bs.HashNanos())
 					cfg.Phases.AddHash(hash)
