@@ -47,7 +47,7 @@ func TestGauntlet(t *testing.T) {
 
 	check := func(name string, attacked *relation.Relation, minMatch float64) {
 		t.Helper()
-		rep, err := rec.Verify(attacked)
+		rep, err := rec.VerifyWith(attacked, core.VerifyOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

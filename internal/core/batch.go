@@ -139,17 +139,17 @@ func (p *BatchPrep) Reports(tallies []*mark.Tally) []BatchReport {
 // the suspect dataset — the ownership-audit primitive: a suspect corpus
 // is checked against a whole registered catalog for the cost of a single
 // read. Each certificate's primary-channel detection is bit-identical to
-// what its individual Record.Verify would compute (see the equivalence
+// what its individual Record.VerifyWith would compute (see the equivalence
 // test); results are in records order.
 //
 // Because the suspect is consumed as a one-shot stream and never
-// materialized, the two fallbacks of Record.Verify are out of scope
-// here. Section 4.5 bijective-remap recovery is not attempted: Verify
+// materialized, the two fallbacks of Record.VerifyWith are out of scope
+// here. Section 4.5 bijective-remap recovery is not attempted: VerifyWith
 // re-votes the fit rows its materialized pass kept and counts the
 // suspect's histogram, and this pass keeps neither (RemapRecovered is
 // always false — a remapped suspect surfaces as a high
 // Primary.UnknownValues count, at which point the caller can rerun
-// Record.Verify on a materialized copy). The Section 4.2 frequency
+// Record.VerifyWith on a materialized copy). The Section 4.2 frequency
 // channel is not scored (FrequencyMatch is -1).
 //
 // A stream-level error (unreadable or malformed suspect data) fails the

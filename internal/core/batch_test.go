@@ -46,7 +46,7 @@ func batchTestCatalog(t testing.TB, n, k int) (*relation.Relation, []*Record) {
 // TestVerifyBatchMatchesIndividualVerify is the batch-equivalence
 // acceptance test: one VerifyBatch pass over K certificates produces,
 // per certificate, a Report identical to that certificate's own
-// Record.Verify over the materialized suspect — matching owner and
+// Record.VerifyWith over the materialized suspect — matching owner and
 // non-matching bystanders alike — and identical again when the suspect
 // arrives as a CSV stream and the scans run on a worker pool.
 func TestVerifyBatchMatchesIndividualVerify(t *testing.T) {
@@ -54,7 +54,7 @@ func TestVerifyBatchMatchesIndividualVerify(t *testing.T) {
 
 	want := make([]Report, len(records))
 	for i, rec := range records {
-		rep, err := rec.Verify(suspect)
+		rep, err := rec.VerifyWith(suspect, VerifyOptions{})
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -135,7 +135,7 @@ func TestScannerCacheConcurrent(t *testing.T) {
 	suspect, records := batchTestCatalog(t, 2000, 8)
 	want := make([]Report, len(records))
 	for i, rec := range records {
-		rep, err := rec.Verify(suspect)
+		rep, err := rec.VerifyWith(suspect, VerifyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

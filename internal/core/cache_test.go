@@ -56,7 +56,7 @@ func TestScannerCacheSharesDomains(t *testing.T) {
 	if got := cache.domains[domainDigest(a.Domain)]; got == nil || got.refs != 1 || got.dom != pb.opts.Domain {
 		t.Fatal("evicting one sharer did not leave the other holding the interned domain")
 	}
-	want, err := b.Verify(suspect)
+	want, err := b.VerifyWith(suspect, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPrepareBatchWithoutCacheMatchesCached(t *testing.T) {
 		t.Fatal("uncached and cached batch reports differ")
 	}
 	for i, rec := range records {
-		rep, err := rec.Verify(suspect)
+		rep, err := rec.VerifyWith(suspect, VerifyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

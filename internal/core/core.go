@@ -9,7 +9,7 @@
 //	    E:         65,
 //	})
 //	// … years later, on a suspect copy, with only the record …
-//	rep, err := rec.Verify(suspect)
+//	rep, err := rec.VerifyWith(suspect, core.VerifyOptions{})
 //
 // The Record is the owner's watermark certificate. It contains the secret
 // passphrase, the channel parameters fixed at embedding time (e, bandwidth,
@@ -255,28 +255,6 @@ type Report struct {
 	Primary mark.DetectReport
 }
 
-// Verify blindly detects the certificate's watermark in a suspect
-// relation. It tries the primary channel; if the suspect's values do not
-// resolve in the recorded domain (a bijective remap, attack A6), it
-// recovers an inverse mapping from the recorded frequency profile and
-// re-votes the first pass's fit rows through it. The frequency channel,
-// when present, is scored as a secondary witness. The suspect relation
-// is never modified.
-func (rec *Record) Verify(suspect *relation.Relation) (Report, error) {
-	//wmlint:ignore ctxloop compatibility entry point; VerifyContext is the cancellable path
-	return rec.verify(context.Background(), suspect, VerifyOptions{})
-}
-
-// VerifyParallel is Verify with the detection scans chunked across a
-// worker pool (see internal/pipeline). workers follows the Spec.Workers
-// convention: 0 or 1 runs sequentially, > 1 uses that many goroutines,
-// negative means runtime.NumCPU(). The recovered bit string is
-// bit-identical to Verify's.
-func (rec *Record) VerifyParallel(suspect *relation.Relation, workers int) (Report, error) {
-	//wmlint:ignore ctxloop compatibility entry point; VerifyContext is the cancellable path
-	return rec.verify(context.Background(), suspect, VerifyOptions{Workers: workers})
-}
-
 // VerifyOptions parameterises VerifyWith.
 type VerifyOptions struct {
 	// Workers follows the Spec.Workers convention (0/1 sequential,
@@ -292,8 +270,15 @@ type VerifyOptions struct {
 	BlockSize int
 }
 
-// VerifyWith is Verify with an explicit worker count and an optional
-// prepared-scanner cache; results are identical to Verify's.
+// VerifyWith blindly detects the certificate's watermark in a suspect
+// relation. It tries the primary channel; if the suspect's values do not
+// resolve in the recorded domain (a bijective remap, attack A6), it
+// recovers an inverse mapping from the recorded frequency profile and
+// re-votes the first pass's fit rows through it. The frequency channel,
+// when present, is scored as a secondary witness. The suspect relation
+// is never modified. o sets the worker count, an optional
+// prepared-scanner cache, the hash kernel and the block size; the
+// verdict is the same under every setting.
 func (rec *Record) VerifyWith(suspect *relation.Relation, o VerifyOptions) (Report, error) {
 	//wmlint:ignore ctxloop compatibility entry point; VerifyContext is the cancellable path
 	return rec.verify(context.Background(), suspect, o)

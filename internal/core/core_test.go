@@ -36,7 +36,7 @@ func TestWatermarkVerifyRoundTrip(t *testing.T) {
 	if st.Mark.Altered == 0 {
 		t.Fatal("nothing embedded")
 	}
-	rep, err := rec.Verify(r)
+	rep, err := rec.VerifyWith(r, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestVerifyAfterSubsetAndShuffle(t *testing.T) {
 		t.Fatal(err)
 	}
 	attacked = attacks.Resort(attacked, src)
-	rep, err := rec.Verify(attacked)
+	rep, err := rec.VerifyWith(attacked, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestVerifyAutoRemapRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := rec.Verify(remapped)
+	rep, err := rec.VerifyWith(remapped, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWatermarkWithFrequencyChannel(t *testing.T) {
 	if st.FrequencyMoved == 0 {
 		t.Fatal("frequency channel moved nothing")
 	}
-	rep, err := rec.Verify(r)
+	rep, err := rec.VerifyWith(r, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRecordSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := back.Verify(r)
+	rep, err := back.VerifyWith(r, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestVerifyWrongSecretFails(t *testing.T) {
 	}
 	stolen := *rec
 	stolen.Secret = "wrong"
-	rep, err := stolen.Verify(r)
+	rep, err := stolen.VerifyWith(r, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

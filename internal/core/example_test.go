@@ -35,7 +35,7 @@ func Example() {
 	fmt.Printf("altered %d of %d tuples\n", stats.Mark.Altered, r.Len())
 
 	// Verification needs only the certificate and the suspect data.
-	rep, err := rec.Verify(r)
+	rep, err := rec.VerifyWith(r, core.VerifyOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,8 @@ func TestParallelWatermarkEqualsSequential(t *testing.T) {
 }
 
 // TestVerifyParallelBitIdentical: parallel verification must recover the
-// identical bit string as Verify, marked or unmarked data alike.
+// identical bit string as the sequential VerifyWith, marked or unmarked
+// data alike.
 func TestVerifyParallelBitIdentical(t *testing.T) {
 	r, dom := coreData(t, 12000)
 	pristine := r.Clone()
@@ -63,12 +64,12 @@ func TestVerifyParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := rec.Verify(r)
+	seq, err := rec.VerifyWith(r, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, -1, 0} {
-		par, err := rec.VerifyParallel(r, workers)
+		par, err := rec.VerifyWith(r, VerifyOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +79,11 @@ func TestVerifyParallelBitIdentical(t *testing.T) {
 		}
 	}
 
-	seqP, err := rec.Verify(pristine)
+	seqP, err := rec.VerifyWith(pristine, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parP, err := rec.VerifyParallel(pristine, 4)
+	parP, err := rec.VerifyWith(pristine, VerifyOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func dropRareLabels(t *testing.T, r *relation.Relation, attr string) *relation.R
 // partly remapped, remapped after losing their rarest labels, or not
 // remapped at all, and every worker count and block size — including
 // worker counts that cut the suspect into several chunks, so fit rows
-// straddle chunk boundaries — Verify's full Report, Primary included,
+// straddle chunk boundaries — VerifyWith's full Report, Primary included,
 // equals the clone-and-rescan oracle's.
 func TestVerifyRemapRetryMatchesRescan(t *testing.T) {
 	seeds := []int{1, 2, 3}
@@ -232,7 +232,7 @@ func TestVerifyRemapHashesKeysOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.Verify(suspect); err != nil { // warm the kernel calibration
+	if _, err := rec.VerifyWith(suspect, VerifyOptions{}); err != nil { // warm the kernel calibration
 		t.Fatal(err)
 	}
 	hashed := func() uint64 {
@@ -455,7 +455,7 @@ func BenchmarkVerifyRemap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := rec.Verify(suspect)
+		rep, err := rec.VerifyWith(suspect, VerifyOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,8 +44,9 @@ func AutoKind() KernelKind { return Calibrate().Kind }
 // registry entry, i.e. the narrower kernel.
 func runCalibration(budget time.Duration) Calibration {
 	key := Key("keyhash-calibration-key")
-	values := calibrationBlock()
-	out := make([]Digest, len(values))
+	data, offs := calibrationBlock()
+	rows := len(offs) - 1
+	out := make([]Digest, rows)
 
 	cal := Calibration{
 		Kind:         KernelPortable,
@@ -57,13 +58,13 @@ func runCalibration(budget time.Duration) Calibration {
 			continue
 		}
 		kern := d.build(key)
-		kern.HashMany(values, out) // warm up: page in code + tables
+		kern.HashColumn(data, offs, out) // warm up: page in code + tables
 		hashed := 0
 		start := time.Now()
 		var elapsed time.Duration
 		for elapsed < budget {
-			kern.HashMany(values, out)
-			hashed += len(values)
+			kern.HashColumn(data, offs, out)
+			hashed += rows
 			elapsed = time.Since(start)
 		}
 		rate := float64(hashed) / elapsed.Seconds()
@@ -76,20 +77,21 @@ func runCalibration(budget time.Duration) Calibration {
 	return cal
 }
 
-// calibrationBlock builds a block of values shaped like real categorical
-// scans: mostly short identifiers (single-block messages) with a sprinkle
-// of longer ones, so multi-lane kernels are measured on the batch shape
-// they will actually see.
-func calibrationBlock() []string {
-	values := make([]string, 256)
-	for i := range values {
+// calibrationBlock lays out a block column of values shaped like real
+// categorical scans: mostly short identifiers (single-block messages)
+// with a sprinkle of longer ones, so multi-lane kernels are measured on
+// the batch shape they will actually see.
+func calibrationBlock() (data []byte, offs []int32) {
+	offs = make([]int32, 1, 257)
+	for i := 0; i < 256; i++ {
 		if i%32 == 31 {
 			// A two-block message: long enough that prefix+value+key
 			// spills past one 64-byte SHA-256 block.
-			values[i] = fmt.Sprintf("calibration-long-value-%08d-%08d", i, i)
+			data = fmt.Appendf(data, "calibration-long-value-%08d-%08d", i, i)
 		} else {
-			values[i] = fmt.Sprintf("v%06d", i)
+			data = fmt.Appendf(data, "v%06d", i)
 		}
+		offs = append(offs, int32(len(data)))
 	}
-	return values
+	return data, offs
 }

@@ -81,18 +81,3 @@ func (h *Hasher) HashString(v string) Digest {
 		return HashString(h.key, v)
 	}
 }
-
-// hashAny is Hash/HashString over either value shape, with the same
-// one-shot tiering — the scalar tail path of the generic kernel cores.
-func hashAny[V ~string | ~[]byte](h *Hasher, v V) Digest {
-	switch total := len(h.prefix) + len(v) + len(h.key); {
-	case total <= oneShotShort:
-		var buf [oneShotShort]byte
-		return oneShot(h, buf[:], v)
-	case total <= oneShotMax:
-		var buf [oneShotMax]byte
-		return oneShot(h, buf[:], v)
-	default:
-		return hashFull(h.key, v)
-	}
-}

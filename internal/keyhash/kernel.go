@@ -6,57 +6,26 @@ import (
 )
 
 // Kernel is a batched evaluation context for H(·;k): the pluggable bottom
-// of the block-at-a-time scan engine. One HashMany call hashes a whole
-// block of key values, which lets an implementation amortize per-call
-// overhead (scratch reuse, padding assembly) or run several one-shot
-// SHA-256 states at once (the amd64 multi-buffer backend). Digests are
-// bit-identical to Hash/HashString — a Kernel is an execution strategy,
-// never a different hash.
+// of the block-at-a-time scan engine. One HashColumn call hashes a whole
+// block column of key values, which lets an implementation amortize
+// per-call overhead (scratch reuse, padding assembly) or run several
+// one-shot SHA-256 states at once (the amd64 multi-buffer backend).
+// Digests are bit-identical to Hash/HashString — a Kernel is an
+// execution strategy, never a different hash.
 //
 // Implementations must be immutable after construction and safe for
 // concurrent use: the detection fan-out shares one prepared Scanner (and
 // therefore one Kernel) across all worker goroutines. Per-call scratch
 // lives on the stack or in caller-owned state (see BlockMemo).
 type Kernel interface {
-	// HashMany computes H(values[i];k) into out[i] for every value.
-	// len(out) must be at least len(values).
-	HashMany(values []string, out []Digest)
-	// HashColumn is HashMany over a columnar value view: value i is
-	// data[offs[i]:offs[i+1]], with len(offs) == n+1 and offs[0] == 0 —
-	// the exact arena shape of a relation block column. The scan engine
-	// hashes key-column bytes directly through this entry point, never
-	// materializing a string per field. len(out) must be at least
-	// len(offs)-1. Digests are bit-identical to HashMany over the same
-	// byte sequences.
+	// HashColumn computes H(v_i;k) into out[i] for every value of a
+	// columnar view: value i is data[offs[i]:offs[i+1]], with
+	// len(offs) == n+1 and offs[0] == 0 — the exact arena shape of a
+	// relation block column. The scan and embed engines hash key-column
+	// bytes directly through it, never materializing a string per
+	// field. len(out) must be at least len(offs)-1.
 	HashColumn(data []byte, offs []int32, out []Digest)
 }
-
-// vals abstracts the two batch shapes the kernels accept — a []string
-// batch and a columnar arena view — so each backend's batching core is
-// written once, generically, and instantiated per shape with direct
-// (devirtualized) accessors.
-type vals[V ~string | ~[]byte] interface {
-	count() int
-	at(i int) V
-}
-
-type strVals []string
-
-func (s strVals) count() int      { return len(s) }
-func (s strVals) at(i int) string { return s[i] }
-
-type colVals struct {
-	data []byte
-	offs []int32
-}
-
-func (c colVals) count() int      { return len(c.offs) - 1 }
-func (c colVals) at(i int) []byte { return c.data[c.offs[i]:c.offs[i+1]] }
-
-// hashFull is the beyond-lane streaming fallback for either value
-// shape. (For V = []byte the conversion is a no-op; for V = string it
-// pays the same copy HashString always has.)
-func hashFull[V ~string | ~[]byte](k Key, v V) Digest { return Hash(k, []byte(v)) }
 
 // KernelKind names a batched hash backend.
 type KernelKind string
@@ -108,7 +77,7 @@ type backendDef struct {
 	// build constructs the kernel for a validated key; only called when
 	// available() is true.
 	build func(Key) Kernel
-	// counters is the backend's process-wide HashMany activity, ticked
+	// counters is the backend's process-wide HashColumn activity, ticked
 	// by every kernel the def builds and read by KernelStats.
 	counters kernelCounters
 }
@@ -151,8 +120,8 @@ func KernelKinds() []KernelKind {
 type BackendInfo struct {
 	// Kind is the spelling NewKernel accepts.
 	Kind KernelKind `json:"kind"`
-	// Lanes is how many independent SHA-256 streams one HashMany batch
-	// step evaluates.
+	// Lanes is how many independent SHA-256 streams one HashColumn
+	// batch step evaluates.
 	Lanes int `json:"lanes"`
 	// Requires names the CPU features gating the backend ("" = none).
 	Requires string `json:"requires,omitempty"`
@@ -207,9 +176,9 @@ func kindSpellings() string {
 
 // portableKernel is the pure-Go batched backend. The construct's message
 // layout (len(k) ‖ k ‖ v ‖ k) is assembled into one stack scratch buffer
-// that lives for the whole HashMany call, so the per-call zero-init and
-// prefix copy of Hasher.HashString are paid once per block instead of
-// once per value.
+// that lives for the whole HashColumn call, so the per-call zero-init
+// and prefix copy of Hasher.Hash are paid once per block instead of once
+// per value.
 type portableKernel struct {
 	h   *Hasher
 	ctr *kernelCounters
@@ -224,39 +193,24 @@ func newPortableKernel(k Key, ctr *kernelCounters) *portableKernel {
 	return &portableKernel{h: h, ctr: ctr}
 }
 
-// HashMany hashes every value with a single scratch buffer. Values too
+// HashColumn hashes every value with a single scratch buffer. Values too
 // long for the one-shot buffer fall back to the streaming construct,
-// exactly like Hasher.HashString.
-func (p *portableKernel) HashMany(values []string, out []Digest) {
-	p.ctr.tick(len(values))
-	hashBatchPortable[string, strVals](p.h, strVals(values), out)
-}
-
-// HashColumn hashes a block column's arena view, same strategy.
+// exactly like Hasher.Hash.
 func (p *portableKernel) HashColumn(data []byte, offs []int32, out []Digest) {
 	if len(offs) == 0 {
 		return
 	}
-	p.ctr.tick(len(offs) - 1)
-	hashBatchPortable[[]byte, colVals](p.h, colVals{data: data, offs: offs}, out)
-}
-
-// hashBatchPortable is the portable batching core over either value
-// shape: the construct's prefix is copied into one scratch buffer that
-// lives for the whole batch.
-func hashBatchPortable[V ~string | ~[]byte, S vals[V]](h *Hasher, src S, out []Digest) {
-	n := src.count()
-	if n <= 0 {
-		return
-	}
+	n := len(offs) - 1
+	p.ctr.tick(n)
 	_ = out[:n] // one bounds check up front
+	h := p.h
 	var buf [oneShotMax]byte
 	prefixLen := copy(buf[:], h.prefix)
 	for i := 0; i < n; i++ {
-		v := src.at(i)
+		v := data[offs[i]:offs[i+1]]
 		total := prefixLen + len(v) + len(h.key)
 		if total > oneShotMax {
-			out[i] = hashFull(h.key, v)
+			out[i] = Hash(h.key, v)
 			continue
 		}
 		w := prefixLen
@@ -274,7 +228,7 @@ type laneKey struct {
 	key string
 }
 
-// BlockMemo caches HashMany results per lane for ONE block of key
+// BlockMemo caches HashColumn results per lane for ONE block of key
 // values, so N certificates sharing a key column hash each distinct key
 // value once per lane, not once per certificate. The caller owns the
 // block identity: Reset invalidates every lane when the block changes.
@@ -295,49 +249,31 @@ func (m *BlockMemo) Reset() {
 	}
 }
 
-// lane returns the digest slice for lk, reporting whether it was
-// already computed. A miss returns a recycled (or grown) slice of n
-// digests already installed in the map.
-func (m *BlockMemo) lane(lk laneKey, n int) ([]Digest, bool) {
+// LaneColumn returns the digests under kern of a block column's arena
+// view (value i is data[offs[i]:offs[i+1]], len(offs) == rows+1),
+// computing them on the first call for this (col, key) lane and
+// replaying them afterwards. key is the string form of the secret key
+// (callers cache it — passing string(k) inline would allocate per
+// call). The returned slice is valid until the next Reset.
+func (m *BlockMemo) LaneColumn(col int, key string, kern Kernel, data []byte, offs []int32) []Digest {
 	if m.lanes == nil {
 		m.lanes = make(map[laneKey][]Digest)
 	}
+	lk := laneKey{col: col, key: key}
 	if d, ok := m.lanes[lk]; ok {
-		return d, true
+		return d
 	}
 	var d []Digest
 	if f := len(m.free); f > 0 {
 		d = m.free[f-1][:0]
 		m.free = m.free[:f-1]
 	}
+	n := len(offs) - 1
 	if cap(d) < n {
 		d = make([]Digest, n)
 	}
 	d = d[:n]
 	m.lanes[lk] = d
-	return d, false
-}
-
-// Lane returns the digests of values under kern, computing them on the
-// first call for this (col, key) lane and replaying them afterwards.
-// key is the string form of the secret key (callers cache it — passing
-// string(k) inline would allocate per call). The returned slice is
-// valid until the next Reset.
-func (m *BlockMemo) Lane(col int, key string, kern Kernel, values []string) []Digest {
-	d, hit := m.lane(laneKey{col: col, key: key}, len(values))
-	if !hit {
-		kern.HashMany(values, d)
-	}
-	return d
-}
-
-// LaneColumn is Lane over a block column's arena view (value i is
-// data[offs[i]:offs[i+1]], len(offs) == rows+1). Lanes are shared with
-// Lane: the digests are bit-identical either way.
-func (m *BlockMemo) LaneColumn(col int, key string, kern Kernel, data []byte, offs []int32) []Digest {
-	d, hit := m.lane(laneKey{col: col, key: key}, len(offs)-1)
-	if !hit {
-		kern.HashColumn(data, offs, d)
-	}
+	kern.HashColumn(data, offs, d)
 	return d
 }

@@ -48,28 +48,22 @@ func newMultiKernel4(k Key, ctr *kernelCounters) Kernel {
 	return &multiKernel4{h: h, key: k, prefix: h.prefix, ctr: ctr}
 }
 
-// HashMany groups values of equal padded block count into batches of
+// HashColumn groups values of equal padded block count into batches of
 // four and hashes each batch in one assembly call. Leftover pairs use
 // the 2-lane kernel, lone stragglers the scalar Hasher, and values
 // beyond the lane width the streaming construct. The digests are
 // bit-identical to Hash/HashString in every case.
-func (m *multiKernel4) HashMany(values []string, out []Digest) {
-	m.ctr.tick(len(values))
-	hashBatch4[string, strVals](m, strVals(values), out)
-}
-
-// HashColumn hashes a block column's arena view, same batching strategy.
 func (m *multiKernel4) HashColumn(data []byte, offs []int32, out []Digest) {
 	if len(offs) == 0 {
 		return
 	}
 	m.ctr.tick(len(offs) - 1)
-	hashBatch4[[]byte, colVals](m, colVals{data: data, offs: offs}, out)
+	hashBatch4(m, data, offs, out)
 }
 
-// hashBatch4 is the four-lane batching core over either value shape.
-func hashBatch4[V ~string | ~[]byte, S vals[V]](m *multiKernel4, src S, out []Digest) {
-	n := src.count()
+// hashBatch4 is the four-lane batching core over a columnar view.
+func hashBatch4(m *multiKernel4, data []byte, offs []int32, out []Digest) {
+	n := len(offs) - 1
 	if n <= 0 {
 		return
 	}
@@ -82,10 +76,10 @@ func hashBatch4[V ~string | ~[]byte, S vals[V]](m *multiKernel4, src S, out []Di
 		npend  [3]int
 	)
 	for i := 0; i < n; i++ {
-		v := src.at(i)
+		v := data[offs[i]:offs[i+1]]
 		nb := paddedBlocks(len(m.prefix), len(m.key), len(v))
 		if nb == 0 {
-			out[i] = hashFull(m.key, v)
+			out[i] = Hash(m.key, v)
 			continue
 		}
 		pend[nb][npend[nb]] = i
@@ -95,7 +89,7 @@ func hashBatch4[V ~string | ~[]byte, S vals[V]](m *multiKernel4, src S, out []Di
 		}
 		npend[nb] = 0
 		for l, j := range pend[nb] {
-			fillPadded((*[laneBytes]byte)(msgs[l*laneBytes:]), m.prefix, m.key, src.at(j), nb)
+			fillPadded((*[laneBytes]byte)(msgs[l*laneBytes:]), m.prefix, m.key, data[offs[j]:offs[j+1]], nb)
 			*(*[8]uint32)(states[l*8:]) = sha256IV
 		}
 		sha256block4(&states, &msgs, &wbuf, nb)
@@ -111,15 +105,16 @@ func hashBatch4[V ~string | ~[]byte, S vals[V]](m *multiKernel4, src S, out []Di
 		for len(rest) >= 2 {
 			j0, j1 := rest[0], rest[1]
 			rest = rest[2:]
-			fillPadded(&b0, m.prefix, m.key, src.at(j0), nb)
-			fillPadded(&b1, m.prefix, m.key, src.at(j1), nb)
+			fillPadded(&b0, m.prefix, m.key, data[offs[j0]:offs[j0+1]], nb)
+			fillPadded(&b1, m.prefix, m.key, data[offs[j1]:offs[j1+1]], nb)
 			s0, s1 := sha256IV, sha256IV
 			sha256block2(&s0, &s1, &b0[0], &b1[0], nb)
 			putDigest(&out[j0], &s0)
 			putDigest(&out[j1], &s1)
 		}
 		if len(rest) == 1 {
-			out[rest[0]] = hashAny(m.h, src.at(rest[0]))
+			j := rest[0]
+			out[j] = m.h.Hash(data[offs[j]:offs[j+1]])
 		}
 	}
 }

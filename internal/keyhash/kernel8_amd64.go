@@ -74,28 +74,22 @@ func newMBKernel8(k Key, ctr *kernelCounters) Kernel {
 	return &mbKernel8{h: h, key: k, prefix: h.prefix, ctr: ctr}
 }
 
-// HashMany groups values of equal padded block count into batches of
+// HashColumn groups values of equal padded block count into batches of
 // eight and hashes each batch one transposed block at a time. Ragged
 // tails run through the scalar Hasher; values beyond the lane width use
 // the streaming construct. The digests are bit-identical to
 // Hash/HashString in every case.
-func (m *mbKernel8) HashMany(values []string, out []Digest) {
-	m.ctr.tick(len(values))
-	hashBatch8[string, strVals](m, strVals(values), out)
-}
-
-// HashColumn hashes a block column's arena view, same batching strategy.
 func (m *mbKernel8) HashColumn(data []byte, offs []int32, out []Digest) {
 	if len(offs) == 0 {
 		return
 	}
 	m.ctr.tick(len(offs) - 1)
-	hashBatch8[[]byte, colVals](m, colVals{data: data, offs: offs}, out)
+	hashBatch8(m, data, offs, out)
 }
 
-// hashBatch8 is the eight-lane batching core over either value shape.
-func hashBatch8[V ~string | ~[]byte, S vals[V]](m *mbKernel8, src S, out []Digest) {
-	n := src.count()
+// hashBatch8 is the eight-lane batching core over a columnar view.
+func hashBatch8(m *mbKernel8, data []byte, offs []int32, out []Digest) {
+	n := len(offs) - 1
 	if n <= 0 {
 		return
 	}
@@ -108,10 +102,10 @@ func hashBatch8[V ~string | ~[]byte, S vals[V]](m *mbKernel8, src S, out []Diges
 		npend [3]int
 	)
 	for i := 0; i < n; i++ {
-		v := src.at(i)
+		v := data[offs[i]:offs[i+1]]
 		nb := paddedBlocks(len(m.prefix), len(m.key), len(v))
 		if nb == 0 {
-			out[i] = hashFull(m.key, v)
+			out[i] = Hash(m.key, v)
 			continue
 		}
 		pend[nb][npend[nb]] = i
@@ -121,7 +115,7 @@ func hashBatch8[V ~string | ~[]byte, S vals[V]](m *mbKernel8, src S, out []Diges
 		}
 		npend[nb] = 0
 		for l, j := range pend[nb] {
-			fillPadded(&bufs[l], m.prefix, m.key, src.at(j), nb)
+			fillPadded(&bufs[l], m.prefix, m.key, data[offs[j]:offs[j+1]], nb)
 		}
 		for i2, h := range sha256IV {
 			for l := 0; l < 8; l++ {
@@ -147,7 +141,7 @@ func hashBatch8[V ~string | ~[]byte, S vals[V]](m *mbKernel8, src S, out []Diges
 	}
 	for nb := 1; nb <= 2; nb++ {
 		for _, j := range pend[nb][:npend[nb]] {
-			out[j] = hashAny(m.h, src.at(j))
+			out[j] = m.h.Hash(data[offs[j]:offs[j+1]])
 		}
 	}
 }

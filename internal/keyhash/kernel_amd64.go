@@ -148,7 +148,7 @@ func paddedBlocks(prefixLen, keyLen, vLen int) int {
 
 // fillPadded assembles the fully padded message len(k) ‖ k ‖ v ‖ k ‖
 // 0x80 ‖ 0… ‖ len into a lane buffer, exactly as SHA-256 would pad it.
-func fillPadded[V ~string | ~[]byte](buf *[laneBytes]byte, prefix []byte, key Key, v V, blocks int) {
+func fillPadded(buf *[laneBytes]byte, prefix []byte, key Key, v []byte, blocks int) {
 	n := copy(buf[:], prefix)
 	n += copy(buf[n:], v)
 	n += copy(buf[n:], key)
@@ -177,7 +177,7 @@ func (l *lane) init(prefix []byte) {
 // ‖ 0x80 ‖ 0… ‖ len of `blocks` blocks, exactly as SHA-256 would pad it.
 // The block count follows from len(v) for a fixed key, so vLen alone
 // says whether the constant bytes are already in place.
-func fillLane[V ~string | ~[]byte](l *lane, prefixLen int, key Key, v V, blocks int) {
+func fillLane(l *lane, prefixLen int, key Key, v []byte, blocks int) {
 	n := prefixLen + copy(l.buf[prefixLen:], v)
 	if l.vLen == len(v) {
 		return
@@ -216,32 +216,27 @@ func (m *multiKernel) tailSchedule(vLen int, block2 []byte) *tailWK {
 	return wk
 }
 
-// HashMany pairs values and hashes each pair in one two-lane assembly
+// HashColumn pairs values and hashes each pair in one two-lane assembly
 // call; see hashBatch2. The digests are bit-identical to
 // Hash/HashString in every case.
-func (m *multiKernel) HashMany(values []string, out []Digest) {
-	m.ctr.tick(len(values))
-	hashBatch2[string, strVals](m, strVals(values), out)
-}
-
-// HashColumn hashes a block column's arena view, same pairing strategy.
 func (m *multiKernel) HashColumn(data []byte, offs []int32, out []Digest) {
 	if len(offs) == 0 {
 		return
 	}
 	m.ctr.tick(len(offs) - 1)
-	hashBatch2[[]byte, colVals](m, colVals{data: data, offs: offs}, out)
+	hashBatch2(m, data, offs, out)
 }
 
-// hashBatch2 is the two-lane batching core over either value shape.
+// hashBatch2 is the two-lane batching core over a columnar view (value
+// i is data[offs[i]:offs[i+1]]).
 // Values whose two-block message ends inside block 1 pair by exact
 // length: block 1 runs through sha256block2 and block 2 through
 // sha256tail2 with the length's shared schedule. Other one- and
 // two-block values pair by block count through sha256block2 alone.
 // Odd leftovers run through the scalar Hasher; values beyond the lane
 // width use the streaming construct.
-func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Digest) {
-	n := src.count()
+func hashBatch2(m *multiKernel, data []byte, offs []int32, out []Digest) {
+	n := len(offs) - 1
 	if n <= 0 {
 		return
 	}
@@ -253,10 +248,10 @@ func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Dig
 	var pendTail [tailSlots]int   // 1 + pending value index per tail-path length; 0 = none
 	pending := [3]int{-1, -1, -1} // other values: pending index per block count
 	for i := 0; i < n; i++ {
-		v := src.at(i)
+		v := data[offs[i]:offs[i+1]]
 		nb := paddedBlocks(pl, len(m.key), len(v))
 		if nb == 0 {
-			out[i] = hashFull(m.key, v)
+			out[i] = Hash(m.key, v)
 			continue
 		}
 		if nb == 2 && pl+len(v) <= 64 {
@@ -266,7 +261,7 @@ func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Dig
 				continue
 			}
 			pendTail[len(v)] = 0
-			fillLane(&l0, pl, m.key, src.at(j), 2)
+			fillLane(&l0, pl, m.key, data[offs[j]:offs[j+1]], 2)
 			fillLane(&l1, pl, m.key, v, 2)
 			wk := m.tailSchedule(len(v), l0.buf[64:])
 			s0, s1 := sha256IV, sha256IV
@@ -282,7 +277,7 @@ func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Dig
 			continue
 		}
 		pending[nb] = -1
-		fillLane(&l0, pl, m.key, src.at(j), nb)
+		fillLane(&l0, pl, m.key, data[offs[j]:offs[j+1]], nb)
 		fillLane(&l1, pl, m.key, v, nb)
 		s0, s1 := sha256IV, sha256IV
 		sha256block2(&s0, &s1, &l0.buf[0], &l1.buf[0], nb)
@@ -291,12 +286,12 @@ func hashBatch2[V ~string | ~[]byte, S vals[V]](m *multiKernel, src S, out []Dig
 	}
 	for _, j := range pendTail {
 		if j > 0 {
-			out[j-1] = hashAny(m.h, src.at(j-1))
+			out[j-1] = m.h.Hash(data[offs[j-1]:offs[j]])
 		}
 	}
 	for _, j := range pending[1:] {
 		if j >= 0 {
-			out[j] = hashAny(m.h, src.at(j))
+			out[j] = m.h.Hash(data[offs[j]:offs[j+1]])
 		}
 	}
 }

@@ -81,23 +81,11 @@ func TestKernelMatchesHash(t *testing.T) {
 	for kind, kern := range availableKernels(t, k) {
 		t.Run(string(kind), func(t *testing.T) {
 			for ci, values := range cases {
-				out := make([]Digest, len(values))
-				kern.HashMany(values, out)
+				out := hashColumn(kern, values)
 				for i, v := range values {
 					if want := HashString(k, v); out[i] != want {
 						t.Fatalf("case %d value %d (len %d): kernel %q digest mismatch\n got %x\nwant %x",
 							ci, i, len(v), kind, out[i], want)
-					}
-				}
-				// The columnar entry point must produce the identical
-				// digests over the same byte sequences.
-				data, offs := column(values)
-				colOut := make([]Digest, len(values))
-				kern.HashColumn(data, offs, colOut)
-				for i := range values {
-					if colOut[i] != out[i] {
-						t.Fatalf("case %d value %d: kernel %q HashColumn differs from HashMany",
-							ci, i, kind)
 					}
 				}
 			}
@@ -117,6 +105,14 @@ func column(values []string) ([]byte, []int32) {
 	return data, offs
 }
 
+// hashColumn hashes values through kern's columnar entry point.
+func hashColumn(kern Kernel, values []string) []Digest {
+	data, offs := column(values)
+	out := make([]Digest, len(values))
+	kern.HashColumn(data, offs, out)
+	return out
+}
+
 // TestKernelMatchesHashRandom is the randomized sweep: arbitrary batch
 // shapes, lengths and contents, odd keys included.
 func TestKernelMatchesHashRandom(t *testing.T) {
@@ -133,21 +129,11 @@ func TestKernelMatchesHashRandom(t *testing.T) {
 			values[i] = string(b)
 		}
 		for kind, kern := range availableKernels(t, k) {
-			out := make([]Digest, len(values))
-			kern.HashMany(values, out)
+			out := hashColumn(kern, values)
 			for i, v := range values {
 				if want := HashString(k, v); out[i] != want {
 					t.Fatalf("trial %d kernel %q keyLen %d value %d (len %d): digest mismatch",
 						trial, kind, keyLen, i, len(v))
-				}
-			}
-			data, offs := column(values)
-			colOut := make([]Digest, len(values))
-			kern.HashColumn(data, offs, colOut)
-			for i := range values {
-				if colOut[i] != out[i] {
-					t.Fatalf("trial %d kernel %q value %d: HashColumn differs from HashMany",
-						trial, kind, i)
 				}
 			}
 		}
@@ -198,19 +184,10 @@ func TestKernelTailBlockBoundaries(t *testing.T) {
 
 		for kind, kern := range availableKernels(t, k) {
 			for bi, values := range batches {
-				out := make([]Digest, len(values))
-				kern.HashMany(values, out)
-				data, offs := column(values)
-				colOut := make([]Digest, len(values))
-				kern.HashColumn(data, offs, colOut)
+				out := hashColumn(kern, values)
 				for i, v := range values {
-					want := HashString(k, v)
-					if out[i] != want {
-						t.Fatalf("kernel %q keyLen %d batch %d value %d (len %d): HashMany digest mismatch",
-							kind, keyLen, bi, i, len(v))
-					}
-					if colOut[i] != want {
-						t.Fatalf("kernel %q keyLen %d batch %d value %d (len %d): HashColumn digest mismatch",
+					if out[i] != HashString(k, v) {
+						t.Fatalf("kernel %q keyLen %d batch %d value %d (len %d): digest mismatch",
 							kind, keyLen, bi, i, len(v))
 					}
 				}
@@ -236,8 +213,7 @@ func TestKernelConcurrentFirstUse(t *testing.T) {
 				for n := 0; n <= 27; n++ {
 					values = append(values, strings.Repeat(string(rune('a'+g)), n), strings.Repeat("z", n))
 				}
-				out := make([]Digest, len(values))
-				kern.HashMany(values, out)
+				out := hashColumn(kern, values)
 				for i, v := range values {
 					if out[i] != HashString(k, v) {
 						errs <- fmt.Sprintf("kernel %q goroutine %d value len %d: digest mismatch", kind, g, len(v))
@@ -270,19 +246,10 @@ func FuzzKernelMatchesHash(f *testing.F) {
 		k := Key(keyBytes)
 		values := []string{v0, v1, v2, v0}
 		for kind, kern := range availableKernels(t, k) {
-			out := make([]Digest, len(values))
-			kern.HashMany(values, out)
+			out := hashColumn(kern, values)
 			for i, v := range values {
 				if want := HashString(k, v); out[i] != want {
 					t.Fatalf("kernel %q value %d: digest mismatch", kind, i)
-				}
-			}
-			data, offs := column(values)
-			colOut := make([]Digest, len(values))
-			kern.HashColumn(data, offs, colOut)
-			for i := range values {
-				if colOut[i] != out[i] {
-					t.Fatalf("kernel %q value %d: HashColumn differs from HashMany", kind, i)
 				}
 			}
 		}
@@ -306,10 +273,11 @@ func TestBlockMemoSharesLanes(t *testing.T) {
 	kernA := countingKernel{inner: mustKernel(t, kA)}
 	kernB := countingKernel{inner: mustKernel(t, kB)}
 	values := []string{"k1", "k2", "k3"}
+	data, offs := column(values)
 
 	var m BlockMemo
-	first := m.Lane(0, string(kA), &kernA, values)
-	again := m.Lane(0, string(kA), &kernA, values)
+	first := m.LaneColumn(0, string(kA), &kernA, data, offs)
+	again := m.LaneColumn(0, string(kA), &kernA, data, offs)
 	if kernA.calls != 1 {
 		t.Fatalf("same lane twice: %d kernel calls, want 1", kernA.calls)
 	}
@@ -322,33 +290,22 @@ func TestBlockMemoSharesLanes(t *testing.T) {
 		}
 	}
 
-	m.Lane(1, string(kA), &kernA, values) // different column: new lane
+	m.LaneColumn(1, string(kA), &kernA, data, offs) // different column: new lane
 	if kernA.calls != 2 {
 		t.Fatalf("distinct column should re-hash: %d calls, want 2", kernA.calls)
 	}
-	m.Lane(0, string(kB), &kernB, values) // different key: new lane
+	m.LaneColumn(0, string(kB), &kernB, data, offs) // different key: new lane
 	if kernB.calls != 1 {
 		t.Fatalf("distinct key should hash its own lane: %d calls, want 1", kernB.calls)
 	}
 
-	// The columnar entry shares lanes with the string entry: same
-	// (col, key) hits the memo without re-hashing.
-	data, offs := column(values)
-	col := m.LaneColumn(0, string(kA), &kernA, data, offs)
-	if kernA.calls != 2 {
-		t.Fatalf("LaneColumn should hit the Lane memo: %d calls, want 2", kernA.calls)
-	}
-	if &col[0] != &first[0] {
-		t.Fatal("LaneColumn memo hit should return the cached slice")
-	}
-
 	m.Reset()
-	m.LaneColumn(0, string(kA), &kernA, data, offs)
+	d := m.LaneColumn(0, string(kA), &kernA, data, offs)
 	if kernA.calls != 3 {
 		t.Fatalf("Reset should invalidate lanes: %d calls, want 3", kernA.calls)
 	}
-	if d := m.Lane(0, string(kA), &kernA, values); d[0] != HashString(kA, values[0]) {
-		t.Fatal("LaneColumn-filled lane digest mismatch")
+	if d[0] != HashString(kA, values[0]) {
+		t.Fatal("recomputed lane digest mismatch")
 	}
 }
 
@@ -361,15 +318,10 @@ func mustKernel(t *testing.T, k Key) Kernel {
 	return kern
 }
 
-// countingKernel counts HashMany invocations for memo assertions.
+// countingKernel counts HashColumn invocations for memo assertions.
 type countingKernel struct {
 	inner Kernel
 	calls int
-}
-
-func (c *countingKernel) HashMany(values []string, out []Digest) {
-	c.calls++
-	c.inner.HashMany(values, out)
 }
 
 func (c *countingKernel) HashColumn(data []byte, offs []int32, out []Digest) {
@@ -433,17 +385,16 @@ func TestBackendRegistry(t *testing.T) {
 }
 
 // TestKernelStatsCount proves the counters actually tick through the
-// registry pairs: a fresh kernel's HashMany moves its backend's totals.
+// registry pairs: a fresh kernel's HashColumn moves its backend's totals.
 func TestKernelStatsCount(t *testing.T) {
 	k := NewKey("stats-key")
 	values := []string{"a", "b", "c"}
-	out := make([]Digest, len(values))
 	for kind, kern := range availableKernels(t, k) {
 		if kind == KernelAuto {
 			continue // double-counts whichever backend it resolves to
 		}
 		before := KernelStats()[kind]
-		kern.HashMany(values, out)
+		hashColumn(kern, values)
 		after := KernelStats()[kind]
 		if after.Calls != before.Calls+1 || after.Values != before.Values+uint64(len(values)) {
 			t.Fatalf("kernel %q counters did not tick: before %+v after %+v", kind, before, after)

@@ -2,8 +2,8 @@ package keyhash
 
 import "sync/atomic"
 
-// kernelCounters is one backend's process-wide HashMany activity: two
-// atomic adds per HashMany call (i.e. per block lane, not per value), so
+// kernelCounters is one backend's process-wide HashColumn activity: two
+// atomic adds per HashColumn call (i.e. per block lane, not per value), so
 // the hash hot loop itself is untouched. Each backendDef owns a pair;
 // kernels tick the pair of the def that built them.
 type kernelCounters struct {
@@ -16,9 +16,9 @@ func (c *kernelCounters) tick(values int) {
 	c.values.Add(uint64(values))
 }
 
-// KernelCounters is the cumulative HashMany activity of one backend.
+// KernelCounters is the cumulative HashColumn activity of one backend.
 type KernelCounters struct {
-	Calls  uint64 // HashMany invocations
+	Calls  uint64 // HashColumn invocations
 	Values uint64 // key values hashed across those calls
 }
 
@@ -32,7 +32,7 @@ func ActiveKernel() string {
 	return string(AutoKind())
 }
 
-// KernelStats reports per-backend HashMany totals for this process,
+// KernelStats reports per-backend HashColumn totals for this process,
 // keyed by the concrete kernel kind (KernelAuto resolves to whichever
 // backend it picked, so it never appears as a key). The map is built
 // from the backend registry, so every kind NewKernel accepts appears —

@@ -98,8 +98,7 @@ func loopCrossesBlocks(body *ast.BlockStmt, info *types.Info) bool {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "Read",
-			"RowReader", "CSVRowReader", "JSONLRowReader", "RelationReader",
-			"CSVBlockReader", "JSONLBlockReader", "JSONLPayloadReader") {
+			"RowReader", "CSVRowReader", "JSONLRowReader") {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "ReadBlock",

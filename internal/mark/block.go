@@ -15,19 +15,19 @@ import (
 // bit position, value index) all start from keyed hashes of the tuple's
 // own key, so a block of tuples can batch those hashes through one
 // keyhash.Kernel call and then replay the per-tuple logic over the
-// precomputed digests. ScanColumns is the one vote kernel: streams fill
-// columnar blocks straight from their bytes, and materialized relations
-// fill them through Relation.FillBlock. EmbedBlock is the embedding
-// counterpart over row ranges, because embedding rewrites the relation
-// in place. Both are bit-identical to the tuple-at-a-time loops — the
-// property tests drive them against ScanTuple and size-1 blocks — and
-// ScanTuple remains the semantic definition of one tuple's vote.
+// precomputed digests. Every block is columnar: streams fill blocks
+// straight from their bytes, and materialized relations fill them
+// through Relation.FillBlock. ScanColumns is the one vote kernel and
+// EmbedBlock its embedding counterpart, which rewrites the relation the
+// block was filled from. Both are bit-identical to the tuple-at-a-time
+// loops — the property tests drive them against ScanTuple, size-1
+// blocks and a Figure 1(a) oracle — and ScanTuple remains the semantic
+// definition of one tuple's vote.
 //
-// BlockScratch is where the batching pays twice: the key column is
-// extracted once per block no matter how many certificates scan it, and
-// the per-block digest memo (keyhash.BlockMemo) hashes each key value
-// once per lane — certificates sharing an owner secret, and therefore a
-// fitness key, replay each other's digests instead of rehashing.
+// BlockScratch is where the batching pays twice: the per-block digest
+// memo (keyhash.BlockMemo) hashes each key value once per lane —
+// certificates sharing an owner secret, and therefore a fitness key,
+// replay each other's digests instead of rehashing.
 
 // DefaultBlockRows is the block size Scan, EmbedRange and the pipeline
 // default to, and what every block-size setting of zero or below means:
@@ -36,42 +36,29 @@ import (
 // batch audit sweeps it.
 const DefaultBlockRows = 512
 
-// keyColCache is one extracted key column of the current block.
-type keyColCache struct {
-	col  int
-	keys []string
-}
-
 // BlockScratch carries the reusable state of a block-at-a-time pass:
-// extracted key columns, the per-block digest memo, and the voting-row
-// staging arrays. One scratch serves any number of scanners and
-// embedders — sharing it across certificates is what enables key-column
-// and digest reuse — but it is mutable state: one scratch per goroutine,
-// never shared concurrently. The zero value is ready to use.
+// the per-block digest memo and the fit-row staging arrays. One scratch
+// serves any number of scanners and embedders — sharing it across
+// certificates is what enables digest reuse — but it is mutable state:
+// one scratch per goroutine, never shared concurrently. The zero value
+// is ready to use.
 type BlockScratch struct {
-	rel      *relation.Relation
-	lo, hi   int
-	cols     []keyColCache
-	freeKeys [][]string // retired key-column backing arrays, for reuse
-	memo     keyhash.BlockMemo
+	memo keyhash.BlockMemo
 
-	// columnar block identity (ScanColumns): the pooled Block pointer
-	// plus its generation counter, because pooling reuses pointers.
+	// block identity: the pooled Block pointer plus its generation
+	// counter, because pooling reuses pointers.
 	blk    *relation.Block
 	blkGen uint64
 
-	// staging for the current EmbedBlock call (fitRows, fitKeys) and
-	// ScanColumns call (fitBits); d2 serves both
+	// staging for the current EmbedBlock call (fitRows) and ScanColumns
+	// call (fitBits). Both stage their fit keys as one contiguous byte
+	// run with offsets (fitData, fitOffs), feeding Kernel.HashColumn
+	// without materializing strings; d2 receives the position digests.
 	fitRows []int32
 	fitBits []uint8
-	fitKeys []string
-	d2      []keyhash.Digest
-
-	// columnar staging for ScanColumns: the fit keys packed as one
-	// contiguous byte run with offsets, feeding Kernel.HashColumn
-	// without materializing strings.
 	fitData []byte
 	fitOffs []int32
+	d2      []keyhash.Digest
 
 	// hash-phase metering (EnableHashTiming): nanoseconds spent inside
 	// the two kernel calls of ScanColumns, so a traced pass can split a
@@ -95,74 +82,17 @@ func (bs *BlockScratch) HashNanos() int64 {
 	return n
 }
 
-// Release drops every reference the scratch holds into a relation or a
-// block — the block identity, the extracted and retired key columns,
-// the staged keys and the digest memo's lanes — and switches hash
-// timing off, keeping the buffers. A pool puts scratches back through
-// it, so a pooled scratch pins neither and its next user starts clean.
+// Release drops every reference the scratch holds into a block — the
+// block identity and the digest memo's lanes — and switches hash timing
+// off, keeping the buffers. A pool puts scratches back through it, so a
+// pooled scratch pins no block and its next user starts clean.
 func (bs *BlockScratch) Release() {
-	bs.rel, bs.lo, bs.hi = nil, 0, 0
 	bs.blk, bs.blkGen = nil, 0
-	for i := range bs.cols {
-		bs.freeKeys = append(bs.freeKeys, bs.cols[i].keys[:0])
-	}
-	bs.cols = bs.cols[:0]
-	for _, keys := range bs.freeKeys {
-		clear(keys[:cap(keys)])
-	}
-	clear(bs.fitKeys[:cap(bs.fitKeys)])
-	bs.fitKeys = bs.fitKeys[:0]
 	bs.memo.Reset()
 	bs.timeHash, bs.hashNanos = false, 0
 }
 
-// setBlock points the scratch at rows [lo, hi) of r, invalidating the
-// extracted columns and the digest memo when the block changed. Retired
-// key slices are recycled into the next block's extractions.
-func (bs *BlockScratch) setBlock(r *relation.Relation, lo, hi int) {
-	if bs.rel == r && bs.blk == nil && bs.lo == lo && bs.hi == hi {
-		return
-	}
-	bs.rel, bs.lo, bs.hi = r, lo, hi
-	bs.blk, bs.blkGen = nil, 0
-	for i := range bs.cols {
-		bs.freeKeys = append(bs.freeKeys, bs.cols[i].keys[:0])
-	}
-	bs.cols = bs.cols[:0]
-	bs.memo.Reset()
-}
-
-// keyColumn returns the block's key values for col, extracting them on
-// first use and replaying them for every later caller of the same block.
-func (bs *BlockScratch) keyColumn(col int) []string {
-	for i := range bs.cols {
-		if bs.cols[i].col == col {
-			return bs.cols[i].keys
-		}
-	}
-	var keys []string
-	if n := len(bs.freeKeys); n > 0 {
-		keys = bs.freeKeys[n-1]
-		bs.freeKeys = bs.freeKeys[:n-1]
-	}
-	if cap(keys) < bs.hi-bs.lo {
-		keys = make([]string, 0, bs.hi-bs.lo)
-	}
-	for j := bs.lo; j < bs.hi; j++ {
-		keys = append(keys, bs.rel.Tuple(j)[col])
-	}
-	bs.cols = append(bs.cols, keyColCache{col: col, keys: keys})
-	return keys
-}
-
-// stage resets the embeddable-row staging arrays for a fresh
-// EmbedBlock walk.
-func (bs *BlockScratch) stage() {
-	bs.fitRows = bs.fitRows[:0]
-	bs.fitKeys = bs.fitKeys[:0]
-}
-
-// d2For sizes the position-digest scratch for n voting rows.
+// d2For sizes the position-digest scratch for n rows.
 func (bs *BlockScratch) d2For(n int) []keyhash.Digest {
 	if cap(bs.d2) < n {
 		bs.d2 = make([]keyhash.Digest, n)
@@ -178,27 +108,30 @@ func checkRange(r *relation.Relation, lo, hi int) error {
 	return nil
 }
 
+// checkArity validates that a block has the columns a pass reads.
+func checkArity(blk *relation.Block, keyCol, attrCol int) error {
+	if arity := blk.Schema().Arity(); keyCol >= arity || attrCol >= arity {
+		return fmt.Errorf("mark: block arity %d lacks column %d", arity, max(keyCol, attrCol))
+	}
+	return nil
+}
+
 // setColumnBlock points the scratch at a columnar block, invalidating
 // the memo when the block identity changed. Pooled blocks reuse
-// pointers, so identity is the (pointer, generation) pair; a scratch
-// that last saw a row-range block is invalidated unconditionally.
+// pointers, so identity is the (pointer, generation) pair.
 func (bs *BlockScratch) setColumnBlock(blk *relation.Block) {
 	if bs.blk == blk && bs.blkGen == blk.Gen() {
 		return
 	}
 	bs.blk, bs.blkGen = blk, blk.Gen()
-	bs.rel, bs.lo, bs.hi = nil, 0, 0
-	for i := range bs.cols {
-		bs.freeKeys = append(bs.freeKeys, bs.cols[i].keys[:0])
-	}
-	bs.cols = bs.cols[:0]
 	bs.memo.Reset()
 }
 
-// stageColumns resets the columnar staging arrays for a fresh
-// ScanColumns walk. fitOffs keeps the leading 0 sentinel so
-// fitOffs[i:i+2] brackets staged key i.
+// stageColumns resets the staging arrays for a fresh block walk.
+// fitOffs keeps the leading 0 sentinel so fitOffs[i:i+2] brackets
+// staged key i.
 func (bs *BlockScratch) stageColumns() {
+	bs.fitRows = bs.fitRows[:0]
 	bs.fitBits = bs.fitBits[:0]
 	bs.fitData = bs.fitData[:0]
 	if cap(bs.fitOffs) == 0 {
@@ -206,6 +139,13 @@ func (bs *BlockScratch) stageColumns() {
 	}
 	bs.fitOffs = bs.fitOffs[:1]
 	bs.fitOffs[0] = 0
+}
+
+// stageKey appends row j of a key column (data, offs) to the staged
+// key run.
+func (bs *BlockScratch) stageKey(data []byte, offs []int32, j int) {
+	bs.fitData = append(bs.fitData, data[offs[j]:offs[j+1]]...)
+	bs.fitOffs = append(bs.fitOffs, int32(len(bs.fitData)))
 }
 
 // ScanColumns accumulates the votes of a columnar block into t — the
@@ -236,8 +176,8 @@ func (s *Scanner) ScanColumnsFit(blk *relation.Block, t *Tally, bs *BlockScratch
 }
 
 func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, base int, fit []int, capture bool) ([]int, error) {
-	if arity := blk.Schema().Arity(); s.keyCol >= arity || s.attrCol >= arity {
-		return fit, fmt.Errorf("mark: block arity %d lacks column %d", arity, max(s.keyCol, s.attrCol))
+	if err := checkArity(blk, s.keyCol, s.attrCol); err != nil {
+		return fit, err
 	}
 	if bs == nil {
 		bs = &BlockScratch{}
@@ -273,8 +213,7 @@ func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, b
 			continue
 		}
 		bs.fitBits = append(bs.fitBits, uint8(idx&1))
-		bs.fitData = append(bs.fitData, keyData[keyOffs[j]:keyOffs[j+1]]...)
-		bs.fitOffs = append(bs.fitOffs, int32(len(bs.fitData)))
+		bs.stageKey(keyData, keyOffs, j)
 	}
 
 	d2 := bs.d2For(len(bs.fitBits))
@@ -300,72 +239,82 @@ func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, b
 	return fit, nil
 }
 
-// EmbedBlock embeds rows [lo, hi) of r, accumulating into cs — the
-// batched form of the tuple-at-a-time embedding walk: fitness digests
-// in one kernel call, the in-order fitness walk staging the embeddable
-// rows, their position digests in a second kernel call, then the value
-// rewrites applied in row order (quality gating, alteration counters
-// and the OnAlter hook all fire in the same order as the sequential
-// pass). When Options.SkipRow is set the walk stays fully interleaved
-// per row instead — the ledger hook may read state that OnAlter or the
-// assessor writes for earlier rows, so batching the ledger decisions
-// ahead of the rewrites would change what it observes; only the fitness
-// digests (pure functions of the keys) stay batched there.
+// EmbedBlock embeds the rows of blk into r, accumulating into cs. blk
+// holds rows [lo, lo+blk.Rows()) of r, filled by Relation.FillBlock.
+// It is the batched form of the tuple-at-a-time embedding walk: fitness
+// digests of the key column in one kernel call (replayed from the
+// scratch memo when another pass of the same lane got there first), the
+// in-order fitness walk staging the embeddable rows' keys as one byte
+// run, their position digests in a second kernel call, then the value
+// rewrites applied to r in row order (quality gating, alteration
+// counters and the OnAlter hook all fire in the same order as the
+// sequential pass). When Options.SkipRow is set the walk stays fully
+// interleaved per row instead — the ledger hook may read state that
+// OnAlter or the assessor writes for earlier rows, so batching the
+// ledger decisions ahead of the rewrites would change what it observes;
+// only the fitness digests (pure functions of the keys) stay batched
+// there.
 //
 // The same concurrency rules as EmbedRange apply; bs follows the
 // ScanColumns sharing rules.
-func (e *Embedder) EmbedBlock(r *relation.Relation, lo, hi int, cs *ChunkStats, bs *BlockScratch) error {
+func (e *Embedder) EmbedBlock(r *relation.Relation, blk *relation.Block, lo int, cs *ChunkStats, bs *BlockScratch) error {
 	cs.Bandwidth = e.bw
 	if cs.Touched == nil {
 		cs.Touched = make([]bool, e.bw)
 	}
-	if err := checkRange(r, lo, hi); err != nil {
+	n := blk.Rows()
+	if err := checkRange(r, lo, lo+n); err != nil {
+		return err
+	}
+	if err := checkArity(blk, e.keyCol, e.attrCol); err != nil {
 		return err
 	}
 	if bs == nil {
 		bs = &BlockScratch{}
 	}
-	cs.Tuples += hi - lo
-	bs.setBlock(r, lo, hi)
-	keys := bs.keyColumn(e.keyCol)
-	d1 := bs.memo.Lane(e.keyCol, e.k1s, e.kern1, keys)
-	opts := &e.opts
+	cs.Tuples += n
+	bs.setColumnBlock(blk)
+	keyData, keyOffs := blk.Col(e.keyCol).Raw()
+	d1 := bs.memo.LaneColumn(e.keyCol, e.k1s, e.kern1, keyData, keyOffs)
+	bw := uint64(e.bw)
 
-	if opts.SkipRow != nil {
+	if e.opts.SkipRow != nil {
 		// Ledger-gated walk: sequential-identical hook interleaving.
-		var d2 [1]keyhash.Digest
-		for j := range keys {
+		d2 := bs.d2For(1)
+		for j := 0; j < n; j++ {
 			if !e.fit.Fit(d1[j]) {
 				continue
 			}
 			cs.Fit++
-			if opts.SkipRow(lo + j) {
+			if e.opts.SkipRow(lo + j) {
 				cs.SkippedLedger++
 				continue
 			}
-			e.kern2.HashMany(keys[j:j+1], d2[:])
-			if err := e.embedRow(r, lo+j, d1[j], int(d2[0].Mod(uint64(e.bw))), cs); err != nil {
+			bs.stageColumns()
+			bs.stageKey(keyData, keyOffs, j)
+			e.kern2.HashColumn(bs.fitData, bs.fitOffs, d2)
+			if err := e.embedRow(r, lo+j, d1[j], int(d2[0].Mod(bw)), cs); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	bs.stage()
-	for j, keyVal := range keys {
+	bs.stageColumns()
+	for j := 0; j < n; j++ {
 		if !e.fit.Fit(d1[j]) {
 			continue
 		}
 		cs.Fit++
 		bs.fitRows = append(bs.fitRows, int32(j))
-		bs.fitKeys = append(bs.fitKeys, keyVal)
+		bs.stageKey(keyData, keyOffs, j)
 	}
 
-	d2 := bs.d2For(len(bs.fitKeys))
-	e.kern2.HashMany(bs.fitKeys, d2)
+	d2 := bs.d2For(len(bs.fitRows))
+	e.kern2.HashColumn(bs.fitData, bs.fitOffs, d2)
 	for i, j32 := range bs.fitRows {
 		j := int(j32)
-		if err := e.embedRow(r, lo+j, d1[j], int(d2[i].Mod(uint64(e.bw))), cs); err != nil {
+		if err := e.embedRow(r, lo+j, d1[j], int(d2[i].Mod(bw)), cs); err != nil {
 			return err
 		}
 	}

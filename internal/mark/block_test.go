@@ -206,6 +206,16 @@ func TestScanBlockSharedScratchAcrossScanners(t *testing.T) {
 	}
 }
 
+// embedRows fills blk with rows [lo, hi) of r and embeds them through
+// EmbedBlock, the way EmbedRange and the pipeline drive it.
+func embedRows(t *testing.T, em *Embedder, r *relation.Relation, blk *relation.Block, lo, hi int, cs *ChunkStats, bs *BlockScratch) {
+	t.Helper()
+	r.FillBlock(blk, lo, hi)
+	if err := em.EmbedBlock(r, blk, lo, cs, bs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEmbedBlockMatchesSizeOne is the embedding-side property: embedding
 // through random block partitions yields the same relation bytes and the
 // same merged statistics as the block-size-1 walk (the tuple-at-a-time
@@ -234,10 +244,9 @@ func TestEmbedBlockMatchesSizeOne(t *testing.T) {
 			}
 			var cs1 ChunkStats
 			var bs1 BlockScratch
+			blk := relation.NewBlock(base.Schema())
 			for j := 0; j < r1.Len(); j++ {
-				if err := em1.EmbedBlock(r1, j, j+1, &cs1, &bs1); err != nil {
-					t.Fatal(err)
-				}
+				embedRows(t, em1, r1, blk, j, j+1, &cs1, &bs1)
 			}
 
 			// Random partition through a shared scratch.
@@ -249,9 +258,7 @@ func TestEmbedBlockMatchesSizeOne(t *testing.T) {
 			var cs2 ChunkStats
 			var bs2 BlockScratch
 			for _, p := range randomPartition(rng, r2.Len()) {
-				if err := em2.EmbedBlock(r2, p[0], p[1], &cs2, &bs2); err != nil {
-					t.Fatal(err)
-				}
+				embedRows(t, em2, r2, blk, p[0], p[1], &cs2, &bs2)
 			}
 
 			if !r1.Equal(r2) {
@@ -288,18 +295,15 @@ func TestEmbedBlockOrderDependentLedger(t *testing.T) {
 		}
 		var cs ChunkStats
 		var bs BlockScratch
+		blk := relation.NewBlock(r.Schema())
 		if partitionSeed < 0 { // the size-1 oracle
 			for j := 0; j < r.Len(); j++ {
-				if err := em.EmbedBlock(r, j, j+1, &cs, &bs); err != nil {
-					t.Fatal(err)
-				}
+				embedRows(t, em, r, blk, j, j+1, &cs, &bs)
 			}
 			return r, cs
 		}
 		for _, p := range randomPartition(rand.New(rand.NewSource(partitionSeed)), r.Len()) {
-			if err := em.EmbedBlock(r, p[0], p[1], &cs, &bs); err != nil {
-				t.Fatal(err)
-			}
+			embedRows(t, em, r, blk, p[0], p[1], &cs, &bs)
 		}
 		return r, cs
 	}

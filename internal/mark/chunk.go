@@ -99,9 +99,10 @@ type ChunkStats struct {
 	Touched []bool
 }
 
-// EmbedRange embeds rows [lo, hi) of r, walking the range in
-// DefaultBlockRows-sized blocks through EmbedBlock (one scratch for the
-// whole call, so memory stays bounded on arbitrarily large ranges). It
+// EmbedRange embeds rows [lo, hi) of r, filling DefaultBlockRows-sized
+// blocks and walking them through EmbedBlock (one block and one scratch
+// for the whole call, so memory stays bounded on arbitrarily large
+// ranges). It
 // writes only the watermarked attribute of rows inside the range, so
 // concurrent calls on disjoint ranges of the same relation are safe
 // provided (a) Options.Assessor, Options.SkipRow and Options.OnAlter
@@ -117,9 +118,12 @@ func (e *Embedder) EmbedRange(r *relation.Relation, lo, hi int) (ChunkStats, err
 		return cs, err
 	}
 	var bs BlockScratch
+	blk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(blk)
 	for blockLo := lo; ; blockLo += DefaultBlockRows {
 		blockHi := min(blockLo+DefaultBlockRows, hi)
-		if err := e.EmbedBlock(r, blockLo, blockHi, &cs, &bs); err != nil {
+		r.FillBlock(blk, blockLo, blockHi)
+		if err := e.EmbedBlock(r, blk, blockLo, &cs, &bs); err != nil {
 			return cs, err
 		}
 		if blockHi == hi {

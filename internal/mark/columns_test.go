@@ -58,11 +58,11 @@ func TestScanColumnsMatchesScanTuple(t *testing.T) {
 	}
 }
 
-// TestScanColumnsInterleavedWithEmbedBlock alternates the columnar
-// scan and the row-range embedding walk through ONE scratch, with the
-// embedder on the scanner's fitness key (the same memo lane) — proving
-// the identity tracking invalidates across modes instead of replaying
-// digests of another block's keys.
+// TestScanColumnsInterleavedWithEmbedBlock alternates the scan and the
+// embedding walk, each over its own block, through ONE scratch, with
+// the embedder on the scanner's fitness key (the same memo lane) —
+// proving the identity tracking invalidates across blocks instead of
+// replaying digests of another block's keys.
 func TestScanColumnsInterleavedWithEmbedBlock(t *testing.T) {
 	r := blockTestRelation(t, 2000, 31)
 	opts := Options{
@@ -84,6 +84,8 @@ func TestScanColumnsInterleavedWithEmbedBlock(t *testing.T) {
 	var bs BlockScratch
 	blk := relation.GetBlock(r.Schema())
 	defer relation.PutBlock(blk)
+	eblk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(eblk)
 	rng := rand.New(rand.NewSource(33))
 	parts := randomPartition(rng, r.Len())
 	for i, p := range parts {
@@ -91,9 +93,7 @@ func TestScanColumnsInterleavedWithEmbedBlock(t *testing.T) {
 		// block's digests on the scan's lane when ScanColumns runs.
 		if i+1 < len(parts) {
 			q := parts[i+1]
-			if err := em.EmbedBlock(marked, q[0], q[1], &cs, &bs); err != nil {
-				t.Fatal(err)
-			}
+			embedRows(t, em, marked, eblk, q[0], q[1], &cs, &bs)
 		}
 		r.FillBlock(blk, p[0], p[1])
 		if err := sc.ScanColumns(blk, got, &bs); err != nil {
@@ -198,7 +198,7 @@ func TestScanColumnsSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScanColumnsArityGuard pins the error for a block missing the
-// scanner's columns.
+// scanner's or the embedder's columns.
 func TestScanColumnsArityGuard(t *testing.T) {
 	r := blockTestRelation(t, 10, 3)
 	opts := Options{
@@ -215,6 +215,13 @@ func TestScanColumnsArityGuard(t *testing.T) {
 	blk := relation.GetBlock(narrow)
 	if err := sc.ScanColumns(blk, sc.NewTally(), nil); err == nil {
 		t.Fatal("expected arity error for a block lacking the attribute column")
+	}
+	em, err := NewEmbedder(r, ecc.MustParseBits("1011"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := em.EmbedBlock(r, blk, 0, &ChunkStats{}, nil); err == nil {
+		t.Fatal("EmbedBlock: expected arity error for a block lacking the attribute column")
 	}
 	relation.PutBlock(blk)
 }

@@ -51,9 +51,9 @@ func TestScanColumnsFitCapturesFitRows(t *testing.T) {
 }
 
 // TestBlockScratchReleasePinsNothing: after EmbedBlock and ScanColumns
-// have filled a scratch, Release leaves no relation, block, key string
-// or memo lane behind and switches hash timing off, and the released
-// scratch still scans exactly like a fresh one.
+// have filled a scratch, Release leaves no block identity or memo lane
+// behind and switches hash timing off, and the released scratch still
+// scans exactly like a fresh one.
 func TestBlockScratchReleasePinsNothing(t *testing.T) {
 	r := blockTestRelation(t, 600, 5)
 	opts := Options{
@@ -67,37 +67,25 @@ func TestBlockScratchReleasePinsNothing(t *testing.T) {
 	var bs BlockScratch
 	bs.EnableHashTiming()
 	var cs ChunkStats
+	blk := relation.NewBlock(r.Schema())
 	for lo := 0; lo < r.Len(); lo += 128 {
-		if err := em.EmbedBlock(r, lo, min(lo+128, r.Len()), &cs, &bs); err != nil {
-			t.Fatal(err)
-		}
+		embedRows(t, em, r, blk, lo, min(lo+128, r.Len()), &cs, &bs)
 	}
 	sc, err := NewScanner(r, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk := relation.NewBlock(r.Schema())
 	r.FillBlock(blk, 0, 200)
 	if err := sc.ScanColumns(blk, sc.NewTally(), &bs); err != nil {
 		t.Fatal(err)
 	}
 
 	bs.Release()
-	if bs.rel != nil || bs.blk != nil || bs.blkGen != 0 || len(bs.cols) != 0 || bs.timeHash || bs.hashNanos != 0 {
-		t.Fatalf("Release kept block state: rel %v blk %v cols %d timing %v", bs.rel != nil, bs.blk != nil, len(bs.cols), bs.timeHash)
+	if bs.blk != nil || bs.blkGen != 0 || bs.timeHash || bs.hashNanos != 0 {
+		t.Fatalf("Release kept block state: blk %v gen %d timing %v nanos %d", bs.blk != nil, bs.blkGen, bs.timeHash, bs.hashNanos)
 	}
 	if n := reflect.ValueOf(&bs.memo).Elem().FieldByName("lanes").Len(); n != 0 {
 		t.Fatalf("Release kept %d memo lanes", n)
-	}
-	if len(bs.freeKeys) == 0 {
-		t.Fatal("Release dropped the key buffers instead of keeping them")
-	}
-	for _, keys := range append(bs.freeKeys, bs.fitKeys) {
-		for i, k := range keys[:cap(keys)] {
-			if k != "" {
-				t.Fatalf("Release kept key string %q at %d", k, i)
-			}
-		}
 	}
 
 	fresh, reused := sc.NewTally(), sc.NewTally()

@@ -118,8 +118,9 @@ func TestScanManyZeroScanners(t *testing.T) {
 	if len(tallies) != 0 {
 		t.Fatalf("got %d tallies, want 0", len(tallies))
 	}
-	if tup, err := src.Read(); err != nil || tup == nil {
-		t.Fatalf("stream was consumed: tuple %v, err %v", tup, err)
+	blk := relation.NewBlock(r.Schema())
+	if n, err := src.ReadBlock(blk, 0); err != nil || n != r.Len() {
+		t.Fatalf("stream was consumed: read %d of %d rows, err %v", n, r.Len(), err)
 	}
 }
 

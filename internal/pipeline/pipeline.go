@@ -8,13 +8,13 @@
 // relation.BlockReader streams (ScanMany) so suspect datasets never need
 // to be fully materialized.
 //
-// Within a chunk, every path feeds fixed-size tuple blocks
+// Within a chunk, every path feeds fixed-size columnar blocks
 // (Config.BlockRows) through the batched keyed-hash kernels rather than
-// looping tuple-at-a-time. Detection has one vote kernel,
-// mark.Scanner.ScanColumns: streams fill columnar blocks from their
-// bytes, and materialized relations fill them with
-// relation.Relation.FillBlock. Embedding runs mark.EmbedBlock over row
-// ranges, because it rewrites the relation in place. The
+// looping tuple-at-a-time: streams fill blocks from their bytes, and
+// materialized relations fill them with relation.Relation.FillBlock.
+// Detection votes through mark.Scanner.ScanColumns; embedding runs
+// mark.Embedder.EmbedBlock over the same blocks and writes its rewrites
+// back to the relation they were filled from. The
 // multi-certificate engine runs its certificate loop inside the block
 // loop so a block's keys and digests stay cache-resident across all
 // certificates of a batch audit. Config.Progress observes the pass at
@@ -127,7 +127,7 @@ func (c Config) report(tuples int) {
 // scratchPool recycles mark.BlockScratch across passes and callers, so
 // memo lanes and staging arrays stay warm instead of being rebuilt on
 // every call. Scratches go back Released: a pooled scratch pins no
-// relation, block or key string.
+// block.
 var scratchPool = sync.Pool{New: func() any { return new(mark.BlockScratch) }}
 
 func getScratch() *mark.BlockScratch { return scratchPool.Get().(*mark.BlockScratch) }
@@ -165,17 +165,19 @@ func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, 
 }
 
 // embedRange feeds rows [lo, hi) of r through em into cs
-// block-at-a-time, checking ctx and ticking progress between blocks.
-// Runs at least one (possibly empty) block so cs always carries the pass
-// bandwidth.
-func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo, hi int, cs *mark.ChunkStats, bs *mark.BlockScratch, cfg Config) error {
+// block-at-a-time: each block is copied into blk and embedded through
+// EmbedBlock, with ctx checked and progress ticked between blocks. Runs
+// at least one (possibly empty) block so cs always carries the pass
+// bandwidth. bs and blk are the caller's per-goroutine scratch.
+func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo, hi int, cs *mark.ChunkStats, bs *mark.BlockScratch, blk *relation.Block, cfg Config) error {
 	br := cfg.blockRows()
 	for blockLo := lo; ; blockLo += br {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		blockHi := min(blockLo+br, hi)
-		if err := em.EmbedBlock(r, blockLo, blockHi, cs, bs); err != nil {
+		r.FillBlock(blk, blockLo, blockHi)
+		if err := em.EmbedBlock(r, blk, blockLo, cs, bs); err != nil {
 			return err
 		}
 		cfg.report(blockHi - blockLo)
@@ -286,25 +288,30 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 		var agg mark.ChunkStats
 		bs := getScratch()
 		defer putScratch(bs)
+		blk := relation.GetBlock(r.Schema())
+		defer relation.PutBlock(blk)
 		for _, c := range chunks {
 			if err := ctx.Err(); err != nil {
 				return mark.EmbedStats{}, err
 			}
-			if err := embedRange(ctx, em, r, c.Lo, c.Hi, &agg, bs, cfg); err != nil {
+			if err := embedRange(ctx, em, r, c.Lo, c.Hi, &agg, bs, blk, cfg); err != nil {
 				return mark.EmbedStats{}, err
 			}
 		}
 		return mark.MergeChunks(agg), nil
 	}
 	workers = min(workers, len(chunks))
+	blks := make([]*relation.Block, workers)
 	scratch := make([]*mark.BlockScratch, workers)
 	for w := range scratch {
+		blks[w] = relation.GetBlock(r.Schema())
+		defer relation.PutBlock(blks[w])
 		scratch[w] = getScratch()
 		defer putScratch(scratch[w])
 	}
 	parts, err := runChunks(ctx, workers, chunks, func(w int, c chunkRange) (mark.ChunkStats, error) {
 		var cs mark.ChunkStats
-		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, scratch[w], cfg)
+		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, scratch[w], blks[w], cfg)
 		return cs, err
 	})
 	if err != nil {

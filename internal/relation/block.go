@@ -133,8 +133,8 @@ func (b *Block) Col(i int) *Column { return &b.cols[i] }
 // as Column.Value.
 func (b *Block) Value(row, col int) []byte { return b.cols[col].Value(row) }
 
-// Tuple materializes row i as an owned Tuple — the compatibility bridge
-// to the row-at-a-time engine; it allocates one string per field.
+// Tuple materializes row i as an owned Tuple — the bridge to the
+// tuple-at-a-time reference paths; it allocates one string per field.
 func (b *Block) Tuple(i int) Tuple {
 	t := make(Tuple, len(b.cols))
 	for c := range b.cols {
@@ -212,20 +212,16 @@ type BlockReader interface {
 	ReadBlock(b *Block, maxRows int) (int, error)
 }
 
-// compatBlockRows sizes the internal block of the RowReader
-// compatibility view, the default ReadBlock/SkimRecords batch and the
-// blocks ReadCSV/ReadJSONL drain.
-const compatBlockRows = 512
+// defaultBlockRows sizes the default ReadBlock/SkimRecords batch and
+// the blocks ReadCSV/ReadJSONL drain.
+const defaultBlockRows = 512
 
 // cursor is the record bookkeeping both block readers share: the row
-// position errors name, the sticky terminal error, the batching loop
-// behind ReadBlock and SkimRecords, and the block behind the RowReader
-// compatibility view.
+// position errors name, the sticky terminal error, and the batching loop
+// behind ReadBlock and SkimRecords.
 type cursor struct {
-	row    int   // next data row, 1-based (error reporting)
-	err    error // sticky terminal parse/read error
-	rowBlk *Block
-	rowIdx int
+	row int   // next data row, 1-based (error reporting)
+	err error // sticky terminal parse/read error
 }
 
 // records calls next for up to maxRows records (<= 0 means a default
@@ -237,7 +233,7 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 		return 0, c.err
 	}
 	if maxRows <= 0 {
-		maxRows = compatBlockRows
+		maxRows = defaultBlockRows
 	}
 	n := 0
 	for ; n < maxRows; n++ {
@@ -253,24 +249,6 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 		c.row++
 	}
 	return n, nil
-}
-
-// read returns the next tuple of br or io.EOF — the RowReader
-// compatibility view, materializing tuples from an internal block. Rows
-// parsed before a mid-block error are yielded first, exactly like the
-// legacy readers.
-func (c *cursor) read(br BlockReader) (Tuple, error) {
-	if c.rowBlk == nil {
-		c.rowBlk = NewBlock(br.Schema())
-	}
-	if c.rowIdx >= c.rowBlk.Rows() {
-		if n, err := br.ReadBlock(c.rowBlk, compatBlockRows); n == 0 && err != nil {
-			return nil, err
-		}
-		c.rowIdx = 0
-	}
-	c.rowIdx++
-	return c.rowBlk.Tuple(c.rowIdx - 1), nil
 }
 
 // readBlocks drains br into a materialized Relation — the engine behind
@@ -290,7 +268,7 @@ func readBlocks(br BlockReader) (*Relation, error) {
 	rows := 0
 	var readErr error
 	for readErr == nil {
-		n, err := br.ReadBlock(b, compatBlockRows)
+		n, err := br.ReadBlock(b, defaultBlockRows)
 		if err == io.EOF {
 			break
 		}
@@ -324,14 +302,13 @@ func readBlocks(br BlockReader) (*Relation, error) {
 }
 
 // RawShardSource is a suspect stream the cluster coordinator can cut
-// into shards without parsing it: besides the row and block views it
-// skims whole records — finding record boundaries and copying their
-// exact bytes, decoding no field — so each shard payload is the
-// source's header plus verbatim record bytes, parsed once, on the
-// worker that scans it. Both zero-copy block readers implement it; do
-// not interleave SkimRecords with Read or ReadBlock on one reader.
+// into shards without parsing it: besides the block view it skims whole
+// records — finding record boundaries and copying their exact bytes,
+// decoding no field — so each shard payload is the source's header plus
+// verbatim record bytes, parsed once, on the worker that scans it. Both
+// zero-copy block readers implement it; do not interleave SkimRecords
+// with ReadBlock on one reader.
 type RawShardSource interface {
-	RowReader
 	BlockReader
 	// SkimRecords appends up to maxRows whole records to dst and returns
 	// the extended slice and the number of records appended. Field-level

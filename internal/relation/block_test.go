@@ -517,32 +517,6 @@ func TestSkimStructuralErrors(t *testing.T) {
 	}
 }
 
-// TestBlockReaderRowCompat: the RowReader view over a block reader must
-// match the legacy reader row for row, including rows before an error.
-func TestBlockReaderRowCompat(t *testing.T) {
-	schema := rowioSchema(t)
-	in := "Visit_Nbr,Item_Nbr\n1,10\n2,11\n3\n"
-	rr, err := NewCSVRowReader(strings.NewReader(in), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err := NewCSVBlockReader(strings.NewReader(in), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantErr := drainRows(rr)
-	got, gotErr := drainRows(br)
-	if (wantErr != nil) != (gotErr != nil) {
-		t.Fatalf("error disagreement: legacy %v, block %v", wantErr, gotErr)
-	}
-	if !sameRows(want, got) {
-		t.Fatalf("rows differ:\nwant %q\ngot  %q", want, got)
-	}
-	if len(got) != 2 {
-		t.Fatalf("expected the 2 rows before the error, got %d", len(got))
-	}
-}
-
 func TestBlockPoolAndGen(t *testing.T) {
 	schema := rowioSchema(t)
 	b := GetBlock(schema)

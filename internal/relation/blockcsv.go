@@ -22,11 +22,10 @@ import (
 // may differ from schema order and is mapped by name, exactly as in
 // NewCSVRowReader.
 //
-// CSVBlockReader implements BlockReader (the zero-allocation path),
+// CSVBlockReader implements BlockReader (the zero-allocation path) and
 // RawShardSource (the record skim the cluster coordinator cuts shards
-// with) and RowReader (a compatibility view that materializes tuples
-// from an internal block); do not interleave Read, ReadBlock and
-// SkimRecords calls on one reader.
+// with); do not interleave ReadBlock and SkimRecords calls on one
+// reader.
 type CSVBlockReader struct {
 	cursor
 	schema *Schema
@@ -110,10 +109,6 @@ func (r *CSVBlockReader) ReadBlock(b *Block, maxRows int) (int, error) {
 		return nil
 	})
 }
-
-// Read returns the next tuple or io.EOF — the RowReader compatibility
-// view.
-func (r *CSVBlockReader) Read() (Tuple, error) { return r.read(r) }
 
 // parseErr positions a terminal parse error at the current data row.
 func (r *CSVBlockReader) parseErr(msg string) error {

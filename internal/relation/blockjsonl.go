@@ -30,9 +30,9 @@ import (
 // so any writer with a stable key order (json.Marshal's sorted map keys
 // included) hits — before it is decoded and looked up by name.
 //
-// JSONLBlockReader implements BlockReader, RawShardSource (the record
-// skim) and a RowReader compatibility view; do not interleave Read,
-// ReadBlock and SkimRecords calls on one reader.
+// JSONLBlockReader implements BlockReader and RawShardSource (the
+// record skim); do not interleave ReadBlock and SkimRecords calls on
+// one reader.
 type JSONLBlockReader struct {
 	cursor
 	schema *Schema
@@ -130,10 +130,6 @@ func (r *JSONLBlockReader) ReadBlock(b *Block, maxRows int) (int, error) {
 		return nil
 	})
 }
-
-// Read returns the next tuple or io.EOF — the RowReader compatibility
-// view.
-func (r *JSONLBlockReader) Read() (Tuple, error) { return r.read(r) }
 
 // SkimRecords appends up to maxRows whole records to dst without
 // decoding a field (see RawShardSource): each object's exact bytes from

@@ -163,9 +163,8 @@ func ReadAll(rr RowReader) (*Relation, error) {
 // in-memory data to streaming consumers.
 func Rows(r *Relation) *RelationReader { return &RelationReader{r: r} }
 
-// RelationReader streams a materialized relation's rows in order. It
-// implements both RowReader (cloned tuples) and BlockReader (blocks
-// filled through Relation.FillBlock); the two views share one cursor.
+// RelationReader streams a materialized relation's rows in order as a
+// BlockReader, filling blocks through Relation.FillBlock.
 type RelationReader struct {
 	r *Relation
 	i int
@@ -173,16 +172,6 @@ type RelationReader struct {
 
 // Schema returns the relation's schema.
 func (m *RelationReader) Schema() *Schema { return m.r.Schema() }
-
-// Read returns a clone of the next row, or io.EOF.
-func (m *RelationReader) Read() (Tuple, error) {
-	if m.i >= m.r.Len() {
-		return nil, io.EOF
-	}
-	t := m.r.Tuple(m.i).Clone()
-	m.i++
-	return t, nil
-}
 
 // ReadBlock fills b with up to maxRows rows (<= 0 means a default
 // batch). See BlockReader for the contract.
@@ -192,7 +181,7 @@ func (m *RelationReader) ReadBlock(b *Block, maxRows int) (int, error) {
 		return 0, io.EOF
 	}
 	if maxRows <= 0 {
-		maxRows = compatBlockRows
+		maxRows = defaultBlockRows
 	}
 	lo := m.i
 	m.i = min(lo+maxRows, m.r.Len())

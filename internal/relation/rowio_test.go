@@ -40,16 +40,8 @@ func TestCSVRowRoundTrip(t *testing.T) {
 	if err := cw.Write([]string{"Visit_Nbr", "Item_Nbr"}); err != nil {
 		t.Fatal(err)
 	}
-	src := Rows(r)
-	for {
-		tup, err := src.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.Write(tup); err != nil {
+	for i := 0; i < r.Len(); i++ {
+		if err := cw.Write(r.Tuple(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,16 +147,21 @@ func TestReadAllEnforcesKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestRowsReaderYieldsClones: a block read from Rows(r) holds copies of
+// the relation's values, so a later rewrite of the relation leaves it
+// untouched.
 func TestRowsReaderYieldsClones(t *testing.T) {
 	r := rowioRelation(t)
-	src := Rows(r)
-	tup, err := src.Read()
-	if err != nil {
+	blk := NewBlock(r.Schema())
+	if _, err := Rows(r).ReadBlock(blk, 1); err != nil {
 		t.Fatal(err)
 	}
-	tup[1] = "mutated"
-	if v, _ := r.Value(0, "Item_Nbr"); v == "mutated" {
-		t.Fatal("Rows reader aliases relation storage")
+	want := blk.Col(1).String(0)
+	if err := r.SetValue(0, "Item_Nbr", "mutated"); err != nil {
+		t.Fatal(err)
+	}
+	if got := blk.Col(1).String(0); got != want {
+		t.Fatalf("Rows block aliases relation storage: %q became %q", want, got)
 	}
 }
 

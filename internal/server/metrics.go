@@ -33,7 +33,7 @@ func (s *Server) registerProcessMetrics() {
 		"Scan blocks (progress ticks) processed by this process's pipelines.", obs.TypeCounter,
 		func(emit obs.Emit) { _, b := pipeline.Stats(); emit(float64(b)) })
 	r.Sampled("wm_keyhash_kernel_calls_total",
-		"Batched HashMany invocations, by hash-kernel backend.", obs.TypeCounter,
+		"Batched HashColumn invocations, by hash-kernel backend.", obs.TypeCounter,
 		func(emit obs.Emit) {
 			for kind, kc := range keyhash.KernelStats() {
 				emit(float64(kc.Calls), string(kind))

@@ -457,7 +457,7 @@ func payloadReaderForFormat(format, data string, schema *relation.Schema) (relat
 	return rowReaderForFormat(format, strings.NewReader(data), schema)
 }
 
-// streamRowReader builds a row reader over a raw streamed request body.
+// streamRowReader builds a block reader over a raw streamed request body.
 func streamRowReader(body io.Reader, mt, schemaSpec string) (relation.RawShardSource, error) {
 	if schemaSpec == "" {
 		return nil, errors.New("missing schema query parameter")
