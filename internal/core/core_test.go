@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -222,5 +224,57 @@ func TestVerifyWrongSecretFails(t *testing.T) {
 	}
 	if rep.Match == 1 {
 		t.Fatal("wrong secret produced a perfect match")
+	}
+}
+
+// TestWatermarkDerivedDomainMatchesGiven: without Spec.Domain,
+// Watermark derives the domain from one coding pass and refreshes that
+// coding after the key-association pass for the counts; the
+// certificate, the statistics and the marked relation must equal those
+// of a run given DomainOf up front, with and without the frequency
+// channel and a quality budget.
+func TestWatermarkDerivedDomainMatchesGiven(t *testing.T) {
+	for _, seed := range []string{"a", "b", "c"} {
+		clean, _, err := datagen.ItemScan(datagen.ItemScanConfig{
+			N: 8000, CatalogSize: 120, ZipfS: 1.1, Seed: "derived-" + seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dom, err := relation.DomainOf(clean, "Item_Nbr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, withFreq := range []bool{false, true} {
+			for _, budget := range []float64{0, 0.06} {
+				spec := Spec{
+					Secret: "derived-" + seed, Attribute: "Item_Nbr", WM: "1011001110", E: 20,
+					WithFrequencyChannel: withFreq, MaxAlterationFraction: budget,
+				}
+				derived := clean.Clone()
+				recD, stD, err := Watermark(derived, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Domain = dom
+				given := clean.Clone()
+				recG, stG, err := Watermark(given, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("seed %s freq %v budget %v", seed, withFreq, budget)
+				jsonD, _ := recD.Save()
+				jsonG, _ := recG.Save()
+				if string(jsonD) != string(jsonG) {
+					t.Fatalf("%s: certificates differ", name)
+				}
+				if !reflect.DeepEqual(stD, stG) || !derived.Equal(given) {
+					t.Fatalf("%s: stats or marked relation differ: %+v vs %+v", name, stD, stG)
+				}
+				if stD.Mark.Altered == 0 || withFreq && stD.FrequencyMoved == 0 {
+					t.Fatalf("%s: nothing moved: %+v", name, stD)
+				}
+			}
+		}
 	}
 }

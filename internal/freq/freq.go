@@ -82,19 +82,30 @@ type EmbedStats struct {
 // to integer counts by largest-remainder apportionment, then moves the
 // minimum number of tuples from surplus values to deficit values.
 func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, error) {
-	st, _, err := EmbedCounts(r, attr, wm, p)
+	if _, ok := r.Schema().Index(attr); !ok {
+		return EmbedStats{}, fmt.Errorf("freq: attribute %q not in schema", attr)
+	}
+	c, err := relation.CodeColumn(r, attr)
+	if err != nil {
+		return EmbedStats{}, err
+	}
+	st, _, err := EmbedCounts(r, c, wm, p)
 	return st, err
 }
 
-// EmbedCounts is Embed that also returns attr's occurrence histogram as
-// the embedding left it — the counts it kept up to date move by move —
-// so a caller needing them does not recount r. It equals
-// relation.HistogramOf(r, attr) after the call; it is nil on error.
-func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, *stats.Histogram, error) {
+// EmbedCounts is Embed over c, a coding of the attribute that matches r
+// (relation.CodeColumn, or a Coding brought up to date by Refresh). It
+// counts, moves and scores by code: surplus, deficit and running counts
+// are slices indexed by code, each move adjusts two of them and c's
+// code for the row, and c stays in step with r throughout. It also
+// returns the attribute's occurrence histogram as the embedding left
+// it, built once from c's final counts — equal to
+// relation.HistogramOf(r, c.Attr) after the call; it is nil on error.
+func EmbedCounts(r *relation.Relation, c *relation.Coding, wm ecc.Bits, p Params) (EmbedStats, *stats.Histogram, error) {
 	var st EmbedStats
-	col, ok := r.Schema().Index(attr)
+	col, ok := r.Schema().Index(c.Attr)
 	if !ok {
-		return st, nil, fmt.Errorf("freq: attribute %q not in schema", attr)
+		return st, nil, fmt.Errorf("freq: attribute %q not in schema", c.Attr)
 	}
 	if len(wm) == 0 {
 		return st, nil, errors.New("freq: empty watermark")
@@ -102,18 +113,23 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 	if r.Len() == 0 {
 		return st, nil, errors.New("freq: empty relation")
 	}
-	hist, err := relation.HistogramOf(r, attr)
-	if err != nil {
-		return st, nil, err
+	// The labels present, in the sorted order of Histogram.FreqVector.
+	present := make([]int32, 0, len(c.Labels))
+	total := 0
+	for code, n := range c.Counts {
+		if n > 0 {
+			present = append(present, int32(code))
+			total += n
+		}
 	}
-	labels, freqs := hist.FreqVector()
-	if len(labels) < len(wm) {
-		return st, nil, fmt.Errorf("freq: %d distinct values cannot carry %d bits", len(labels), len(wm))
+	if len(present) < len(wm) {
+		return st, nil, fmt.Errorf("freq: %d distinct values cannot carry %d bits", len(present), len(wm))
 	}
+	sort.Slice(present, func(i, j int) bool { return c.Labels[present[i]] < c.Labels[present[j]] })
 
-	items := make([]numeric.Item, len(labels))
-	for i, l := range labels {
-		items[i] = numeric.Item{Label: l, Value: freqs[i]}
+	items := make([]numeric.Item, len(present))
+	for i, code := range present {
+		items[i] = numeric.Item{Label: c.Labels[code], Value: float64(c.Counts[code]) / float64(total)}
 	}
 	np := p.Numeric
 	// The nudge must survive two perturbations: count quantisation
@@ -126,7 +142,7 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 		keep = 0.5
 	}
 	n := float64(r.Len())
-	fMean := 1.0 / float64(len(labels))
+	fMean := 1.0 / float64(len(present))
 	noiseStep := 3 * math.Sqrt(fMean*(1-keep)/(keep*n))
 	quantStep := 1.5 / n
 	np.MinStep = math.Max(noiseStep, quantStep)
@@ -136,21 +152,23 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 	}
 	st.Numeric = encSt
 
+	// Encode keeps the item order, so target[i] is present[i]'s count.
 	target := apportion(marked, r.Len())
 
-	// Surplus/deficit per label.
-	surplus := make(map[string]int) // current − target, positive = give away
+	// Surplus (current − target, positive = give away) per code, and the
+	// deficits to fill.
+	surplus := make([]int, len(c.Labels))
 	type deficitEntry struct {
-		label string
-		need  int
+		code int32
+		need int
 	}
 	var deficits []deficitEntry
-	for _, l := range labels {
-		d := hist.Count(l) - target[l]
+	for i, code := range present {
+		d := c.Counts[code] - target[i]
 		if d > 0 {
-			surplus[l] = d
+			surplus[code] = d
 		} else if d < 0 {
-			deficits = append(deficits, deficitEntry{label: l, need: -d})
+			deficits = append(deficits, deficitEntry{code: code, need: -d})
 		}
 	}
 	// Largest deficit first, deterministic tie-break by label.
@@ -158,7 +176,7 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 		if deficits[i].need != deficits[j].need {
 			return deficits[i].need > deficits[j].need
 		}
-		return deficits[i].label < deficits[j].label
+		return c.Labels[deficits[i].code] < c.Labels[deficits[j].code]
 	})
 
 	di := 0
@@ -169,28 +187,30 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 	}
 	advance()
 	for row := 0; row < r.Len() && di < len(deficits); row++ {
-		v := r.Tuple(row)[col]
-		if surplus[v] <= 0 {
+		from := c.Codes[row]
+		if surplus[from] <= 0 {
 			continue
 		}
 		if p.SkipRow != nil && p.SkipRow(row) {
 			continue
 		}
-		newVal := deficits[di].label
+		to := deficits[di].code
+		newVal := c.Labels[to]
 		if p.Assessor != nil {
-			if aerr := p.Assessor.Apply(r, row, attr, newVal); aerr != nil {
+			if aerr := p.Assessor.Apply(r, row, c.Attr, newVal); aerr != nil {
 				var verr *quality.ViolationError
 				if errors.As(aerr, &verr) {
 					continue
 				}
 				return st, nil, aerr
 			}
-		} else if serr := r.SetValue(row, attr, newVal); serr != nil {
+		} else if serr := r.SetValueAt(row, col, newVal); serr != nil {
 			return st, nil, serr
 		}
-		hist.AddN(v, -1)
-		hist.AddN(newVal, 1)
-		surplus[v]--
+		c.Codes[row] = to
+		c.Counts[from]--
+		c.Counts[to]++
+		surplus[from]--
 		deficits[di].need--
 		st.TuplesMoved++
 		if p.OnAlter != nil {
@@ -201,44 +221,44 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 	for ; di < len(deficits); di++ {
 		st.Residual += deficits[di].need
 	}
-	return st, hist, nil
+	return st, c.Histogram(), nil
 }
 
 // apportion converts target frequencies to integer counts summing to n
-// (largest-remainder method).
-func apportion(items []numeric.Item, n int) map[string]int {
+// (largest-remainder method); counts[i] is items[i]'s.
+func apportion(items []numeric.Item, n int) []int {
 	total := 0.0
 	for _, it := range items {
 		if it.Value > 0 {
 			total += it.Value
 		}
 	}
-	counts := make(map[string]int, len(items))
+	counts := make([]int, len(items))
 	type frac struct {
-		label string
-		rem   float64
+		item int
+		rem  float64
 	}
 	fracs := make([]frac, 0, len(items))
 	assigned := 0
-	for _, it := range items {
+	for i, it := range items {
 		v := it.Value
 		if v < 0 {
 			v = 0
 		}
 		exact := v / total * float64(n)
 		c := int(exact)
-		counts[it.Label] = c
+		counts[i] = c
 		assigned += c
-		fracs = append(fracs, frac{label: it.Label, rem: exact - float64(c)})
+		fracs = append(fracs, frac{item: i, rem: exact - float64(c)})
 	}
 	sort.Slice(fracs, func(i, j int) bool {
 		if fracs[i].rem != fracs[j].rem {
 			return fracs[i].rem > fracs[j].rem
 		}
-		return fracs[i].label < fracs[j].label
+		return items[fracs[i].item].Label < items[fracs[j].item].Label
 	})
 	for i := 0; assigned < n && i < len(fracs); i++ {
-		counts[fracs[i].label]++
+		counts[fracs[i].item]++
 		assigned++
 	}
 	return counts

@@ -226,10 +226,10 @@ func TestApportionNegativeClamped(t *testing.T) {
 		{Label: "a", Value: -0.1}, {Label: "b", Value: 0.5}, {Label: "c", Value: 0.5},
 	}
 	counts := apportion(items, 100)
-	if counts["a"] != 0 {
-		t.Fatalf("negative-frequency label got %d", counts["a"])
+	if counts[0] != 0 {
+		t.Fatalf("negative-frequency label got %d", counts[0])
 	}
-	if counts["b"]+counts["c"] != 100 {
+	if counts[1]+counts[2] != 100 {
 		t.Fatal("total not conserved under clamping")
 	}
 }

@@ -78,7 +78,11 @@ func TestEmbedCountsMatchesRecount(t *testing.T) {
 		if budget > 0 {
 			p.Assessor = quality.NewAssessor(quality.MaxAlterations(budget))
 		}
-		st, hist, err := EmbedCounts(r, "Item_Nbr", ecc.MustParseBits("10110"), p)
+		c, err := relation.CodeColumn(r, "Item_Nbr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, hist, err := EmbedCounts(r, c, ecc.MustParseBits("10110"), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,6 +31,36 @@ func blockTestRelation(t testing.TB, n int, seed int64) *relation.Relation {
 	return r
 }
 
+// wideBlockTestRelation is blockTestRelation widened to arity 4 with
+// the attribute before the key and a column between them: note, cat,
+// pad, id (the key). A pass that reads a column other than the key and
+// the attribute, or reads them at the wrong positions, diverges on it.
+func wideBlockTestRelation(t testing.TB, n int, seed int64) *relation.Relation {
+	t.Helper()
+	narrow := blockTestRelation(t, n, seed)
+	r := relation.New(relation.MustSchema([]relation.Attribute{
+		{Name: "note", Type: relation.TypeString},
+		{Name: "cat", Type: relation.TypeString, Categorical: true},
+		{Name: "pad", Type: relation.TypeString},
+		{Name: "id", Type: relation.TypeString},
+	}, "id"))
+	for i := 0; i < narrow.Len(); i++ {
+		tup := narrow.Tuple(i)
+		r.MustAppend(relation.Tuple{"note-" + strconv.Itoa(i), tup[1], "a", tup[0]})
+	}
+	return r
+}
+
+// testRelations are the two shapes the kernel equivalence tests run
+// over: the key beside the attribute, and wideBlockTestRelation.
+var testRelations = []struct {
+	name  string
+	build func(testing.TB, int, int64) *relation.Relation
+}{
+	{"narrow", blockTestRelation},
+	{"wide", wideBlockTestRelation},
+}
+
 // blockTestDomain is the scan-side catalog; "zz-unknown" stays outside
 // it so some fit tuples cast no vote.
 func blockTestDomain(t testing.TB) *relation.Domain {
@@ -85,7 +115,8 @@ func TestScanBlockMatchesScanTuple(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		n := 1 + rng.Intn(3000)
-		r := blockTestRelation(t, n, int64(trial))
+		shape := testRelations[trial%len(testRelations)]
+		r := shape.build(t, n, int64(trial))
 		for _, agg := range []VoteAggregation{MajorityVote, LastWriteWins} {
 			for _, kind := range []keyhash.KernelKind{keyhash.KernelAuto, keyhash.KernelPortable} {
 				opts := Options{
@@ -111,7 +142,7 @@ func TestScanBlockMatchesScanTuple(t *testing.T) {
 					lo = hi
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trial %d agg %v kernel %q: Scan tally diverged from ScanTuple loop", trial, agg, kind)
+					t.Fatalf("trial %d (%s) agg %v kernel %q: Scan tally diverged from ScanTuple loop", trial, shape.name, agg, kind)
 				}
 
 				wantRep, err1 := sc.Report(want)

@@ -89,6 +89,11 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 // detector must be given after data-loss attacks.
 func (e *Embedder) Bandwidth() int { return e.bw }
 
+// KeyColumn returns the schema position of the key column, the one
+// column EmbedBlock reads from a block (Relation.FillBlock copies just
+// it).
+func (e *Embedder) KeyColumn() int { return e.keyCol }
+
 // ChunkStats is the partial result of embedding one row range: the usual
 // statistics plus the set of wm_data positions the range touched, which
 // MergeChunks needs to count distinct positions across ranges.
@@ -122,7 +127,7 @@ func (e *Embedder) EmbedRange(r *relation.Relation, lo, hi int) (ChunkStats, err
 	defer relation.PutBlock(blk)
 	for blockLo := lo; ; blockLo += DefaultBlockRows {
 		blockHi := min(blockLo+DefaultBlockRows, hi)
-		r.FillBlock(blk, blockLo, blockHi)
+		r.FillBlock(blk, blockLo, blockHi, e.keyCol)
 		if err := e.EmbedBlock(r, blk, blockLo, &cs, &bs); err != nil {
 			return cs, err
 		}
@@ -255,6 +260,11 @@ func newScanner(keyCol, attrCol int, dom *relation.Domain, n, wmLen int, opts Op
 // Bandwidth returns the fixed |wm_data| of this pass.
 func (s *Scanner) Bandwidth() int { return s.bw }
 
+// Columns returns the schema positions of the key and the watermarked
+// attribute, the two columns ScanColumns reads from a block
+// (Relation.FillBlock copies just them).
+func (s *Scanner) Columns() (key, attr int) { return s.keyCol, s.attrCol }
+
 // Tally is the partial detection state accumulated over one or more row
 // ranges: per-position vote counts, the last vote seen in scan order
 // (for the LastWriteWins ablation), and the scan counters.
@@ -344,10 +354,11 @@ func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 }
 
 // Scan reads rows [lo, hi) of r and accumulates their votes into t,
-// copying the range DefaultBlockRows rows at a time into one pooled
-// block (Relation.FillBlock) and voting through ScanColumns with one
-// scratch for the whole call. The votes are bit-identical to the
-// ScanTuple loop over the same rows; the relation is never modified.
+// copying the range's key and attribute columns DefaultBlockRows rows
+// at a time into one pooled block (Relation.FillBlock) and voting
+// through ScanColumns with one scratch for the whole call. The votes
+// are bit-identical to the ScanTuple loop over the same rows; the
+// relation is never modified.
 // Concurrent Scan calls must use distinct tallies; merge them afterwards
 // with Tally.Merge.
 func (s *Scanner) Scan(r *relation.Relation, lo, hi int, t *Tally) error {
@@ -358,7 +369,7 @@ func (s *Scanner) Scan(r *relation.Relation, lo, hi int, t *Tally) error {
 	blk := relation.GetBlock(r.Schema())
 	defer relation.PutBlock(blk)
 	for blockLo := lo; blockLo < hi; blockLo += DefaultBlockRows {
-		r.FillBlock(blk, blockLo, min(blockLo+DefaultBlockRows, hi))
+		r.FillBlock(blk, blockLo, min(blockLo+DefaultBlockRows, hi), s.keyCol, s.attrCol)
 		if err := s.ScanColumns(blk, t, &bs); err != nil {
 			return err
 		}

@@ -11,16 +11,19 @@ import (
 )
 
 // TestScanColumnsMatchesScanTuple is the kernel-level equivalence
-// property: for random relations cut into random blocks (size-1 blocks
-// and ragged tails included) and filled into one pooled block, the
-// ScanColumns sweep through one scratch accumulates exactly the tally —
-// and exactly the report, under both vote aggregations and both hash
-// backends — that the ScanTuple loop produces.
+// property: for random relations — the key beside the attribute, and
+// at arity 4 with them apart — cut into random blocks (size-1 blocks
+// and ragged tails included) and filled into one pooled block, by turns
+// in full and with only the scanner's two columns, the ScanColumns
+// sweep through one scratch accumulates exactly the tally — and exactly
+// the report, under both vote aggregations and both hash backends —
+// that the ScanTuple loop produces.
 func TestScanColumnsMatchesScanTuple(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(700 + trial)))
 		n := 1 + rng.Intn(3000)
-		r := blockTestRelation(t, n, int64(50+trial))
+		shape := testRelations[trial%len(testRelations)]
+		r := shape.build(t, n, int64(50+trial))
 		for _, agg := range []VoteAggregation{MajorityVote, LastWriteWins} {
 			for _, kind := range []keyhash.KernelKind{keyhash.KernelAuto, keyhash.KernelPortable} {
 				opts := Options{
@@ -37,21 +40,26 @@ func TestScanColumnsMatchesScanTuple(t *testing.T) {
 				got := sc.NewTally()
 				var bs BlockScratch
 				blk := relation.GetBlock(r.Schema())
-				for _, p := range randomPartition(rng, r.Len()) {
-					r.FillBlock(blk, p[0], p[1])
+				key, attr := sc.Columns()
+				for i, p := range randomPartition(rng, r.Len()) {
+					if i%2 == 0 {
+						r.FillBlock(blk, p[0], p[1])
+					} else {
+						r.FillBlock(blk, p[0], p[1], key, attr)
+					}
 					if err := sc.ScanColumns(blk, got, &bs); err != nil {
 						t.Fatal(err)
 					}
 				}
 				relation.PutBlock(blk)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trial %d agg %v kernel %q: ScanColumns tally diverged from ScanTuple loop", trial, agg, kind)
+					t.Fatalf("trial %d (%s) agg %v kernel %q: ScanColumns tally diverged from ScanTuple loop", trial, shape.name, agg, kind)
 				}
 
 				wantRep, err1 := sc.Report(want)
 				gotRep, err2 := sc.Report(got)
 				if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(wantRep, gotRep) {
-					t.Fatalf("trial %d agg %v kernel %q: report diverged", trial, agg, kind)
+					t.Fatalf("trial %d (%s) agg %v kernel %q: report diverged", trial, shape.name, agg, kind)
 				}
 			}
 		}

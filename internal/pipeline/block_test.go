@@ -92,22 +92,29 @@ func detectStream(src relation.BlockReader, wmLen int, opts mark.Options, cfg Co
 // relation-filled blocks, and both must report exactly what the
 // ScanTuple loop reports — across worker counts, block sizes (size 1,
 // odd sizes with ragged tails, the default), chunk sizes that do not
-// divide the relation, both vote aggregations, and a suspect carrying
-// values outside the domain.
+// divide the relation, both vote aggregations, a suspect carrying
+// values outside the domain, and the data widened to arity 4 with the
+// key and the attribute apart.
 func TestDetectMatchesScanTupleOracle(t *testing.T) {
-	r, dom := testData(t, 5003)
+	narrow, dom := testData(t, 5003)
 	wm := ecc.MustParseBits("1011001110")
 	opts := testOptions(dom)
-	if _, err := mark.Embed(r, wm, opts); err != nil {
+	if _, err := mark.Embed(narrow, wm, opts); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown values: every 13th row leaves the catalog, the way an
 	// un-reversed remap or noise would.
-	for j := 0; j < r.Len(); j += 13 {
-		if err := r.SetValue(j, "Item_Nbr", "not-in-domain"); err != nil {
+	for j := 0; j < narrow.Len(); j += 13 {
+		if err := narrow.SetValue(j, "Item_Nbr", "not-in-domain"); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for name, r := range map[string]*relation.Relation{"narrow": narrow, "wide": widen(narrow)} {
+		t.Run(name, func(t *testing.T) { checkDetectMatchesScanTupleOracle(t, r, wm, opts) })
+	}
+}
+
+func checkDetectMatchesScanTupleOracle(t *testing.T, r *relation.Relation, wm ecc.Bits, opts mark.Options) {
 	for _, agg := range []mark.VoteAggregation{mark.MajorityVote, mark.LastWriteWins} {
 		opts := opts
 		opts.Aggregation = agg

@@ -92,17 +92,21 @@ func oracleEmbed(r *relation.Relation, wm ecc.Bits, opts mark.Options) (mark.Emb
 
 // oracleRelation has a primary key, a second unique column that can act
 // as K for a Section 3.3 pairwise embedding, and a categorical column
-// with one value outside the embedding domain.
+// with one value outside the embedding domain — at arity 5, with a
+// column between every pair a pass reads (id, note, k, pad, cat), so
+// the embedding's key column is never beside the attribute.
 func oracleRelation(n int) *relation.Relation {
 	schema := relation.MustSchema([]relation.Attribute{
 		{Name: "id", Type: relation.TypeString},
+		{Name: "note", Type: relation.TypeString},
 		{Name: "k", Type: relation.TypeString},
+		{Name: "pad", Type: relation.TypeString},
 		{Name: "cat", Type: relation.TypeString, Categorical: true},
 	}, "id")
 	r := relation.New(schema)
 	values := []string{"a", "b", "c", "d", "e", "f", "zz"}
 	for i := 0; i < n; i++ {
-		r.MustAppend(relation.Tuple{"id-" + strconv.Itoa(i), "k-" + strconv.Itoa(i*7919), values[(i*5)%len(values)]})
+		r.MustAppend(relation.Tuple{"id-" + strconv.Itoa(i), "n" + strconv.Itoa(i%11), "k-" + strconv.Itoa(i*7919), "p", values[(i*5)%len(values)]})
 	}
 	return r
 }

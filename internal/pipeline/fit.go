@@ -22,11 +22,10 @@ import (
 // rows that passed fitness, in ascending row order. Release hands its
 // buffer back to the pool; a FitPass is not safe for concurrent use.
 type FitPass struct {
-	sc      *mark.Scanner
-	r       *relation.Relation
-	attrCol int
-	rows    *[]int
-	cfg     Config
+	sc   *mark.Scanner
+	r    *relation.Relation
+	rows *[]int
+	cfg  Config
 }
 
 // rowsPool recycles fit-row buffers across passes (*[]int, so a put
@@ -72,6 +71,8 @@ func (f *FitPass) Revote(ctx context.Context, mapping map[string]string) (mark.D
 	defer putScratch(bs)
 	blk := relation.GetBlock(schema)
 	defer relation.PutBlock(blk)
+	// The block carries only the two columns ScanColumns reads.
+	keyCol, attrCol := f.sc.Columns()
 	tup := make(relation.Tuple, schema.Arity())
 	rows, br := *f.rows, f.cfg.blockRows()
 	for lo := 0; lo < len(rows); lo += br {
@@ -81,11 +82,12 @@ func (f *FitPass) Revote(ctx context.Context, mapping map[string]string) (mark.D
 		hi := min(lo+br, len(rows))
 		blk.Reset(schema)
 		for _, row := range rows[lo:hi] {
-			copy(tup, f.r.Tuple(row))
-			if v, ok := mapping[tup[f.attrCol]]; ok {
-				tup[f.attrCol] = v
+			t := f.r.Tuple(row)
+			tup[keyCol], tup[attrCol] = t[keyCol], t[attrCol]
+			if v, ok := mapping[tup[attrCol]]; ok {
+				tup[attrCol] = v
 			}
-			if err := blk.AppendTuple(tup); err != nil {
+			if err := blk.AppendTuple(tup, keyCol, attrCol); err != nil {
 				return mark.DetectReport{}, err
 			}
 		}

@@ -45,9 +45,15 @@ func remapForTest(dom *relation.Domain) map[string]string {
 // oracle's fit rows in ascending order, and Revote through a mapping
 // (empty, partial, and one whose images fall outside the domain)
 // reports exactly what Detect reports over a clone rewritten by
-// freq.ApplyMapping.
+// freq.ApplyMapping — on the two-column data and on its widened form.
 func TestDetectFitRowsAndRevote(t *testing.T) {
-	r, dom := testData(t, 6007)
+	narrow, dom := testData(t, 6007)
+	for name, r := range map[string]*relation.Relation{"narrow": narrow, "wide": widen(narrow)} {
+		t.Run(name, func(t *testing.T) { checkDetectFitRowsAndRevote(t, r, dom) })
+	}
+}
+
+func checkDetectFitRowsAndRevote(t *testing.T, r *relation.Relation, dom *relation.Domain) {
 	wm := ecc.MustParseBits("1011001110")
 	opts := testOptions(dom)
 	sc, err := mark.NewScanner(r, len(wm), opts)

@@ -138,18 +138,20 @@ func putScratch(bs *mark.BlockScratch) {
 }
 
 // scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time:
-// each block is copied into blk and voted through ScanColumns, with ctx
-// checked and progress ticked between blocks. bs and blk are the
-// caller's per-goroutine scratch. A non-nil fit collects the range's
-// fit rows in ascending order (Scanner.ScanColumnsFit).
+// each block's key and attribute columns are copied into blk and voted
+// through ScanColumns, with ctx checked and progress ticked between
+// blocks. bs and blk are the caller's per-goroutine scratch. A non-nil
+// fit collects the range's fit rows in ascending order
+// (Scanner.ScanColumnsFit).
 func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, blk *relation.Block, fit *[]int, cfg Config) error {
 	br := cfg.blockRows()
+	keyCol, attrCol := sc.Columns()
 	for blockLo := lo; blockLo < hi; blockLo += br {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		blockHi := min(blockLo+br, hi)
-		r.FillBlock(blk, blockLo, blockHi)
+		r.FillBlock(blk, blockLo, blockHi, keyCol, attrCol)
 		var err error
 		if fit != nil {
 			*fit, err = sc.ScanColumnsFit(blk, t, bs, blockLo, *fit)
@@ -165,10 +167,11 @@ func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, 
 }
 
 // embedRange feeds rows [lo, hi) of r through em into cs
-// block-at-a-time: each block is copied into blk and embedded through
-// EmbedBlock, with ctx checked and progress ticked between blocks. Runs
-// at least one (possibly empty) block so cs always carries the pass
-// bandwidth. bs and blk are the caller's per-goroutine scratch.
+// block-at-a-time: each block's key column is copied into blk and
+// embedded through EmbedBlock, with ctx checked and progress ticked
+// between blocks. Runs at least one (possibly empty) block so cs always
+// carries the pass bandwidth. bs and blk are the caller's per-goroutine
+// scratch.
 func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo, hi int, cs *mark.ChunkStats, bs *mark.BlockScratch, blk *relation.Block, cfg Config) error {
 	br := cfg.blockRows()
 	for blockLo := lo; ; blockLo += br {
@@ -176,7 +179,7 @@ func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo
 			return err
 		}
 		blockHi := min(blockLo+br, hi)
-		r.FillBlock(blk, blockLo, blockHi)
+		r.FillBlock(blk, blockLo, blockHi, em.KeyColumn())
 		if err := em.EmbedBlock(r, blk, blockLo, cs, bs); err != nil {
 			return err
 		}
@@ -413,8 +416,7 @@ func detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 	if fit == nil {
 		return rep, nil, nil
 	}
-	attrCol, _ := r.Schema().Index(opts.Attr) // resolved by NewScanner
-	return rep, &FitPass{sc: sc, r: r, attrCol: attrCol, rows: fit, cfg: cfg}, nil
+	return rep, &FitPass{sc: sc, r: r, rows: fit, cfg: cfg}, nil
 }
 
 // attrIsPrimaryKey reports whether attr is the relation's primary key —

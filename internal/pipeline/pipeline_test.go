@@ -26,6 +26,24 @@ func testData(t testing.TB, n int) (*relation.Relation, *relation.Domain) {
 	return r, dom
 }
 
+// widen rebuilds r (Visit_Nbr key, Item_Nbr) at arity 4 with the
+// attribute first, the key last and two columns between them, so the
+// columns a pass reads are neither adjacent nor in their narrow
+// positions.
+func widen(r *relation.Relation) *relation.Relation {
+	w := relation.New(relation.MustSchema([]relation.Attribute{
+		{Name: "Item_Nbr", Type: relation.TypeInt, Categorical: true},
+		{Name: "note", Type: relation.TypeString},
+		{Name: "pad", Type: relation.TypeString},
+		{Name: "Visit_Nbr", Type: relation.TypeInt},
+	}, "Visit_Nbr"))
+	for i := 0; i < r.Len(); i++ {
+		t := r.Tuple(i)
+		w.MustAppend(relation.Tuple{t[1], "n" + t[0], "p", t[0]})
+	}
+	return w
+}
+
 func testOptions(dom *relation.Domain) mark.Options {
 	return mark.Options{
 		Attr:   "Item_Nbr",

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"slices"
 	"sync"
@@ -144,37 +145,60 @@ func (b *Block) Tuple(i int) Tuple {
 }
 
 // AppendTuple adds one row to the block in schema attribute order.
-// Mainly for tests and adapters; the block readers append parsed field
-// bytes directly into the arenas.
-func (b *Block) AppendTuple(t Tuple) error {
+// Like FillBlock it appends only the listed columns (every column when
+// none is listed), so a block built row by row for one kernel carries
+// just the columns that kernel reads; list the same columns, each once,
+// on every row of a block. The block readers append parsed field bytes
+// directly into the arenas instead.
+func (b *Block) AppendTuple(t Tuple, cols ...int) error {
 	if len(t) != len(b.cols) {
 		return fmt.Errorf("relation: tuple arity %d, block arity %d", len(t), len(b.cols))
 	}
-	for c := range b.cols {
-		col := &b.cols[c]
-		col.data = append(col.data, t[c]...)
-		col.closeRow()
+	if len(cols) == 0 {
+		for c := range b.cols {
+			b.cols[c].appendValue(t[c])
+		}
+	}
+	for _, c := range cols {
+		b.cols[c].appendValue(t[c])
 	}
 	b.rows++
 	return nil
 }
 
+// appendValue appends one row's value.
+func (c *Column) appendValue(v string) {
+	c.data = append(c.data, v...)
+	c.closeRow()
+}
+
 // FillBlock resets b for r's schema and copies rows [lo, hi) of r into
 // it — the one place materialized rows become columns, so the scan
 // engine votes over a relation through the same kernel it runs over a
-// stream. It panics if the range is out of bounds.
-func (r *Relation) FillBlock(b *Block, lo, hi int) {
+// stream. Only the listed columns, which must be distinct, are copied;
+// the others stay empty, so a kernel passes just the columns it reads.
+// With no columns listed every column is copied. It panics if the range
+// is out of bounds.
+func (r *Relation) FillBlock(b *Block, lo, hi int, cols ...int) {
 	b.Reset(r.schema)
 	rows := r.tuples[lo:hi]
-	for c := range b.cols {
-		col := &b.cols[c]
-		col.offs = slices.Grow(col.offs, len(rows))
-		for _, t := range rows {
-			col.data = append(col.data, t[c]...)
-			col.closeRow()
+	if len(cols) == 0 {
+		for c := range b.cols {
+			b.cols[c].fill(rows, c)
 		}
 	}
+	for _, c := range cols {
+		b.cols[c].fill(rows, c)
+	}
 	b.rows = len(rows)
+}
+
+// fill appends column c of rows to an empty column.
+func (col *Column) fill(rows []Tuple, c int) {
+	col.offs = slices.Grow(col.offs, len(rows))
+	for _, t := range rows {
+		col.appendValue(t[c])
+	}
 }
 
 // blockPool recycles blocks across reads and workers; arenas stay warm,
@@ -255,10 +279,11 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 // ReadCSV and ReadJSONL. Each block column leaves the arena as one
 // string whose substrings are the row values, and a block's tuples are
 // cut from one []string, so the cost is a few allocations per block,
-// not several per row. The key index is built once at the end,
-// pre-sized and in row order. Errors match ReadAll over the row
-// readers: a duplicate key is ErrDuplicateKey naming its 1-based row,
-// and it wins over a parse error, which can only come at a later row.
+// not several per row. Key uniqueness is checked at the end through
+// firstDuplicateKey; the key index itself is built on first use, as
+// for a Clone. Errors match ReadAll over the row readers: a duplicate
+// key is ErrDuplicateKey naming its 1-based row, and it wins over a
+// parse error, which can only come at a later row.
 func readBlocks(br BlockReader) (*Relation, error) {
 	schema := br.Schema()
 	a := schema.Arity()
@@ -286,19 +311,48 @@ func readBlocks(br BlockReader) (*Relation, error) {
 			out.tuples = append(out.tuples, vals[i:i+a:i+a])
 		}
 	}
-	k := schema.keyIndex
-	keys := make(map[string]int, rows)
-	for i, t := range out.tuples {
-		// One map assignment per row: a repeated key leaves len short.
-		if keys[t[k]] = i; len(keys) != i+1 {
-			return nil, fmt.Errorf("row %d: %w: %q", i+1, ErrDuplicateKey, t[k])
-		}
+	seed := maphash.MakeSeed()
+	hash := func(key string) uint64 { return maphash.String(seed, key) }
+	if i, dup := firstDuplicateKey(out.tuples, schema.keyIndex, hash); dup {
+		return nil, fmt.Errorf("row %d: %w: %q", i+1, ErrDuplicateKey, out.tuples[i][schema.keyIndex])
 	}
 	if readErr != nil {
 		return nil, readErr
 	}
-	out.keys = keys
 	return out, nil
+}
+
+// firstDuplicateKey returns the first row whose column k repeats an
+// earlier row's. It inserts rows in order into an open-addressing table
+// of uint64 entries, the high 32 bits of the key's hash as a tag and
+// row+1 in the low 32 (0 is an empty slot), probed linearly from the
+// hash's low bits: the table holds no pointers for the garbage
+// collector to scan, and key strings are compared only when their tags
+// match. The table has a power-of-two size of at least 1.5 slots per
+// row, so its load stays at or below two thirds.
+func firstDuplicateKey(tuples []Tuple, k int, hash func(string) uint64) (int, bool) {
+	size := 1
+	for size < len(tuples)+len(tuples)/2 {
+		size <<= 1
+	}
+	table := make([]uint64, size)
+	mask := uint64(size - 1)
+	for i, t := range tuples {
+		key := t[k]
+		h := hash(key)
+		tag := h >> 32
+		for slot := h & mask; ; slot = (slot + 1) & mask {
+			e := table[slot]
+			if e == 0 {
+				table[slot] = tag<<32 | uint64(i+1)
+				break
+			}
+			if e>>32 == tag && tuples[uint32(e)-1][k] == key {
+				return i, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // RawShardSource is a suspect stream the cluster coordinator can cut

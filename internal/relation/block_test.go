@@ -539,36 +539,45 @@ func TestBlockPoolAndGen(t *testing.T) {
 
 // TestFillBlockMatchesAppendTuple: a block filled from a relation range
 // holds exactly the rows AppendTuple would put there, for every range
-// shape (empty, size 1, ragged tail), and a refill into the same block
-// advances its generation and drops the previous rows.
+// shape (empty, size 1, ragged tail) and every column list (all, one,
+// some), unlisted columns left empty; a refill into the same block
+// advances its generation and drops the previous rows and columns.
 func TestFillBlockMatchesAppendTuple(t *testing.T) {
-	schema := rowioSchema(t)
+	schema := MustSchema([]Attribute{
+		{Name: "a", Type: TypeString}, {Name: "k", Type: TypeInt},
+		{Name: "b", Type: TypeString}, {Name: "v", Type: TypeString},
+	}, "k")
 	r := New(schema)
 	for i := 0; i < 300; i++ {
-		r.MustAppend(Tuple{fmt.Sprint(i), strings.Repeat("v", i%5)}) // "" values too
+		r.MustAppend(Tuple{"a" + fmt.Sprint(i%3), fmt.Sprint(i), "b", strings.Repeat("v", i%5)}) // "" values too
 	}
 	blk := GetBlock(schema)
 	defer PutBlock(blk)
 	for _, rg := range [][2]int{{0, 0}, {0, 1}, {7, 8}, {0, 300}, {299, 300}, {10, 123}} {
-		g := blk.Gen()
-		r.FillBlock(blk, rg[0], rg[1])
-		if blk.Gen() == g {
-			t.Fatalf("range %v: FillBlock did not advance the generation", rg)
-		}
-		want := NewBlock(schema)
-		for j := rg[0]; j < rg[1]; j++ {
-			if err := want.AppendTuple(r.Tuple(j)); err != nil {
-				t.Fatal(err)
+		for _, cols := range [][]int{nil, {3}, {1, 3}, {2, 0}} {
+			g := blk.Gen()
+			r.FillBlock(blk, rg[0], rg[1], cols...)
+			if blk.Gen() == g {
+				t.Fatalf("range %v: FillBlock did not advance the generation", rg)
 			}
-		}
-		if blk.Rows() != want.Rows() {
-			t.Fatalf("range %v: %d rows, want %d", rg, blk.Rows(), want.Rows())
-		}
-		for c := 0; c < schema.Arity(); c++ {
-			gotData, gotOffs := blk.Col(c).Raw()
-			wantData, wantOffs := want.Col(c).Raw()
-			if string(gotData) != string(wantData) || !slices.Equal(gotOffs, wantOffs) {
-				t.Fatalf("range %v column %d: arena or offsets differ", rg, c)
+			want := NewBlock(schema)
+			for j := rg[0]; j < rg[1]; j++ {
+				if err := want.AppendTuple(r.Tuple(j), cols...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if blk.Rows() != want.Rows() {
+				t.Fatalf("range %v cols %v: %d rows, want %d", rg, cols, blk.Rows(), want.Rows())
+			}
+			for c := 0; c < schema.Arity(); c++ {
+				gotData, gotOffs := blk.Col(c).Raw()
+				wantData, wantOffs := want.Col(c).Raw()
+				if string(gotData) != string(wantData) || !slices.Equal(gotOffs, wantOffs) {
+					t.Fatalf("range %v cols %v column %d: arena or offsets differ", rg, cols, c)
+				}
+				if listed := cols == nil || slices.Contains(cols, c); !listed && blk.Col(c).Rows() != 0 {
+					t.Fatalf("range %v cols %v: unlisted column %d holds %d rows", rg, cols, c, blk.Col(c).Rows())
+				}
 			}
 		}
 	}

@@ -78,7 +78,8 @@ func MustDomain(values []string) *Domain {
 	return d
 }
 
-// DomainOf derives the domain of attr from the values present in r.
+// DomainOf derives the domain of attr from the values present in r,
+// through one coding pass.
 func DomainOf(r *Relation, attr string) (*Domain, error) {
 	j, ok := r.Schema().Index(attr)
 	if !ok {
@@ -87,16 +88,8 @@ func DomainOf(r *Relation, attr string) (*Domain, error) {
 	if r.Len() == 0 {
 		return nil, fmt.Errorf("relation: cannot derive domain of %q from empty relation", attr)
 	}
-	seen := make(map[string]bool)
-	var values []string
-	for i := 0; i < r.Len(); i++ {
-		v := r.Tuple(i)[j]
-		if !seen[v] {
-			seen[v] = true
-			values = append(values, v)
-		}
-	}
-	return NewDomain(values)
+	labels, _ := codeColumn(r, j, nil)
+	return NewDomain(labels)
 }
 
 // Size returns n_A, the number of distinct values.
@@ -136,7 +129,7 @@ func (d *Domain) Contains(v string) bool {
 
 // HistogramOf computes the occurrence histogram of attr over r — the
 // paper's frequency transform [f_A(a_i)] (Sections 3.1, 4.2). It counts
-// with one map assignment per row, then copies the distinct labels out
+// through one coding pass, then copies the distinct labels out
 // (ownStrings), so labels that outlive r — a certificate's profile keys
 // — do not pin its storage.
 func HistogramOf(r *Relation, attr string) (*stats.Histogram, error) {
@@ -144,19 +137,7 @@ func HistogramOf(r *Relation, attr string) (*stats.Histogram, error) {
 	if !ok {
 		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
 	}
-	counts := make(map[string]int)
-	for _, t := range r.tuples {
-		counts[t[j]]++
-	}
-	labels := make([]string, 0, len(counts))
-	ns := make([]int, 0, len(counts))
-	for v, n := range counts {
-		labels, ns = append(labels, v), append(ns, n)
-	}
+	labels, counts := codeColumn(r, j, nil)
 	ownStrings(labels)
-	owned := make(map[string]int, len(labels))
-	for i, l := range labels {
-		owned[l] = ns[i]
-	}
-	return stats.HistogramOfCounts(owned), nil
+	return histogramOf(labels, counts), nil
 }

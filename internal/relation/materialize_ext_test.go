@@ -81,6 +81,10 @@ func TestDerivedValuesDoNotPinRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	coding, err := relation.CodeColumn(r, "Item_Nbr")
+	if err != nil {
+		t.Fatal(err)
+	}
 	check := func(what string, values []string) {
 		t.Helper()
 		for _, v := range values {
@@ -92,6 +96,7 @@ func TestDerivedValuesDoNotPinRelation(t *testing.T) {
 	check("DomainOf", dom.Values())
 	check("NewDomain", catalog.Values())
 	check("HistogramOf", hist.Labels())
+	check("CodeColumn", coding.Labels)
 	keys := make([]string, 0, len(profile))
 	for k := range profile {
 		keys = append(keys, k)

@@ -195,13 +195,18 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 // append on a Tuple(i) reallocates instead of writing into row i+1.
 // Values read by ReadCSV/ReadJSONL are substrings of one string per block
 // column, so a value kept beyond the relation's lifetime keeps its whole
-// column string alive unless copied out (NewDomain and HistogramOf copy).
+// column string alive unless copied out (NewDomain, HistogramOf and
+// CodeColumn copy).
 //
 // Key index. The key -> row index is built on demand, the first time
 // Append, SetValue on the key column, Lookup or EqualUnordered needs it;
-// Clone does not copy it and SortBy/Shuffle drop it. Building it is safe
-// under concurrent readers. SetValue on a non-key column never touches
-// it, so workers may rewrite disjoint rows of a non-key column at once.
+// Clone does not copy it and SortBy/Shuffle drop it. ReadCSV and
+// ReadJSONL do not build it either: they reject duplicate keys through
+// a pointer-free hash table of row numbers (firstDuplicateKey) that is
+// dropped once checked, so a relation read only to be scanned never
+// pays for a string-keyed map. Building it is safe under concurrent
+// readers. SetValue on a non-key column never touches it, so workers
+// may rewrite disjoint rows of a non-key column at once.
 type Relation struct {
 	schema *Schema
 	tuples []Tuple
@@ -229,9 +234,6 @@ var ErrDuplicateKey = errors.New("relation: duplicate primary key")
 // index returns the key index, building it on first use.
 func (r *Relation) index() map[string]int {
 	r.keysOnce.Do(func() {
-		if r.keys != nil {
-			return // installed pre-built (readBlocks)
-		}
 		r.keys = make(map[string]int, len(r.tuples))
 		k := r.schema.keyIndex
 		for i, t := range r.tuples {
@@ -297,6 +299,12 @@ func (r *Relation) SetValue(i int, attr, value string) error {
 	if !ok {
 		return fmt.Errorf("relation: unknown attribute %q", attr)
 	}
+	return r.SetValueAt(i, j, value)
+}
+
+// SetValueAt is SetValue by column position, for a caller rewriting
+// many rows of one column that resolved it once.
+func (r *Relation) SetValueAt(i, j int, value string) error {
 	if j == r.schema.keyIndex {
 		old := r.tuples[i][j]
 		if old == value {
