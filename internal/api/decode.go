@@ -27,6 +27,8 @@ import (
 // buffer. The decoded Data strings alias body: body must not be
 // modified or reused once DecodeBody has been called on it. Any other v
 // goes to json.Unmarshal unchanged.
+//
+//wmlint:ignore unsafeview the Data strings view body, which the caller must not modify or reuse afterwards
 func DecodeBody(body []byte, v any) error {
 	var level int
 	switch v.(type) {

@@ -124,7 +124,7 @@ func SubsetAlteration(r *relation.Relation, attr string, frac float64, dom *rela
 	out := r.Clone()
 	n := out.Len()
 	for _, row := range src.Sample(n, int(float64(n)*frac)) {
-		old := out.Tuple(row)[col]
+		old := out.At(row, col)
 		nv := dom.Value(src.Intn(dom.Size()))
 		for nv == old {
 			nv = dom.Value(src.Intn(dom.Size()))
@@ -175,7 +175,7 @@ func BijectiveRemap(r *relation.Relation, attr string, src *stats.Source) (*rela
 	out := r.Clone()
 	col, _ := out.Schema().Index(attr)
 	for i := 0; i < out.Len(); i++ {
-		if err := out.SetValue(i, attr, forward[out.Tuple(i)[col]]); err != nil {
+		if err := out.SetValue(i, attr, forward[out.At(i, col)]); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -101,7 +101,7 @@ func KAEmbed(r *relation.Relation, o KAOptions) (KAEmbedStats, error) {
 		if d.Mod(o.Gamma) != 0 {
 			continue
 		}
-		v, perr := strconv.ParseInt(r.Tuple(i)[col], 10, 64)
+		v, perr := strconv.ParseInt(r.At(i, col), 10, 64)
 		if perr != nil {
 			st.NonNumeric++
 			continue
@@ -153,7 +153,7 @@ func KADetect(r *relation.Relation, o KAOptions) (KADetectReport, error) {
 		if d.Mod(o.Gamma) != 0 {
 			continue
 		}
-		v, perr := strconv.ParseInt(r.Tuple(i)[col], 10, 64)
+		v, perr := strconv.ParseInt(r.At(i, col), 10, 64)
 		if perr != nil {
 			continue
 		}
@@ -178,7 +178,7 @@ func DomainViolations(r *relation.Relation, attr string, dom *relation.Domain) (
 	}
 	violations := 0
 	for i := 0; i < r.Len(); i++ {
-		if !dom.Contains(r.Tuple(i)[col]) {
+		if !dom.Contains(r.At(i, col)) {
 			violations++
 		}
 	}

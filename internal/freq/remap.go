@@ -112,7 +112,7 @@ func ApplyMapping(r *relation.Relation, attr string, mapping map[string]string) 
 	}
 	changed := 0
 	for i := 0; i < r.Len(); i++ {
-		old := r.Tuple(i)[col]
+		old := r.At(i, col)
 		if nv, ok := mapping[old]; ok && nv != old {
 			if err := r.SetValue(i, attr, nv); err != nil {
 				return changed, err

@@ -29,6 +29,10 @@
 //   - spanend:      every trace span started in internal/ must be
 //     deterministically ended — End is the publication point, so a
 //     missed End silently drops the span's subtree from every trace.
+//   - unsafeview:   unsafe.String/unsafe.Slice zero-copy views appear
+//     only in functions whose //wmlint:ignore unsafeview directive
+//     states the invariant they rely on (for relation arenas: bytes
+//     are never rewritten once referenced).
 //
 // cmd/wmlint is the multichecker binary; CI runs it in place of the
 // shell grep gates it replaced.
@@ -107,6 +111,7 @@ func All() []*Analyzer {
 		Determinism,
 		ArenaCopy,
 		SpanEnd,
+		UnsafeView,
 	}
 }
 

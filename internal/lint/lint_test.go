@@ -26,6 +26,7 @@ var fixtureCases = []struct {
 	{"determinism", "determinism"},
 	{"arenacopy", "arenacopy"},
 	{"spanend", "spanend"},
+	{"unsafeview", "unsafeview"},
 }
 
 // wantComment extracts the expectation regex from a fixture line.

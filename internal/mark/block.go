@@ -255,8 +255,9 @@ func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, b
 // only the fitness digests (pure functions of the keys) stay batched
 // there.
 //
-// The same concurrency rules as EmbedRange apply; bs follows the
-// ScanColumns sharing rules.
+// Calls on one relation may overlap only with cs.Stage set, so that
+// none writes r (see ChunkStats); bs follows the ScanColumns sharing
+// rules.
 func (e *Embedder) EmbedBlock(r *relation.Relation, blk *relation.Block, lo int, cs *ChunkStats, bs *BlockScratch) error {
 	cs.Bandwidth = e.bw
 	if cs.Touched == nil {
@@ -333,7 +334,7 @@ func (e *Embedder) embedRow(r *relation.Relation, row int, d1 keyhash.Digest, po
 	// word 0 cannot bias it (DESIGN.md clarification 1).
 	idx := keyhash.PairIndex(d1.Uint64At(1), e.dom.Size(), bit)
 	newVal := e.dom.Value(idx)
-	if r.Tuple(row)[e.attrCol] == newVal {
+	if r.At(row, e.attrCol) == newVal {
 		cs.Unchanged++
 		cs.Touched[pos] = true
 		return nil
@@ -347,10 +348,10 @@ func (e *Embedder) embedRow(r *relation.Relation, row int, d1 keyhash.Digest, po
 			}
 			return aerr
 		}
-	} else {
-		if serr := r.SetValue(row, opts.Attr, newVal); serr != nil {
-			return serr
-		}
+	} else if cs.Stage {
+		cs.staged = append(cs.staged, stagedRewrite{row, idx})
+	} else if serr := r.SetValueAt(row, e.attrCol, newVal); serr != nil {
+		return serr
 	}
 	cs.Altered++
 	cs.Touched[pos] = true

@@ -446,3 +446,49 @@ func BenchmarkScanColumns(b *testing.B) {
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 	})
 }
+
+// TestEmbedBlockAllocsIndependentOfRows: EmbedBlock compares each fit
+// row's value in place (Relation.At) before rewriting it, so embedding
+// a materialized relation again — every value already in place, none
+// rewritten — allocates no more at 36k rows than at 9k. Skipped under
+// -race, like the pool-backed allocation tests.
+func TestEmbedBlockAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	wm := ecc.MustParseBits("1011001110")
+	allocs := make(map[int]float64)
+	for _, n := range []int{9000, 36000} {
+		r := blockTestRelation(t, n, 7)
+		opts := Options{
+			Attr: "cat", K1: keyhash.NewKey("alloc-k1"), K2: keyhash.NewKey("alloc-k2"),
+			E: 3, Domain: blockTestDomain(t),
+		}
+		em, err := NewEmbedder(r, wm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := relation.NewBlock(r.Schema())
+		var bs BlockScratch
+		var cs ChunkStats
+		pass := func() {
+			for lo := 0; lo < r.Len(); lo += DefaultBlockRows {
+				r.FillBlock(blk, lo, min(lo+DefaultBlockRows, r.Len()), em.KeyColumn())
+				if err := em.EmbedBlock(r, blk, lo, &cs, &bs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pass() // rewrite the values once; later passes find them in place
+		cs = ChunkStats{}
+		pass()
+		if cs.Altered != 0 || cs.Unchanged == 0 {
+			t.Fatalf("n=%d: second pass altered %d, left %d unchanged", n, cs.Altered, cs.Unchanged)
+		}
+		allocs[n] = testing.AllocsPerRun(5, pass)
+	}
+	t.Logf("EmbedBlock: %.0f allocs at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
+	if allocs[36000] > allocs[9000] {
+		t.Fatalf("EmbedBlock allocations grow with the row count: %.0f at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
+	}
+}

@@ -23,8 +23,8 @@ import (
 
 // Embedder is a prepared embedding pass: options resolved, bandwidth
 // fixed, wm_data encoded. It is immutable after construction and safe for
-// concurrent use by multiple goroutines calling EmbedRange on disjoint
-// row ranges of the same relation.
+// concurrent use by multiple goroutines calling EmbedBlock, staging their
+// rewrites, on disjoint row ranges of the same relation.
 type Embedder struct {
 	opts         Options
 	k1s          string // opts.K1 as a string: the memo lane key, converted once
@@ -102,20 +102,39 @@ type ChunkStats struct {
 	// Touched[pos] is true when some fit tuple of the range embedded
 	// wm_data position pos. Length is the pass bandwidth.
 	Touched []bool
+	// Stage, set before the range is embedded, makes EmbedBlock record
+	// the range's value rewrites in row order instead of writing them,
+	// when Options.Assessor is nil; ApplyStaged writes them. Workers
+	// embedding ranges of one relation at once stage, because a
+	// relation has one writer at a time.
+	Stage bool
+
+	staged []stagedRewrite
+}
+
+// stagedRewrite is one rewrite EmbedBlock staged: row takes the domain
+// value at index idx.
+type stagedRewrite struct{ row, idx int }
+
+// ApplyStaged writes the rewrites EmbedBlock staged in cs to r, in the
+// order staged, and drops them.
+func (e *Embedder) ApplyStaged(r *relation.Relation, cs *ChunkStats) error {
+	for _, w := range cs.staged {
+		if err := r.SetValueAt(w.row, e.attrCol, e.dom.Value(w.idx)); err != nil {
+			return err
+		}
+	}
+	cs.staged = nil
+	return nil
 }
 
 // EmbedRange embeds rows [lo, hi) of r, filling DefaultBlockRows-sized
 // blocks and walking them through EmbedBlock (one block and one scratch
 // for the whole call, so memory stays bounded on arbitrarily large
-// ranges). It
-// writes only the watermarked attribute of rows inside the range, so
-// concurrent calls on disjoint ranges of the same relation are safe
-// provided (a) Options.Assessor, Options.SkipRow and Options.OnAlter
-// are either nil or themselves concurrency-safe (the quality assessor's
-// shared alteration budget is order-dependent), and (b) the watermarked
-// attribute is NOT the relation's primary key — rewriting key values
-// mutates the shared key index. internal/pipeline falls back to a
-// sequential pass in both cases.
+// ranges). It writes the watermarked attribute of rows inside the
+// range, and a relation has one writer at a time, so calls on one
+// relation must not overlap; internal/pipeline runs ranges at once
+// through EmbedBlock with ChunkStats.Stage set instead.
 func (e *Embedder) EmbedRange(r *relation.Relation, lo, hi int) (ChunkStats, error) {
 	cs := ChunkStats{Touched: make([]bool, e.bw)}
 	cs.Bandwidth = e.bw

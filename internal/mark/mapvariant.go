@@ -47,8 +47,7 @@ func EmbedWithMap(r *relation.Relation, wm ecc.Bits, opts Options) (EmbeddingMap
 	idx := 0
 
 	for j := 0; j < n && idx < bw; j++ {
-		t := r.Tuple(j)
-		keyVal := t[keyCol]
+		keyVal := r.At(j, keyCol)
 		d1 := keyhash.HashString(opts.K1, keyVal)
 		if !keyhash.Fit(d1, opts.E) {
 			continue
@@ -67,8 +66,7 @@ func EmbedWithMap(r *relation.Relation, wm ecc.Bits, opts Options) (EmbeddingMap
 		bit := uint64(wmData[idx])
 		vIdx := keyhash.PairIndex(d1.Uint64At(1), dom.Size(), bit)
 		newVal := dom.Value(vIdx)
-		old := t[attrCol]
-		if old != newVal {
+		if r.At(j, attrCol) != newVal {
 			if opts.Assessor != nil {
 				if aerr := opts.Assessor.Apply(r, j, opts.Attr, newVal); aerr != nil {
 					var verr *quality.ViolationError
@@ -130,8 +128,7 @@ func DetectWithMap(r *relation.Relation, wmLen int, em EmbeddingMap, opts Option
 	wmData := ecc.NewErased(bw)
 
 	for j := 0; j < r.Len(); j++ {
-		t := r.Tuple(j)
-		keyVal := t[keyCol]
+		keyVal := r.At(j, keyCol)
 		if !keyhash.Fit(keyhash.HashString(opts.K1, keyVal), opts.E) {
 			continue
 		}
@@ -140,7 +137,7 @@ func DetectWithMap(r *relation.Relation, wmLen int, em EmbeddingMap, opts Option
 		if !ok {
 			continue // not part of the original embedding
 		}
-		idx, ok := dom.Index(t[attrCol])
+		idx, ok := dom.Index(r.At(j, attrCol))
 		if !ok {
 			rep.UnknownValues++
 			continue

@@ -380,3 +380,35 @@ func TestDetectAllocsIndependentOfRows(t *testing.T) {
 		}
 	}
 }
+
+// TestRevoteAllocsIndependentOfRows: FitPass.Revote reads each fit
+// row's key and value in place (Relation.At), so re-voting the fit rows
+// of a 36k-row pass allocates no more than for a 9k-row one. Skipped
+// under -race, where sync.Pool drops a random share of its items.
+func TestRevoteAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	wm := ecc.MustParseBits("1011001110")
+	allocs := make(map[int]float64)
+	for _, n := range []int{9000, 36000} {
+		r, dom := testData(t, n)
+		_, fit, err := DetectFit(context.Background(), r, len(wm), testOptions(dom), Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapping := remapForTest(dom)
+		revote := func() {
+			if _, err := fit.Revote(context.Background(), mapping); err != nil {
+				t.Fatal(err)
+			}
+		}
+		revote() // warm the block and scratch pools
+		allocs[n] = testing.AllocsPerRun(5, revote)
+		fit.Release()
+	}
+	t.Logf("Revote: %.0f allocs at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
+	if allocs[36000] > allocs[9000] {
+		t.Fatalf("Revote allocations grow with the row count: %.0f at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
+	}
+}

@@ -82,8 +82,7 @@ func (f *FitPass) Revote(ctx context.Context, mapping map[string]string) (mark.D
 		hi := min(lo+br, len(rows))
 		blk.Reset(schema)
 		for _, row := range rows[lo:hi] {
-			t := f.r.Tuple(row)
-			tup[keyCol], tup[attrCol] = t[keyCol], t[attrCol]
+			tup[keyCol], tup[attrCol] = f.r.At(row, keyCol), f.r.At(row, attrCol)
 			if v, ok := mapping[tup[attrCol]]; ok {
 				tup[attrCol] = v
 			}

@@ -262,6 +262,9 @@ feed:
 // chunks on a worker pool. The result is equivalent to the sequential
 // pass: the same tuples are altered to the same values (each decision
 // depends only on the tuple's own key), and the merged statistics match.
+// A relation has one writer at a time, so the workers only read r and
+// stage their rewrites (mark.ChunkStats.Stage); Embed applies them in
+// chunk order once the workers have joined.
 //
 // Quality-gated embedding is inherently sequential — the assessor's
 // alteration budget makes later decisions depend on earlier ones — so
@@ -269,8 +272,8 @@ feed:
 // is requested) Embed runs the chunks in order on the calling goroutine
 // instead of the pool. Likewise when the watermarked attribute is the
 // schema's primary key (a Section 3.3 pairwise embedding with KeyAttr
-// overridden): rewriting key values mutates the relation's shared key
-// index, which concurrent workers cannot do safely. The sequential walk
+// overridden): a key rewrite can fail on a duplicate, and which one
+// fails depends on the rewrites before it. The sequential walk
 // still checks ctx between chunks, so even an order-dependent embedding
 // is cancellable mid-pass; a partially-embedded relation must be
 // discarded on error either way.
@@ -313,12 +316,17 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 		defer putScratch(scratch[w])
 	}
 	parts, err := runChunks(ctx, workers, chunks, func(w int, c chunkRange) (mark.ChunkStats, error) {
-		var cs mark.ChunkStats
+		cs := mark.ChunkStats{Stage: true}
 		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, scratch[w], blks[w], cfg)
 		return cs, err
 	})
 	if err != nil {
 		return mark.EmbedStats{}, err
+	}
+	for i := range parts {
+		if err := em.ApplyStaged(r, &parts[i]); err != nil {
+			return mark.EmbedStats{}, err
+		}
 	}
 	return mark.MergeChunks(parts...), nil
 }

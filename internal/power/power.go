@@ -139,9 +139,8 @@ func Evaluate(base *relation.Relation, scheme Scheme, attack AttackFamily, watch
 	// Distortion.
 	altered := 0
 	for i := 0; i < base.Len(); i++ {
-		a, b := base.Tuple(i), marked.Tuple(i)
-		for j := range a {
-			if a[j] != b[j] {
+		for j := 0; j < base.Schema().Arity(); j++ {
+			if base.At(i, j) != marked.At(i, j) {
 				altered++
 				break
 			}

@@ -42,7 +42,7 @@ type Context struct {
 // TupleBefore returns a copy of the altered tuple with the old value
 // restored.
 func (c Context) TupleBefore() relation.Tuple {
-	t := c.Relation.Tuple(c.Alt.Row).Clone()
+	t := c.Relation.Tuple(c.Alt.Row)
 	if j, ok := c.Relation.Schema().Index(c.Alt.Attr); ok {
 		t[j] = c.Alt.Old
 	}

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"hash/maphash"
 	"io"
 	"slices"
 	"sync"
@@ -45,18 +44,6 @@ func (c *Column) Value(i int) []byte { return c.data[c.offs[i]:c.offs[i+1]] }
 func (c *Column) String(i int) string {
 	//wmlint:ignore arenacopy String is the sanctioned arena materializer
 	return string(c.Value(i))
-}
-
-// fillStrings copies the column's first n rows out of the arena as one
-// owned string and stores row i's value, a substring of it, at
-// dst[i*stride+off]: one allocation per column, where String costs one
-// per row. Fields of a record a parse error cut short lie past row n.
-func (c *Column) fillStrings(dst []string, off, stride, n int) {
-	//wmlint:ignore arenacopy one owned copy per column; row values are substrings of it
-	s := string(c.data[:c.offs[n]])
-	for i := 0; i < n; i++ {
-		dst[i*stride+off] = s[c.offs[i]:c.offs[i+1]]
-	}
 }
 
 // Raw exposes the column's arena and offset table for batched hashing
@@ -181,24 +168,35 @@ func (c *Column) appendValue(v string) {
 // is out of bounds.
 func (r *Relation) FillBlock(b *Block, lo, hi int, cols ...int) {
 	b.Reset(r.schema)
-	rows := r.tuples[lo:hi]
+	refs := r.refs[lo*r.arity : hi*r.arity]
 	if len(cols) == 0 {
 		for c := range b.cols {
-			b.cols[c].fill(rows, c)
+			b.cols[c].fill(r.arenas[c], refs, c, r.arity)
 		}
 	}
 	for _, c := range cols {
-		b.cols[c].fill(rows, c)
+		b.cols[c].fill(r.arenas[c], refs, c, r.arity)
 	}
-	b.rows = len(rows)
+	b.rows = hi - lo
 }
 
-// fill appends column c of rows to an empty column.
-func (col *Column) fill(rows []Tuple, c int) {
-	col.offs = slices.Grow(col.offs, len(rows))
-	for _, t := range rows {
-		col.appendValue(t[c])
+// fill appends column c of the rows whose references refs holds, stride
+// per row, to an empty column from c's arena. Values that lie back to
+// back in the arena — a block column ReadCSV copied in one run — are
+// copied as one run.
+func (col *Column) fill(arena []byte, refs []uint64, c, stride int) {
+	col.offs = slices.Grow(col.offs, len(refs)/stride)
+	var start, end uint64
+	for i := c; i < len(refs); i += stride {
+		off := refs[i] >> lenBits
+		if off != end {
+			col.data = append(col.data, arena[start:end]...)
+			start = off
+		}
+		end = off + refs[i]&lenMask
+		col.offs = append(col.offs, int32(uint64(len(col.data))+end-start))
 	}
+	col.data = append(col.data, arena[start:end]...)
 }
 
 // blockPool recycles blocks across reads and workers; arenas stay warm,
@@ -276,83 +274,117 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 }
 
 // readBlocks drains br into a materialized Relation — the engine behind
-// ReadCSV and ReadJSONL. Each block column leaves the arena as one
-// string whose substrings are the row values, and a block's tuples are
-// cut from one []string, so the cost is a few allocations per block,
-// not several per row. Key uniqueness is checked at the end through
-// firstDuplicateKey; the key index itself is built on first use, as
-// for a Clone. Errors match ReadAll over the row readers: a duplicate
-// key is ErrDuplicateKey naming its 1-based row, and it wins over a
-// parse error, which can only come at a later row.
-func readBlocks(br BlockReader) (*Relation, error) {
-	schema := br.Schema()
-	a := schema.Arity()
-	b := GetBlock(schema)
+// ReadCSV and ReadJSONL — one block at a time through appendBlock, a
+// few allocations per block, none per row. When the input's length in
+// bytes is known (size > 0), consumed reports how many of them br has
+// parsed, and the storage is sized once from the first block's rows per
+// byte instead of regrown as blocks arrive. Errors match ReadAll over
+// the row readers: a duplicate key is ErrDuplicateKey naming its
+// 1-based row, and it wins over a parse error, which can only come at a
+// later row.
+func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, error) {
+	b := GetBlock(br.Schema())
 	defer PutBlock(b)
-	var blocks [][]string // each block's values, row-major
-	rows := 0
-	var readErr error
-	for readErr == nil {
+	out := New(br.Schema())
+	var start int64
+	if size > 0 {
+		start = consumed()
+	}
+	for first := true; ; first = false {
 		n, err := br.ReadBlock(b, defaultBlockRows)
 		if err == io.EOF {
-			break
+			return out, nil
 		}
-		readErr = err
-		vals := make([]string, n*a)
-		for c := 0; c < a; c++ {
-			b.cols[c].fillStrings(vals, c, a, n)
+		if first && size > 0 && n > 0 {
+			out.reserve(b, n, int64(n)*(size-start)/max(1, consumed()-start))
 		}
-		blocks = append(blocks, vals)
-		rows += n
-	}
-	out := &Relation{schema: schema, tuples: make([]Tuple, 0, rows)}
-	for _, vals := range blocks {
-		for i := 0; i < len(vals); i += a {
-			out.tuples = append(out.tuples, vals[i:i+a:i+a])
+		if appendErr := out.appendBlock(b, n); appendErr != nil {
+			return nil, appendErr
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	seed := maphash.MakeSeed()
-	hash := func(key string) uint64 { return maphash.String(seed, key) }
-	if i, dup := firstDuplicateKey(out.tuples, schema.keyIndex, hash); dup {
-		return nil, fmt.Errorf("row %d: %w: %q", i+1, ErrDuplicateKey, out.tuples[i][schema.keyIndex])
-	}
-	if readErr != nil {
-		return nil, readErr
-	}
-	return out, nil
 }
 
-// firstDuplicateKey returns the first row whose column k repeats an
-// earlier row's. It inserts rows in order into an open-addressing table
-// of uint64 entries, the high 32 bits of the key's hash as a tag and
-// row+1 in the low 32 (0 is an empty slot), probed linearly from the
-// hash's low bits: the table holds no pointers for the garbage
-// collector to scan, and key strings are compared only when their tags
-// match. The table has a power-of-two size of at least 1.5 slots per
-// row, so its load stays at or below two thirds.
-func firstDuplicateKey(tuples []Tuple, k int, hash func(string) uint64) (int, bool) {
-	size := 1
-	for size < len(tuples)+len(tuples)/2 {
-		size <<= 1
+// reserve sizes the empty r's storage for about rows rows shaped like
+// the first n rows of b: the key table for rows keys, and references
+// and arenas, at b's mean value lengths, for a sixteenth more, so an
+// input a little denser than its first block still fits without a
+// regrowth.
+func (r *Relation) reserve(b *Block, n int, rows int64) {
+	rows = min(rows, maxRows)
+	r.growKeys(int(rows))
+	rows += rows/16 + 1
+	r.refs = make([]uint64, 0, rows*int64(r.arity))
+	for c := range r.arenas {
+		r.arenas[c] = make([]byte, 0, rows*int64(b.cols[c].offs[n])/int64(n))
 	}
-	table := make([]uint64, size)
-	mask := uint64(size - 1)
-	for i, t := range tuples {
-		key := t[k]
-		h := hash(key)
-		tag := h >> 32
-		for slot := h & mask; ; slot = (slot + 1) & mask {
-			e := table[slot]
-			if e == 0 {
-				table[slot] = tag<<32 | uint64(i+1)
-				break
+}
+
+// countingReader counts the bytes read through it, so a reader
+// buffering on top of it can tell how much of its input it has parsed.
+type countingReader struct {
+	rd io.Reader
+	n  int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.rd.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// inputSize returns rd's remaining length in bytes when rd reports it
+// (bytes.Reader, strings.Reader, bytes.Buffer), else 0.
+func inputSize(rd io.Reader) int64 {
+	if l, ok := rd.(interface{ Len() int }); ok {
+		return int64(l.Len())
+	}
+	return 0
+}
+
+// appendBlock appends the first n rows of b: each column's bytes go to
+// its arena in one copy, and the rows' keys go to the key table while
+// the block is still in cache. It fails at the first key an earlier row
+// holds, naming that row; the relation is then unusable.
+func (r *Relation) appendBlock(b *Block, n int) error {
+	if n == 0 {
+		return nil
+	}
+	if r.rows+n > maxRows {
+		return fmt.Errorf("relation: more than %d rows", maxRows)
+	}
+	base, a := r.rows, r.arity
+	r.refs = grow(r.refs, n*a)[:(base+n)*a]
+	for c := range a {
+		col := &b.cols[c]
+		data := col.data[:col.offs[n]]
+		if len(r.arenas[c])+len(data) > maxArena {
+			return fmt.Errorf("relation: column %d exceeds the %d-byte arena limit", c, maxArena)
+		}
+		off := uint64(len(r.arenas[c]))
+		r.arenas[c] = append(grow(r.arenas[c], len(data)), data...)
+		for i := 0; i < n; i++ {
+			lo, hi := col.offs[i], col.offs[i+1]
+			if hi-lo > maxValueLen {
+				return fmt.Errorf("row %d: relation: value of %d bytes exceeds the %d-byte limit", base+i+1, hi-lo, maxValueLen)
 			}
-			if e>>32 == tag && tuples[uint32(e)-1][k] == key {
-				return i, true
-			}
+			r.refs[(base+i)*a+c] = (off+uint64(lo))<<lenBits | uint64(hi-lo)
 		}
 	}
-	return 0, false
+	r.rows += n
+	r.growKeys(r.rows)
+	for i := base; i < r.rows; i++ {
+		key := r.Key(i)
+		h := keyHash(key)
+		slot, dup := r.findKey(h, key)
+		if dup {
+			return fmt.Errorf("row %d: %w: %q", i+1, ErrDuplicateKey, key)
+		}
+		r.keys[slot] = h&^rowMask | uint64(i+1)
+	}
+	return nil
 }
 
 // RawShardSource is a suspect stream the cluster coordinator can cut

@@ -91,6 +91,8 @@ type JSONLPayloadReader struct {
 
 // NewJSONLPayloadReader returns a reader decoding one JSON object per
 // record from data.
+//
+//wmlint:ignore unsafeview the window aliases data, and no reader method writes to it (see JSONLPayloadReader)
 func NewJSONLPayloadReader(data string, schema *Schema) *JSONLPayloadReader {
 	r := NewJSONLBlockReader(nil, schema)
 	r.buf = unsafe.Slice(unsafe.StringData(data), len(data))

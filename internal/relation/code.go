@@ -39,7 +39,7 @@ func CodeColumn(r *Relation, attr string) (*Coding, error) {
 	if !ok {
 		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
 	}
-	c := &Coding{Attr: attr, Codes: make([]int32, len(r.tuples)), col: j}
+	c := &Coding{Attr: attr, Codes: make([]int32, r.rows), col: j}
 	c.Labels, c.Counts = codeColumn(r, j, c.Codes)
 	ownStrings(c.Labels)
 	return c, nil
@@ -51,8 +51,8 @@ func CodeColumn(r *Relation, attr string) (*Coding, error) {
 // returns are r's own strings.
 func codeColumn(r *Relation, j int, codes []int32) (labels []string, counts []int) {
 	index := make(map[string]int32)
-	for i, t := range r.tuples {
-		v := t[j]
+	for i, k := 0, j; i < r.rows; i, k = i+1, k+r.arity {
+		v := r.view(j, r.refs[k])
 		c, ok := index[v]
 		if !ok {
 			c = int32(len(labels))
@@ -75,8 +75,8 @@ func codeColumn(r *Relation, j int, codes []int32) (labels []string, counts []in
 // rows c was coded from, in the same order.
 func (c *Coding) Refresh(r *Relation) {
 	var index map[string]int32
-	for i, t := range r.tuples {
-		v := t[c.col]
+	for i, k := 0, c.col; i < r.rows; i, k = i+1, k+r.arity {
+		v := r.view(c.col, r.refs[k])
 		old := c.Codes[i]
 		if v == c.Labels[old] {
 			continue

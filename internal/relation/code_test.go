@@ -19,8 +19,8 @@ func histogramOfOracle(r *Relation, attr string) (*stats.Histogram, error) {
 		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
 	}
 	counts := make(map[string]int)
-	for _, t := range r.tuples {
-		counts[t[j]]++
+	for i := 0; i < r.Len(); i++ {
+		counts[r.At(i, j)]++
 	}
 	return stats.HistogramOfCounts(counts), nil
 }
@@ -137,7 +137,11 @@ func TestCodingMatchesMapOracles(t *testing.T) {
 			}
 			checkCoding(t, name, c, r)
 			for i, l := range c.Labels {
-				if first := slices.IndexFunc(r.tuples, func(t Tuple) bool { return t[1] == l }); slices.Index(c.Codes, int32(i)) != first {
+				first := 0
+				for first < r.Len() && r.At(first, 1) != l {
+					first++
+				}
+				if slices.Index(c.Codes, int32(i)) != first {
 					t.Fatalf("%s: label %d %q is not in first-seen order", name, i, l)
 				}
 			}
@@ -229,5 +233,33 @@ func TestCodingErrors(t *testing.T) {
 	}
 	if h := c.Histogram(); h.Total() != 0 || h.Distinct() != 0 {
 		t.Fatalf("empty coding histogram %d/%d", h.Total(), h.Distinct())
+	}
+}
+
+// TestCodeColumnAllocsIndependentOfRows: CodeColumn reads the column in
+// place (At) and allocates per distinct value, not per row, so a 36k-row
+// column over the same three values costs what a 9k-row one does; a
+// Refresh with nothing rewritten allocates nothing.
+func TestCodeColumnAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	allocs := make(map[int]float64)
+	for _, n := range []int{9000, 36000} {
+		r := buildNumbered(t, n)
+		var c *Coding
+		allocs[n] = testing.AllocsPerRun(5, func() {
+			var err error
+			if c, err = CodeColumn(r, "v"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if refresh := testing.AllocsPerRun(5, func() { c.Refresh(r) }); refresh != 0 {
+			t.Fatalf("n=%d: Refresh with nothing rewritten allocates %.0f times", n, refresh)
+		}
+	}
+	t.Logf("CodeColumn: %.0f allocs at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
+	if allocs[36000] != allocs[9000] {
+		t.Fatalf("CodeColumn allocations depend on the row count: %.0f at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
 	}
 }

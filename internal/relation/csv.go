@@ -97,8 +97,10 @@ func WriteCSV(w io.Writer, r *Relation) error {
 	if err := cw.Write(header); err != nil {
 		return fmt.Errorf("relation: writing CSV header: %w", err)
 	}
+	row := make(Tuple, r.arity)
 	for i := 0; i < r.Len(); i++ {
-		if err := cw.Write(r.Tuple(i)); err != nil {
+		r.tupleInto(row, i)
+		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("relation: writing CSV row %d: %w", i, err)
 		}
 	}
@@ -109,14 +111,16 @@ func WriteCSV(w io.Writer, r *Relation) error {
 // ReadCSV reads a relation under the given schema. The CSV header must
 // name exactly the schema's attributes; column order in the file may
 // differ from schema order and is mapped by name. It drains a
-// CSVBlockReader into one-string-per-block-column storage (see
-// Relation); use the block reader directly to stream without holding
-// the whole relation. The stdlib-backed CSVRowReader accepts and
+// CSVBlockReader into the relation's column storage (see Relation),
+// copying each block column's bytes into the arena and each block's
+// keys into the key table as the block is read; use the block reader
+// directly to stream without holding the whole relation. The stdlib-backed CSVRowReader accepts and
 // rejects exactly the same inputs and remains as its test oracle.
 func ReadCSV(rd io.Reader, schema *Schema) (*Relation, error) {
-	br, err := NewCSVBlockReader(rd, schema)
+	in := &countingReader{rd: rd}
+	br, err := NewCSVBlockReader(in, schema)
 	if err != nil {
 		return nil, err
 	}
-	return readBlocks(br)
+	return readBlocks(br, inputSize(rd), func() int64 { return in.n - int64(br.br.Buffered()) })
 }

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // firstDuplicateOracle is the map-based duplicate check ReadCSV ran
@@ -124,59 +126,157 @@ func TestReadCSVDuplicateKeyCases(t *testing.T) {
 	}
 }
 
-// TestFirstDuplicateKeyCollidingHashes drives the table with hashes
-// that collide on purpose — every key starting its probe in the last
-// slot, so each insertion wraps, with one shared tag (every probe
-// compares strings) or distinct tags (none does) — against the oracle.
-func TestFirstDuplicateKeyCollidingHashes(t *testing.T) {
-	hashes := map[string]func(string) uint64{
-		"same slot, same tag": func(string) uint64 { return 7<<32 | 0xffffffff },
-		"same slot, own tag": func(k string) uint64 {
-			var h uint64 = 14695981039346656037
-			for i := 0; i < len(k); i++ {
-				h = (h ^ uint64(k[i])) * 1099511628211
-			}
-			return h<<32 | 0xffffffff
-		},
+// fnv is a small string hash for building colliding test hashes.
+func fnv(k string) uint64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * 1099511628211
 	}
-	for name, hash := range hashes {
+	return h
+}
+
+// collidingHashes stand in for the key hash to force collisions: every
+// tag's low 16 bits are set, so each key's probe starts in the table's
+// last slot (or, for "two homes", one of the last two) whatever its
+// size, and every probe run wraps past the table's end. With one shared
+// tag every probe compares strings; with own tags almost none does.
+var collidingHashes = map[string]func(string) uint64{
+	"same slot, same tag": func(string) uint64 { return 0xffffffff << 32 },
+	"same slot, own tag":  func(k string) uint64 { return (fnv(k)<<16 | 0xffff) << 32 },
+	"two homes, own tag":  func(k string) uint64 { return (fnv(k)<<16 | 0xfffe | fnv(k)>>40&1) << 32 },
+}
+
+// TestFirstDuplicateKeyCollidingHashes drives the key table with hashes
+// that collide on purpose (collidingHashes) through appendHashed, the
+// insertion Append, ReadCSV and ReadJSONL share, against the oracle: the
+// first duplicate is rejected and every earlier row stays reachable.
+func TestFirstDuplicateKeyCollidingHashes(t *testing.T) {
+	for name, hash := range collidingHashes {
 		for _, n := range []int{1, 2, 3, 100, 1000} {
 			for _, dupAt := range []int{-1, 1, n / 2, n - 1} {
-				tuples := make([]Tuple, n)
 				keys := make([]string, n)
-				for i := range tuples {
+				for i := range keys {
 					keys[i] = "k" + strconv.Itoa(i)
 					if i == dupAt && i > 0 {
 						keys[i] = keys[i/3]
 					}
-					tuples[i] = Tuple{keys[i], "v"}
 				}
-				gotRow, gotDup := firstDuplicateKey(tuples, 0, hash)
+				r := New(rowioSchema(t))
+				gotRow, gotDup := 0, false
+				for i, k := range keys {
+					if err := r.appendHashed(Tuple{k, "v"}, hash(k)); err != nil {
+						if !errors.Is(err, ErrDuplicateKey) {
+							t.Fatal(err)
+						}
+						gotRow, gotDup = i, true
+						break
+					}
+				}
 				wantRow, wantDup := firstDuplicateOracle(keys)
 				if gotRow != wantRow || gotDup != wantDup {
 					t.Fatalf("%s, n=%d dupAt=%d: got %d,%v, want %d,%v", name, n, dupAt, gotRow, gotDup, wantRow, wantDup)
+				}
+				checkKeyTable(t, r, hash)
+			}
+		}
+	}
+}
+
+// checkKeyTable requires every row's key to be found at its row under
+// hash, and every entry to be reachable: no empty slot between its home
+// slot and where it sits.
+func checkKeyTable(t *testing.T, r *Relation, hash func(string) uint64) {
+	t.Helper()
+	for i := 0; i < r.Len(); i++ {
+		slot, ok := r.findKey(hash(r.Key(i)), r.Key(i))
+		if !ok || int(r.keys[slot]&rowMask)-1 != i {
+			t.Fatalf("row %d key %q: found %v at slot %d", i, r.Key(i), ok, slot)
+		}
+	}
+	mask := uint64(len(r.keys) - 1)
+	entries := 0
+	for slot, e := range r.keys {
+		if e == 0 {
+			continue
+		}
+		entries++
+		for s := e >> 32 & mask; s != uint64(slot); s = (s + 1) & mask {
+			if r.keys[s] == 0 {
+				t.Fatalf("entry at slot %d unreachable: slot %d on its probe run is empty", slot, s)
+			}
+		}
+	}
+	if entries != r.Len() || r.Len()*3 > len(r.keys)*2 {
+		t.Fatalf("%d entries for %d rows in %d slots", entries, r.Len(), len(r.keys))
+	}
+}
+
+// TestSetKeyCollidingTags rewrites keys under collidingHashes, so every
+// delete shifts entries back along probe runs that wrap past the
+// table's end: renames to fresh keys, to taken keys (rejected, nothing
+// changed) and back to freed ones, checked against a map oracle.
+func TestSetKeyCollidingTags(t *testing.T) {
+	for name, hash := range collidingHashes {
+		for _, n := range []int{2, 5, 40, 300} {
+			r := New(rowioSchema(t))
+			oracle := make(map[string]int)
+			for i := 0; i < n; i++ {
+				k := "k" + strconv.Itoa(i)
+				if err := r.appendHashed(Tuple{k, "v"}, hash(k)); err != nil {
+					t.Fatal(err)
+				}
+				oracle[k] = i
+			}
+			src := stats.NewSource(name + strconv.Itoa(n))
+			for step := 0; step < 4*n; step++ {
+				i := src.Intn(n)
+				value := "n" + strconv.Itoa(src.Intn(2*n))
+				if src.Intn(3) == 0 {
+					value = "k" + strconv.Itoa(src.Intn(n))
+				}
+				old := r.Key(i)
+				if old == value {
+					continue
+				}
+				err := r.setKey(i, value, hash(value), hash(old))
+				if _, taken := oracle[value]; taken {
+					if !errors.Is(err, ErrDuplicateKey) || r.Key(i) != old {
+						t.Fatalf("%s n=%d: rename row %d to taken %q: %v, key now %q", name, n, i, value, err, r.Key(i))
+					}
+				} else {
+					if err != nil {
+						t.Fatalf("%s n=%d: rename row %d to %q: %v", name, n, i, value, err)
+					}
+					delete(oracle, old)
+					oracle[value] = i
+					if _, ok := r.findKey(hash(old), old); ok {
+						t.Fatalf("%s n=%d: replaced key %q still found", name, n, old)
+					}
+				}
+				checkKeyTable(t, r, hash)
+			}
+			for k, i := range oracle {
+				if r.Key(i) != k {
+					t.Fatalf("%s n=%d: row %d key %q, oracle %q", name, n, i, r.Key(i), k)
 				}
 			}
 		}
 	}
 }
 
-// TestReadCSVLazyKeyIndex: ReadCSV leaves the key index unbuilt, and
-// the first Lookup, Append or key-column SetValue builds it and behaves
-// as on a relation built by Append.
-func TestReadCSVLazyKeyIndex(t *testing.T) {
+// TestReadCSVKeyIndex: ReadCSV leaves the key table built, within its
+// load limit, and Lookup, Append and key-column SetValue behave as on a
+// relation built by Append.
+func TestReadCSVKeyIndex(t *testing.T) {
 	in := manyRows("csv", 1200, 0)
 	read := func() *Relation {
 		r, err := ReadCSV(strings.NewReader(in), rowioSchema(t))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.keys != nil {
-			t.Fatal("ReadCSV built the key index")
-		}
+		checkKeyTable(t, r, keyHash)
 		return r
 	}
-
 	r := read()
 	if i, ok := r.Lookup("700"); !ok || i != 699 {
 		t.Fatalf("Lookup(700) = %d,%v", i, ok)

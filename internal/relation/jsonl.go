@@ -21,11 +21,10 @@ func WriteJSONL(w io.Writer, r *Relation) error {
 	for i := range names {
 		names[i] = r.Schema().Attr(i).Name
 	}
+	obj := make(map[string]string, arity) // the same keys every row
 	for i := 0; i < r.Len(); i++ {
-		obj := make(map[string]string, arity)
-		t := r.Tuple(i)
 		for j, name := range names {
-			obj[name] = t[j]
+			obj[name] = r.At(i, j)
 		}
 		if err := enc.Encode(obj); err != nil {
 			return fmt.Errorf("relation: writing JSONL row %d: %w", i, err)
@@ -40,5 +39,7 @@ func WriteJSONL(w io.Writer, r *Relation) error {
 // detection. It drains a JSONLBlockReader the way ReadCSV drains the CSV
 // one; JSONLRowReader remains as its test oracle.
 func ReadJSONL(rd io.Reader, schema *Schema) (*Relation, error) {
-	return readBlocks(NewJSONLBlockReader(rd, schema))
+	in := &countingReader{rd: rd}
+	br := NewJSONLBlockReader(in, schema)
+	return readBlocks(br, inputSize(rd), func() int64 { return in.n - int64(br.w-br.r) })
 }

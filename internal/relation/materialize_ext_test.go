@@ -3,6 +3,7 @@ package relation_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"sort"
 	"testing"
 	"unsafe"
@@ -13,8 +14,8 @@ import (
 )
 
 // storageSpans returns the sorted byte ranges [start, end) of every
-// non-empty value in r — for a relation from ReadCSV, exactly the block
-// column strings its values are cut from.
+// non-empty value in r — ranges of the column arenas its values are
+// read from.
 func storageSpans(r *relation.Relation) [][2]uintptr {
 	var spans [][2]uintptr
 	for i := 0; i < r.Len(); i++ {
@@ -41,7 +42,7 @@ func pins(spans [][2]uintptr, s string) bool {
 
 // TestDerivedValuesDoNotPinRelation: values that outlive a relation —
 // a domain, a certificate's frequency profile — must own their bytes,
-// not keep a block column string of a ReadCSV relation reachable.
+// not keep a column arena of a ReadCSV relation reachable.
 func TestDerivedValuesDoNotPinRelation(t *testing.T) {
 	clean, _, err := datagen.ItemScan(datagen.ItemScanConfig{N: 3000, CatalogSize: 40, ZipfS: 1.1, Seed: "pin"})
 	if err != nil {
@@ -137,4 +138,30 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 	b.Run("ReadCSV", read(csvBuf.Bytes(), relation.ReadCSV))
 	b.Run("ReadJSONL", read(jsonlBuf.Bytes(), relation.ReadJSONL))
+}
+
+// BenchmarkRelationGC reports the cost of one runtime.GC() (ns/op) with
+// a live 40k-row ItemScan relation, its Clone and a ReadCSV copy of it:
+// the mark work materialized relations put on every collection.
+func BenchmarkRelationGC(b *testing.B) {
+	r, _, err := datagen.ItemScan(datagen.ItemScanConfig{N: 40_000, CatalogSize: 60, ZipfS: 1.3, Seed: "relation-gc"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := relation.WriteCSV(&buf, r); err != nil {
+		b.Fatal(err)
+	}
+	read, err := relation.ReadCSV(&buf, r.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	clone := r.Clone()
+	runtime.GC()
+	for b.Loop() {
+		runtime.GC()
+	}
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(clone)
+	runtime.KeepAlive(read)
 }

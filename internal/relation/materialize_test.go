@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -11,8 +13,8 @@ import (
 	"repro/internal/stats"
 )
 
-// ReadCSV and ReadJSONL drain the block readers into one-string-per-
-// block-column storage; ReadAll over the legacy row readers is their
+// ReadCSV and ReadJSONL drain the block readers into the relation's
+// column storage; ReadAll over the legacy row readers is their
 // oracle. Beyond the block readers' own row parity they must agree on
 // the relation itself: rows, key index, accept/reject, and the exact
 // duplicate-key error.
@@ -50,7 +52,7 @@ func compareMaterialized(t *testing.T, format, in string) {
 		return
 	}
 	if !got.Equal(want) {
-		t.Fatalf("%s rows disagree on %q:\nReadAll: %q\ngot:     %q", format, in, want.tuples, got.tuples)
+		t.Fatalf("%s rows disagree on %q:\nReadAll: %q\ngot:     %q", format, in, rowsOf(want), rowsOf(got))
 	}
 	for i := 0; i < want.Len(); i++ {
 		if j, ok := got.Lookup(want.Key(i)); !ok || j != i {
@@ -131,7 +133,7 @@ func TestCloneIndependenceBothWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Key(0) != "0" || r.Tuple(1)[1] != "b" {
-		t.Fatalf("clone writes leaked into the original: %q", r.tuples)
+		t.Fatalf("clone writes leaked into the original: %q", rowsOf(r))
 	}
 	if i, ok := r.Lookup("0"); !ok || i != 0 {
 		t.Fatalf("original Lookup(0) = %d,%v", i, ok)
@@ -147,7 +149,7 @@ func TestCloneIndependenceBothWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Key(2) != "2" || c.Tuple(3)[1] != "a" {
-		t.Fatalf("original writes leaked into the clone: %q", c.tuples)
+		t.Fatalf("original writes leaked into the clone: %q", rowsOf(c))
 	}
 	if i, ok := c.Lookup("2"); !ok || i != 2 {
 		t.Fatalf("clone Lookup(2) = %d,%v", i, ok)
@@ -283,6 +285,33 @@ func TestReadCSVAllocsPerRow(t *testing.T) {
 	if perRow := allocs / rows; perRow >= 0.05 {
 		t.Fatalf("ReadCSV: %v allocations for %d rows (%.3f per row), want < 0.05 per row", allocs, rows, perRow)
 	}
+}
+
+// TestReadCSVBytesPerRow: reading an input that reports its length
+// sizes the relation once from the first block instead of regrowing it
+// block by block. The relation keeps about 40 bytes a row here
+// (references, arenas, key table); the first block's short keys make
+// the estimate run high, and the bound leaves room for that.
+func TestReadCSVBytesPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes vary under the race detector")
+	}
+	const rows = 36_000
+	in := []byte(manyRows("csv", rows, 0))
+	schema := rowioSchema(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := ReadCSV(bytes.NewReader(in), schema)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
+	t.Logf("ReadCSV: %.1f bytes allocated per row", perRow)
+	if perRow > 75 {
+		t.Fatalf("ReadCSV allocated %.1f bytes per row, want at most 75", perRow)
+	}
+	runtime.KeepAlive(r)
 }
 
 // TestHistogramOfMatchesAdd: the one-assignment-per-row count builds the

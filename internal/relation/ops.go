@@ -14,16 +14,17 @@ import (
 // these; they live here because they are ordinary relational operations.
 
 // SortBy reorders tuples by the named attribute ascending (numeric order
-// for TypeInt attributes, lexicographic otherwise), dropping the key
-// index for its next use to rebuild. Ties keep their relative order.
+// for TypeInt attributes, lexicographic otherwise). Ties keep their
+// relative order.
 func (r *Relation) SortBy(attr string) error {
 	j, ok := r.schema.Index(attr)
 	if !ok {
 		return fmt.Errorf("relation: unknown attribute %q", attr)
 	}
 	typ := r.schema.Attr(j).Type
-	sort.SliceStable(r.tuples, func(a, b int) bool {
-		va, vb := r.tuples[a][j], r.tuples[b][j]
+	order := r.identity()
+	sort.SliceStable(order, func(a, b int) bool {
+		va, vb := r.At(order[a], j), r.At(order[b], j)
 		if typ == TypeInt {
 			ia, errA := strconv.ParseInt(va, 10, 64)
 			ib, errB := strconv.ParseInt(vb, 10, 64)
@@ -33,41 +34,82 @@ func (r *Relation) SortBy(attr string) error {
 		}
 		return va < vb
 	})
-	r.dropIndex()
+	r.permute(order)
 	return nil
 }
 
 // Shuffle randomly permutes tuple order (attack A4: subset re-sorting —
 // detection must not depend on any predefined ordering).
 func (r *Relation) Shuffle(src *stats.Source) {
-	src.Shuffle(len(r.tuples), func(i, j int) {
-		r.tuples[i], r.tuples[j] = r.tuples[j], r.tuples[i]
+	order := r.identity()
+	src.Shuffle(len(order), func(i, j int) {
+		order[i], order[j] = order[j], order[i]
 	})
-	r.dropIndex()
+	r.permute(order)
 }
 
-// SelectRows returns a new relation containing clones of the rows at the
-// given indices, in the given order.
+// identity returns the row numbers 0..Len()-1.
+func (r *Relation) identity() []int {
+	order := make([]int, r.rows)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// permute reorders the rows so that row i becomes the old row order[i],
+// moving references only; the key table keeps its slots and renumbers
+// their rows.
+func (r *Relation) permute(order []int) {
+	a := r.arity
+	refs := make([]uint64, len(r.refs))
+	moved := make([]uint64, r.rows) // old row -> new row+1
+	for dst, src := range order {
+		copy(refs[dst*a:(dst+1)*a], r.row(src))
+		moved[src] = uint64(dst + 1)
+	}
+	r.refs = refs
+	for s, e := range r.keys {
+		if e != 0 {
+			r.keys[s] = e&^rowMask | moved[e&rowMask-1]
+		}
+	}
+}
+
+// tupleInto fills t, of the relation's arity, with row i's values.
+func (r *Relation) tupleInto(t Tuple, i int) {
+	for j, ref := range r.row(i) {
+		t[j] = r.view(j, ref)
+	}
+}
+
+// SelectRows returns a new relation containing copies of the rows at
+// the given indices, in the given order.
 func (r *Relation) SelectRows(rows []int) (*Relation, error) {
 	out := New(r.schema)
+	t := make(Tuple, r.arity)
 	for _, i := range rows {
-		if i < 0 || i >= len(r.tuples) {
-			return nil, fmt.Errorf("relation: row %d out of range [0,%d)", i, len(r.tuples))
+		if i < 0 || i >= r.rows {
+			return nil, fmt.Errorf("relation: row %d out of range [0,%d)", i, r.rows)
 		}
-		if err := out.Append(r.tuples[i].Clone()); err != nil {
+		r.tupleInto(t, i)
+		if err := out.Append(t); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// Filter returns a new relation with clones of the rows for which keep
-// returns true.
+// Filter returns a new relation with copies of the rows for which keep
+// returns true. The tuple keep sees is reused across calls: it is valid
+// only during the call.
 func (r *Relation) Filter(keep func(i int, t Tuple) bool) *Relation {
 	out := New(r.schema)
-	for i, t := range r.tuples {
+	t := make(Tuple, r.arity)
+	for i := 0; i < r.rows; i++ {
+		r.tupleInto(t, i)
 		if keep(i, t) {
-			out.MustAppend(t.Clone())
+			out.MustAppend(t)
 		}
 	}
 	return out
@@ -90,10 +132,10 @@ func (r *Relation) Project(keep ...string) (*Relation, int, error) {
 	}
 	out := New(ps)
 	dropped := 0
-	for _, t := range r.tuples {
-		nt := make(Tuple, len(cols))
-		for i, c := range cols {
-			nt[i] = t[c]
+	nt := make(Tuple, len(cols))
+	for i := 0; i < r.rows; i++ {
+		for k, c := range cols {
+			nt[k] = r.At(i, c)
 		}
 		if err := out.Append(nt); err != nil {
 			dropped++ // duplicate projected key
@@ -102,14 +144,16 @@ func (r *Relation) Project(keep ...string) (*Relation, int, error) {
 	return out, dropped, nil
 }
 
-// AppendAll appends clones of every tuple in o, returning the number of
+// AppendAll appends copies of every tuple in o, returning the number of
 // tuples rejected for duplicate keys.
 func (r *Relation) AppendAll(o *Relation) (rejected int, err error) {
 	if !r.schema.Equal(o.schema) {
 		return 0, fmt.Errorf("relation: schema mismatch in AppendAll")
 	}
-	for _, t := range o.tuples {
-		if appendErr := r.Append(t.Clone()); appendErr != nil {
+	t := make(Tuple, o.arity)
+	for i, n := 0, o.rows; i < n; i++ {
+		o.tupleInto(t, i)
+		if appendErr := r.Append(t); appendErr != nil {
 			rejected++
 		}
 	}

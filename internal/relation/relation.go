@@ -12,8 +12,10 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"strings"
-	"sync"
+	"unsafe"
 )
 
 // Type is the logical type of an attribute's values.
@@ -189,82 +191,211 @@ func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
 // Relation is an ordered multiset of tuples under a schema, with primary
 // key uniqueness enforced on insert.
 //
-// Storage. Tuples that Clone, ReadCSV and ReadJSONL produce are cut from
-// one backing []string per relation (per block, for the readers), each a
-// full slice expression whose capacity ends at its own last value, so an
-// append on a Tuple(i) reallocates instead of writing into row i+1.
-// Values read by ReadCSV/ReadJSONL are substrings of one string per block
-// column, so a value kept beyond the relation's lifetime keeps its whole
-// column string alive unless copied out (NewDomain, HistogramOf and
-// CodeColumn copy).
+// Storage. Each column's values live in an append-only byte arena of
+// its own. Row i's value of column j is refs[i*arity+j], a uint64
+// packing the value's offset in arena j (high 40 bits) and its length
+// (low 24 bits), so a value holds at most 16 MiB - 1 bytes and an arena
+// at most 1 TiB; a relation holds fewer than 2^31 rows. Neither the
+// arenas, the references nor the key table holds a pointer, so the
+// garbage collector marks a relation in constant time whatever its row
+// count. At reads a value as a zero-copy string over its arena. Arena
+// bytes are never rewritten once a row refers to them: SetValue appends
+// the new bytes and repoints the row, Clone shares the arenas
+// capacity-capped (an append on either side reallocates) and copies only
+// the references and the key table, and SortBy/Shuffle permute
+// references. A string read from a relation therefore stays valid
+// across later writes, and keeps its whole arena alive while held;
+// NewDomain, HistogramOf and CodeColumn copy the values they keep. A
+// rewritten value's old bytes stay in the arena until the relation is
+// dropped.
 //
-// Key index. The key -> row index is built on demand, the first time
-// Append, SetValue on the key column, Lookup or EqualUnordered needs it;
-// Clone does not copy it and SortBy/Shuffle drop it. ReadCSV and
-// ReadJSONL do not build it either: they reject duplicate keys through
-// a pointer-free hash table of row numbers (firstDuplicateKey) that is
-// dropped once checked, so a relation read only to be scanned never
-// pays for a string-keyed map. Building it is safe under concurrent
-// readers. SetValue on a non-key column never touches it, so workers
-// may rewrite disjoint rows of a non-key column at once.
+// Key index. keys is an open-addressing table of uint64 entries: the
+// high 32 bits of the key's hash as a tag and row+1 in the low 32 (0 is
+// an empty slot), probed linearly from the tag's low bits, so the table
+// doubles without rehashing a key. It is at most two thirds full and is
+// maintained eagerly: Append, ReadCSV and ReadJSONL insert, a key-column
+// SetValue deletes (backward shift) and inserts, Clone copies it, and
+// SortBy/Shuffle renumber its rows. Keys are compared through the key
+// column, and only when their tags match.
+//
+// One writer. Every mutator appends to an arena, so a relation has one
+// writer at a time. Readers may run alongside it only on columns it does
+// not write, and only while it does not append rows or rewrite keys.
 type Relation struct {
 	schema *Schema
-	tuples []Tuple
-	// keys maps key value -> row index; nil until built. keysOnce
-	// serializes the lazy build among concurrent readers; mutators own
-	// the relation exclusively and may reset both.
-	keys     map[string]int
-	keysOnce sync.Once
+	arity  int
+	rows   int
+	refs   []uint64
+	arenas [][]byte
+	keys   []uint64
 }
+
+// Storage limits (see Relation).
+const (
+	lenBits     = 24
+	lenMask     = 1<<lenBits - 1
+	maxValueLen = lenMask
+	maxArena    = 1 << 40
+	maxRows     = 1<<31 - 1
+	rowMask     = 1<<32 - 1
+)
+
+// keySeed seeds the key table's hash for every relation of the process,
+// so a clone's copied table stays valid.
+var keySeed = maphash.MakeSeed()
+
+func keyHash(key string) uint64 { return maphash.String(keySeed, key) }
 
 // New returns an empty relation with the given schema.
 func New(schema *Schema) *Relation {
-	return &Relation{schema: schema}
+	return &Relation{schema: schema, arity: schema.Arity(), arenas: make([][]byte, schema.Arity())}
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples (the paper's N).
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.rows }
 
 // ErrDuplicateKey is returned by Append when a tuple reuses a primary key.
 var ErrDuplicateKey = errors.New("relation: duplicate primary key")
 
-// index returns the key index, building it on first use.
-func (r *Relation) index() map[string]int {
-	r.keysOnce.Do(func() {
-		r.keys = make(map[string]int, len(r.tuples))
-		k := r.schema.keyIndex
-		for i, t := range r.tuples {
-			r.keys[t[k]] = i
-		}
-	})
-	return r.keys
+// view returns the value of column j that ref references, as a string
+// over the column's arena.
+//
+//wmlint:ignore unsafeview arena bytes are never rewritten once a row refers to them (see Relation)
+func (r *Relation) view(j int, ref uint64) string {
+	off := ref >> lenBits
+	b := r.arenas[j][off : off+ref&lenMask]
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// dropIndex discards the key index after a reordering; the next use
-// rebuilds it.
-func (r *Relation) dropIndex() {
-	r.keys = nil
-	r.keysOnce = sync.Once{}
+// store appends v to column j's arena and returns its reference. The
+// caller has checked the room (checkRoom).
+func (r *Relation) store(j int, v string) uint64 {
+	off := len(r.arenas[j])
+	r.arenas[j] = append(grow(r.arenas[j], len(v)), v...)
+	return uint64(off)<<lenBits | uint64(len(v))
 }
 
-// Append adds a tuple. It validates arity and primary-key uniqueness.
-// The tuple is stored as given (not copied); callers retaining the slice
-// should pass t.Clone().
-func (r *Relation) Append(t Tuple) error {
-	if len(t) != r.schema.Arity() {
-		return fmt.Errorf("relation: tuple arity %d, schema arity %d",
-			len(t), r.schema.Arity())
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must reallocate: append grows a large slice by a
+// quarter, which copies an arena filled a value at a time several
+// times over.
+func grow[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
 	}
-	keys := r.index()
+	return slices.Grow(s, max(n, len(s)))
+}
+
+// checkRoom reports whether v fits column j's arena.
+func (r *Relation) checkRoom(j int, v string) error {
+	if len(v) > maxValueLen {
+		return fmt.Errorf("relation: value of %d bytes exceeds the %d-byte limit", len(v), maxValueLen)
+	}
+	if len(r.arenas[j])+len(v) > maxArena {
+		return fmt.Errorf("relation: column %d exceeds the %d-byte arena limit", j, maxArena)
+	}
+	return nil
+}
+
+// row returns row i's references.
+func (r *Relation) row(i int) []uint64 { return r.refs[i*r.arity : (i+1)*r.arity] }
+
+// findKey probes the key table for key, whose hash is h: it returns the
+// slot holding key's entry and true, or the empty slot that ends its
+// probe run and false. The table must not be empty.
+func (r *Relation) findKey(h uint64, key string) (uint64, bool) {
+	mask := uint64(len(r.keys) - 1)
+	tag := h >> 32
+	for slot := tag & mask; ; slot = (slot + 1) & mask {
+		e := r.keys[slot]
+		if e == 0 {
+			return slot, false
+		}
+		if e>>32 == tag && r.Key(int(e&rowMask)-1) == key {
+			return slot, true
+		}
+	}
+}
+
+// growKeys doubles the key table until it holds rows keys at most two
+// thirds full, re-slotting every entry from its tag.
+func (r *Relation) growKeys(rows int) {
+	if rows*3 <= len(r.keys)*2 {
+		return
+	}
+	size := max(8, len(r.keys))
+	for rows*3 > size*2 {
+		size <<= 1
+	}
+	old := r.keys
+	r.keys = make([]uint64, size)
+	mask := uint64(size - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		slot := e >> 32 & mask
+		for r.keys[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		r.keys[slot] = e
+	}
+}
+
+// deleteKey empties slot by backward shift: each later entry of the
+// probe run whose home slot does not lie between the hole and itself
+// moves back into the hole, so no run is cut short.
+func (r *Relation) deleteKey(slot uint64) {
+	mask := uint64(len(r.keys) - 1)
+	hole := slot
+	for j := (hole + 1) & mask; ; j = (j + 1) & mask {
+		e := r.keys[j]
+		if e == 0 {
+			break
+		}
+		if home := e >> 32 & mask; (j-home)&mask >= (j-hole)&mask {
+			r.keys[hole] = e
+			hole = j
+		}
+	}
+	r.keys[hole] = 0
+}
+
+// Append adds a tuple, copying its values into the relation. It
+// validates arity, the storage limits and primary-key uniqueness, and
+// changes nothing when it fails.
+func (r *Relation) Append(t Tuple) error {
+	if len(t) != r.arity {
+		return fmt.Errorf("relation: tuple arity %d, schema arity %d", len(t), r.arity)
+	}
+	if r.rows >= maxRows {
+		return fmt.Errorf("relation: more than %d rows", maxRows)
+	}
+	for j, v := range t {
+		if err := r.checkRoom(j, v); err != nil {
+			return err
+		}
+	}
+	return r.appendHashed(t, keyHash(t[r.schema.keyIndex]))
+}
+
+// appendHashed is Append past its checks, with h the hash of t's key.
+func (r *Relation) appendHashed(t Tuple, h uint64) error {
 	key := t[r.schema.keyIndex]
-	if _, dup := keys[key]; dup {
+	r.growKeys(r.rows + 1)
+	slot, dup := r.findKey(h, key)
+	if dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
 	}
-	keys[key] = len(r.tuples)
-	r.tuples = append(r.tuples, t)
+	r.refs = grow(r.refs, r.arity)
+	for j, v := range t {
+		r.refs = append(r.refs, r.store(j, v))
+	}
+	r.rows++
+	r.keys[slot] = h&^rowMask | uint64(r.rows)
 	return nil
 }
 
@@ -276,10 +407,19 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// Tuple returns the i-th tuple. The returned slice aliases internal
-// storage; mutate only through SetValue. Appending to it never writes
-// into another row (see Relation).
-func (r *Relation) Tuple(i int) Tuple { return r.tuples[i] }
+// At returns the value of column j in row i without allocating. The
+// string shares the relation's storage and stays valid after later
+// writes (see Relation).
+func (r *Relation) At(i, j int) string { return r.view(j, r.row(i)[j]) }
+
+// Tuple returns a copy of the i-th tuple: one allocation, the values
+// shared with the relation's storage. Writing to it leaves the relation
+// unchanged; rewrite a value through SetValue.
+func (r *Relation) Tuple(i int) Tuple {
+	t := make(Tuple, r.arity)
+	r.tupleInto(t, i)
+	return t
+}
 
 // Value returns T_i(attr): the value of the named attribute in row i.
 func (r *Relation) Value(i int, attr string) (string, error) {
@@ -287,13 +427,11 @@ func (r *Relation) Value(i int, attr string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("relation: unknown attribute %q", attr)
 	}
-	return r.tuples[i][j], nil
+	return r.At(i, j), nil
 }
 
 // SetValue overwrites the named attribute in row i, maintaining the
-// primary-key index if the key column is the one changed. On a non-key
-// column it touches row i alone, so callers may run it concurrently on
-// distinct rows.
+// primary-key index if the key column is the one changed.
 func (r *Relation) SetValue(i int, attr, value string) error {
 	j, ok := r.schema.Index(attr)
 	if !ok {
@@ -303,47 +441,75 @@ func (r *Relation) SetValue(i int, attr, value string) error {
 }
 
 // SetValueAt is SetValue by column position, for a caller rewriting
-// many rows of one column that resolved it once.
+// many rows of one column that resolved it once. It appends value to
+// the arena and repoints the row; on error the relation is unchanged.
 func (r *Relation) SetValueAt(i, j int, value string) error {
-	if j == r.schema.keyIndex {
-		old := r.tuples[i][j]
-		if old == value {
-			return nil
-		}
-		keys := r.index()
-		if _, dup := keys[value]; dup {
-			return fmt.Errorf("%w: %q", ErrDuplicateKey, value)
-		}
-		delete(keys, old)
-		keys[value] = i
+	refs := r.row(i)
+	if err := r.checkRoom(j, value); err != nil {
+		return err
 	}
-	r.tuples[i][j] = value
+	if j != r.schema.keyIndex {
+		refs[j] = r.store(j, value)
+		return nil
+	}
+	old := r.view(j, refs[j])
+	if old == value {
+		return nil
+	}
+	return r.setKey(i, value, keyHash(value), keyHash(old))
+}
+
+// setKey is SetValueAt on the key column past its checks, with h and
+// oldHash the hashes of value and of row i's current key: it deletes
+// the old key's entry and inserts the new one.
+func (r *Relation) setKey(i int, value string, h, oldHash uint64) error {
+	if _, dup := r.findKey(h, value); dup {
+		return fmt.Errorf("%w: %q", ErrDuplicateKey, value)
+	}
+	oldSlot, _ := r.findKey(oldHash, r.Key(i))
+	r.deleteKey(oldSlot)
+	r.row(i)[r.schema.keyIndex] = r.store(r.schema.keyIndex, value)
+	slot, _ := r.findKey(h, value)
+	r.keys[slot] = h&^rowMask | uint64(i+1)
 	return nil
 }
 
 // Key returns the primary-key value of row i.
-func (r *Relation) Key(i int) string { return r.tuples[i][r.schema.keyIndex] }
+func (r *Relation) Key(i int) string { return r.At(i, r.schema.keyIndex) }
 
 // Lookup returns the row index holding the given primary-key value.
 func (r *Relation) Lookup(key string) (int, bool) {
-	i, ok := r.index()[key]
-	return i, ok
+	if r.rows == 0 {
+		return 0, false
+	}
+	slot, ok := r.findKey(keyHash(key), key)
+	if !ok {
+		return 0, false
+	}
+	return int(r.keys[slot]&rowMask) - 1, true
 }
 
-// Clone returns a deep copy with a shared (immutable) schema. All tuples
-// are cut from one backing slice, so the copy costs a constant number of
-// allocations; the key index is not copied (its keys are unique by
-// construction) and is rebuilt on the clone's first use.
+// Clone returns a copy with a shared (immutable) schema in three
+// allocations whatever the row count: the relation, its arena headers,
+// and one array holding its references and then its key table. The
+// arenas are shared, capacity-capped so that a write on either side
+// appends to a fresh arena and never into the other's.
 func (r *Relation) Clone() *Relation {
-	a := r.schema.Arity()
-	vals := make([]string, len(r.tuples)*a)
-	tuples := make([]Tuple, len(r.tuples))
-	for i, t := range r.tuples {
-		row := vals[i*a : (i+1)*a : (i+1)*a]
-		copy(row, t)
-		tuples[i] = row
+	store := make([]uint64, len(r.refs)+len(r.keys))
+	n := copy(store, r.refs)
+	copy(store[n:], r.keys)
+	arenas := make([][]byte, r.arity)
+	for j, a := range r.arenas {
+		arenas[j] = slices.Clip(a)
 	}
-	return &Relation{schema: r.schema, tuples: tuples}
+	return &Relation{
+		schema: r.schema,
+		arity:  r.arity,
+		rows:   r.rows,
+		refs:   store[:n:n],
+		arenas: arenas,
+		keys:   store[n:],
+	}
 }
 
 // Equal reports whether two relations have equal schemas and identical
@@ -352,12 +518,9 @@ func (r *Relation) Equal(o *Relation) bool {
 	if !r.schema.Equal(o.schema) || r.Len() != o.Len() {
 		return false
 	}
-	for i, t := range r.tuples {
-		ot := o.tuples[i]
-		for j := range t {
-			if t[j] != ot[j] {
-				return false
-			}
+	for i := 0; i < r.rows; i++ {
+		if !r.rowEqual(i, o, i) {
+			return false
 		}
 	}
 	return true
@@ -369,16 +532,21 @@ func (r *Relation) EqualUnordered(o *Relation) bool {
 	if !r.schema.Equal(o.schema) || r.Len() != o.Len() {
 		return false
 	}
-	for i := range r.tuples {
+	for i := 0; i < r.rows; i++ {
 		j, ok := o.Lookup(r.Key(i))
-		if !ok {
+		if !ok || !r.rowEqual(i, o, j) {
 			return false
 		}
-		t, ot := r.tuples[i], o.tuples[j]
-		for c := range t {
-			if t[c] != ot[c] {
-				return false
-			}
+	}
+	return true
+}
+
+// rowEqual reports whether row i of r equals row j of o, of the same
+// arity.
+func (r *Relation) rowEqual(i int, o *Relation, j int) bool {
+	for c := 0; c < r.arity; c++ {
+		if r.At(i, c) != o.At(j, c) {
+			return false
 		}
 	}
 	return true
