@@ -51,8 +51,9 @@ func CodeColumn(r *Relation, attr string) (*Coding, error) {
 // returns are r's own strings.
 func codeColumn(r *Relation, j int, codes []int32) (labels []string, counts []int) {
 	index := make(map[string]int32)
+	arena, refs := r.arenas[j], r.refs
 	for i, k := 0, j; i < r.rows; i, k = i+1, k+r.arity {
-		v := r.view(j, r.refs[k])
+		v := viewIn(arena, refs[k])
 		c, ok := index[v]
 		if !ok {
 			c = int32(len(labels))
@@ -75,8 +76,9 @@ func codeColumn(r *Relation, j int, codes []int32) (labels []string, counts []in
 // rows c was coded from, in the same order.
 func (c *Coding) Refresh(r *Relation) {
 	var index map[string]int32
+	arena, refs := r.arenas[c.col], r.refs
 	for i, k := 0, c.col; i < r.rows; i, k = i+1, k+r.arity {
-		v := r.view(c.col, r.refs[k])
+		v := viewIn(arena, refs[k])
 		old := c.Codes[i]
 		if v == c.Labels[old] {
 			continue

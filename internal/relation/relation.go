@@ -262,11 +262,16 @@ var ErrDuplicateKey = errors.New("relation: duplicate primary key")
 
 // view returns the value of column j that ref references, as a string
 // over the column's arena.
+func (r *Relation) view(j int, ref uint64) string { return viewIn(r.arenas[j], ref) }
+
+// viewIn returns the value ref references in arena, as a string over
+// it; a loop over one column hoists the arena out and calls it
+// directly.
 //
 //wmlint:ignore unsafeview arena bytes are never rewritten once a row refers to them (see Relation)
-func (r *Relation) view(j int, ref uint64) string {
+func viewIn(arena []byte, ref uint64) string {
 	off := ref >> lenBits
-	b := r.arenas[j][off : off+ref&lenMask]
+	b := arena[off : off+ref&lenMask]
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
