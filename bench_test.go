@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,11 +44,11 @@ func benchConfig() experiments.Config {
 }
 
 func lastValue(t *experiments.Table, col string) float64 {
-	vals, err := t.Column(col)
-	if err != nil || len(vals) == 0 {
+	j := slices.Index(t.Columns, col)
+	if j < 0 || len(t.Rows) == 0 {
 		return -1
 	}
-	return vals[len(vals)-1]
+	return t.Rows[len(t.Rows)-1][j]
 }
 
 // BenchmarkFigure4AlterationResilience regenerates Figure 4: watermark

@@ -32,15 +32,6 @@ func AssociationBandwidth(n int, e uint64) int {
 	return int(uint64(n) / e)
 }
 
-// ReplicasPerBit returns how many wm_data positions replicate each
-// watermark bit under the interleaved majority code.
-func ReplicasPerBit(n int, e uint64, wmLen int) int {
-	if wmLen <= 0 {
-		return 0
-	}
-	return AssociationBandwidth(n, e) / wmLen
-}
-
 // PerBitErrorRate returns the probability that one watermark bit decodes
 // wrongly when each of its replica votes independently flips with
 // probability q: the majority over r replicas errs when ≥ ⌈(r+1)/2⌉ votes

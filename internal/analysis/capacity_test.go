@@ -154,3 +154,12 @@ func TestCapacityReport(t *testing.T) {
 		t.Fatal("association channel should dwarf direct-domain entropy")
 	}
 }
+
+// ReplicasPerBit returns how many wm_data positions replicate each
+// watermark bit under the interleaved majority code.
+func ReplicasPerBit(n int, e uint64, wmLen int) int {
+	if wmLen <= 0 {
+		return 0
+	}
+	return AssociationBandwidth(n, e) / wmLen
+}

@@ -155,6 +155,8 @@ func SortByAttr(r *relation.Relation, attr string) (*relation.Relation, error) {
 
 // VerticalPartition (A5) projects onto the kept attributes; the second
 // result is the number of tuples lost to projected-key deduplication.
+//
+//wmlint:ignore reachable ROADMAP item 6's Monte-Carlo attack suite is to drive it through the production pipeline
 func VerticalPartition(r *relation.Relation, keep ...string) (*relation.Relation, int, error) {
 	return r.Project(keep...)
 }

@@ -49,23 +49,11 @@ type Client struct {
 	hc   *http.Client
 }
 
-// Option customises a Client.
-type Option func(*Client)
-
-// WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// transports, test doubles). The default is http.DefaultClient.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.hc = hc }
-}
-
 // New builds a client for the server at baseURL (e.g.
-// "http://localhost:8080"); a trailing slash is tolerated.
-func New(baseURL string, opts ...Option) *Client {
-	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+// "http://localhost:8080"); a trailing slash is tolerated. It dials
+// through http.DefaultClient.
+func New(baseURL string) *Client {
+	return &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient}
 }
 
 // do runs one JSON exchange: method+path with an optional JSON request
@@ -170,28 +158,6 @@ func decodeAPIError(resp *http.Response) error {
 func (c *Client) Watermark(ctx context.Context, req api.WatermarkRequest) (*api.WatermarkResponse, error) {
 	var out api.WatermarkResponse
 	if err := c.do(ctx, http.MethodPost, "/v2/watermark", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Verify checks one inline suspect relation against a stored (by ID) or
-// inline certificate — the materialized path, with remap recovery and
-// the frequency channel in play.
-func (c *Client) Verify(ctx context.Context, req api.VerifyRequest) (*api.VerifyResponse, error) {
-	var out api.VerifyResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/verify", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// VerifyBatch audits one inline suspect relation against many stored
-// certificates in a single server-side scan. Empty req.Records means the
-// whole catalog.
-func (c *Client) VerifyBatch(ctx context.Context, req api.BatchVerifyRequest) (*api.BatchVerifyResponse, error) {
-	var out api.BatchVerifyResponse
-	if err := c.do(ctx, http.MethodPost, "/v2/verify/batch", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -385,15 +351,6 @@ func (c *Client) jobPoll(ctx context.Context, id string, wait time.Duration) (*a
 	return &out, advertised, nil
 }
 
-// Jobs lists the server's retained jobs, newest first.
-func (c *Client) Jobs(ctx context.Context) ([]api.Job, error) {
-	var out api.JobList
-	if err := c.do(ctx, http.MethodGet, "/v2/jobs", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Jobs, nil
-}
-
 // CancelJob requests cancellation. A queued job is cancelled outright; a
 // running job's scan workers are stopped through its context and the job
 // reaches the cancelled state shortly after — use WaitJob to observe the
@@ -579,72 +536,4 @@ func (c *Client) SetLogLevel(ctx context.Context, level string) (string, error) 
 		return "", err
 	}
 	return out.Level, nil
-}
-
-// ---- record resources ----
-
-// Records lists one page of stored certificate IDs: up to limit IDs
-// strictly after the cursor (limit 0 means no bound), plus the cursor
-// for the next page.
-func (c *Client) Records(ctx context.Context, limit int, after string) (*api.RecordList, error) {
-	q := url.Values{}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	if after != "" {
-		q.Set("after", after)
-	}
-	path := "/v2/records"
-	if enc := q.Encode(); enc != "" {
-		path += "?" + enc
-	}
-	var out api.RecordList
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// AllRecords walks the cursor to exhaustion and returns every stored ID,
-// pageSize IDs per request (0 means a server-friendly default of 1000).
-func (c *Client) AllRecords(ctx context.Context, pageSize int) ([]string, error) {
-	if pageSize <= 0 {
-		pageSize = 1000
-	}
-	var ids []string
-	after := ""
-	for {
-		page, err := c.Records(ctx, pageSize, after)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, page.Records...)
-		if page.Next == "" {
-			return ids, nil
-		}
-		after = page.Next
-	}
-}
-
-// Record fetches one certificate's public shape (secret redacted).
-func (c *Client) Record(ctx context.Context, id string) (*api.RecordInfo, error) {
-	var out api.RecordInfo
-	if err := c.do(ctx, http.MethodGet, "/v2/records/"+url.PathEscape(id), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// DeleteRecord drops a stored certificate.
-func (c *Client) DeleteRecord(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v2/records/"+url.PathEscape(id), nil, nil)
-}
-
-// Health fetches the liveness body as loose JSON.
-func (c *Client) Health(ctx context.Context) (map[string]any, error) {
-	var out map[string]any
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -280,7 +280,8 @@ func TestWaitJobLongPollSurvivesClientTimeout(t *testing.T) {
 		time.Sleep(250 * time.Millisecond)
 		stub.finish()
 	}()
-	c := New(ts.URL, WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}))
+	c := New(ts.URL)
+	c.hc = &http.Client{Timeout: 100 * time.Millisecond}
 	job, err := c.WaitJobWith(context.Background(), "job-lp", WaitOptions{
 		// Backoff delays beyond the client timeout: the long-poll request
 		// is guaranteed to die at the client's deadline first, and the

@@ -131,18 +131,13 @@ func TestSplitTask(t *testing.T) {
 		if ch.idx != 7 || ch.sub != i || !ch.child || ch.attempts != 1 || !ch.failed["w-dead"] {
 			t.Fatalf("child %d metadata wrong: %+v", i, ch)
 		}
-		r, err := relation.NewCSVRowReader(strings.NewReader(ch.data), f.schema)
+		r, err := relation.ReadCSV(strings.NewReader(ch.data), f.schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		for {
-			tup, err := r.Read()
-			if err != nil {
-				break
-			}
-			rejoined = append(rejoined, tup)
-			n++
+		n := r.Len()
+		for j := 0; j < n; j++ {
+			rejoined = append(rejoined, r.Tuple(j))
 		}
 		if n != ch.rows {
 			t.Fatalf("child %d payload has %d rows, header says %d", i, n, ch.rows)
@@ -153,16 +148,15 @@ func TestSplitTask(t *testing.T) {
 	if children[1].failed["w-other"] {
 		t.Fatal("children share a failed set")
 	}
-	orig, err := relation.NewCSVRowReader(strings.NewReader(task.data), f.schema)
+	orig, err := relation.ReadCSV(strings.NewReader(task.data), f.schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; ; i++ {
-		tup, err := orig.Read()
-		if err != nil {
-			break
-		}
-		if !reflect.DeepEqual(tup, rejoined[i]) {
+	if orig.Len() != len(rejoined) {
+		t.Fatalf("split round-trip has %d rows, want %d", len(rejoined), orig.Len())
+	}
+	for i := 0; i < orig.Len(); i++ {
+		if !reflect.DeepEqual(orig.Tuple(i), rejoined[i]) {
 			t.Fatalf("row %d changed across the split round-trip", i)
 		}
 	}

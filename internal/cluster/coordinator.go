@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"log/slog"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -20,9 +19,6 @@ type Coordinator struct {
 	cfg Config
 	// now is the clock, swappable in tests to age leases synthetically.
 	now func() time.Time
-	// httpClient builds each member's SDK client; tests substitute the
-	// httptest client.
-	httpClient *http.Client
 	// log receives membership transitions and shard dispatch events;
 	// defaults to a discard logger.
 	log *slog.Logger
@@ -60,12 +56,6 @@ type member struct {
 // CoordinatorOption customises a Coordinator.
 type CoordinatorOption func(*Coordinator)
 
-// WithHTTPClient substitutes the http.Client the coordinator dials
-// workers with.
-func WithHTTPClient(hc *http.Client) CoordinatorOption {
-	return func(c *Coordinator) { c.httpClient = hc }
-}
-
 // withClock substitutes the coordinator's clock (tests only).
 func withClock(now func() time.Time) CoordinatorOption {
 	return func(c *Coordinator) { c.now = now }
@@ -74,12 +64,11 @@ func withClock(now func() time.Time) CoordinatorOption {
 // NewCoordinator returns an empty-membership coordinator.
 func NewCoordinator(cfg Config, opts ...CoordinatorOption) *Coordinator {
 	c := &Coordinator{
-		cfg:        cfg,
-		now:        time.Now,
-		httpClient: http.DefaultClient,
-		log:        obs.Discard(),
-		members:    make(map[string]*member),
-		scans:      make(map[*scan]struct{}),
+		cfg:     cfg,
+		now:     time.Now,
+		log:     obs.Discard(),
+		members: make(map[string]*member),
+		scans:   make(map[*scan]struct{}),
 	}
 	for _, o := range opts {
 		o(c)
@@ -110,7 +99,7 @@ func (c *Coordinator) Register(reg api.WorkerRegistration) api.WorkerAck {
 	revived := ok && m.unreachable
 	if m.url != reg.URL || m.client == nil {
 		m.url = reg.URL
-		m.client = client.New(reg.URL, client.WithHTTPClient(c.httpClient))
+		m.client = client.New(reg.URL)
 	}
 	m.capacity = capacity
 	m.lastSeen = c.now()

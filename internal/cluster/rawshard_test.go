@@ -229,7 +229,7 @@ func TestSplitTaskRawSlices(t *testing.T) {
 }
 
 // BenchmarkShardEncode measures the coordinator's shard-payload encoder:
-// the legacy parse-then-reprint pipeline (row reader + row writer)
+// the legacy parse-then-reprint pipeline (block reader + row writer)
 // against the record skim that cuts shards without parsing a field, per
 // wire format.
 func BenchmarkShardEncode(b *testing.B) {
@@ -252,16 +252,9 @@ func BenchmarkShardEncode(b *testing.B) {
 
 	reprint := func(b *testing.B, data, format string) {
 		var out strings.Builder
-		var src relation.RowReader
-		if format == "csv" {
-			rr, err := relation.NewCSVRowReader(strings.NewReader(data), schema)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src = rr
-		} else {
-			src = relation.NewJSONLRowReader(strings.NewReader(data), schema)
-		}
+		src := rawSource(b, &auditFixture{schema: schema}, format, data)
+		blk := relation.NewBlock(schema)
+		tup := make(relation.Tuple, schema.Arity())
 		newWriter := func() *shardRowWriter {
 			out.Reset()
 			w, err := newShardRowWriter(&out, schema, format)
@@ -273,22 +266,27 @@ func BenchmarkShardEncode(b *testing.B) {
 		w := newWriter()
 		rows := 0
 		for {
-			tup, err := src.Read()
+			n, err := src.ReadBlock(blk, 512)
+			for i := 0; i < n; i++ {
+				for j := range tup {
+					tup[j] = blk.Col(j).String(i)
+				}
+				if err := w.Write(tup); err != nil {
+					b.Fatal(err)
+				}
+				if rows++; rows >= shardRows {
+					if err := w.Flush(); err != nil {
+						b.Fatal(err)
+					}
+					rows = 0
+					w = newWriter()
+				}
+			}
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				b.Fatal(err)
-			}
-			if err := w.Write(tup); err != nil {
-				b.Fatal(err)
-			}
-			if rows++; rows >= shardRows {
-				if err := w.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				rows = 0
-				w = newWriter()
 			}
 		}
 		if err := w.Flush(); err != nil {

@@ -371,7 +371,8 @@ func TestExecuteShardFrameSpan(t *testing.T) {
 	}
 	root.End()
 	var cached []string
-	for _, sd := range rec.TraceSpans(root.Context().TraceID) {
+	sc, _ := trace.FromContext(ctx)
+	for _, sd := range rec.TraceSpans(sc.TraceID) {
 		if sd.Name != "shard.execute" {
 			continue
 		}

@@ -148,6 +148,8 @@ func ExecuteShardFrame(ctx context.Context, body io.Reader, limit int64, sets *R
 // ExecuteShard is the shard scan over the rows in req.Data — the
 // in-process form of ExecuteShardFrame, and the single-node reference
 // the cluster tests check the HTTP path against.
+//
+//wmlint:ignore reachable perfbench times it as cluster.execute_shard_ms; that module is not in the lint run's view
 func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.BatchOptions) (*api.ShardScanResponse, error) {
 	ctx, span := trace.Start(ctx, "shard.execute")
 	defer span.End()
@@ -291,11 +293,6 @@ type Agent struct {
 // AgentOption customises a StartAgent call.
 type AgentOption func(*Agent)
 
-// WithAgentHTTPClient substitutes the http.Client heartbeats travel on.
-func WithAgentHTTPClient(hc *http.Client) AgentOption {
-	return func(a *Agent) { a.client = client.New(a.coordinator, client.WithHTTPClient(hc)) }
-}
-
 // WithAgentLogger routes membership transitions (joined, heartbeat
 // failing, recovered) to l.
 func WithAgentLogger(l *slog.Logger) AgentOption {
@@ -337,9 +334,6 @@ func StartAgent(coordinatorURL string, reg api.WorkerRegistration, opts ...Agent
 	go a.loop(ctx)
 	return a
 }
-
-// Coordinator returns the URL the agent is joined to.
-func (a *Agent) Coordinator() string { return a.coordinator }
 
 // LastError reports the most recent registration attempt's failure, or
 // nil when it succeeded (or none has completed yet).

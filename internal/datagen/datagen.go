@@ -44,17 +44,6 @@ type ItemScanConfig struct {
 	Seed string
 }
 
-// DefaultItemScanConfig mirrors the paper's setup at CI-friendly scale:
-// use N=141000 to match the paper exactly.
-func DefaultItemScanConfig() ItemScanConfig {
-	return ItemScanConfig{N: 20000, CatalogSize: 1000, ZipfS: 1.0, Seed: "itemscan"}
-}
-
-// PaperItemScanConfig is the full-scale configuration from Section 5.
-func PaperItemScanConfig() ItemScanConfig {
-	return ItemScanConfig{N: 141000, CatalogSize: 1000, ZipfS: 1.0, Seed: "itemscan"}
-}
-
 func (c ItemScanConfig) validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("datagen: N must be positive, got %d", c.N)
@@ -124,11 +113,6 @@ type AirlineConfig struct {
 	Airlines int
 	// Seed makes generation reproducible.
 	Seed string
-}
-
-// DefaultAirlineConfig returns a moderate-size reservation workload.
-func DefaultAirlineConfig() AirlineConfig {
-	return AirlineConfig{N: 10000, Cities: 50, Airlines: 20, Seed: "airline"}
 }
 
 // AirlineSchema returns the (ticket, departure_city, airline) schema used

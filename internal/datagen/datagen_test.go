@@ -113,13 +113,6 @@ func TestItemScanConfigValidation(t *testing.T) {
 	}
 }
 
-func TestPaperConfigMatchesSection5(t *testing.T) {
-	cfg := PaperItemScanConfig()
-	if cfg.N != 141000 {
-		t.Fatalf("paper N = %d, want 141000", cfg.N)
-	}
-}
-
 func TestAirlineShape(t *testing.T) {
 	cfg := AirlineConfig{N: 2000, Cities: 30, Airlines: 8, Seed: "a"}
 	r, cities, airs, err := Airline(cfg)
@@ -143,8 +136,7 @@ func TestAirlineShape(t *testing.T) {
 }
 
 func TestAirlineDeterministic(t *testing.T) {
-	cfg := DefaultAirlineConfig()
-	cfg.N = 500
+	cfg := AirlineConfig{N: 500, Cities: 50, Airlines: 20, Seed: "airline"}
 	a, _, _, err := Airline(cfg)
 	if err != nil {
 		t.Fatal(err)

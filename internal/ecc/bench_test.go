@@ -36,8 +36,8 @@ func BenchmarkMajorityDecode(b *testing.B) {
 }
 
 func BenchmarkHammingDistance(b *testing.B) {
-	x := NewBits(4096)
-	y := NewBits(4096)
+	x := make(Bits, 4096)
+	y := make(Bits, 4096)
 	for i := range y {
 		y[i] = uint8(i & 1)
 	}

@@ -25,9 +25,6 @@ const (
 // Bits is a sequence of watermark bits (values Zero, One or Erased).
 type Bits []uint8
 
-// NewBits returns an all-zero bit string of length n.
-func NewBits(n int) Bits { return make(Bits, n) }
-
 // NewErased returns a bit string of length n with every position erased.
 func NewErased(n int) Bits {
 	b := make(Bits, n)
@@ -65,18 +62,6 @@ func MustParseBits(s string) Bits {
 	return b
 }
 
-// FromUint64 returns the low n bits of v, most significant first.
-func FromUint64(v uint64, n int) Bits {
-	if n < 0 || n > 64 {
-		panic("ecc: bit width out of range [0,64]")
-	}
-	b := make(Bits, n)
-	for i := 0; i < n; i++ {
-		b[i] = uint8((v >> uint(n-1-i)) & 1)
-	}
-	return b
-}
-
 // Uint64 packs the bits (most significant first) into a uint64. Erased
 // positions read as zero. Panics beyond 64 bits.
 func (b Bits) Uint64() uint64 {
@@ -109,9 +94,6 @@ func (b Bits) String() string {
 	}
 	return sb.String()
 }
-
-// Clone returns an independent copy.
-func (b Bits) Clone() Bits { return append(Bits(nil), b...) }
 
 // Validate checks that every position is Zero, One or Erased.
 func (b Bits) Validate() error {

@@ -75,7 +75,7 @@ func TestUint64PanicsTooLong(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBits(65).Uint64()
+	make(Bits, 65).Uint64()
 }
 
 func TestNewErased(t *testing.T) {
@@ -122,7 +122,7 @@ func TestHammingDistancePanicsMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	HammingDistance(NewBits(3), NewBits(4))
+	HammingDistance(make(Bits, 3), make(Bits, 4))
 }
 
 func TestAlterationRate(t *testing.T) {
@@ -142,3 +142,21 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal("clone aliased storage")
 	}
 }
+
+// FromUint64 and Clone are test helpers: the inverse of Bits.Uint64, and
+// an independent copy of a bit string.
+
+// FromUint64 returns the low n bits of v, most significant first.
+func FromUint64(v uint64, n int) Bits {
+	if n < 0 || n > 64 {
+		panic("ecc: bit width out of range [0,64]")
+	}
+	b := make(Bits, n)
+	for i := 0; i < n; i++ {
+		b[i] = uint8((v >> uint(n-1-i)) & 1)
+	}
+	return b
+}
+
+// Clone returns an independent copy.
+func (b Bits) Clone() Bits { return append(Bits(nil), b...) }

@@ -49,10 +49,10 @@ func TestEncodeArgValidation(t *testing.T) {
 
 func TestDecodeArgValidation(t *testing.T) {
 	for _, code := range allCodes() {
-		if _, err := code.Decode(NewBits(4), 0); err == nil {
+		if _, err := code.Decode(make(Bits, 4), 0); err == nil {
 			t.Errorf("%s: zero wmLen accepted", code.Name())
 		}
-		if _, err := code.Decode(NewBits(4), 5); err == nil {
+		if _, err := code.Decode(make(Bits, 4), 5); err == nil {
 			t.Errorf("%s: short data accepted", code.Name())
 		}
 		if _, err := code.Decode(Bits{9}, 1); err == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -274,4 +275,18 @@ func TestAblationEmbeddingMap(t *testing.T) {
 	if row[1] > 40 || row[2] > 40 {
 		t.Errorf("excessive degradation: blind %v, map %v", row[1], row[2])
 	}
+}
+
+// Column returns the values of the named column.
+func (t *Table) Column(name string) ([]float64, error) {
+	for i, c := range t.Columns {
+		if c == name {
+			out := make([]float64, len(t.Rows))
+			for j, row := range t.Rows {
+				out[j] = row[i]
+			}
+			return out, nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: no column %q", name)
 }

@@ -31,20 +31,6 @@ func (t *Table) AddRow(values ...float64) {
 	t.Rows = append(t.Rows, values)
 }
 
-// Column returns the values of the named column.
-func (t *Table) Column(name string) ([]float64, error) {
-	for i, c := range t.Columns {
-		if c == name {
-			out := make([]float64, len(t.Rows))
-			for j, row := range t.Rows {
-				out[j] = row[i]
-			}
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: no column %q", name)
-}
-
 // WriteCSV emits the table as CSV with a header row.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

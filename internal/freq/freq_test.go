@@ -159,7 +159,7 @@ func TestFreqEmbedTooManyBits(t *testing.T) {
 func TestFreqEmbedWithQualityConstraints(t *testing.T) {
 	r := freqData(t, 20000)
 	p := freqParams()
-	assessor := quality.NewAssessor(quality.MaxAlterations(25))
+	assessor := quality.NewAssessor(quality.MaxAlterationFraction(1, 25))
 	p.Assessor = assessor
 	wm := ecc.MustParseBits("1011")
 	st, err := Embed(r, "Item_Nbr", wm, p)
@@ -186,7 +186,7 @@ func TestFreqTotalCountConserved(t *testing.T) {
 		t.Fatal("embedding changed the tuple count")
 	}
 	hist, _ := relation.HistogramOf(r, "Item_Nbr")
-	if hist.Total() != n0 {
+	if histTotal(hist) != n0 {
 		t.Fatal("histogram total drifted")
 	}
 }

@@ -32,7 +32,7 @@ func embedCountsOracle(r *relation.Relation, attr string, wm ecc.Bits, p Params)
 	if r.Len() == 0 {
 		return st, nil, errors.New("freq: empty relation")
 	}
-	hist := stats.NewHistogram()
+	hist := stats.HistogramOfCounts(map[string]int{})
 	for i := 0; i < r.Len(); i++ {
 		hist.Add(r.Tuple(i)[col])
 	}
@@ -205,7 +205,7 @@ func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 					p.SkipRow = func(row int) bool { return row%5 == 2 }
 				}
 				if c.budget > 0 {
-					p.Assessor = quality.NewAssessor(quality.MaxAlterations(c.budget))
+					p.Assessor = quality.NewAssessor(quality.MaxAlterationFraction(1, c.budget))
 				}
 				if c.onAlter {
 					p.OnAlter = func(row int) { moved = append(moved, row) }
@@ -241,7 +241,7 @@ func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 			if !reflect.DeepEqual(gotSt, wantSt) {
 				t.Fatalf("%s: stats\n got  %+v\n want %+v", name, gotSt, wantSt)
 			}
-			if !reflect.DeepEqual(histCounts(gotH), histCounts(wantH)) || gotH.Total() != wantH.Total() {
+			if !reflect.DeepEqual(histCounts(gotH), histCounts(wantH)) || histTotal(gotH) != histTotal(wantH) {
 				t.Fatalf("%s: histogram differs from the oracle's", name)
 			}
 			if !reflect.DeepEqual(gotMoved, wantMoved) {

@@ -2,42 +2,11 @@ package keyhash
 
 // This file implements the bit-level notation of Section 2.1:
 //
-//	b(X)          — number of bits required to represent X
-//	msb(X, b)     — the most significant b bits of X, left-padded with
-//	                zeroes when b(X) < b
 //	set_bit(d,a,v)— d with bit position a set to value v
 //
-// These are used verbatim by the embedding algorithm of Figure 1 and are
-// exercised directly by the notation tests.
-
-// BitLen returns b(X), the number of bits required to represent x.
-// By the paper's convention b(0) = 0 (zero needs no bits; callers left-pad).
-func BitLen(x uint64) int {
-	n := 0
-	for x != 0 {
-		n++
-		x >>= 1
-	}
-	return n
-}
-
-// MSB returns msb(X, b): the most significant b bits of x's minimal binary
-// representation. When b(x) < b the result is x itself, i.e. the
-// representation left-padded with (b - b(x)) zero bits, exactly as defined
-// in Section 2.1. b must be in [0, 64].
-func MSB(x uint64, b int) uint64 {
-	if b < 0 || b > 64 {
-		panic("keyhash: msb width out of range [0,64]")
-	}
-	if b == 0 {
-		return 0
-	}
-	n := BitLen(x)
-	if n <= b {
-		return x
-	}
-	return x >> uint(n-b)
-}
+// It is used verbatim by the embedding algorithm of Figure 1 and is
+// exercised directly by the notation tests. b(X) and msb(X, b) live
+// beside those tests.
 
 // SetBit returns set_bit(d, a, v): d with bit position a (0 = least
 // significant) forced to v. v must be 0 or 1.

@@ -195,3 +195,35 @@ func TestBitPanics(t *testing.T) {
 	}()
 	Bit(0, 64)
 }
+
+// BitLen and MSB are the b(X) and msb(X, b) notation of Section 2.1.
+// No production path needs them; the notation tests pin the definitions.
+
+// BitLen returns b(X), the number of bits required to represent x.
+// By the paper's convention b(0) = 0 (zero needs no bits; callers left-pad).
+func BitLen(x uint64) int {
+	n := 0
+	for x != 0 {
+		n++
+		x >>= 1
+	}
+	return n
+}
+
+// MSB returns msb(X, b): the most significant b bits of x's minimal binary
+// representation. When b(x) < b the result is x itself, i.e. the
+// representation left-padded with (b - b(x)) zero bits, exactly as defined
+// in Section 2.1. b must be in [0, 64].
+func MSB(x uint64, b int) uint64 {
+	if b < 0 || b > 64 {
+		panic("keyhash: msb width out of range [0,64]")
+	}
+	if b == 0 {
+		return 0
+	}
+	n := BitLen(x)
+	if n <= b {
+		return x
+	}
+	return x >> uint(n-b)
+}

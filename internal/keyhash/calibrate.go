@@ -17,9 +17,6 @@ type Calibration struct {
 	HashesPerSec map[KernelKind]float64
 }
 
-// Rate returns the measured hash rate of the chosen backend.
-func (c Calibration) Rate() float64 { return c.HashesPerSec[c.Kind] }
-
 var (
 	calibOnce   sync.Once
 	calibResult Calibration

@@ -65,7 +65,7 @@ const (
 
 // backendDef is one registered hash backend: the registry entry that
 // lets a kernel self-describe its lane width and CPU requirements, so
-// enumeration (KernelKinds, Backends, KernelStats, Calibrate) can never
+// enumeration (Backends, KernelStats, Calibrate) can never
 // silently miss a backend that NewKernel accepts.
 type backendDef struct {
 	kind  KernelKind
@@ -103,16 +103,6 @@ func lookupBackend(kind KernelKind) *backendDef {
 		}
 	}
 	return nil
-}
-
-// KernelKinds lists the kinds accepted by NewKernel, KernelAuto first.
-func KernelKinds() []KernelKind {
-	kinds := make([]KernelKind, 0, len(registry)+1)
-	kinds = append(kinds, KernelAuto)
-	for _, d := range registry {
-		kinds = append(kinds, d.kind)
-	}
-	return kinds
 }
 
 // BackendInfo describes one registered hash backend for introspection

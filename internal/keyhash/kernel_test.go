@@ -428,8 +428,8 @@ func TestCalibrate(t *testing.T) {
 	if !found {
 		t.Fatalf("calibration picked unregistered backend %q", cal.Kind)
 	}
-	if cal.Rate() <= 0 {
-		t.Fatalf("chosen backend rate %v", cal.Rate())
+	if rate := cal.HashesPerSec[cal.Kind]; rate <= 0 {
+		t.Fatalf("chosen backend rate %v", rate)
 	}
 	if AutoKind() != cal.Kind {
 		t.Fatalf("AutoKind %q != Calibrate().Kind %q", AutoKind(), cal.Kind)
@@ -457,4 +457,14 @@ func TestAutoKernelEquivalenceCovered(t *testing.T) {
 		return
 	}
 	t.Fatalf("KernelAuto resolves to unregistered backend %q", kind)
+}
+
+// KernelKinds lists the kinds accepted by NewKernel, KernelAuto first.
+func KernelKinds() []KernelKind {
+	kinds := make([]KernelKind, 0, len(registry)+1)
+	kinds = append(kinds, KernelAuto)
+	for _, d := range registry {
+		kinds = append(kinds, d.kind)
+	}
+	return kinds
 }

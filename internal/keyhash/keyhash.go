@@ -152,9 +152,3 @@ func NewFitCheck(e uint64) FitCheck {
 func (f FitCheck) Fit(d Digest) bool {
 	return bits.RotateLeft64(d.Uint64()*f.inv, -f.shift) <= f.limit
 }
-
-// FitKey is a convenience composing HashString and Fit for a tuple's
-// primary-key value.
-func FitKey(k Key, keyValue string, e uint64) bool {
-	return Fit(HashString(k, keyValue), e)
-}

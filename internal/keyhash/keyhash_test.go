@@ -236,3 +236,9 @@ func TestFitCheckMatchesMod(t *testing.T) {
 		}
 	}
 }
+
+// FitKey is a convenience composing HashString and Fit for a tuple's
+// primary-key value.
+func FitKey(k Key, keyValue string, e uint64) bool {
+	return Fit(HashString(k, keyValue), e)
+}

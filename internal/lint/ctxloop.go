@@ -11,9 +11,8 @@ import (
 //  1. In internal/pipeline and internal/cluster, any loop that crosses
 //     scan-block or row boundaries — a loop whose body calls
 //     mark.EmbedBlock / mark.ScanColumns, fills a block from a relation
-//     (Relation.FillBlock) or reads from a relation.RowReader or
-//     BlockReader — must contain a cancellation
-//     point: a
+//     (Relation.FillBlock) or reads from a relation.BlockReader —
+//     must contain a cancellation point: a
 //     ctx.Err()/ctx.Done() check, a channel receive (the stop-latch
 //     pattern), or a call into a local helper that performs one.
 //  2. Library packages (all of internal/) must not mint detached
@@ -95,10 +94,6 @@ func loopCrossesBlocks(body *ast.BlockStmt, info *types.Info) bool {
 		if methodOn(info, call, "repro/internal/mark", "EmbedBlock") ||
 			methodOn(info, call, "repro/internal/mark", "ScanColumns") ||
 			methodOn(info, call, "repro/internal/relation", "FillBlock", "Relation") {
-			found = true
-		}
-		if methodOn(info, call, "repro/internal/relation", "Read",
-			"RowReader", "CSVRowReader", "JSONLRowReader") {
 			found = true
 		}
 		if methodOn(info, call, "repro/internal/relation", "ReadBlock",

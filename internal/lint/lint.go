@@ -33,6 +33,11 @@
 //     only in functions whose //wmlint:ignore unsafeview directive
 //     states the invariant they rely on (for relation arenas: bytes
 //     are never rewritten once referenced).
+//   - reachable:    every exported func, method, type, var and const
+//     under internal/ is referenced by a non-test file outside its own
+//     declaration — test-only code lives in _test.go files — unless a
+//     //wmlint:ignore reachable directive names its caller outside the
+//     module's view or why it stays.
 //
 // cmd/wmlint is the multichecker binary; CI runs it in place of the
 // shell grep gates it replaced.
@@ -80,7 +85,11 @@ func (d Diagnostic) String() string {
 
 // A Pass carries one analyzer's view of one package.
 type Pass struct {
-	Pkg      *Package
+	Pkg *Package
+	// Program is every package the run loaded, Pkg included: the
+	// whole-module view an analyzer needs to see references made from
+	// other packages.
+	Program  []*Package
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 }
@@ -97,9 +106,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Position resolves a token.Pos against the package's file set.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Pkg.Fset.Position(pos) }
-
 // All returns the full analyzer suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
@@ -112,6 +118,7 @@ func All() []*Analyzer {
 		ArenaCopy,
 		SpanEnd,
 		UnsafeView,
+		Reachable,
 	}
 }
 
@@ -149,7 +156,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			if a.Applies != nil && !a.Applies(pkg.Path) {
 				continue
 			}
-			pass := &Pass{Pkg: pkg, analyzer: a, diags: &diags}
+			pass := &Pass{Pkg: pkg, Program: pkgs, analyzer: a, diags: &diags}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 			}

@@ -27,6 +27,7 @@ var fixtureCases = []struct {
 	{"arenacopy", "arenacopy"},
 	{"spanend", "spanend"},
 	{"unsafeview", "unsafeview"},
+	{"reachable", "reachable"},
 }
 
 // wantComment extracts the expectation regex from a fixture line.

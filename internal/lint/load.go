@@ -44,6 +44,7 @@ type Package struct {
 	Imports []string
 
 	stdlib map[string]bool
+	loader *Loader
 }
 
 // IsStdlib reports whether an import path names a standard-library
@@ -86,6 +87,8 @@ type Loader struct {
 	exports map[string]string // import path -> export data file
 	stdlib  map[string]bool   // import path -> is standard library
 	imp     types.Importer
+	// ifaceMethods memoizes interfaceMethods.
+	ifaceMethods map[string]bool
 }
 
 // NewLoader builds a Loader for the module rooted at dir by listing the
@@ -194,6 +197,7 @@ func (l *Loader) check(dir, asPath string, fileNames []string) (*Package, error)
 		Info:    info,
 		Imports: imports,
 		stdlib:  l.stdlib,
+		loader:  l,
 	}, nil
 }
 
@@ -233,6 +237,8 @@ const fixtureDirective = "//wmlint:fixture "
 // package. The first file carrying a //wmlint:fixture directive decides
 // the package's claimed import path; without one the path defaults to
 // the directory name.
+//
+//wmlint:ignore reachable the fixture harness: lint_test.go type-checks every testdata package through it
 func (l *Loader) LoadFixture(dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -258,4 +264,32 @@ func (l *Loader) LoadFixture(dir string) (*Package, error) {
 		}
 	}
 	return l.check(dir, asPath, names)
+}
+
+// interfaceMethods returns the method names of every named interface
+// type declared in the listed dependency closure, plus the universe's
+// error. Export data records each package's own types but not always its
+// imports, so the closure comes from `go list`, not from walking
+// types.Package.Imports.
+func (l *Loader) interfaceMethods() map[string]bool {
+	if l.ifaceMethods != nil {
+		return l.ifaceMethods
+	}
+	names := map[string]bool{"Error": true}
+	for path := range l.exports {
+		tp, err := l.imp.Import(path)
+		if err != nil {
+			continue
+		}
+		scope := tp.Scope()
+		for _, name := range scope.Names() {
+			if it, ok := scope.Lookup(name).Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					names[it.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	l.ifaceMethods = names
+	return names
 }

@@ -19,14 +19,6 @@ func fillNoCancel(r *relation.Relation, blk *relation.Block, visit func(*relatio
 	}
 }
 
-func readNoCancel(src relation.RowReader) error {
-	for { // want `loop crosses scan-block/row boundaries`
-		if _, err := src.Read(); err != nil {
-			return err
-		}
-	}
-}
-
 func fillWithCancel(ctx context.Context, r *relation.Relation, blk *relation.Block, visit func(*relation.Block)) error {
 	for lo := 0; lo < r.Len(); lo += 128 {
 		if err := ctx.Err(); err != nil {
@@ -38,7 +30,7 @@ func fillWithCancel(ctx context.Context, r *relation.Relation, blk *relation.Blo
 	return nil
 }
 
-func readWithStopLatch(src relation.RowReader, stop chan struct{}) error {
+func readWithStopLatch(src relation.BlockReader, blk *relation.Block, stop chan struct{}) error {
 	stopped := func() bool {
 		select {
 		case <-stop:
@@ -51,7 +43,7 @@ func readWithStopLatch(src relation.RowReader, stop chan struct{}) error {
 		if stopped() {
 			return nil
 		}
-		if _, err := src.Read(); err != nil {
+		if _, err := src.ReadBlock(blk, 512); err != nil {
 			return err
 		}
 	}

@@ -1,13 +1,209 @@
 package mark
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/ecc"
 	"repro/internal/keyhash"
 	"repro/internal/relation"
+	"repro/internal/stats"
 )
+
+// The Section 4.6 data-addition channel and the Section 4.3
+// incremental-update hook, built on the production fitness test, bit
+// positions and pair choice. No production path mints or inserts
+// tuples, so they live beside their tests, which check that tuples
+// added this way carry the mark the production detector reads.
+//
+// Data addition: instead of (or in addition to) altering existing tuples,
+// mint new tuples whose keys satisfy the fitness criterion and whose
+// categorical values carry watermark bits. The one-way hash does not
+// prevent this: fitness only requires H(K;k1) ≡ 0 (mod e), a property one
+// candidate key in e satisfies on average, so rejection sampling finds fit
+// keys quickly. Added tuples conform to the attribute's empirical value
+// distribution for stealthiness — their *pair choice* is drawn from the
+// data's own histogram rather than uniformly.
+
+// KeyMinter produces candidate primary-key values for synthetic tuples.
+// Calls receive an increasing attempt counter; the minter must eventually
+// produce values not present in the relation.
+type KeyMinter func(attempt int) string
+
+// SequentialKeys returns a KeyMinter yielding base+attempt as decimal
+// strings — matching a sequence-allocated integer key column.
+func SequentialKeys(base int) KeyMinter {
+	return func(attempt int) string {
+		return fmt.Sprintf("%d", base+attempt)
+	}
+}
+
+// AdditionStats reports what AddTuples did.
+type AdditionStats struct {
+	// Added is the number of tuples appended.
+	Added int
+	// CandidatesTried is the number of minted keys tested for fitness
+	// (≈ Added × e on average).
+	CandidatesTried int
+}
+
+// AddTuples appends nAdd watermark-carrying fit tuples to r (Section 4.6).
+// Non-watermarked attributes are sampled from r's empirical per-attribute
+// value distributions; the watermarked attribute carries the correct
+// wm_data bit for the minted key's position. The watermark wm must match
+// the one embedded in r (same opts). maxAttempts bounds the rejection
+// sampling (0 means 1000·e·nAdd).
+//
+// The effective bandwidth is computed from r's size *before* addition and
+// should equal the embedding-time bandwidth; pass BandwidthOverride when
+// the relation has changed size since embedding.
+func AddTuples(r *relation.Relation, wm ecc.Bits, nAdd int, minter KeyMinter, seed string, opts Options, maxAttempts int) (AdditionStats, error) {
+	var st AdditionStats
+	keyCol, attrCol, dom, err := opts.resolve(r, true)
+	if err != nil {
+		return st, err
+	}
+	if nAdd < 0 {
+		return st, errors.New("mark: negative addition count")
+	}
+	if nAdd == 0 {
+		return st, nil
+	}
+	if len(wm) == 0 {
+		return st, errors.New("mark: empty watermark")
+	}
+	bw := opts.bandwidth(r.Len())
+	if bw < len(wm) {
+		return st, fmt.Errorf("%w: |wm|=%d, N/e=%d", ErrInsufficientBandwidth, len(wm), bw)
+	}
+	wmData, err := opts.code().Encode(wm, bw)
+	if err != nil {
+		return st, err
+	}
+	if maxAttempts <= 0 {
+		maxAttempts = 1000 * int(opts.E) * nAdd
+	}
+
+	// Empirical distributions for every non-key attribute, so synthetic
+	// tuples blend into the data ("conforming to the overall data
+	// distribution, in order to preserve stealthiness").
+	src := stats.NewSource("mark-addition/" + seed)
+	samplers := make([]*stats.Weighted, r.Schema().Arity())
+	for col := 0; col < r.Schema().Arity(); col++ {
+		if col == keyCol {
+			continue
+		}
+		h, herr := relation.HistogramOf(r, r.Schema().Attr(col).Name)
+		if herr != nil {
+			return st, herr
+		}
+		labels, freqs := h.FreqVector()
+		if len(labels) == 0 {
+			return st, fmt.Errorf("mark: attribute %q has no values to sample", r.Schema().Attr(col).Name)
+		}
+		samplers[col] = stats.NewWeighted(labels, freqs)
+	}
+	// Pair-choice distribution over the watermarked attribute: weight each
+	// (even, odd) pair by its empirical mass so added values look natural.
+	pairWeights := make([]float64, dom.Size()/2)
+	attrHist, err := relation.HistogramOf(r, opts.Attr)
+	if err != nil {
+		return st, err
+	}
+	for p := range pairWeights {
+		w := attrHist.Freq(dom.Value(2*p)) + attrHist.Freq(dom.Value(2*p+1))
+		pairWeights[p] = w + 1e-9 // keep every pair reachable
+	}
+	pairLabels := make([]string, len(pairWeights))
+	for p := range pairLabels {
+		pairLabels[p] = strconv.Itoa(p)
+	}
+	pairSampler := stats.NewWeighted(pairLabels, pairWeights)
+
+	exists := make(map[string]bool, r.Len()+nAdd)
+	for i := 0; i < r.Len(); i++ {
+		exists[r.Key(i)] = true
+	}
+	for st.Added < nAdd {
+		if st.CandidatesTried >= maxAttempts {
+			return st, fmt.Errorf("mark: gave up after %d candidate keys (added %d of %d)",
+				st.CandidatesTried, st.Added, nAdd)
+		}
+		keyVal := minter(st.CandidatesTried)
+		st.CandidatesTried++
+		if exists[keyVal] {
+			continue
+		}
+		d1 := keyhash.HashString(opts.K1, keyVal)
+		if !keyhash.Fit(d1, opts.E) {
+			continue
+		}
+		pos := int(keyhash.HashString(opts.K2, keyVal).Mod(uint64(bw)))
+		bit := int(wmData[pos])
+		pair, _ := strconv.Atoi(pairSampler.Sample(src))
+		value := dom.Value(2*pair + bit)
+
+		t := make(relation.Tuple, r.Schema().Arity())
+		for col := range t {
+			switch col {
+			case keyCol:
+				t[col] = keyVal
+			case attrCol:
+				t[col] = value
+			default:
+				t[col] = samplers[col].Sample(src)
+			}
+		}
+		if err := r.Append(t); err != nil {
+			return st, err
+		}
+		exists[keyVal] = true
+		st.Added++
+	}
+	return st, nil
+}
+
+// InsertWatermarked appends a tuple, first rewriting its categorical value
+// if the tuple is fit — the Section 4.3 incremental-update path: "as
+// updates occur to the data, the resulting tuples can be evaluated on the
+// fly for fitness and watermarked accordingly". Returns whether the tuple
+// was watermark-bearing. The bandwidth must be the embedding-time value
+// (BandwidthOverride) so positions stay aligned as the relation grows.
+func InsertWatermarked(r *relation.Relation, t relation.Tuple, wm ecc.Bits, opts Options) (bool, error) {
+	keyCol, attrCol, dom, err := opts.resolve(r, true)
+	if err != nil {
+		return false, err
+	}
+	if len(t) != r.Schema().Arity() {
+		return false, fmt.Errorf("mark: tuple arity %d, schema arity %d", len(t), r.Schema().Arity())
+	}
+	bw := opts.bandwidth(r.Len())
+	if bw < len(wm) {
+		return false, fmt.Errorf("%w: |wm|=%d, bandwidth=%d", ErrInsufficientBandwidth, len(wm), bw)
+	}
+	keyVal := t[keyCol]
+	d1 := keyhash.HashString(opts.K1, keyVal)
+	marked := false
+	if keyhash.Fit(d1, opts.E) {
+		wmData, cerr := opts.code().Encode(wm, bw)
+		if cerr != nil {
+			return false, cerr
+		}
+		pos := int(keyhash.HashString(opts.K2, keyVal).Mod(uint64(bw)))
+		bit := uint64(wmData[pos])
+		idx := keyhash.PairIndex(d1.Uint64At(1), dom.Size(), bit)
+		t = slices.Clone(t)
+		t[attrCol] = dom.Value(idx)
+		marked = true
+	}
+	if err := r.Append(t); err != nil {
+		return false, err
+	}
+	return marked, nil
+}
 
 func TestAddTuplesCarryWatermark(t *testing.T) {
 	r, dom := testData(t, 6000)
@@ -35,7 +231,7 @@ func TestAddTuplesCarryWatermark(t *testing.T) {
 	wmData, _ := ecc.MajorityCode{}.Encode(wm, bw)
 	for i := r.Len() - 200; i < r.Len(); i++ {
 		key := r.Key(i)
-		if !keyhash.FitKey(opts.K1, key, opts.E) {
+		if !keyhash.Fit(keyhash.HashString(opts.K1, key), opts.E) {
 			t.Fatalf("added tuple %d not fit", i)
 		}
 		v, _ := r.Value(i, "Item_Nbr")
@@ -76,7 +272,14 @@ func TestAddTuplesReinforcesAgainstLoss(t *testing.T) {
 	if _, err := AddTuples(r, wm, 300, SequentialKeys(7_000_000), "reinforce", addOpts, 0); err != nil {
 		t.Fatal(err)
 	}
-	onlyAdded := r.Filter(func(i int, _ relation.Tuple) bool { return i >= n0 })
+	added := make([]int, 0, r.Len()-n0)
+	for i := n0; i < r.Len(); i++ {
+		added = append(added, i)
+	}
+	onlyAdded, err := r.SelectRows(added)
+	if err != nil {
+		t.Fatal(err)
+	}
 	detOpts := opts
 	detOpts.BandwidthOverride = bw
 	rep, err := Detect(onlyAdded, len(wm), detOpts)
@@ -135,7 +338,7 @@ func TestInsertWatermarkedFitTuple(t *testing.T) {
 	var fitKey, unfitKey string
 	for i := 0; fitKey == "" || unfitKey == ""; i++ {
 		k := strconv.Itoa(8_000_000 + i)
-		if keyhash.FitKey(opts.K1, k, opts.E) {
+		if keyhash.Fit(keyhash.HashString(opts.K1, k), opts.E) {
 			if fitKey == "" {
 				fitKey = k
 			}
@@ -152,7 +355,7 @@ func TestInsertWatermarkedFitTuple(t *testing.T) {
 		t.Fatal("fit tuple not marked")
 	}
 	// Inserted fit tuple carries the right parity.
-	i, _ := r.Lookup(fitKey)
+	i := r.Len() - 1 // the inserted tuple
 	v, _ := r.Value(i, "Item_Nbr")
 	idx, _ := dom.Index(v)
 	wmData, _ := ecc.MajorityCode{}.Encode(wm, bw)
@@ -168,7 +371,7 @@ func TestInsertWatermarkedFitTuple(t *testing.T) {
 	if marked {
 		t.Fatal("unfit tuple reported as marked")
 	}
-	j, _ := r.Lookup(unfitKey)
+	j := r.Len() - 1
 	if v, _ := r.Value(j, "Item_Nbr"); v != dom.Value(3) {
 		t.Fatal("unfit tuple's value was rewritten")
 	}

@@ -156,7 +156,7 @@ func (bs *BlockScratch) stageKey(data []byte, offs []int32, j int) {
 // domain walk stages the voting keys as one contiguous byte run, and a
 // second HashColumn call derives their positions. Every counter and
 // vote, including the order-sensitive Last column, lands exactly as
-// ScanTuple over Block.Tuple(i) would have it.
+// ScanTuple over the block's rows would have it.
 //
 // bs may be shared across scanners (that is the point) but not across
 // goroutines; nil uses a throwaway scratch.

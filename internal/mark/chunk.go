@@ -85,10 +85,6 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 	return newEmbedder(opts, keyCol, attrCol, dom, bw, wmData)
 }
 
-// Bandwidth returns the fixed |wm_data| of this pass — the value a
-// detector must be given after data-loss attacks.
-func (e *Embedder) Bandwidth() int { return e.bw }
-
 // KeyColumn returns the schema position of the key column, the one
 // column EmbedBlock reads from a block (Relation.FillBlock copies just
 // it).
@@ -349,6 +345,8 @@ func (t *Tally) Reset() {
 // order the scanner was prepared against; the relation it came from is
 // never needed. Concurrent callers must use distinct tallies and merge
 // them afterwards in scan order with Tally.Merge.
+//
+//wmlint:ignore reachable test oracle: the kernel equivalence tests and fuzz targets compare ScanColumns against it
 func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 	t.Rows++
 	keyVal := tup[s.keyCol]

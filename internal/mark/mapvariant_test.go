@@ -136,7 +136,7 @@ func TestMapVariantIgnoresUnmappedFitTuples(t *testing.T) {
 	added := 0
 	for i := 0; added < 50 && i < 100000; i++ {
 		key := "999" + itoa(i)
-		if keyhash.FitKey(opts.K1, key, opts.E) {
+		if keyhash.Fit(keyhash.HashString(opts.K1, key), opts.E) {
 			r.MustAppend([]string{key, dom.Value(added % dom.Size())})
 			added++
 		}

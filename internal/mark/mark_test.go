@@ -93,7 +93,7 @@ func TestEmbedOnlyTouchesFitTuplesAndAttr(t *testing.T) {
 		vNew, _ := r.Value(i, "Item_Nbr")
 		vOld, _ := orig.Value(i, "Item_Nbr")
 		if vNew != vOld {
-			if !keyhash.FitKey(opts.K1, r.Key(i), opts.E) {
+			if !keyhash.Fit(keyhash.HashString(opts.K1, r.Key(i)), opts.E) {
 				t.Fatalf("non-fit tuple %d was altered", i)
 			}
 			if !dom.Contains(vNew) {
@@ -119,7 +119,7 @@ func TestEmbedParityInvariant(t *testing.T) {
 	}
 	for i := 0; i < r.Len(); i++ {
 		key := r.Key(i)
-		if !keyhash.FitKey(opts.K1, key, opts.E) {
+		if !keyhash.Fit(keyhash.HashString(opts.K1, key), opts.E) {
 			continue
 		}
 		v, _ := r.Value(i, "Item_Nbr")
@@ -337,7 +337,7 @@ func TestEmbedWithQualityBudget(t *testing.T) {
 	opts := testOptions(dom)
 	// Budget of 10 alterations: embedding must stop altering after 10 and
 	// count the rest as quality-skipped.
-	opts.Assessor = quality.NewAssessor(quality.MaxAlterations(10))
+	opts.Assessor = quality.NewAssessor(quality.MaxAlterationFraction(1, 10))
 	wm := ecc.MustParseBits("1010")
 	st, err := Embed(r, wm, opts)
 	if err != nil {

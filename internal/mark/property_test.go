@@ -88,7 +88,7 @@ func TestFitSetPermutationInvariance(t *testing.T) {
 	collect := func(rel *relation.Relation) map[string]bool {
 		fit := map[string]bool{}
 		for i := 0; i < rel.Len(); i++ {
-			if keyhash.FitKey(k1, rel.Key(i), 15) {
+			if keyhash.Fit(keyhash.HashString(k1, rel.Key(i)), 15) {
 				fit[rel.Key(i)] = true
 			}
 		}

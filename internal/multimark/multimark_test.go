@@ -261,7 +261,7 @@ func TestDetectAllVerticalPartitionWithRowIdentity(t *testing.T) {
 
 func TestEmbedAllWithSharedAssessorBudget(t *testing.T) {
 	r, cfg := airlineData(t, 12000)
-	cfg.Assessor = quality.NewAssessor(quality.MaxAlterations(50))
+	cfg.Assessor = quality.NewAssessor(quality.MaxAlterationFraction(1, 50))
 	plan, err := BuildPlan(r, cfg, PlanOptions{IncludeInterAttribute: true})
 	if err != nil {
 		t.Fatal(err)

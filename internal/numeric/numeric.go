@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/ecc"
 	"repro/internal/keyhash"
@@ -57,12 +56,6 @@ type Params struct {
 	// counts) set this to ≥ 1.5 quantisation units so rounding cannot pull
 	// a nudged item back across the cut. 0 disables the bound.
 	MinStep float64
-}
-
-// DefaultParams returns the parameter set used by the frequency-domain
-// channel: c=0.5 with a (0.15, 0.35) decision gap.
-func DefaultParams(key keyhash.Key) Params {
-	return Params{Key: key, Confidence: 0.5, VTrue: 0.35, VFalse: 0.15}
 }
 
 func (p Params) validate() error {
@@ -266,12 +259,4 @@ func Decode(items []Item, wmLen int, p Params) (DecodeReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// SortByLabel returns a copy of items sorted by label, for deterministic
-// iteration in callers and tests.
-func SortByLabel(items []Item) []Item {
-	out := append([]Item(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
 }

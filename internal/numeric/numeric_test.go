@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -16,10 +17,22 @@ func makeItems(seed string, n int) []Item {
 	for i := range items {
 		items[i] = Item{
 			Label: "label-" + strconv.Itoa(i),
-			Value: 100 + 20*src.NormFloat64(),
+			Value: 100 + 20*normFloat64(src),
 		}
 	}
 	return items
+}
+
+// normFloat64 draws a standard-normal variate from src by the polar
+// Box–Muller method.
+func normFloat64(src *stats.Source) float64 {
+	for {
+		u := 2*src.Float64() - 1
+		v := 2*src.Float64() - 1
+		if r2 := u*u + v*v; r2 > 0 && r2 < 1 {
+			return u * math.Sqrt(-2*math.Log(r2)/r2)
+		}
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -252,4 +265,22 @@ func TestEncodeZipfShapedValues(t *testing.T) {
 	if rep.WM.String() != wm.String() {
 		t.Fatalf("zipf round trip: %s vs %s", wm, rep.WM)
 	}
+}
+
+// DefaultParams and SortByLabel are test helpers: the frequency channel
+// builds its own Params (freq.Params), and no production caller sorts
+// items.
+
+// DefaultParams returns the parameter set the tests encode under: c=0.5
+// with a (0.15, 0.35) decision gap.
+func DefaultParams(key keyhash.Key) Params {
+	return Params{Key: key, Confidence: 0.5, VTrue: 0.35, VFalse: 0.15}
+}
+
+// SortByLabel returns a copy of items sorted by label, for deterministic
+// iteration in callers and tests.
+func SortByLabel(items []Item) []Item {
+	out := append([]Item(nil), items...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
+	return out
 }

@@ -91,6 +91,3 @@ func (r *ResponseRecorder) Flush() {
 		f.Flush()
 	}
 }
-
-// Unwrap supports http.ResponseController.
-func (r *ResponseRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }

@@ -200,17 +200,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.get(labelValues, func() point { return new(Counter) }).(*Counter)
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.family(name, help, TypeGauge, nil, labels)}
-}
-
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.get(labelValues, func() point { return new(Gauge) }).(*Gauge)
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 

@@ -100,15 +100,6 @@ type Span struct {
 	ended atomic.Bool
 }
 
-// Context returns the span's propagated identity; safe on nil (invalid
-// zero context).
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return s.sc
-}
-
 // SetAttr annotates the span; no-op on nil or after End.
 func (s *Span) SetAttr(key, value string) {
 	if s == nil || s.ended.Load() {

@@ -340,3 +340,12 @@ func TestParseTraceID(t *testing.T) {
 		}
 	}
 }
+
+// Context returns the span's propagated identity; safe on nil (invalid
+// zero context).
+func (s *Span) Context() SpanContext {
+	if s == nil {
+		return SpanContext{}
+	}
+	return s.sc
+}

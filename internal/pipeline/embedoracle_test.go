@@ -154,7 +154,7 @@ func TestEmbedMatchesTupleOracle(t *testing.T) {
 			o.SkipRow = func(row int) bool { return row%7 == 3 || len(*rn.altered) >= 150 }
 		}
 		if assess {
-			o.Assessor = quality.NewAssessor(quality.MaxAlterations(120))
+			o.Assessor = quality.NewAssessor(quality.MaxAlterationFraction(1, 120))
 		}
 		if onAlter || skip {
 			o.OnAlter = func(row int) { *rn.altered = append(*rn.altered, row) }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/attacks"
 	"repro/internal/baseline"
 	"repro/internal/ecc"
-	"repro/internal/freq"
 	"repro/internal/mark"
 	"repro/internal/relation"
 	"repro/internal/stats"
@@ -43,31 +42,6 @@ func (s *CategoricalScheme) Detect(r *relation.Relation) (float64, error) {
 		return 0, err
 	}
 	return rep.MatchFraction(s.WM), nil
-}
-
-// FrequencyScheme adapts the Section 4.2 frequency channel.
-type FrequencyScheme struct {
-	Attr   string
-	WM     ecc.Bits
-	Params freq.Params
-}
-
-// Name implements Scheme.
-func (s *FrequencyScheme) Name() string { return "categorical-frequency" }
-
-// Embed implements Scheme.
-func (s *FrequencyScheme) Embed(r *relation.Relation) error {
-	_, err := freq.Embed(r, s.Attr, s.WM, s.Params)
-	return err
-}
-
-// Detect implements Scheme.
-func (s *FrequencyScheme) Detect(r *relation.Relation) (float64, error) {
-	rep, err := freq.Detect(r, s.Attr, len(s.WM), s.Params)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - ecc.AlterationRate(s.WM, rep.WM), nil
 }
 
 // KAScheme adapts the Kiernan–Agrawal baseline. Its detection score is the
@@ -118,16 +92,6 @@ func LossAttack() AttackFamily {
 				level = 0.99
 			}
 			return attacks.HorizontalSubset(r, 1-level, src)
-		},
-	}
-}
-
-// AdditionAttack returns the A2 family: level = added fraction.
-func AdditionAttack() AttackFamily {
-	return AttackFamily{
-		Name: "A2-addition",
-		Apply: func(r *relation.Relation, level float64, src *stats.Source) (*relation.Relation, error) {
-			return attacks.SubsetAddition(r, level, src)
 		},
 	}
 }

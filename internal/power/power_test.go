@@ -188,3 +188,29 @@ func itoa(i int) string {
 	}
 	return string(b[p:])
 }
+
+// FrequencyScheme adapts the Section 4.2 frequency channel; only the
+// power tests evaluate it.
+type FrequencyScheme struct {
+	Attr   string
+	WM     ecc.Bits
+	Params freq.Params
+}
+
+// Name implements Scheme.
+func (s *FrequencyScheme) Name() string { return "categorical-frequency" }
+
+// Embed implements Scheme.
+func (s *FrequencyScheme) Embed(r *relation.Relation) error {
+	_, err := freq.Embed(r, s.Attr, s.WM, s.Params)
+	return err
+}
+
+// Detect implements Scheme.
+func (s *FrequencyScheme) Detect(r *relation.Relation) (float64, error) {
+	rep, err := freq.Detect(r, s.Attr, len(s.WM), s.Params)
+	if err != nil {
+		return 0, err
+	}
+	return 1 - ecc.AlterationRate(s.WM, rep.WM), nil
+}

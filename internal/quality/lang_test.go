@@ -41,8 +41,8 @@ func TestLangAlteredFraction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		_ = a.Apply(r, i, "city", "elsewhere") // not a current value: no no-ops
 	}
-	if a.Applied() != 2 {
-		t.Fatalf("committed %d alterations, want 2", a.Applied())
+	if a.applied != 2 {
+		t.Fatalf("committed %d alterations, want 2", a.applied)
 	}
 }
 
@@ -209,13 +209,13 @@ func TestLangHistogramConsistencyAfterChurn(t *testing.T) {
 	c := mustParse(t, "count('city', 'atlanta') >= 5", r).(*exprConstraint)
 	a := NewAssessor(c)
 	f := func(rows []uint8, undo bool) bool {
-		cp := a.Checkpoint()
+		cp := len(a.log)
 		for _, rw := range rows {
 			row := int(rw) % r.Len()
 			_ = a.Apply(r, row, "city", []string{"atlanta", "boston", "chicago"}[int(rw)%3])
 		}
 		if undo {
-			if err := a.RollbackTo(r, cp); err != nil {
+			if err := a.rollbackTo(r, cp); err != nil {
 				return false
 			}
 		}
@@ -244,8 +244,8 @@ func TestLangIntegrationWithEmbedding(t *testing.T) {
 	for i := 0; i < r.Len(); i++ {
 		_ = a.Apply(r, i, "city", "chicago") // no-ops on existing chicago rows
 	}
-	if a.Applied() != 4 { // 10% of 40
-		t.Fatalf("committed %d, want 4", a.Applied())
+	if a.applied != 4 { // 10% of 40
+		t.Fatalf("committed %d, want 4", a.applied)
 	}
 }
 

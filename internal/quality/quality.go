@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/relation"
-	"repro/internal/stats"
 )
 
 // Alteration records one value rewrite performed by a watermarking step.
@@ -27,8 +26,7 @@ type Alteration struct {
 
 // Context is what a constraint sees when evaluating an alteration. The
 // alteration has already been applied to Relation when Evaluate runs, so
-// constraints inspect the resulting state; TupleBefore reconstructs the
-// pre-image when needed.
+// constraints inspect the resulting state; Alt.Old is the pre-image.
 type Context struct {
 	// Relation is the data with the alteration applied.
 	Relation *relation.Relation
@@ -37,16 +35,6 @@ type Context struct {
 	// Applied is the number of alterations committed so far, including
 	// this one if it commits.
 	Applied int
-}
-
-// TupleBefore returns a copy of the altered tuple with the old value
-// restored.
-func (c Context) TupleBefore() relation.Tuple {
-	t := c.Relation.Tuple(c.Alt.Row)
-	if j, ok := c.Relation.Schema().Index(c.Alt.Attr); ok {
-		t[j] = c.Alt.Old
-	}
-	return t
 }
 
 // Constraint is a pluggable usability metric. Evaluate returns a non-nil
@@ -132,22 +120,12 @@ func (a *Assessor) Apply(r *relation.Relation, row int, attr, newValue string) e
 	return nil
 }
 
-// Applied returns the number of committed alterations.
-func (a *Assessor) Applied() int { return a.applied }
+// UndoAll rolls back every logged alteration.
+func (a *Assessor) UndoAll(r *relation.Relation) error { return a.rollbackTo(r, 0) }
 
-// Rejected returns the number of vetoed alterations.
-func (a *Assessor) Rejected() int { return a.rejected }
-
-// Log returns a copy of the rollback log in application order.
-func (a *Assessor) Log() []Alteration { return append([]Alteration(nil), a.log...) }
-
-// Checkpoint returns a marker for the current log position, usable with
-// RollbackTo.
-func (a *Assessor) Checkpoint() int { return len(a.log) }
-
-// RollbackTo undoes all alterations after the checkpoint, most recent
-// first, restoring r to its state at Checkpoint time.
-func (a *Assessor) RollbackTo(r *relation.Relation, checkpoint int) error {
+// rollbackTo undoes all alterations after log position checkpoint, most
+// recent first, restoring r to its state when the log was that long.
+func (a *Assessor) rollbackTo(r *relation.Relation, checkpoint int) error {
 	if checkpoint < 0 || checkpoint > len(a.log) {
 		return fmt.Errorf("quality: invalid checkpoint %d (log size %d)", checkpoint, len(a.log))
 	}
@@ -168,9 +146,6 @@ func (a *Assessor) RollbackTo(r *relation.Relation, checkpoint int) error {
 	return nil
 }
 
-// UndoAll rolls back every logged alteration.
-func (a *Assessor) UndoAll(r *relation.Relation) error { return a.RollbackTo(r, 0) }
-
 // ---- Built-in constraints ------------------------------------------------
 
 // maxAlterations bounds the absolute number of committed alterations —
@@ -180,10 +155,6 @@ func (a *Assessor) UndoAll(r *relation.Relation) error { return a.RollbackTo(r, 
 type maxAlterations struct {
 	max int
 }
-
-// MaxAlterations returns a constraint allowing at most max committed
-// alterations.
-func MaxAlterations(max int) Constraint { return &maxAlterations{max: max} }
 
 // MaxAlterationFraction returns a constraint allowing alterations to at
 // most frac·n tuples.
@@ -221,102 +192,6 @@ func (v *valueDomain) Evaluate(ctx Context) error {
 	}
 	if !v.domain.Contains(ctx.Alt.New) {
 		return fmt.Errorf("value %q outside the %d-value domain", ctx.Alt.New, v.domain.Size())
-	}
-	return nil
-}
-
-// frozenAttribute forbids any change to an attribute (e.g. the primary key
-// during embedding).
-type frozenAttribute struct {
-	attr string
-}
-
-// FrozenAttribute returns a constraint vetoing all changes to attr.
-func FrozenAttribute(attr string) Constraint { return &frozenAttribute{attr: attr} }
-
-func (f *frozenAttribute) Name() string { return "frozen:" + f.attr }
-
-func (f *frozenAttribute) Evaluate(ctx Context) error {
-	if ctx.Alt.Attr == f.attr {
-		return fmt.Errorf("attribute %q is frozen", f.attr)
-	}
-	return nil
-}
-
-// frequencyDrift bounds the L1 distance between the attribute's current
-// occurrence-frequency profile and its profile at construction time. It
-// protects the Section 4.2 frequency channel (and aggregate statistics
-// consumers) from excessive histogram distortion.
-type frequencyDrift struct {
-	attr     string
-	maxL1    float64
-	baseline *stats.Histogram
-	current  *stats.Histogram
-}
-
-// FrequencyDrift returns a stateful constraint bounding the L1 drift of
-// attr's frequency histogram, measured against r's state now.
-func FrequencyDrift(r *relation.Relation, attr string, maxL1 float64) (Constraint, error) {
-	h, err := relation.HistogramOf(r, attr)
-	if err != nil {
-		return nil, err
-	}
-	return &frequencyDrift{attr: attr, maxL1: maxL1, baseline: h, current: h.Clone()}, nil
-}
-
-func (f *frequencyDrift) Name() string { return "frequency-drift:" + f.attr }
-
-func (f *frequencyDrift) Evaluate(ctx Context) error {
-	if ctx.Alt.Attr != f.attr {
-		return nil
-	}
-	tentative := f.current.Clone()
-	tentative.AddN(ctx.Alt.Old, -1)
-	tentative.AddN(ctx.Alt.New, 1)
-	if d := tentative.L1Distance(f.baseline); d > f.maxL1 {
-		return fmt.Errorf("frequency drift %.4f exceeds budget %.4f", d, f.maxL1)
-	}
-	return nil
-}
-
-func (f *frequencyDrift) Commit(ctx Context) {
-	if ctx.Alt.Attr != f.attr {
-		return
-	}
-	f.current.AddN(ctx.Alt.Old, -1)
-	f.current.AddN(ctx.Alt.New, 1)
-}
-
-func (f *frequencyDrift) Revert(ctx Context) {
-	if ctx.Alt.Attr != f.attr {
-		return
-	}
-	f.current.AddN(ctx.Alt.New, -1)
-	f.current.AddN(ctx.Alt.Old, 1)
-}
-
-// classPreserving vetoes alterations that change a tuple's class under a
-// user-supplied classifier — the Section 6 future-work idea of encoding
-// with "direct awareness of semantic consistency (e.g. classification
-// rules)".
-type classPreserving struct {
-	name     string
-	classify func(relation.Tuple) string
-}
-
-// ClassPreserving returns a constraint requiring classify(tuple) to be
-// unchanged by each alteration.
-func ClassPreserving(name string, classify func(relation.Tuple) string) Constraint {
-	return &classPreserving{name: name, classify: classify}
-}
-
-func (c *classPreserving) Name() string { return "class-preserving:" + c.name }
-
-func (c *classPreserving) Evaluate(ctx Context) error {
-	after := c.classify(ctx.Relation.Tuple(ctx.Alt.Row))
-	before := c.classify(ctx.TupleBefore())
-	if after != before {
-		return fmt.Errorf("class changed %q -> %q", before, after)
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package quality
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -31,10 +33,10 @@ func TestAssessorAppliesAndLogs(t *testing.T) {
 	if v, _ := r.Value(0, "city"); v != "denver" {
 		t.Fatalf("value %q", v)
 	}
-	if a.Applied() != 1 || len(a.Log()) != 1 {
-		t.Fatalf("applied=%d log=%d", a.Applied(), len(a.Log()))
+	if a.applied != 1 || len(a.log) != 1 {
+		t.Fatalf("applied=%d log=%d", a.applied, len(a.log))
 	}
-	got := a.Log()[0]
+	got := a.log[0]
 	if got.Old != "atlanta" || got.New != "denver" || got.Row != 0 {
 		t.Fatalf("log entry %+v", got)
 	}
@@ -46,7 +48,7 @@ func TestAssessorNoOpNotLogged(t *testing.T) {
 	if err := a.Apply(r, 0, "city", "atlanta"); err != nil {
 		t.Fatal(err)
 	}
-	if a.Applied() != 0 || len(a.Log()) != 0 {
+	if a.applied != 0 || len(a.log) != 0 {
 		t.Fatal("no-op alteration was logged")
 	}
 }
@@ -71,8 +73,8 @@ func TestViolationRollsBack(t *testing.T) {
 	if v, _ := r.Value(2, "city"); v != "chicago" {
 		t.Fatalf("value %q after rollback, want chicago", v)
 	}
-	if a.Rejected() != 1 || a.Applied() != 0 {
-		t.Fatalf("rejected=%d applied=%d", a.Rejected(), a.Applied())
+	if a.rejected != 1 || a.applied != 0 {
+		t.Fatalf("rejected=%d applied=%d", a.rejected, a.applied)
 	}
 	// In-domain value still passes.
 	if err := a.Apply(r, 2, "city", "boston"); err != nil {
@@ -82,7 +84,7 @@ func TestViolationRollsBack(t *testing.T) {
 
 func TestMaxAlterations(t *testing.T) {
 	r := testRelation(t, 10)
-	a := NewAssessor(MaxAlterations(2))
+	a := NewAssessor(MaxAlterationFraction(1, 2))
 	if err := a.Apply(r, 0, "city", "x1"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,11 @@ func TestMaxAlterationFraction(t *testing.T) {
 
 func TestFrozenAttribute(t *testing.T) {
 	r := testRelation(t, 3)
-	a := NewAssessor(FrozenAttribute("k"))
+	frozen, err := ParseConstraint("frozen:k", "not changed('k')", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAssessor(frozen)
 	if err := a.Apply(r, 0, "k", "999"); err == nil {
 		t.Fatal("frozen attribute altered")
 	}
@@ -134,14 +140,14 @@ func TestRollbackToCheckpoint(t *testing.T) {
 	if err := a.Apply(r, 0, "city", "v0"); err != nil {
 		t.Fatal(err)
 	}
-	cp := a.Checkpoint()
+	cp := len(a.log)
 	if err := a.Apply(r, 1, "city", "v1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Apply(r, 2, "city", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RollbackTo(r, cp); err != nil {
+	if err := a.rollbackTo(r, cp); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := r.Value(1, "city"); v != "boston" {
@@ -150,8 +156,8 @@ func TestRollbackToCheckpoint(t *testing.T) {
 	if v, _ := r.Value(0, "city"); v != "v0" {
 		t.Fatalf("checkpointed alteration lost: %q", v)
 	}
-	if a.Applied() != 1 {
-		t.Fatalf("applied=%d after rollback", a.Applied())
+	if a.applied != 1 {
+		t.Fatalf("applied=%d after rollback", a.applied)
 	}
 	if err := a.UndoAll(r); err != nil {
 		t.Fatal(err)
@@ -182,17 +188,17 @@ func TestRollbackSameRowTwice(t *testing.T) {
 func TestRollbackInvalidCheckpoint(t *testing.T) {
 	a := NewAssessor()
 	r := testRelation(t, 1)
-	if err := a.RollbackTo(r, 5); err == nil {
+	if err := a.rollbackTo(r, 5); err == nil {
 		t.Fatal("invalid checkpoint accepted")
 	}
-	if err := a.RollbackTo(r, -1); err == nil {
+	if err := a.rollbackTo(r, -1); err == nil {
 		t.Fatal("negative checkpoint accepted")
 	}
 }
 
 func TestFrequencyDrift(t *testing.T) {
 	r := testRelation(t, 9) // 3 of each city
-	fd, err := FrequencyDrift(r, "city", 0.3)
+	fd, err := ParseConstraint("drift:city", "freq_drift('city') <= 0.3", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +221,7 @@ func TestFrequencyDrift(t *testing.T) {
 
 func TestFrequencyDriftRevertOnRollback(t *testing.T) {
 	r := testRelation(t, 9)
-	fd, err := FrequencyDrift(r, "city", 0.25)
+	fd, err := ParseConstraint("drift:city", "freq_drift('city') <= 0.25", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +240,7 @@ func TestFrequencyDriftRevertOnRollback(t *testing.T) {
 
 func TestFrequencyDriftIgnoresOtherAttrs(t *testing.T) {
 	r := testRelation(t, 3)
-	fd, err := FrequencyDrift(r, "city", 0.0001)
+	fd, err := ParseConstraint("drift:city", "freq_drift('city') <= 0.0001", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestFrequencyDriftIgnoresOtherAttrs(t *testing.T) {
 
 func TestFrequencyDriftUnknownAttr(t *testing.T) {
 	r := testRelation(t, 3)
-	if _, err := FrequencyDrift(r, "ghost", 0.5); err == nil {
+	if _, err := ParseConstraint("drift:ghost", "freq_drift('ghost') <= 0.5", r); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
 }
@@ -263,7 +269,7 @@ func TestClassPreserving(t *testing.T) {
 		}
 		return "late"
 	}
-	a := NewAssessor(ClassPreserving("alphabet", classify))
+	a := NewAssessor(&classPreserving{name: "alphabet", classify: classify})
 	// atlanta -> boston keeps "early": allowed.
 	if err := a.Apply(r, 0, "city", "boston"); err != nil {
 		t.Fatalf("class-preserving move vetoed: %v", err)
@@ -300,4 +306,27 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// classPreserving is a plugin constraint in the shape of the Section 6
+// idea of encoding "with direct awareness of semantic consistency (e.g.
+// classification rules)": it vetoes alterations that change a tuple's
+// class under a user-supplied classifier.
+type classPreserving struct {
+	name     string
+	classify func(relation.Tuple) string
+}
+
+func (c *classPreserving) Name() string { return "class-preserving:" + c.name }
+
+func (c *classPreserving) Evaluate(ctx Context) error {
+	after := ctx.Relation.Tuple(ctx.Alt.Row)
+	before := slices.Clone(after)
+	if j, ok := ctx.Relation.Schema().Index(ctx.Alt.Attr); ok {
+		before[j] = ctx.Alt.Old
+	}
+	if b, a := c.classify(before), c.classify(after); a != b {
+		return fmt.Errorf("class changed %q -> %q", b, a)
+	}
+	return nil
 }

@@ -31,9 +31,6 @@ type Column struct {
 	offs []int32
 }
 
-// Rows returns the number of values in the column.
-func (c *Column) Rows() int { return len(c.offs) - 1 }
-
 // Value returns row i's bytes. The slice aliases the block arena and is
 // valid only until the block is reset or returned to the pool.
 func (c *Column) Value(i int) []byte { return c.data[c.offs[i]:c.offs[i+1]] }
@@ -83,6 +80,8 @@ type Block struct {
 
 // NewBlock returns an empty block shaped for schema. Prefer
 // GetBlock/PutBlock on hot paths — pooled blocks keep their arenas.
+//
+//wmlint:ignore reachable perfbench's per-layer probes fill blocks it makes here; that module is not in the lint run's view
 func NewBlock(schema *Schema) *Block {
 	b := &Block{}
 	b.Reset(schema)
@@ -116,20 +115,6 @@ func (b *Block) Gen() uint64 { return b.gen }
 
 // Col returns the column at schema position i.
 func (b *Block) Col(i int) *Column { return &b.cols[i] }
-
-// Value returns the bytes of attribute col in row. Same lifetime rules
-// as Column.Value.
-func (b *Block) Value(row, col int) []byte { return b.cols[col].Value(row) }
-
-// Tuple materializes row i as an owned Tuple — the bridge to the
-// tuple-at-a-time reference paths; it allocates one string per field.
-func (b *Block) Tuple(i int) Tuple {
-	t := make(Tuple, len(b.cols))
-	for c := range b.cols {
-		t[c] = b.cols[c].String(i)
-	}
-	return t
-}
 
 // AppendTuple adds one row to the block in schema attribute order.
 // Like FillBlock it appends only the listed columns (every column when
@@ -219,7 +204,7 @@ func PutBlock(b *Block) {
 	}
 }
 
-// BlockReader is the batched complement of RowReader: it fills a
+// BlockReader is the batched row source every scan reads: it fills a
 // caller-owned Block with up to maxRows rows per call. Implementations
 // reset b before filling it.
 //
@@ -232,6 +217,38 @@ type BlockReader interface {
 	Schema() *Schema
 	// ReadBlock resets b and fills it with up to maxRows rows.
 	ReadBlock(b *Block, maxRows int) (int, error)
+}
+
+// Rows returns a reader over a materialized relation, for feeding
+// in-memory data to streaming consumers.
+//
+//wmlint:ignore reachable test adapter: pipeline, core and server tests feed materialized relations to BlockReader consumers through it
+func Rows(r *Relation) *RelationReader { return &RelationReader{r: r} }
+
+// RelationReader streams a materialized relation's rows in order as a
+// BlockReader, filling blocks through Relation.FillBlock.
+type RelationReader struct {
+	r *Relation
+	i int
+}
+
+// Schema returns the relation's schema.
+func (m *RelationReader) Schema() *Schema { return m.r.Schema() }
+
+// ReadBlock fills b with up to maxRows rows (<= 0 means a default
+// batch). See BlockReader for the contract.
+func (m *RelationReader) ReadBlock(b *Block, maxRows int) (int, error) {
+	if m.i >= m.r.Len() {
+		b.Reset(m.r.schema)
+		return 0, io.EOF
+	}
+	if maxRows <= 0 {
+		maxRows = defaultBlockRows
+	}
+	lo := m.i
+	m.i = min(lo+maxRows, m.r.Len())
+	m.r.FillBlock(b, lo, m.i)
+	return m.i - lo, nil
 }
 
 // defaultBlockRows sizes the default ReadBlock/SkimRecords batch and

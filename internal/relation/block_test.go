@@ -38,7 +38,11 @@ func drainBlockRows(t *testing.T, br BlockReader, maxRows int) ([][]string, erro
 			t.Fatalf("ReadBlock returned %d rows together with io.EOF", n)
 		}
 		for i := 0; i < n; i++ {
-			rows = append(rows, []string(b.Tuple(i)))
+			row := make([]string, len(b.cols))
+			for c := range b.cols {
+				row[c] = b.cols[c].String(i)
+			}
+			rows = append(rows, row)
 		}
 		if err == io.EOF {
 			return rows, nil
@@ -142,6 +146,8 @@ var csvOracleCases = []string{
 	"\r",
 	"Wrong,Item_Nbr\n1,2\n",
 	"Visit_Nbr\n1\n",
+	"Visit_Nbr,Item_Nbr\r\n1,\r\n", // empty last field before \r\n
+	"\xff\xfe",
 }
 
 func TestCSVBlockReaderMatchesLegacy(t *testing.T) {
@@ -184,6 +190,8 @@ var jsonlOracleCases = []string{
 	"{\"Visit_Nbr\":\"a\tb\",\"Item_Nbr\":\"x\"}\n",   // raw control char
 	"",
 	"   \n\t ",
+	"{\"Visit_Nbr\":\"\\u0000\",\"Item_Nbr\":\"x\"}", // escaped NUL, no newline
+	"\x00{",
 }
 
 func TestJSONLBlockReaderMatchesLegacy(t *testing.T) {
@@ -524,7 +532,7 @@ func TestBlockPoolAndGen(t *testing.T) {
 	if err := b.AppendTuple(Tuple{"1", "10"}); err != nil {
 		t.Fatal(err)
 	}
-	if b.Rows() != 1 || b.Col(0).String(0) != "1" || string(b.Value(0, 1)) != "10" {
+	if b.Rows() != 1 || b.Col(0).String(0) != "1" || string(b.Col(1).Value(0)) != "10" {
 		t.Fatalf("block contents wrong: %d rows", b.Rows())
 	}
 	b.Reset(schema)
@@ -711,7 +719,7 @@ func BenchmarkRowReader(b *testing.B) {
 				for {
 					n, err := br.ReadBlock(blk, 512)
 					for j := 0; j < n; j++ {
-						sink += len(blk.Value(j, 0))
+						sink += len(blk.Col(0).Value(j))
 					}
 					if err == io.EOF {
 						break

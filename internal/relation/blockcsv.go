@@ -11,16 +11,16 @@ import (
 // parser that slices fields straight out of the read buffer into a
 // Block's column arenas, allocating nothing per row once the block pool
 // is warm. Parsing semantics are bit-identical to encoding/csv with the
-// exact configuration the legacy CSVRowReader uses (comma separator,
+// exact configuration the test oracle CSVRowReader uses (comma separator,
 // strict quotes, no comment lines, FieldsPerRecord pinned to the schema
 // arity): \r\n normalization, blank-line skipping, quoted fields
 // spanning lines, "" escapes, bare/stray-quote errors — the fuzz tests
 // drive both parsers over the same inputs and demand identical row
-// streams. The legacy reader stays as that oracle.
+// streams.
 //
 // The header row is consumed by NewCSVBlockReader; file column order
 // may differ from schema order and is mapped by name, exactly as in
-// NewCSVRowReader.
+// ReadCSV.
 //
 // CSVBlockReader implements BlockReader (the zero-allocation path) and
 // RawShardSource (the record skim the cluster coordinator cuts shards

@@ -13,7 +13,7 @@ import (
 // JSONLBlockReader is the zero-copy JSONL ingestion path: a windowed
 // scanner over the input stream that decodes one flat JSON object per
 // record straight into a Block's column arenas. Decoding semantics are
-// bit-identical to the legacy JSONLRowReader's json.Decoder into
+// bit-identical to the test oracle JSONLRowReader's json.Decoder into
 // map[string]string — the fuzz tests drive both over the same inputs
 // and demand identical row streams: whitespace (including newlines)
 // between records and tokens, duplicate keys resolved last-wins with

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -79,6 +80,16 @@ func histCounts(h *stats.Histogram) map[string]int {
 	return m
 }
 
+// histTotal is the occurrence total h's Freq divides by, read back
+// through Freq (0 for an empty histogram).
+func histTotal(h *stats.Histogram) int {
+	labels := h.Labels()
+	if len(labels) == 0 {
+		return 0
+	}
+	return int(math.Round(float64(h.Count(labels[0])) / h.Freq(labels[0])))
+}
+
 // checkCoding holds a coding to the column it codes: every row's code
 // names its value, labels are distinct, and the counts are the rows
 // per code.
@@ -150,7 +161,7 @@ func TestCodingMatchesMapOracles(t *testing.T) {
 				t.Fatal(err)
 			}
 			for form, h := range map[string]*stats.Histogram{"HistogramOf": gotH, "Coding.Histogram": c.Histogram()} {
-				if !reflect.DeepEqual(histCounts(h), histCounts(wantH)) || h.Total() != wantH.Total() {
+				if !reflect.DeepEqual(histCounts(h), histCounts(wantH)) || histTotal(h) != histTotal(wantH) {
 					t.Fatalf("%s: %s differs from the map oracle", name, form)
 				}
 			}
@@ -204,7 +215,7 @@ func TestCodingRefresh(t *testing.T) {
 		}
 		wantH, _ := histogramOfOracle(r, "v")
 		wantD, _ := domainOfOracle(r, "v")
-		if got := c.Histogram(); !reflect.DeepEqual(histCounts(got), histCounts(wantH)) || got.Total() != wantH.Total() {
+		if got := c.Histogram(); !reflect.DeepEqual(histCounts(got), histCounts(wantH)) || histTotal(got) != histTotal(wantH) {
 			t.Fatalf("%s: refreshed histogram differs from the map oracle", name)
 		}
 		d, err := c.Domain()
@@ -231,8 +242,8 @@ func TestCodingErrors(t *testing.T) {
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Fatalf("empty coding Domain error %v, DomainOf's %v", err, want)
 	}
-	if h := c.Histogram(); h.Total() != 0 || h.Distinct() != 0 {
-		t.Fatalf("empty coding histogram %d/%d", h.Total(), h.Distinct())
+	if h := c.Histogram(); histTotal(h) != 0 || h.Distinct() != 0 {
+		t.Fatalf("empty coding histogram %d/%d", histTotal(h), h.Distinct())
 	}
 }
 

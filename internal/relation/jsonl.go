@@ -37,7 +37,8 @@ func WriteJSONL(w io.Writer, r *Relation) error {
 // Every object must supply exactly the schema's attributes; extra or
 // missing keys are errors, as silent column loss would corrupt watermark
 // detection. It drains a JSONLBlockReader the way ReadCSV drains the CSV
-// one; JSONLRowReader remains as its test oracle.
+// one; the stdlib-backed JSONLRowReader in the package's tests is its
+// fuzz oracle.
 func ReadJSONL(rd io.Reader, schema *Schema) (*Relation, error) {
 	in := &countingReader{rd: rd}
 	br := NewJSONLBlockReader(in, schema)

@@ -100,21 +100,6 @@ func (r *Relation) SelectRows(rows []int) (*Relation, error) {
 	return out, nil
 }
 
-// Filter returns a new relation with copies of the rows for which keep
-// returns true. The tuple keep sees is reused across calls: it is valid
-// only during the call.
-func (r *Relation) Filter(keep func(i int, t Tuple) bool) *Relation {
-	out := New(r.schema)
-	t := make(Tuple, r.arity)
-	for i := 0; i < r.rows; i++ {
-		r.tupleInto(t, i)
-		if keep(i, t) {
-			out.MustAppend(t)
-		}
-	}
-	return out
-}
-
 // Project returns a new relation keeping only the named attributes — the
 // A5 vertical partition. The primary key follows Schema.Project semantics.
 // Rows whose projected key collides are dropped (first occurrence wins),
@@ -142,20 +127,4 @@ func (r *Relation) Project(keep ...string) (*Relation, int, error) {
 		}
 	}
 	return out, dropped, nil
-}
-
-// AppendAll appends copies of every tuple in o, returning the number of
-// tuples rejected for duplicate keys.
-func (r *Relation) AppendAll(o *Relation) (rejected int, err error) {
-	if !r.schema.Equal(o.schema) {
-		return 0, fmt.Errorf("relation: schema mismatch in AppendAll")
-	}
-	t := make(Tuple, o.arity)
-	for i, n := 0, o.rows; i < n; i++ {
-		o.tupleInto(t, i)
-		if appendErr := r.Append(t); appendErr != nil {
-			rejected++
-		}
-	}
-	return rejected, nil
 }

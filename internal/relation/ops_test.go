@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -176,4 +177,53 @@ func TestAppendAllSchemaMismatch(t *testing.T) {
 	if _, err := a.AppendAll(other); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
+}
+
+// Filter, AppendAll and EqualUnordered are test helpers over the
+// production row primitives: no production path needs them.
+
+// Filter returns a new relation with copies of the rows for which keep
+// returns true. The tuple keep sees is reused across calls: it is valid
+// only during the call.
+func (r *Relation) Filter(keep func(i int, t Tuple) bool) *Relation {
+	out := New(r.schema)
+	t := make(Tuple, r.arity)
+	for i := 0; i < r.rows; i++ {
+		r.tupleInto(t, i)
+		if keep(i, t) {
+			out.MustAppend(t)
+		}
+	}
+	return out
+}
+
+// AppendAll appends copies of every tuple in o, returning the number of
+// tuples rejected for duplicate keys.
+func (r *Relation) AppendAll(o *Relation) (rejected int, err error) {
+	if !r.schema.Equal(o.schema) {
+		return 0, fmt.Errorf("relation: schema mismatch in AppendAll")
+	}
+	t := make(Tuple, o.arity)
+	for i, n := 0, o.rows; i < n; i++ {
+		o.tupleInto(t, i)
+		if appendErr := r.Append(t); appendErr != nil {
+			rejected++
+		}
+	}
+	return rejected, nil
+}
+
+// EqualUnordered reports whether two relations contain the same tuples
+// regardless of order, matching rows by primary key.
+func (r *Relation) EqualUnordered(o *Relation) bool {
+	if !r.schema.Equal(o.schema) || r.Len() != o.Len() {
+		return false
+	}
+	for i := 0; i < r.rows; i++ {
+		j, ok := o.Lookup(r.Key(i))
+		if !ok || !r.rowEqual(i, o, j) {
+			return false
+		}
+	}
+	return true
 }

@@ -244,3 +244,25 @@ func TestTypeParseRoundTrip(t *testing.T) {
 		t.Error("unknown type accepted")
 	}
 }
+
+// Lookup, Tuple.Clone and Column.Rows are test accessors: production
+// paths find keys only through Append's duplicate check and read values
+// through At, tupleInto and the block columns.
+
+// Lookup returns the row index holding the given primary-key value.
+func (r *Relation) Lookup(key string) (int, bool) {
+	if r.rows == 0 {
+		return 0, false
+	}
+	slot, ok := r.findKey(keyHash(key), key)
+	if !ok {
+		return 0, false
+	}
+	return int(r.keys[slot]&rowMask) - 1, true
+}
+
+// Clone returns an independent copy of the tuple.
+func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
+
+// Rows returns the number of values in the column.
+func (c *Column) Rows() int { return len(c.offs) - 1 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/server/store"
@@ -35,8 +36,8 @@ func postRaw(t *testing.T, rawURL, contentType, body string, out any) int {
 // certificate ID plus the marked CSV.
 func watermarkFixture(t *testing.T, ts *httptest.Server, secret, csv string, domain []string) (id, marked string) {
 	t.Helper()
-	var wmResp WatermarkResponse
-	status := postJSON(t, ts.URL+"/v1/watermark", WatermarkRequest{
+	var wmResp api.WatermarkResponse
+	status := postJSON(t, ts.URL+"/v1/watermark", api.WatermarkRequest{
 		Schema:    testSchemaSpec,
 		Data:      csv,
 		Secret:    secret,
@@ -64,14 +65,14 @@ func TestVerifyBatchStreamedCSV(t *testing.T) {
 
 	// Whole catalog (no records parameter).
 	u := ts.URL + "/v1/verify/batch?schema=" + url.QueryEscape(testSchemaSpec)
-	var resp BatchVerifyResponse
-	if status := postRaw(t, u, contentTypeCSV, marked, &resp); status != http.StatusOK {
+	var resp api.BatchVerifyResponse
+	if status := postRaw(t, u, api.ContentTypeCSV, marked, &resp); status != http.StatusOK {
 		t.Fatalf("batch status %d: %+v", status, resp)
 	}
 	if len(resp.Results) != 2 {
 		t.Fatalf("got %d results, want 2 (whole catalog): %+v", len(resp.Results), resp)
 	}
-	byID := map[string]BatchVerifyResult{}
+	byID := map[string]api.BatchVerifyResult{}
 	for _, res := range resp.Results {
 		byID[res.ID] = res
 	}
@@ -88,7 +89,7 @@ func TestVerifyBatchStreamedCSV(t *testing.T) {
 	// Explicit selection preserves request order.
 	u = ts.URL + "/v1/verify/batch?schema=" + url.QueryEscape(testSchemaSpec) +
 		"&records=" + other + "," + owner
-	if status := postRaw(t, u, contentTypeCSV, marked, &resp); status != http.StatusOK {
+	if status := postRaw(t, u, api.ContentTypeCSV, marked, &resp); status != http.StatusOK {
 		t.Fatalf("batch status %d", status)
 	}
 	if len(resp.Results) != 2 || resp.Results[0].ID != other || resp.Results[1].ID != owner {
@@ -101,7 +102,7 @@ func TestVerifyBatchStreamedCSV(t *testing.T) {
 	// A trailing comma in the selection is tolerated, not a 404 on "".
 	u = ts.URL + "/v1/verify/batch?schema=" + url.QueryEscape(testSchemaSpec) +
 		"&records=" + owner + ","
-	if status := postRaw(t, u, contentTypeCSV, marked, &resp); status != http.StatusOK {
+	if status := postRaw(t, u, api.ContentTypeCSV, marked, &resp); status != http.StatusOK {
 		t.Fatalf("trailing comma: status %d", status)
 	}
 	if len(resp.Results) != 1 || resp.Results[0].Match != 1 {
@@ -111,8 +112,8 @@ func TestVerifyBatchStreamedCSV(t *testing.T) {
 	// An unknown ID in the selection is a 404, not a silent skip.
 	u = ts.URL + "/v1/verify/batch?schema=" + url.QueryEscape(testSchemaSpec) +
 		"&records=00000000000000000000000000000000"
-	var e apiError
-	if status := postRaw(t, u, contentTypeCSV, marked, &e); status != http.StatusNotFound {
+	var e api.Error
+	if status := postRaw(t, u, api.ContentTypeCSV, marked, &e); status != http.StatusNotFound {
 		t.Fatalf("unknown record: status %d, want 404 (%+v)", status, e)
 	}
 }
@@ -124,8 +125,8 @@ func TestVerifyBatchJSONBody(t *testing.T) {
 	csv, domain := testCSV(t, 4000)
 	owner, marked := watermarkFixture(t, ts, "json-batch-owner", csv, domain)
 
-	var resp BatchVerifyResponse
-	status := postJSON(t, ts.URL+"/v1/verify/batch", BatchVerifyRequest{
+	var resp api.BatchVerifyResponse
+	status := postJSON(t, ts.URL+"/v1/verify/batch", api.BatchVerifyRequest{
 		Records: []string{owner},
 		Schema:  testSchemaSpec,
 		Data:    marked,
@@ -159,8 +160,8 @@ func TestVerifyStreamedNDJSON(t *testing.T) {
 	}
 
 	u := ts.URL + "/v1/verify?id=" + owner + "&schema=" + url.QueryEscape(testSchemaSpec)
-	var vResp VerifyResponse
-	if status := postRaw(t, u, contentTypeNDJSON, ndjson.String(), &vResp); status != http.StatusOK {
+	var vResp api.VerifyResponse
+	if status := postRaw(t, u, api.ContentTypeNDJSON, ndjson.String(), &vResp); status != http.StatusOK {
 		t.Fatalf("streamed verify status %d: %+v", status, vResp)
 	}
 	if vResp.Match != 1 || vResp.Verdict != "present" {
@@ -171,9 +172,9 @@ func TestVerifyStreamedNDJSON(t *testing.T) {
 	}
 
 	// Streaming verify without an id is a 400.
-	var e apiError
+	var e api.Error
 	u = ts.URL + "/v1/verify?schema=" + url.QueryEscape(testSchemaSpec)
-	if status := postRaw(t, u, contentTypeCSV, marked, &e); status != http.StatusBadRequest {
+	if status := postRaw(t, u, api.ContentTypeCSV, marked, &e); status != http.StatusBadRequest {
 		t.Fatalf("missing id: status %d, want 400", status)
 	}
 }
@@ -191,8 +192,8 @@ func TestRequestBodyLimits(t *testing.T) {
 
 	big := strings.Repeat("x", 8192)
 
-	var e apiError
-	if status := postJSON(t, ts.URL+"/v1/watermark", WatermarkRequest{
+	var e api.Error
+	if status := postJSON(t, ts.URL+"/v1/watermark", api.WatermarkRequest{
 		Schema: testSchemaSpec, Data: big, Secret: "s", Attribute: "Item_Nbr", WM: "101",
 	}, &e); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized JSON body: status %d, want 413 (%+v)", status, e)
@@ -204,7 +205,7 @@ func TestRequestBodyLimits(t *testing.T) {
 	}
 	u := ts.URL + "/v1/verify/batch?schema=" + url.QueryEscape(testSchemaSpec) +
 		"&records=00000000000000000000000000000000"
-	if status := postRaw(t, u, contentTypeCSV, bigCSV, &e); status != http.StatusNotFound &&
+	if status := postRaw(t, u, api.ContentTypeCSV, bigCSV, &e); status != http.StatusNotFound &&
 		status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("streamed batch pre-scan: status %d (%+v)", status, e)
 	}
@@ -216,7 +217,7 @@ func TestRequestBodyLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	u = ts.URL + "/v1/verify/batch?schema=" + url.QueryEscape(testSchemaSpec) + "&records=" + id
-	if status := postRaw(t, u, contentTypeCSV, bigCSV, &e); status != http.StatusRequestEntityTooLarge {
+	if status := postRaw(t, u, api.ContentTypeCSV, bigCSV, &e); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized streamed body: status %d, want 413 (%+v)", status, e)
 	}
 }
@@ -267,7 +268,7 @@ func TestListRecordsSortedAndLimited(t *testing.T) {
 	if got := listResp["records"]; len(got) != 2 || got[0] != ids[0] || got[1] != ids[1] {
 		t.Fatalf("limit=2 returned %v, want first two of %v", got, ids[:2])
 	}
-	var e apiError
+	var e api.Error
 	if s := getJSON(t, ts.URL+"/v1/records?limit=-1", &e); s != http.StatusBadRequest {
 		t.Fatalf("negative limit: status %d, want 400", s)
 	}
@@ -289,8 +290,8 @@ func TestConcurrentVerifiesShareScannerCache(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				var vResp VerifyResponse
-				status := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
+				var vResp api.VerifyResponse
+				status := postJSON(t, ts.URL+"/v1/verify", api.VerifyRequest{
 					ID: owner, Schema: testSchemaSpec, Data: marked,
 				}, &vResp)
 				if status != http.StatusOK || vResp.Match != 1 {
@@ -299,8 +300,8 @@ func TestConcurrentVerifiesShareScannerCache(t *testing.T) {
 				}
 				u := ts.URL + "/v1/verify/batch?schema=" + url.QueryEscape(testSchemaSpec) +
 					"&records=" + owner + "," + other
-				var bResp BatchVerifyResponse
-				if status := postRaw(t, u, contentTypeCSV, marked, &bResp); status != http.StatusOK {
+				var bResp api.BatchVerifyResponse
+				if status := postRaw(t, u, api.ContentTypeCSV, marked, &bResp); status != http.StatusOK {
 					errCh <- fmt.Errorf("g%d: batch status %d", g, status)
 					return
 				}

@@ -45,6 +45,8 @@ type ClusterConfig struct {
 
 // Coordinator exposes the cluster coordinator, nil on non-coordinator
 // servers — tests use it to reach the membership table directly.
+//
+//wmlint:ignore reachable perfbench's audit_service waits on LiveWorkers through it; that module is not in the lint run's view
 func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 
 // Join starts the worker agent declared by Config.Cluster.JoinURL, if

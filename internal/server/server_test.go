@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/relation"
@@ -79,8 +80,8 @@ func TestWatermarkVerifyRoundTrip(t *testing.T) {
 	ts := newTestServer(t)
 	csv, domain := testCSV(t, 6000)
 
-	var wmResp WatermarkResponse
-	status := postJSON(t, ts.URL+"/v1/watermark", WatermarkRequest{
+	var wmResp api.WatermarkResponse
+	status := postJSON(t, ts.URL+"/v1/watermark", api.WatermarkRequest{
 		Schema:    testSchemaSpec,
 		Data:      csv,
 		Secret:    "server-test-secret",
@@ -97,8 +98,8 @@ func TestWatermarkVerifyRoundTrip(t *testing.T) {
 		t.Fatalf("embedding did nothing: %+v", wmResp)
 	}
 
-	var vResp VerifyResponse
-	status = postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
+	var vResp api.VerifyResponse
+	status = postJSON(t, ts.URL+"/v1/verify", api.VerifyRequest{
 		ID:     wmResp.ID,
 		Schema: testSchemaSpec,
 		Data:   wmResp.Data,
@@ -111,7 +112,7 @@ func TestWatermarkVerifyRoundTrip(t *testing.T) {
 	}
 
 	// The pristine data must NOT verify as present.
-	status = postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
+	status = postJSON(t, ts.URL+"/v1/verify", api.VerifyRequest{
 		ID:     wmResp.ID,
 		Schema: testSchemaSpec,
 		Data:   csv,
@@ -128,8 +129,8 @@ func TestRecordEndpointRedactsSecret(t *testing.T) {
 	ts := newTestServer(t)
 	csv, domain := testCSV(t, 3000)
 
-	var wmResp WatermarkResponse
-	if s := postJSON(t, ts.URL+"/v1/watermark", WatermarkRequest{
+	var wmResp api.WatermarkResponse
+	if s := postJSON(t, ts.URL+"/v1/watermark", api.WatermarkRequest{
 		Schema: testSchemaSpec, Data: csv, Secret: "hush", Attribute: "Item_Nbr",
 		WM: "10110", E: 30, Domain: domain,
 	}, &wmResp); s != http.StatusOK {
@@ -151,7 +152,7 @@ func TestRecordEndpointRedactsSecret(t *testing.T) {
 	if strings.Contains(buf.String(), "hush") {
 		t.Fatalf("record endpoint leaked the secret: %s", buf.String())
 	}
-	var info RecordInfo
+	var info api.RecordInfo
 	if err := json.Unmarshal(buf.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +166,15 @@ func TestRecordEndpointRedactsSecret(t *testing.T) {
 	}
 	if len(listResp["records"]) != 1 || listResp["records"][0] != wmResp.ID {
 		t.Fatalf("list wrong: %+v", listResp)
+	}
+
+	var del api.DeleteResponse
+	if s, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/records/"+wmResp.ID, nil, &del); s != http.StatusOK || del.Deleted != wmResp.ID {
+		t.Fatalf("v1 delete: status %d, %+v", s, del)
+	}
+	var e api.Error
+	if s := getJSON(t, ts.URL+"/v1/records/"+wmResp.ID, &e); s != http.StatusNotFound || e.Code != api.CodeNotFound {
+		t.Fatalf("deleted record still resolves: status %d, %+v", s, e)
 	}
 }
 
@@ -193,8 +203,8 @@ func TestVerifyWithInlineRecordAndJSONL(t *testing.T) {
 	if err := relation.WriteJSONL(&jb, r); err != nil {
 		t.Fatal(err)
 	}
-	var vResp VerifyResponse
-	if s := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
+	var vResp api.VerifyResponse
+	if s := postJSON(t, ts.URL+"/v1/verify", api.VerifyRequest{
 		Record: rec, Schema: testSchemaSpec, Format: "jsonl", Data: jb.String(),
 	}, &vResp); s != http.StatusOK {
 		t.Fatalf("verify status %d", s)
@@ -207,13 +217,13 @@ func TestVerifyWithInlineRecordAndJSONL(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t)
 
-	var e apiError
-	if s := postJSON(t, ts.URL+"/v1/watermark", WatermarkRequest{
+	var e api.Error
+	if s := postJSON(t, ts.URL+"/v1/watermark", api.WatermarkRequest{
 		Schema: "bogus spec", Data: "x", Secret: "s", Attribute: "A", WM: "101",
 	}, &e); s != http.StatusBadRequest {
 		t.Fatalf("bad schema: status %d, want 400 (%+v)", s, e)
 	}
-	if s := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
+	if s := postJSON(t, ts.URL+"/v1/verify", api.VerifyRequest{
 		Schema: testSchemaSpec, Data: "Visit_Nbr,Item_Nbr\n1,10\n",
 	}, &e); s != http.StatusBadRequest {
 		t.Fatalf("missing certificate: status %d, want 400 (%+v)", s, e)

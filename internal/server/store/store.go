@@ -152,9 +152,6 @@ func (s *Store) migrateFlat() error {
 	return nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // NewID returns a fresh random record ID.
 func NewID() (string, error) {
 	var b [16]byte

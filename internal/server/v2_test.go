@@ -101,6 +101,10 @@ func TestV2RoutesServeSameAPI(t *testing.T) {
 	if status, _ = doJSON(t, http.MethodDelete, ts.URL+"/v2/records/"+wmResp.ID, nil, &del); status != http.StatusOK || del.Deleted != wmResp.ID {
 		t.Fatalf("v2 delete: status %d, %+v", status, del)
 	}
+	var e api.Error
+	if status, _ = doJSON(t, http.MethodGet, ts.URL+"/v2/records/"+wmResp.ID, nil, &e); status != http.StatusNotFound || e.Code != api.CodeNotFound {
+		t.Fatalf("deleted record still resolves: status %d, %+v", status, e)
+	}
 }
 
 // TestUnmatchedRoutesWearEnvelope is the satellite fix: unknown methods
@@ -286,7 +290,7 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 
 	// And it shows up in the listing, newest first.
 	var list api.JobList
-	if status, _ = doJSON(t, http.MethodGet, ts.URL+"/v2/jobs", nil, &list); status != http.StatusOK || len(list.Jobs) != 1 {
+	if status, _ = doJSON(t, http.MethodGet, ts.URL+"/v2/jobs", nil, &list); status != http.StatusOK || len(list.Jobs) != 1 || list.Jobs[0].ID != job.ID {
 		t.Fatalf("job list: status %d, %+v", status, list)
 	}
 }

@@ -193,3 +193,16 @@ func TestNormalSamplerMatchesCDF(t *testing.T) {
 		t.Errorf("empirical P[Z<1] = %v, want %v", got, want)
 	}
 }
+
+// NormFloat64 returns a standard-normal variate (Box–Muller; the polar
+// variant avoids trig in the common path).
+func (s *Source) NormFloat64() float64 {
+	for {
+		u := 2*s.Float64() - 1
+		v := 2*s.Float64() - 1
+		r2 := u*u + v*v
+		if r2 > 0 && r2 < 1 {
+			return u * math.Sqrt(-2*math.Log(r2)/r2)
+		}
+	}
+}

@@ -11,11 +11,6 @@ type Histogram struct {
 	total  int
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[string]int)}
-}
-
 // HistogramOfCounts returns a histogram over counts, taking ownership of
 // the map: the caller must not use it afterwards. Labels with a count of
 // zero or less are dropped, as AddN would never have stored them.
@@ -52,9 +47,6 @@ func (h *Histogram) AddN(label string, n int) {
 
 // Count returns the occurrence count of label.
 func (h *Histogram) Count(label string) int { return h.counts[label] }
-
-// Total returns the total number of recorded occurrences.
-func (h *Histogram) Total() int { return h.total }
 
 // Distinct returns the number of distinct labels present.
 func (h *Histogram) Distinct() int { return len(h.counts) }

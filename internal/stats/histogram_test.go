@@ -8,7 +8,7 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	h.Add("chicago")
 	h.Add("chicago")
 	h.Add("boston")
@@ -24,14 +24,14 @@ func TestHistogramBasics(t *testing.T) {
 }
 
 func TestHistogramEmptyFreq(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	if h.Freq("x") != 0 {
 		t.Fatal("empty histogram should report 0 frequency")
 	}
 }
 
 func TestHistogramAddNRemove(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	h.AddN("a", 5)
 	h.AddN("a", -2)
 	if h.Count("a") != 3 || h.Total() != 3 {
@@ -44,7 +44,7 @@ func TestHistogramAddNRemove(t *testing.T) {
 }
 
 func TestHistogramClampNegative(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	h.AddN("a", 2)
 	h.AddN("a", -10) // over-removal clamps at zero
 	if h.Count("a") != 0 || h.Total() != 0 {
@@ -53,7 +53,7 @@ func TestHistogramClampNegative(t *testing.T) {
 }
 
 func TestHistogramLabelsSorted(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	for _, l := range []string{"zebra", "apple", "mango"} {
 		h.Add(l)
 	}
@@ -64,7 +64,7 @@ func TestHistogramLabelsSorted(t *testing.T) {
 }
 
 func TestFreqVectorAligned(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	h.AddN("b", 3)
 	h.AddN("a", 1)
 	labels, freqs := h.FreqVector()
@@ -77,7 +77,7 @@ func TestFreqVectorAligned(t *testing.T) {
 }
 
 func TestL1DistanceSelfZero(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	h.AddN("a", 3)
 	h.AddN("b", 7)
 	if d := h.L1Distance(h); d != 0 {
@@ -86,7 +86,7 @@ func TestL1DistanceSelfZero(t *testing.T) {
 }
 
 func TestL1DistanceDisjoint(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
+	a, b := HistogramOfCounts(map[string]int{}), HistogramOfCounts(map[string]int{})
 	a.AddN("x", 5)
 	b.AddN("y", 5)
 	if d := a.L1Distance(b); math.Abs(d-2) > 1e-12 {
@@ -96,7 +96,7 @@ func TestL1DistanceDisjoint(t *testing.T) {
 
 func TestL1DistanceSymmetric(t *testing.T) {
 	f := func(counts [6]uint8) bool {
-		a, b := NewHistogram(), NewHistogram()
+		a, b := HistogramOfCounts(map[string]int{}), HistogramOfCounts(map[string]int{})
 		labels := []string{"p", "q", "r"}
 		for i, l := range labels {
 			a.AddN(l, int(counts[i]))
@@ -113,7 +113,7 @@ func TestL1DistanceSymmetric(t *testing.T) {
 }
 
 func TestHistogramClone(t *testing.T) {
-	h := NewHistogram()
+	h := HistogramOfCounts(map[string]int{})
 	h.AddN("a", 2)
 	c := h.Clone()
 	c.Add("a")
@@ -127,7 +127,7 @@ func TestHistogramClone(t *testing.T) {
 }
 
 func TestHistogramOfCountsMatchesAdd(t *testing.T) {
-	want := NewHistogram()
+	want := HistogramOfCounts(map[string]int{})
 	for _, l := range []string{"a", "b", "a", "c", "a"} {
 		want.Add(l)
 	}
@@ -135,7 +135,11 @@ func TestHistogramOfCountsMatchesAdd(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("HistogramOfCounts = %+v, want %+v", got, want)
 	}
-	if empty := HistogramOfCounts(map[string]int{}); !reflect.DeepEqual(empty, NewHistogram()) {
+	if empty := HistogramOfCounts(map[string]int{}); !reflect.DeepEqual(empty, HistogramOfCounts(map[string]int{})) {
 		t.Fatalf("empty HistogramOfCounts = %+v", empty)
 	}
 }
+
+// Total returns the cached number of recorded occurrences, which Freq
+// divides by.
+func (h *Histogram) Total() int { return h.total }

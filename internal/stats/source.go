@@ -9,7 +9,6 @@ package stats
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 )
 
 // Source is a deterministic pseudorandom source built from SHA-256 in
@@ -141,17 +140,4 @@ func (s *Source) Sample(n, k int) []int {
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:k]
-}
-
-// NormFloat64 returns a standard-normal variate (Box–Muller; the polar
-// variant avoids trig in the common path).
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		r2 := u*u + v*v
-		if r2 > 0 && r2 < 1 {
-			return u * math.Sqrt(-2*math.Log(r2)/r2)
-		}
-	}
 }

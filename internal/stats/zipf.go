@@ -41,20 +41,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Prob returns P(rank k).
-func (z *Zipf) Prob(k int) float64 {
-	if k < 0 || k >= len(z.cdf) {
-		return 0
-	}
-	if k == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[k] - z.cdf[k-1]
-}
-
 // Sample draws one rank using the provided source (inverse-CDF with binary
 // search; O(log n)).
 func (z *Zipf) Sample(src *Source) int {

@@ -133,3 +133,18 @@ func TestWeightedPanics(t *testing.T) {
 		}()
 	}
 }
+
+// N returns the number of ranks. N and Prob read a Zipf's rank
+// distribution back for the tests.
+func (z *Zipf) N() int { return len(z.cdf) }
+
+// Prob returns P(rank k).
+func (z *Zipf) Prob(k int) float64 {
+	if k < 0 || k >= len(z.cdf) {
+		return 0
+	}
+	if k == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[k] - z.cdf[k-1]
+}
