@@ -111,7 +111,7 @@ commands:
   attack     apply an adversary-model attack (A1-A6)
   analyze    Section 4.4 vulnerability mathematics
   audit      submit an async corpus audit to a wmserver and await the verdicts
-  kernels    list the batched hash backends and their calibrated speeds
+  kernels    list the batched hash backends, their measured speeds and the auto pick
   loglevel   read or set a running wmserver's log level without a restart
   serve      run the wmserver HTTP API in-process
 
@@ -571,13 +571,14 @@ func verifyBatch(in, spec string, recordPaths []string, workers int, kernel keyh
 }
 
 // cmdKernels reports the batched keyed-hash backends compiled into this
-// binary, which of them this machine can run, and the startup
-// micro-benchmark's measured rate for each — the data behind every
-// -kernel flag and behind the auto selection scans default to.
+// binary, which of them this machine can run, a micro-benchmark's
+// measured rate for each, and the backend the KernelAuto rule picks
+// from this CPU's features — the data behind every -kernel flag.
 func cmdKernels(args []string) error {
 	fs := flag.NewFlagSet("kernels", flag.ExitOnError)
 	fs.Parse(args)
 	cal := keyhash.Calibrate()
+	auto := keyhash.AutoKind()
 	fmt.Println("batched keyed-hash backends, H(V;k) = SHA-256(len(k) || k || V || k):")
 	for _, bk := range keyhash.Backends() {
 		line := fmt.Sprintf("  %-13s %d lane", bk.Kind, bk.Lanes)
@@ -590,12 +591,13 @@ func cmdKernels(args []string) error {
 		if !bk.Available {
 			line += "  unavailable (needs " + bk.Requires + ")"
 		}
-		if bk.Kind == cal.Kind {
+		if bk.Kind == auto {
 			line += "  <- auto selection"
 		}
 		fmt.Println(line)
 	}
-	fmt.Printf("\nauto (the default for every scan) picked %q on this machine.\n", cal.Kind)
+	fmt.Printf("\nauto (the default for every scan) picks %q from this CPU's features;\n", auto)
+	fmt.Printf("the fastest measured here was %q.\n", cal.Kind)
 	fmt.Println("pin a backend with 'wmtool verify -kernel <kind>' or 'wmserver -kernel <kind>'.")
 	return nil
 }

@@ -48,13 +48,9 @@ type WorkerRegistration struct {
 	// means 1.
 	Capacity int `json:"capacity,omitempty"`
 	// Kernel is the hash backend the worker's scans run on (the
-	// calibrated KernelAuto pick, or a pinned kind). Informational plus
-	// autotuning: the coordinator surfaces it in /healthz.
+	// KernelAuto rule's pick, or a pinned kind). Informational: the
+	// coordinator surfaces it in /healthz.
 	Kernel string `json:"kernel,omitempty"`
-	// HashesPerSec is the worker's calibrated single-thread keyed-hash
-	// rate (keyhash.Calibrate). The coordinator seeds shard-size
-	// autotuning with it until real per-shard throughput is observed.
-	HashesPerSec float64 `json:"hashes_per_sec,omitempty"`
 }
 
 // WorkerAck is the registration reply: the lease terms the coordinator
@@ -82,12 +78,6 @@ type WorkerStatus struct {
 	ActiveShards int `json:"active_shards"`
 	// Kernel is the hash backend the worker advertised at registration.
 	Kernel string `json:"kernel,omitempty"`
-	// HashesPerSec is the worker's advertised calibrated hash rate.
-	HashesPerSec float64 `json:"hashes_per_sec,omitempty"`
-	// RowsPerSec is the coordinator's observed per-worker scan
-	// throughput (EWMA over completed shards) — the signal auto shard
-	// sizing uses. Zero until the worker completes a shard.
-	RowsPerSec float64 `json:"rows_per_sec,omitempty"`
 }
 
 // ClusterStatus is the cluster block of the /healthz body.

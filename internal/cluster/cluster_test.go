@@ -241,6 +241,20 @@ func TestCoordinatorMembershipLease(t *testing.T) {
 	}
 }
 
+// TestWorkerStatusCarriesKernel pins the /healthz surface: the hash
+// backend a worker advertises at registration shows up on its status row.
+func TestWorkerStatusCarriesKernel(t *testing.T) {
+	c := NewCoordinator(Config{})
+	c.Register(api.WorkerRegistration{ID: "w", URL: "http://w", Kernel: "multibuffer4"})
+	st := c.Status()
+	if len(st.Workers) != 1 {
+		t.Fatalf("want 1 worker, got %d", len(st.Workers))
+	}
+	if w := st.Workers[0]; w.Kernel != "multibuffer4" {
+		t.Fatalf("status row lost the kernel: %+v", w)
+	}
+}
+
 func TestCoordinatorAcquirePrefersUntriedLeastLoaded(t *testing.T) {
 	c := NewCoordinator(Config{})
 	c.Register(api.WorkerRegistration{ID: "a", URL: "http://a", Capacity: 2})

@@ -43,14 +43,8 @@ type member struct {
 	// stops receiving shards immediately (no TTL wait) until a fresh
 	// heartbeat revives it.
 	unreachable bool
-	// kernel and hashesPerSec echo the worker's registration: the hash
-	// backend it scans with and its calibrated single-thread hash rate.
-	kernel       string
-	hashesPerSec float64
-	// rowsPerSec is the observed scan throughput (EWMA over completed
-	// shards) — what auto shard sizing trusts once it exists. Zero until
-	// the worker completes its first shard.
-	rowsPerSec float64
+	// kernel echoes the hash backend the worker's registration names.
+	kernel string
 }
 
 // CoordinatorOption customises a Coordinator.
@@ -105,7 +99,6 @@ func (c *Coordinator) Register(reg api.WorkerRegistration) api.WorkerAck {
 	m.lastSeen = c.now()
 	m.unreachable = false
 	m.kernel = reg.Kernel
-	m.hashesPerSec = reg.HashesPerSec
 	pruned := c.pruneLocked()
 	scans := c.activeScansLocked()
 	c.mu.Unlock()
@@ -188,8 +181,6 @@ func (c *Coordinator) Status() api.ClusterStatus {
 			LastHeartbeatAgeSeconds: c.now().Sub(m.lastSeen).Seconds(),
 			ActiveShards:            m.active,
 			Kernel:                  m.kernel,
-			HashesPerSec:            m.hashesPerSec,
-			RowsPerSec:              m.rowsPerSec,
 		})
 	}
 	sort.Slice(st.Workers, func(a, b int) bool { return st.Workers[a].ID < st.Workers[b].ID })
@@ -285,112 +276,4 @@ func (c *Coordinator) activeScansLocked() []*scan {
 		out = append(out, s)
 	}
 	return out
-}
-
-// rateAlpha weights the newest per-shard throughput observation in the
-// EWMA: heavy enough to track a worker that warms up or degrades within
-// one audit, light enough that a single outlier shard doesn't whipsaw
-// the shard size.
-const rateAlpha = 0.4
-
-// observeRate folds one completed shard into the worker's rows/s EWMA.
-// The first observation is taken whole (no decay toward the seed — the
-// seed is a cross-machine heuristic, a measurement beats it outright).
-func (c *Coordinator) observeRate(m *member, rows int, elapsed time.Duration) {
-	if rows <= 0 || elapsed <= 0 {
-		return
-	}
-	rate := float64(rows) / elapsed.Seconds()
-	c.mu.Lock()
-	if m.rowsPerSec <= 0 {
-		m.rowsPerSec = rate
-	} else {
-		m.rowsPerSec = rateAlpha*rate + (1-rateAlpha)*m.rowsPerSec
-	}
-	c.mu.Unlock()
-}
-
-// targetShardRows sizes the next shard for auto mode: peek at the worker
-// the dispatcher would hand it to (same selection rule as acquire,
-// without reserving the slot) and cut the shard so that worker finishes
-// in ~TargetShardLatency at its learned rate. Workers with no completed
-// shard yet are seeded from their advertised calibrated hash rate,
-// scaled so a cluster-average machine gets the configured ShardRows;
-// with no signal at all the configured ShardRows stands.
-func (c *Coordinator) targetShardRows() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var best *member
-	for _, m := range c.members {
-		if !c.liveLocked(m) || m.active >= m.capacity {
-			continue
-		}
-		if best == nil || m.active < best.active ||
-			(m.active == best.active && m.id < best.id) {
-			best = m
-		}
-	}
-	if best == nil {
-		// Every live worker is busy (or none exists). Size for the
-		// cluster's mean observed rate so the queued shard suits whoever
-		// frees up first.
-		if mean := c.meanRateLocked(); mean > 0 {
-			return c.clampRows(int(mean * c.cfg.targetShardLatency().Seconds()))
-		}
-		return c.clampRows(c.cfg.shardRows())
-	}
-	if best.rowsPerSec > 0 {
-		return c.clampRows(int(best.rowsPerSec * c.cfg.targetShardLatency().Seconds()))
-	}
-	// Unobserved worker: scale the configured shard size by how this
-	// worker's calibrated hash rate compares to the cluster mean, so a
-	// machine advertising 2× the hashes/s starts with a 2× shard.
-	if best.hashesPerSec > 0 {
-		if mean := c.meanAdvertisedLocked(); mean > 0 {
-			return c.clampRows(int(float64(c.cfg.shardRows()) * best.hashesPerSec / mean))
-		}
-	}
-	return c.clampRows(c.cfg.shardRows())
-}
-
-func (c *Coordinator) clampRows(rows int) int {
-	if min := c.cfg.minShardRows(); rows < min {
-		return min
-	}
-	if max := c.cfg.maxShardRows(); rows > max {
-		return max
-	}
-	return rows
-}
-
-// meanRateLocked averages the observed rows/s over live workers that
-// have one. Callers hold c.mu.
-func (c *Coordinator) meanRateLocked() float64 {
-	sum, n := 0.0, 0
-	for _, m := range c.members {
-		if c.liveLocked(m) && m.rowsPerSec > 0 {
-			sum += m.rowsPerSec
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// meanAdvertisedLocked averages the calibrated hash rates live workers
-// advertised at registration. Callers hold c.mu.
-func (c *Coordinator) meanAdvertisedLocked() float64 {
-	sum, n := 0.0, 0
-	for _, m := range c.members {
-		if c.liveLocked(m) && m.hashesPerSec > 0 {
-			sum += m.hashesPerSec
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -49,15 +49,6 @@ func newCoordinatorMetrics(r *obs.Registry, c *Coordinator) *metrics {
 				emit(float64(w.ActiveShards), w.ID)
 			}
 		}, "worker")
-	r.Sampled("wm_cluster_worker_rows_per_sec",
-		"Observed scan throughput per worker (EWMA over completed shards) — the signal auto shard sizing uses.", obs.TypeGauge,
-		func(emit obs.Emit) {
-			for _, w := range c.Status().Workers {
-				if w.RowsPerSec > 0 {
-					emit(w.RowsPerSec, w.ID)
-				}
-			}
-		}, "worker")
 	return met
 }
 

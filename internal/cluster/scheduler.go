@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"strings"
 	"sync"
 	"time"
@@ -50,17 +49,7 @@ type shardTask struct {
 	// failed is the set of worker IDs that already failed this shard;
 	// acquire avoids them while an untried live worker exists.
 	failed map[string]bool
-	// sub/child track re-splitting: when an auto-sized shard fails, the
-	// retry may cut it into smaller children (same idx, sub 0..n-1) so a
-	// shard sized for a fast worker that died isn't forced whole onto a
-	// slow survivor. Children never split again.
-	sub   int
-	child bool
 }
-
-// resKey addresses one parked partial result: a whole shard is
-// {idx, 0}; a split shard parks one entry per child.
-type resKey struct{ idx, sub int }
 
 // scan is the mutable state of one ScanShards call.
 type scan struct {
@@ -99,10 +88,7 @@ type scan struct {
 	produced   int
 	readerDone bool
 	err        error
-	results    map[resKey][]*mark.Tally
-	// subCount marks shards that were re-split on retry: idx -> number
-	// of children whose partials must merge in sub order.
-	subCount map[int]int
+	results    map[int][]*mark.Tally
 }
 
 // wake nudges the dispatcher (non-blocking; coalesces).
@@ -178,8 +164,7 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSourc
 		kick:         make(chan struct{}, 1),
 		feed:         make(chan struct{}, 1),
 		readerExited: make(chan struct{}),
-		results:      make(map[resKey][]*mark.Tally),
-		subCount:     make(map[int]int),
+		results:      make(map[int][]*mark.Tally),
 	}
 	for j, sc := range scanners {
 		s.bandwidths[j] = sc.Bandwidth()
@@ -220,14 +205,8 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSourc
 		totals[j] = sc.NewTally()
 	}
 	for idx := 0; idx < s.produced; idx++ {
-		subs := 1
-		if n := s.subCount[idx]; n > 0 {
-			subs = n
-		}
-		for sub := 0; sub < subs; sub++ {
-			for j := range totals {
-				totals[j].Merge(s.results[resKey{idx, sub}][j])
-			}
+		for j := range totals {
+			totals[j].Merge(s.results[idx][j])
 		}
 	}
 	return totals, nil
@@ -248,7 +227,6 @@ func (c *Coordinator) ScanShards(ctx context.Context, src relation.RawShardSourc
 // the scan has failed or been cancelled.
 func (s *scan) readShards(src relation.RawShardSource) {
 	defer close(s.readerExited)
-	auto := s.c.cfg.AutoShardRows
 	shardRows := s.c.cfg.shardRows()
 	maxBuffered := s.c.cfg.maxBufferedShards()
 	hdr := src.RawHeader()
@@ -317,17 +295,6 @@ func (s *scan) readShards(src relation.RawShardSource) {
 			finish(nil)
 			return
 		}
-		// Auto mode sizes each shard as it begins, not up front: the
-		// reader stays at most one undispatched shard ahead (so the size
-		// reflects the worker that will actually receive it) and asks the
-		// coordinator how many rows that worker digests in the target
-		// latency.
-		if auto && rows == 0 {
-			if shardRows = s.autoShardRows(); shardRows == 0 {
-				finish(s.ctx.Err())
-				return
-			}
-		}
 		var n int
 		var err error
 		if spans != nil {
@@ -352,31 +319,6 @@ func (s *scan) readShards(src relation.RawShardSource) {
 		return
 	}
 	finish(nil)
-}
-
-// autoShardRows parks until the dispatcher has drained the pending
-// queue — keeping the reader at most one undispatched shard ahead in
-// auto mode — then returns the row count the coordinator recommends for
-// the next shard. Returns 0 when the scan has died and the reader
-// should stop.
-func (s *scan) autoShardRows() int {
-	for {
-		s.mu.Lock()
-		if s.err != nil || s.ctx.Err() != nil {
-			s.mu.Unlock()
-			return 0
-		}
-		if len(s.pending) == 0 {
-			s.mu.Unlock()
-			return s.c.targetShardRows()
-		}
-		s.mu.Unlock()
-		select {
-		case <-s.feed:
-		case <-s.ctx.Done():
-			return 0
-		}
-	}
 }
 
 // dispatch is the scheduler loop: hand pending shards to free workers,
@@ -446,7 +388,6 @@ func (s *scan) runShard(task *shardTask, m *member) {
 	sctx, span := trace.Start(s.ctx, "cluster.shard.dispatch")
 	defer span.End()
 	span.SetInt("shard", int64(task.idx))
-	span.SetInt("sub", int64(task.sub))
 	span.SetInt("rows", int64(task.rows))
 	span.SetAttr("worker", m.id)
 	span.SetInt("attempt", int64(task.attempts+1))
@@ -481,23 +422,16 @@ func (s *scan) runShard(task *shardTask, m *member) {
 		rowsErr = s.checkShardRows(task)
 	}
 
-	if err == nil {
-		// Feed the autotuner: rows over wall time for this worker. Runs
-		// in fixed mode too — the learned rate shows up in /healthz and
-		// /metrics either way.
-		s.c.observeRate(m, task.rows, elapsed)
-		if s.job.Progress != nil {
-			s.job.Progress(task.rows)
-		}
+	if err == nil && s.job.Progress != nil {
+		s.job.Progress(task.rows)
 	}
 
 	attempt := 0
-	split := 0
 	s.mu.Lock()
 	s.inflight--
 	switch {
 	case err == nil:
-		s.results[resKey{task.idx, task.sub}] = tallies
+		s.results[task.idx] = tallies
 	case s.ctx.Err() != nil || s.err != nil:
 		// Cancelled or already failing — drop the shard, the dispatcher
 		// is only waiting for in-flight RPCs to unwind.
@@ -513,39 +447,16 @@ func (s *scan) runShard(task *shardTask, m *member) {
 			s.failLocked(fmt.Errorf("cluster: shard %d failed on %d workers, last error: %w",
 				task.idx, task.attempts, err))
 		} else {
-			// An auto-sized shard was cut for the worker that just failed
-			// it; the survivor retrying it may be far slower. Re-split it
-			// in half so the retry granularity matches the cluster that
-			// remains. Children keep the shard's attempt budget and never
-			// split again; splitting must happen in this same critical
-			// section as inflight--, or the dispatcher could observe an
-			// empty scheduler and finish without the shard.
-			requeue := []*shardTask{task}
-			if s.c.cfg.AutoShardRows && !task.child && task.rows >= 2*s.c.cfg.minShardRows() {
-				_, rspan := trace.Start(s.ctx, "cluster.shard.resplit")
-				rspan.SetInt("shard", int64(task.idx))
-				rspan.SetInt("rows", int64(task.rows))
-				children, splitErr := s.splitTask(task)
-				rspan.SetError(splitErr)
-				rspan.End()
-				if splitErr == nil {
-					s.subCount[task.idx] = len(children)
-					requeue = children
-					split = len(children)
-				}
-			}
-			s.pending = append(s.pending, requeue...)
+			// Requeue in this same critical section as inflight--, or the
+			// dispatcher could observe an empty scheduler and finish
+			// without the shard.
+			s.pending = append(s.pending, task)
 			if met := s.c.met; met != nil {
 				met.retries.With(m.id).Inc()
 			}
 		}
 	}
 	s.mu.Unlock()
-	if split > 0 {
-		s.c.log.Info("cluster: shard re-split for retry",
-			"request_id", obs.RequestID(s.ctx), "shard", task.idx, "rows", task.rows,
-			"children", split)
-	}
 	if attempt > 0 {
 		s.c.log.Warn("cluster: shard attempt failed",
 			"request_id", obs.RequestID(s.ctx), "shard", task.idx, "worker", m.id,
@@ -553,46 +464,6 @@ func (s *scan) runShard(task *shardTask, m *member) {
 	}
 	s.wake()
 	s.wakeFeeder() // a parked reader re-checks for failure (or freed room)
-}
-
-// splitTask cuts a failed shard's payload into two half-sized children
-// (same idx, sub 0 and 1) by skimming its records again and copying
-// each child's share verbatim. The children inherit the shard's attempt
-// count and failure history.
-func (s *scan) splitTask(task *shardTask) ([]*shardTask, error) {
-	src, err := s.shardSource(task.data)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: re-split shard %d: %w", task.idx, err)
-	}
-	sizes := [2]int{task.rows / 2, task.rows - task.rows/2}
-	children := make([]*shardTask, 0, len(sizes))
-	var buf []byte
-	first := task.first
-	for sub, want := range sizes {
-		if err := s.ctx.Err(); err != nil {
-			return nil, err
-		}
-		var n int
-		buf, n, err = src.SkimRecords(append(buf[:0], src.RawHeader()...), want)
-		if err != nil || n != want {
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("cluster: re-split shard %d: %w", task.idx, err)
-		}
-		children = append(children, &shardTask{
-			idx:      task.idx,
-			sub:      sub,
-			child:    true,
-			data:     string(buf),
-			first:    first,
-			rows:     want,
-			attempts: task.attempts,
-			failed:   maps.Clone(task.failed),
-		})
-		first += want
-	}
-	return children, nil
 }
 
 // shardSource opens a block reader over one shard payload.

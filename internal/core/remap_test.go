@@ -232,9 +232,6 @@ func TestVerifyRemapHashesKeysOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.VerifyWith(suspect, VerifyOptions{}); err != nil { // warm the kernel calibration
-		t.Fatal(err)
-	}
 	hashed := func() uint64 {
 		var n uint64
 		for _, c := range keyhash.KernelStats() {

@@ -105,7 +105,7 @@ func benchKernels(b *testing.B, k Key, values []string) {
 	// CI pins a backend via WM_BENCH_KERNEL so two runs produce the same
 	// sub-benchmark name ("pinned") and benchstat can diff them — e.g.
 	// old = multibuffer, new = widest. Accepted values: any kernel kind,
-	// "auto" (the calibrated winner), or "widest" (most lanes available).
+	// "auto" (the KernelAuto rule's pick), or "widest" (most lanes available).
 	if env := os.Getenv("WM_BENCH_KERNEL"); env != "" {
 		kind, err := resolveBenchKernel(env)
 		if err != nil {

@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// Calibration is the result of the one-time startup micro-benchmark
-// that KernelAuto uses to pick a backend: the chosen kind plus the
-// measured single-thread hash rate of every backend this CPU can run.
+// Calibration is the result of a diagnostic micro-benchmark: the
+// fastest measured kind plus the measured single-thread hash rate of
+// every backend this CPU can run. It informs no scan; KernelAuto is the
+// rule in AutoKind.
 type Calibration struct {
-	// Kind is the fastest measured backend — what KernelAuto builds.
+	// Kind is the fastest measured backend.
 	Kind KernelKind
 	// HashesPerSec maps every available backend to its measured
 	// single-thread keyed-hash rate over a block of short values.
@@ -25,16 +26,14 @@ var (
 // Calibrate micro-benchmarks every backend available on this machine
 // and returns the fastest, caching the result for the process lifetime.
 // The first caller pays a few milliseconds (about a millisecond per
-// available backend); everyone after reads the cache. NewKernel
-// (KernelAuto) resolves through this, so the cost is paid at most once
-// no matter how many scanners a process builds.
+// available backend); everyone after reads the cache. It is a
+// diagnostic for 'wmtool kernels' and the benchmark harness: one short
+// shot can rank backends differently from run to run, so no scan path
+// calls it.
 func Calibrate() Calibration {
 	calibOnce.Do(func() { calibResult = runCalibration(time.Millisecond) })
 	return calibResult
 }
-
-// AutoKind is the concrete backend KernelAuto resolves to.
-func AutoKind() KernelKind { return Calibrate().Kind }
 
 // runCalibration measures every available backend for roughly budget
 // each and picks the fastest. Ties (unlikely) keep the earlier

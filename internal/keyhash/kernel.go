@@ -31,10 +31,9 @@ type Kernel interface {
 type KernelKind string
 
 const (
-	// KernelAuto picks the fastest backend available on this machine:
-	// the first NewKernel(KernelAuto) in a process runs a short
-	// calibration pass (see Calibrate) that micro-benchmarks every
-	// available backend and caches the winner.
+	// KernelAuto picks a backend from the CPU's features alone (see
+	// AutoKind), so every node with the same features scans with the
+	// same backend.
 	KernelAuto KernelKind = ""
 	// KernelPortable is the pure-Go batched kernel: one-shot SHA-256 per
 	// value over a reused stack scratch buffer. Available everywhere.
@@ -85,7 +84,7 @@ type backendDef struct {
 // registry holds every backend in presentation order: portable first,
 // then the accelerated backends by increasing lane count (arch init
 // functions append theirs). Selection order is NOT registry order —
-// KernelAuto picks by measured throughput (Calibrate).
+// KernelAuto follows pickAuto.
 var registry = func() []*backendDef {
 	d := &backendDef{
 		kind:      KernelPortable,
@@ -95,6 +94,28 @@ var registry = func() []*backendDef {
 	d.build = func(k Key) Kernel { return newPortableKernel(k, &d.counters) }
 	return []*backendDef{d}
 }()
+
+// AutoKind is the concrete backend KernelAuto resolves to on this CPU.
+func AutoKind() KernelKind {
+	return pickAuto(func(kind KernelKind) bool {
+		d := lookupBackend(kind)
+		return d != nil && d.available()
+	})
+}
+
+// pickAuto is KernelAuto's rule: multibuffer where the CPU has SHA-NI,
+// else avx2 where it has AVX2 and BMI2, else portable. multibuffer
+// outran every other backend on every host with a record. avx2 ranks
+// above portable only because it is the one accelerated path on a CPU
+// without SHA-NI; no measurement on such a CPU backs that order.
+func pickAuto(available func(KernelKind) bool) KernelKind {
+	for _, kind := range []KernelKind{KernelMultiBuffer, KernelAVX2} {
+		if available(kind) {
+			return kind
+		}
+	}
+	return KernelPortable
+}
 
 func lookupBackend(kind KernelKind) *backendDef {
 	for _, d := range registry {
@@ -135,9 +156,9 @@ func Backends() []BackendInfo {
 }
 
 // NewKernel validates the key and builds the requested hash backend.
-// KernelAuto never fails on a valid key (it resolves to the calibrated
-// winner, see Calibrate); a concrete kind fails where the CPU (or
-// architecture) lacks the features it needs.
+// KernelAuto never fails on a valid key (it resolves to AutoKind); a
+// concrete kind fails where the CPU (or architecture) lacks the
+// features it needs.
 func (k Key) NewKernel(kind KernelKind) (Kernel, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err

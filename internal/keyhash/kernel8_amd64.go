@@ -4,9 +4,8 @@ package keyhash
 // YMM register holds the same word of eight independent messages, so
 // every shift/xor/add of the compression function runs on all eight
 // lanes at once. No SHA-NI dependency — this is the fast path for amd64
-// machines with AVX2 but no SHA extensions, and a genuine contender
-// even with them (eight lanes of plain integer SIMD vs the RNDS2
-// latency chain — Calibrate decides per machine).
+// machines with AVX2 but no SHA extensions, which is where KernelAuto
+// picks it (see pickAuto).
 
 import (
 	"encoding/binary"

@@ -3,6 +3,7 @@ package keyhash
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -402,7 +403,7 @@ func TestKernelStatsCount(t *testing.T) {
 	}
 }
 
-// TestCalibrate pins the auto-selection contract: the winner is an
+// TestCalibrate pins the diagnostic's contract: the winner is an
 // available backend, every available backend gets a measured positive
 // rate, and the cached result is stable across calls.
 func TestCalibrate(t *testing.T) {
@@ -431,8 +432,28 @@ func TestCalibrate(t *testing.T) {
 	if rate := cal.HashesPerSec[cal.Kind]; rate <= 0 {
 		t.Fatalf("chosen backend rate %v", rate)
 	}
-	if AutoKind() != cal.Kind {
-		t.Fatalf("AutoKind %q != Calibrate().Kind %q", AutoKind(), cal.Kind)
+}
+
+// TestAutoKindRule pins KernelAuto's rule over every availability
+// combination of the accelerated backends: SHA-NI's multibuffer first,
+// then avx2, then portable. multibuffer4 never decides the pick.
+func TestAutoKindRule(t *testing.T) {
+	for _, tc := range []struct {
+		avail []KernelKind
+		want  KernelKind
+	}{
+		{nil, KernelPortable},
+		{[]KernelKind{KernelAVX2}, KernelAVX2},
+		{[]KernelKind{KernelMultiBuffer, KernelMultiBuffer4}, KernelMultiBuffer},
+		{[]KernelKind{KernelMultiBuffer, KernelMultiBuffer4, KernelAVX2}, KernelMultiBuffer},
+		{[]KernelKind{KernelMultiBuffer4}, KernelPortable},
+	} {
+		got := pickAuto(func(kind KernelKind) bool {
+			return kind == KernelPortable || slices.Contains(tc.avail, kind)
+		})
+		if got != tc.want {
+			t.Errorf("available %v: picked %q, want %q", tc.avail, got, tc.want)
+		}
 	}
 }
 

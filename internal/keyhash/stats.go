@@ -23,11 +23,9 @@ type KernelCounters struct {
 }
 
 // ActiveKernel names the backend a KernelAuto request resolves to on
-// this process — the calibrated winner — as the spelling NewKernel
-// accepts. Trace spans attach it so a shard's phase timings can be read
-// against the kernel that produced them. The first call may run the
-// calibration pass (Calibrate caches it); scan paths call this after
-// their kernels are built, so in practice it only reads the cache.
+// this CPU, as the spelling NewKernel accepts. Trace spans attach it so
+// a shard's phase timings can be read against the kernel that produced
+// them.
 func ActiveKernel() string {
 	return string(AutoKind())
 }

@@ -88,6 +88,8 @@ func SchemaSpec(s *Schema) string {
 }
 
 // WriteCSV writes the relation with a header row of attribute names.
+// It fails on a value holding \r\n, which encoding/csv reads back as
+// \n, naming the row and column.
 func WriteCSV(w io.Writer, r *Relation) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, r.Schema().Arity())
@@ -100,6 +102,11 @@ func WriteCSV(w io.Writer, r *Relation) error {
 	row := make(Tuple, r.arity)
 	for i := 0; i < r.Len(); i++ {
 		r.tupleInto(row, i)
+		for j, v := range row {
+			if strings.Contains(v, "\r\n") {
+				return fmt.Errorf("relation: writing CSV row %d: column %q holds \\r\\n, which CSV reads back as \\n", i, header[j])
+			}
+		}
 		if len(row) == 1 && row[0] == "" {
 			// encoding/csv writes a lone empty field as a blank line,
 			// which every reader skips; a quoted "" reads back as the

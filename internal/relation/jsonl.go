@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // JSON-lines codec: one JSON object per line keyed by attribute name.
 // Complements the CSV codec for pipelines whose tooling speaks JSONL
 // (e.g. log processors and data-mining feeds, the paper's motivating
-// consumers). Round trips are lossless for any string values.
+// consumers). Round trips are lossless for any valid UTF-8 values.
 
-// WriteJSONL writes the relation as JSON lines.
+// WriteJSONL writes the relation as JSON lines. It fails on a value
+// that is not valid UTF-8, which encoding/json would write as U+FFFD,
+// naming the row and column.
 func WriteJSONL(w io.Writer, r *Relation) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -24,7 +27,11 @@ func WriteJSONL(w io.Writer, r *Relation) error {
 	obj := make(map[string]string, arity) // the same keys every row
 	for i := 0; i < r.Len(); i++ {
 		for j, name := range names {
-			obj[name] = r.At(i, j)
+			v := r.At(i, j)
+			if !utf8.ValidString(v) {
+				return fmt.Errorf("relation: writing JSONL row %d: column %q is not valid UTF-8, which JSON cannot carry", i, name)
+			}
+			obj[name] = v
 		}
 		if err := enc.Encode(obj); err != nil {
 			return fmt.Errorf("relation: writing JSONL row %d: %w", i, err)

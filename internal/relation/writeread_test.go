@@ -2,19 +2,33 @@ package relation
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // writeReadTokens are the pieces FuzzWriteRead builds values from: the
-// empty string, plain ASCII, multi-byte UTF-8, and every character
-// either format has to quote or escape (quotes, commas, newlines,
-// leading spaces, backslashes, braces, tabs, NUL). Two inputs are left
-// out because a format cannot carry them exactly: a carriage return
-// (encoding/csv reads a quoted \r\n back as \n) and invalid UTF-8
-// (encoding/json writes it as U+FFFD).
+// empty string, plain ASCII, multi-byte UTF-8, every character either
+// format has to quote or escape (quotes, commas, newlines, leading
+// spaces, backslashes, braces, tabs, NUL), and the two a format cannot
+// carry exactly: a carriage return (encoding/csv reads a quoted \r\n
+// back as \n) and invalid UTF-8 (encoding/json writes it as U+FFFD).
 var writeReadTokens = []string{
-	"a", "Z9", "é", "日本", "😀", `"`, ",", "\n", " ", "\t", `\`, "{", "}", ":", "\x00", `""`,
+	"a", "Z9", "é", "日本", "😀", `"`, ",", "\n", " ", "\t", `\`, "{", "}", ":", "\x00", `""`, "\r", "\xff",
+}
+
+// unwritable reports whether r holds a value format cannot carry: \r\n
+// for CSV, invalid UTF-8 for JSONL.
+func unwritable(format string, r *Relation) bool {
+	for _, tup := range rowsOf(r) {
+		for _, v := range tup {
+			if format == "csv" && strings.Contains(v, "\r\n") || format == "jsonl" && !utf8.ValidString(v) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // writeReadRelation decodes fuzz bytes into a relation of arity 1–4
@@ -53,10 +67,13 @@ func writeReadRelation(arity uint8, data []byte) *Relation {
 // written by WriteCSV or WriteJSONL must read back Equal through the
 // materializing reader, through the block readers at block sizes 1, 7
 // and 512, and through SkimRecords shards each parsed by a block reader
-// with the rows concatenated. Writer output is well-formed by
-// construction, so an error on any path is a failure.
+// with the rows concatenated. A writer must refuse exactly the
+// relations holding a value its format cannot carry; what it does write
+// is well-formed by construction, so an error on any read path is a
+// failure.
 func FuzzWriteRead(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 0, 0, 1, 1, 0}) // one column: "" and "a"
+	f.Add(uint8(1), []byte{1, 0, 3, 0, 16, 7, 1, 1, 1, 16, 1, 0, 17})
 	f.Add(uint8(1), []byte{2, 3, 7, 1, 5, 2, 2, 6, 1, 0})
 	f.Add(uint8(2), []byte{3, 4, 5, 6, 0, 2, 15, 15, 1, 13, 3, 9, 10, 11})
 	f.Add(uint8(3), []byte{1, 2, 1, 3, 1, 4, 1, 14, 0, 0, 0, 0, 0})
@@ -72,8 +89,12 @@ func FuzzWriteRead(f *testing.F) {
 			if format == "jsonl" {
 				write, read = WriteJSONL, ReadJSONL
 			}
-			if err := write(&sb, r); err != nil {
-				t.Fatalf("%s: write: %v", format, err)
+			err := write(&sb, r)
+			if bad := unwritable(format, r); bad || err != nil {
+				if !bad || err == nil {
+					t.Fatalf("%s: write of %q: error %v, want one only for values the format cannot carry", format, want, err)
+				}
+				continue
 			}
 			out := sb.String()
 			open := func(in string) RawShardSource {
@@ -126,4 +147,40 @@ func FuzzWriteRead(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWritersRejectUnrepresentableValues: a value a format cannot carry
+// fails the write, naming its row and column, instead of reading back
+// changed — CSV turns \r\n into \n, JSON turns invalid UTF-8 into
+// U+FFFD. Each writer still takes the value the other one refuses.
+func TestWritersRejectUnrepresentableValues(t *testing.T) {
+	for _, tc := range []struct {
+		value, bad string
+	}{
+		{"a\r\nb", "csv"},
+		{"x\xffy", "jsonl"},
+	} {
+		r := New(MustSchema([]Attribute{{Name: "k", Type: TypeString}, {Name: "v", Type: TypeString}}, "k"))
+		for _, tup := range []Tuple{{"1", "ok"}, {"2", tc.value}} {
+			if err := r.Append(tup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, format := range []string{"csv", "jsonl"} {
+			write := WriteCSV
+			if format == "jsonl" {
+				write = WriteJSONL
+			}
+			err := write(io.Discard, r)
+			if format != tc.bad {
+				if err != nil {
+					t.Fatalf("%s write of %q: %v", format, tc.value, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "row 1") || !strings.Contains(err.Error(), `column "v"`) {
+				t.Fatalf("%s write of %q: error %v, want one naming row 1, column \"v\"", format, tc.value, err)
+			}
+		}
+	}
 }

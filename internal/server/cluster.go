@@ -16,7 +16,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/keyhash"
 	"repro/internal/relation"
 )
 
@@ -66,21 +65,13 @@ func (s *Server) Join() {
 	if s.cfg.Log != nil {
 		opts = append(opts, cluster.WithAgentLogger(s.cfg.Log))
 	}
-	// Advertise the hash backend this worker scans with and its
-	// calibrated rate — the coordinator seeds shard-size autotuning with
-	// them until it has observed real per-shard throughput. A pinned
-	// -kernel advertises the pinned backend's measured rate.
-	cal := keyhash.Calibrate()
-	kind := s.cfg.HashKernel
-	if kind == keyhash.KernelAuto {
-		kind = cal.Kind
-	}
+	// Advertise the hash backend this worker scans with, for the
+	// coordinator's /healthz.
 	s.agent = cluster.StartAgent(cc.JoinURL, api.WorkerRegistration{
-		ID:           cc.WorkerID,
-		URL:          cc.AdvertiseURL,
-		Capacity:     capacity,
-		Kernel:       string(kind),
-		HashesPerSec: cal.HashesPerSec[kind],
+		ID:       cc.WorkerID,
+		URL:      cc.AdvertiseURL,
+		Capacity: capacity,
+		Kernel:   string(s.selectedKernel()),
 	}, opts...)
 }
 

@@ -46,22 +46,9 @@ func (s *Server) registerProcessMetrics() {
 				emit(float64(kc.Values), string(kind))
 			}
 		}, "kernel")
-	r.Sampled("wm_keyhash_calibration_hashes_per_sec",
-		"Calibrated keyed-hash throughput of each available backend (startup micro-benchmark, cached for the process lifetime).", obs.TypeGauge,
-		func(emit obs.Emit) {
-			for kind, rate := range keyhash.Calibrate().HashesPerSec {
-				emit(rate, string(kind))
-			}
-		}, "kernel")
 	r.Sampled("wm_keyhash_selected_kernel",
-		"1 for the hash backend scans on this server run on — the calibration winner, or the pinned -kernel override.", obs.TypeGauge,
-		func(emit obs.Emit) {
-			kind := s.cfg.HashKernel
-			if kind == keyhash.KernelAuto {
-				kind = keyhash.Calibrate().Kind
-			}
-			emit(1, string(kind))
-		}, "kernel")
+		"1 for the hash backend scans on this server run on — the KernelAuto rule's pick from CPU features, or the pinned -kernel override.", obs.TypeGauge,
+		func(emit obs.Emit) { emit(1, string(s.selectedKernel())) }, "kernel")
 	if s.cache != nil {
 		r.Sampled("wm_scanner_cache_entries",
 			"Prepared certificates held by the scanner cache.", obs.TypeGauge,

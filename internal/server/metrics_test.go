@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/keyhash"
 	"repro/internal/obs"
 )
 
@@ -373,5 +375,36 @@ func TestRequestIDPropagatesToWorkers(t *testing.T) {
 	}
 	if got := metricSum(m, `wm_cluster_shard_duration_seconds_count{`); got < float64(len(seen)) {
 		t.Fatalf("shard duration histogram count %v, want >= %d", got, len(seen))
+	}
+}
+
+// TestHealthzHashKernel pins the kernel a server reports: unpinned,
+// /healthz and wm_keyhash_selected_kernel name the KernelAuto rule's
+// pick; with a -kernel pin they name the pin and /healthz says pinned.
+func TestHealthzHashKernel(t *testing.T) {
+	for _, tc := range []struct {
+		pin    keyhash.KernelKind
+		want   keyhash.KernelKind
+		pinned bool
+	}{
+		{keyhash.KernelAuto, keyhash.AutoKind(), false},
+		{keyhash.KernelPortable, keyhash.KernelPortable, true},
+	} {
+		ts, _ := newTestServerWithClose(t, Config{HashKernel: tc.pin})
+		var h struct {
+			HashKernel map[string]any `json:"hash_kernel"`
+		}
+		if s := getJSON(t, ts.URL+"/healthz", &h); s != http.StatusOK {
+			t.Fatalf("healthz status %d", s)
+		}
+		want := map[string]any{"selected": string(tc.want), "pinned": tc.pinned}
+		if !reflect.DeepEqual(h.HashKernel, want) {
+			t.Fatalf("pin %q: hash_kernel = %v, want %v", tc.pin, h.HashKernel, want)
+		}
+		m := scrapeMetrics(t, ts.URL)
+		series := `wm_keyhash_selected_kernel{kernel="` + string(tc.want) + `"}`
+		if m[series] != 1 || metricSum(m, "wm_keyhash_selected_kernel{") != 1 {
+			t.Fatalf("pin %q: want only %s = 1 in %v", tc.pin, series, m)
+		}
 	}
 }

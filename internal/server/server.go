@@ -94,8 +94,8 @@ type Config struct {
 	JobRetain int
 	// HashKernel pins the batched keyed-hash backend every scan on this
 	// server runs on (wmserver -kernel). Empty means keyhash.KernelAuto:
-	// the backend the startup micro-benchmark measures fastest on this
-	// machine. Verdicts are identical across backends.
+	// the backend keyhash.AutoKind picks from this CPU's features.
+	// Verdicts are identical across backends.
 	HashKernel keyhash.KernelKind
 	// Cluster selects the distributed-audit role (single node by
 	// default): a coordinator fans verify_batch audits out across joined
@@ -703,6 +703,15 @@ func (s *Server) handleListRecordsV2(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, page)
 }
 
+// selectedKernel is the concrete hash backend this server's scans run
+// on: the pinned HashKernel, else the KernelAuto rule's pick.
+func (s *Server) selectedKernel() keyhash.KernelKind {
+	if s.cfg.HashKernel == keyhash.KernelAuto {
+		return keyhash.AutoKind()
+	}
+	return s.cfg.HashKernel
+}
+
 // handleHealthz is a thin view over the metrics registry: every numeric
 // field is read from the same Snapshot that GET /metrics renders, so
 // the two surfaces cannot drift. (The cluster block keeps its
@@ -725,20 +734,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cluster": s.clusterStatus(),
 	}
 	// The hash-kernel block: which batched keyed-hash backend scans on
-	// this node run on, whether it was pinned (-kernel) or chosen by the
-	// startup micro-benchmark, and the measured rate of every available
-	// backend. Same source of truth as the wm_keyhash_calibration_*
-	// metric families.
-	cal := keyhash.Calibrate()
-	selected := s.cfg.HashKernel
-	if selected == keyhash.KernelAuto {
-		selected = cal.Kind
-	}
+	// this node run on, and whether it was pinned (-kernel) or picked by
+	// the KernelAuto rule. Same source as wm_keyhash_selected_kernel.
 	body["hash_kernel"] = map[string]any{
-		"selected":       string(selected),
-		"pinned":         s.cfg.HashKernel != keyhash.KernelAuto,
-		"calibrated":     string(cal.Kind),
-		"hashes_per_sec": cal.HashesPerSec,
+		"selected": string(s.selectedKernel()),
+		"pinned":   s.cfg.HashKernel != keyhash.KernelAuto,
 	}
 	if s.cache != nil {
 		body["scanner_cache"] = core.CacheStats{
