@@ -294,10 +294,8 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 // ReadCSV and ReadJSONL — one block at a time through appendBlock, a
 // few allocations per block, none per row. When the input's length in
 // bytes is known (size > 0), consumed reports how many of them br has
-// parsed, and the storage is sized from the first block's rows per byte
-// instead of regrown as blocks arrive. Where the first block misjudged
-// the rest, the first block that does not fit sizes it again from all
-// the rows and bytes read so far. Errors match ReadAll over
+// parsed, and the storage is sized once from the first block's rows per
+// byte instead of regrown as blocks arrive. Errors match ReadAll over
 // the row readers: a duplicate key is ErrDuplicateKey naming its
 // 1-based row, and it wins over a parse error, which can only come at a
 // later row.
@@ -309,14 +307,13 @@ func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, e
 	if size > 0 {
 		start = consumed()
 	}
-	for first, resized := true, false; ; first = false {
+	for first := true; ; first = false {
 		n, err := br.ReadBlock(b, defaultBlockRows)
 		if err == io.EOF {
 			return out, nil
 		}
-		if size > 0 && n > 0 && (first || !resized && !out.fits(b, n)) {
-			resized = !first
-			out.reserve(b, n, int64(out.rows+n)*(size-start)/max(1, consumed()-start))
+		if first && size > 0 && n > 0 {
+			out.reserve(b, n, int64(n)*(size-start)/max(1, consumed()-start))
 		}
 		if appendErr := out.appendBlock(b, n); appendErr != nil {
 			return nil, appendErr
@@ -327,35 +324,19 @@ func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, e
 	}
 }
 
-// reserve grows r's storage for about rows rows in all, shaped like r's
-// rows and the first n rows of b: the key table for rows keys, and
-// references and arenas, at those rows' mean value lengths, for a
-// sixteenth more, so an input a little denser than the rows seen so far
-// still fits without a regrowth.
+// reserve sizes the empty r's storage for about rows rows shaped like
+// the first n rows of b: the key table for rows keys, and references
+// and arenas, at b's mean value lengths, for a sixteenth more, so an
+// input a little denser than its first block still fits without a
+// regrowth.
 func (r *Relation) reserve(b *Block, n int, rows int64) {
 	rows = min(rows, maxRows)
 	r.growKeys(int(rows))
 	rows += rows/16 + 1
-	r.refs = slices.Grow(r.refs, max(0, int(rows)*r.arity-len(r.refs)))
-	seen := int64(r.rows + n)
-	for c, a := range r.arenas {
-		want := rows * int64(len(a)+int(b.cols[c].offs[n])) / seen
-		r.arenas[c] = slices.Grow(a, max(0, int(want)-len(a)))
+	r.refs = make([]uint64, 0, rows*int64(r.arity))
+	for c := range r.arenas {
+		r.arenas[c] = make([]byte, 0, rows*int64(b.cols[c].offs[n])/int64(n))
 	}
-}
-
-// fits reports whether the first n rows of b append to r without
-// growing its references or arenas.
-func (r *Relation) fits(b *Block, n int) bool {
-	if cap(r.refs)-len(r.refs) < n*r.arity {
-		return false
-	}
-	for c, a := range r.arenas {
-		if cap(a)-len(a) < int(b.cols[c].offs[n]) {
-			return false
-		}
-	}
-	return true
 }
 
 // countingReader counts the bytes read through it, so a reader

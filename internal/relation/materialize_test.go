@@ -288,12 +288,10 @@ func TestReadCSVAllocsPerRow(t *testing.T) {
 }
 
 // TestReadCSVBytesPerRow: reading an input that reports its length
-// sizes the relation from the first block instead of regrowing it block
-// by block. The relation keeps about 40 bytes a row here (references,
-// arenas, key table). The first block's short keys make the row
-// estimate run high and leave the key arena short; the block that
-// overflows it sizes the arenas again from all rows read, rather than
-// doubling them.
+// sizes the relation once from the first block instead of regrowing it
+// block by block. The relation keeps about 40 bytes a row here
+// (references, arenas, key table); the first block's short keys make
+// the estimate run high, and the bound leaves room for that.
 func TestReadCSVBytesPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes vary under the race detector")
@@ -310,8 +308,8 @@ func TestReadCSVBytesPerRow(t *testing.T) {
 	}
 	perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
 	t.Logf("ReadCSV: %.1f bytes allocated per row", perRow)
-	if perRow > 66 {
-		t.Fatalf("ReadCSV allocated %.1f bytes per row, want at most 66", perRow)
+	if perRow > 75 {
+		t.Fatalf("ReadCSV allocated %.1f bytes per row, want at most 75", perRow)
 	}
 	runtime.KeepAlive(r)
 }
