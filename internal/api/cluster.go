@@ -145,7 +145,8 @@ type ShardScanRequest struct {
 	// BlockRows overrides the worker's scan-block size; 0 or negative
 	// means mark.DefaultBlockRows.
 	BlockRows int `json:"block_rows,omitempty"`
-	// Workers overrides the worker node's per-shard scan parallelism.
+	// Workers lowers the worker node's per-shard scan parallelism;
+	// values above the node's own count are clamped to it.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -60,7 +60,8 @@ type WatermarkRequest struct {
 	// MaxAlterationFraction bounds total data change (0 = unlimited).
 	// Forces a sequential pass — the quality budget is order-dependent.
 	MaxAlterationFraction float64 `json:"max_alteration_fraction,omitempty"`
-	// Workers overrides the server's pipeline worker count for this job.
+	// Workers lowers the server's pipeline worker count for this job;
+	// values above the server's own count are clamped to it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -89,10 +90,12 @@ type VerifyRequest struct {
 	// which is itself the JSON certificate format.
 	Record *core.Record `json:"record,omitempty"`
 	// Schema/Format/Data carry the suspect relation, as in watermark.
-	Schema  string `json:"schema"`
-	Format  string `json:"format,omitempty"`
-	Data    string `json:"data"`
-	Workers int    `json:"workers,omitempty"`
+	Schema string `json:"schema"`
+	Format string `json:"format,omitempty"`
+	Data   string `json:"data"`
+	// Workers lowers the server's pipeline worker count, as in
+	// watermark.
+	Workers int `json:"workers,omitempty"`
 }
 
 // VerifyResponse is the verify reply.
@@ -123,10 +126,12 @@ type BatchVerifyRequest struct {
 	// means every stored certificate.
 	Records []string `json:"records,omitempty"`
 	// Schema/Format/Data carry the suspect relation, as in verify.
-	Schema  string `json:"schema"`
-	Format  string `json:"format,omitempty"`
-	Data    string `json:"data"`
-	Workers int    `json:"workers,omitempty"`
+	Schema string `json:"schema"`
+	Format string `json:"format,omitempty"`
+	Data   string `json:"data"`
+	// Workers lowers the server's pipeline worker count, as in
+	// watermark.
+	Workers int `json:"workers,omitempty"`
 }
 
 // BatchVerifyResult is one certificate's outcome in a batch reply.

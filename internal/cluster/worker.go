@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -169,8 +170,9 @@ func ExecuteShard(ctx context.Context, req api.ShardScanRequest, opts core.Batch
 // path never reads a clock.
 //
 // opts supplies the worker-local execution knobs (scanner cache, hash
-// kernel, default parallelism); the request's Workers/BlockRows override
-// them per shard. A certificate that fails to prepare fails the whole
+// kernel, default parallelism); the request's BlockRows overrides the
+// block size per shard, and its Workers may lower the parallelism but
+// never raise it. A certificate that fails to prepare fails the whole
 // shard — the coordinator only ships records its own identical prep
 // accepted, so a disagreement here means corrupt wire data, and failing
 // loudly (the shard is retried, then the audit fails) beats merging a
@@ -216,12 +218,8 @@ func executeShard(ctx context.Context, span *trace.Span, req api.ShardScanReques
 		}
 	}
 
-	workers := opts.Workers
-	if req.Workers != 0 {
-		workers = req.Workers
-	}
 	tallies, err := pipeline.ScanMany(ctx, src, prep.Scanners(), pipeline.Config{
-		Workers:   normalizeWorkers(workers),
+		Workers:   shardWorkers(req.Workers, opts.Workers),
 		BlockRows: req.BlockRows,
 		Progress:  opts.Progress,
 		Phases:    ph,
@@ -249,16 +247,21 @@ func executeShard(ctx context.Context, span *trace.Span, req api.ShardScanReques
 	return resp, nil
 }
 
-// normalizeWorkers maps the Spec.Workers convention (0 sequential,
-// negative NumCPU) onto pipeline.Config.Workers (<= 0 means NumCPU).
-func normalizeWorkers(w int) int {
-	if w == 0 {
-		return 1
+// shardWorkers resolves a shard's worker count, both arguments in the
+// Spec.Workers convention (0 sequential, negative NumCPU): the node's
+// own count unless the request asks for fewer, since a request may
+// lower it, never raise it.
+func shardWorkers(requested, node int) int {
+	resolve := func(w int) int {
+		if w < 0 {
+			return runtime.NumCPU()
+		}
+		return max(w, 1)
 	}
-	if w < 0 {
-		return 0
+	if requested == 0 {
+		return resolve(node)
 	}
-	return w
+	return min(resolve(requested), resolve(node))
 }
 
 // Agent keeps one worker joined to a coordinator: an initial registration

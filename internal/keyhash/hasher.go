@@ -67,17 +67,3 @@ func (h *Hasher) Hash(v []byte) Digest {
 		return Hash(h.key, v)
 	}
 }
-
-// HashString is Hash over the UTF-8 bytes of v.
-func (h *Hasher) HashString(v string) Digest {
-	switch total := len(h.prefix) + len(v) + len(h.key); {
-	case total <= oneShotShort:
-		var buf [oneShotShort]byte
-		return oneShot(h, buf[:], v)
-	case total <= oneShotMax:
-		var buf [oneShotMax]byte
-		return oneShot(h, buf[:], v)
-	default:
-		return HashString(h.key, v)
-	}
-}

@@ -43,3 +43,19 @@ func TestNewHasherRejectsEmptyKey(t *testing.T) {
 		t.Fatal("NewHasher accepted an empty key")
 	}
 }
+
+// HashString is Hash over the UTF-8 bytes of v. Only the tests call it:
+// the engine hashes whole columns through a Kernel, and the oracles
+// call the package-level HashString.
+func (h *Hasher) HashString(v string) Digest {
+	switch total := len(h.prefix) + len(v) + len(h.key); {
+	case total <= oneShotShort:
+		var buf [oneShotShort]byte
+		return oneShot(h, buf[:], v)
+	case total <= oneShotMax:
+		var buf [oneShotMax]byte
+		return oneShot(h, buf[:], v)
+	default:
+		return HashString(h.key, v)
+	}
+}

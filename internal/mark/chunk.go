@@ -189,7 +189,7 @@ func MergeChunks(chunks ...ChunkStats) EmbedStats {
 }
 
 // Scanner is a prepared detection pass: options resolved, bandwidth fixed,
-// keyed-hash contexts built. It is immutable after construction and safe
+// keyed-hash kernels built. It is immutable after construction and safe
 // for concurrent use by multiple goroutines scanning disjoint row ranges
 // (or disjoint tallies — see ScanTuple).
 type Scanner struct {
@@ -201,7 +201,6 @@ type Scanner struct {
 	bw           int
 	wmLen        int
 	fit          keyhash.FitCheck // opts.E's divisibility constants
-	h1, h2       *keyhash.Hasher
 	kern1, kern2 keyhash.Kernel
 }
 
@@ -240,14 +239,6 @@ func newScanner(keyCol, attrCol int, dom *relation.Domain, n, wmLen int, opts Op
 		return nil, fmt.Errorf("%w: |wm|=%d, N/e=%d (N=%d, e=%d)",
 			ErrInsufficientBandwidth, wmLen, bw, n, opts.E)
 	}
-	h1, err := opts.K1.NewHasher()
-	if err != nil {
-		return nil, fmt.Errorf("mark: k1: %w", err)
-	}
-	h2, err := opts.K2.NewHasher()
-	if err != nil {
-		return nil, fmt.Errorf("mark: k2: %w", err)
-	}
 	kern1, err := opts.K1.NewKernel(opts.HashKernel)
 	if err != nil {
 		return nil, fmt.Errorf("mark: k1: %w", err)
@@ -265,8 +256,6 @@ func newScanner(keyCol, attrCol int, dom *relation.Domain, n, wmLen int, opts Op
 		bw:      bw,
 		wmLen:   wmLen,
 		fit:     keyhash.NewFitCheck(opts.E),
-		h1:      h1,
-		h2:      h2,
 		kern1:   kern1,
 		kern2:   kern2,
 	}, nil
@@ -350,7 +339,7 @@ func (t *Tally) Reset() {
 func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 	t.Rows++
 	keyVal := tup[s.keyCol]
-	d1 := s.h1.HashString(keyVal)
+	d1 := keyhash.HashString(s.opts.K1, keyVal)
 	if !keyhash.Fit(d1, s.opts.E) {
 		return
 	}
@@ -360,7 +349,7 @@ func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 		t.UnknownValues++
 		return
 	}
-	pos := int(s.h2.HashString(keyVal).Mod(uint64(s.bw)))
+	pos := int(keyhash.HashString(s.opts.K2, keyVal).Mod(uint64(s.bw)))
 	bit := uint8(idx & 1)
 	if bit == ecc.One {
 		t.Votes[pos].Ones++

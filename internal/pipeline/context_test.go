@@ -137,21 +137,30 @@ func TestDetectCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestRunChunksCancelMidFlight cancels while chunk workers are mid-pass
-// and asserts the run reports ctx.Err() rather than a partial result.
-func TestRunChunksCancelMidFlight(t *testing.T) {
+// TestPoolCancelMidFlight cancels while pool workers are mid-pass and
+// asserts the run reports ctx.Err() rather than a partial result.
+func TestPoolCancelMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var processed atomic.Int64
 	chunks := partition(100_000, 100) // 1000 chunks
-	_, err := runChunks(ctx, 4, chunks, func(_ int, c chunkRange) (int, error) {
+	err := runPool(ctx, Config{}, 4, nil, func(p *pool) error {
+		for _, c := range chunks {
+			j := p.next()
+			j.lo, j.hi = c.Lo, c.Hi
+			if !p.emit(j) {
+				return nil
+			}
+		}
+		return nil
+	}, func(*pool, *job, *mark.BlockScratch) error {
 		if processed.Add(1) == 5 {
 			cancel()
 		}
-		return c.Hi - c.Lo, nil
-	})
+		return nil
+	}, func(*job) {})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("runChunks after cancel: err = %v, want context.Canceled", err)
+		t.Fatalf("runPool after cancel: err = %v, want context.Canceled", err)
 	}
 	if n := processed.Load(); n >= 1000 {
 		t.Fatalf("all %d chunks processed despite cancellation", n)

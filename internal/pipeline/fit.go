@@ -40,9 +40,9 @@ func getRows() *[]int {
 
 func putRows(rows *[]int) { rowsPool.Put(rows) }
 
-// DetectFit is Detect that also returns the pass's FitPass, on both the
-// one-worker and the chunked paths. The report is Detect's; the caller
-// must Release the FitPass.
+// DetectFit is Detect that also returns the pass's FitPass, at any
+// worker count. The report is Detect's; the caller must Release the
+// FitPass.
 func DetectFit(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Options, cfg Config) (mark.DetectReport, *FitPass, error) {
 	return detect(ctx, r, wmLen, opts, cfg, true)
 }

@@ -1,14 +1,17 @@
-// Package pipeline executes watermark embedding and detection as chunked,
-// worker-pool passes. The codec of internal/mark decides everything per
-// tuple from the tuple's own key, so a relation partitions cleanly into
-// contiguous key-ranges that workers process independently on
-// runtime.NumCPU() goroutines; per-chunk results merge into exactly what
-// the sequential pass would produce (bit-identical recovered watermarks —
-// see the equivalence tests). stream.go runs detection over
-// relation.BlockReader streams (ScanMany) so suspect datasets never need
-// to be fully materialized.
+// Package pipeline executes watermark embedding and detection as
+// chunked passes on one ordered worker pool (pool.go). The codec of
+// internal/mark decides everything per tuple from the tuple's own key,
+// so a relation partitions cleanly into contiguous key-ranges, and a
+// stream into groups of blocks, that workers process independently on
+// runtime.NumCPU() goroutines; a single collector folds the per-job
+// results in scan order into exactly what the sequential pass would
+// produce (bit-identical recovered watermarks — see the equivalence
+// tests). The same pool runs one worker where the pass is
+// order-dependent. stream.go runs detection over relation.BlockReader
+// streams (ScanMany) so suspect datasets never need to be fully
+// materialized.
 //
-// Within a chunk, every path feeds fixed-size columnar blocks
+// Within a job, every path feeds fixed-size columnar blocks
 // (Config.BlockRows) through the batched keyed-hash kernels rather than
 // looping tuple-at-a-time: streams fill blocks from their bytes, and
 // materialized relations fill them with relation.Relation.FillBlock.
@@ -23,13 +26,13 @@
 // This is the execution engine behind core.Spec.Workers, wmtool -parallel
 // and the wmserver handlers.
 //
-// Every entry point takes a context.Context and stops between chunks when
-// it is cancelled — the mechanism by which an HTTP client disconnect, an
+// Every entry point takes a context.Context and stops when it is
+// cancelled — the mechanism by which an HTTP client disconnect, an
 // async-job cancellation (internal/jobs) or a server shutdown actually
 // halts scan work mid-pass instead of burning CPU to the end of the
-// dataset. Cancellation is chunk-granular: a worker finishes the chunk in
-// its hands, then exits; the streaming reader additionally checks between
-// blocks, so a cancelled streaming pass stops without draining its source.
+// dataset. Workers check the context between blocks and the producer
+// between jobs, so a cancelled streaming pass stops without draining
+// its source.
 package pipeline
 
 import (
@@ -48,9 +51,11 @@ type Config struct {
 	// Workers is the number of concurrent workers. 0 or negative means
 	// runtime.NumCPU().
 	Workers int
-	// ChunkRows is the number of rows per chunk. 0 derives a chunk size
-	// that gives each worker several chunks (for tail balancing) without
-	// dropping below MinChunkRows.
+	// ChunkRows is the number of rows per job. 0 derives it: from the
+	// row count on materialized passes, a size that gives each worker
+	// several chunks (for tail balancing) without dropping below
+	// MinChunkRows; StreamChunkRows on streaming passes, whose length is
+	// unknown up front.
 	ChunkRows int
 	// BlockRows is the number of rows per scan block — the unit the
 	// workers feed through the batched keyed-hash kernels
@@ -66,10 +71,12 @@ type Config struct {
 	// block, not once per certificate.
 	Progress func(tuples int)
 	// Phases, when non-nil, accumulates per-phase CPU time
-	// (ingest/hash/vote/merge) for the columnar streaming engine —
-	// coarse block-boundary clocks summed across workers, read by trace
-	// spans. Only ScanMany meters itself; leave nil on unsampled passes
-	// so the zero-allocation path never reads a clock.
+	// (ingest/hash/vote/merge) — coarse job-boundary clocks summed
+	// across workers, read by trace spans. Every pass meters itself:
+	// ingest is a stream's block reads, hash the scanners' kernel calls,
+	// vote the rest of each job and merge the collector's folds. Leave
+	// nil on unsampled passes so the zero-allocation path never reads a
+	// clock.
 	Phases *trace.Phases
 }
 
@@ -89,11 +96,14 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
+// chunkRows resolves the chunk size of a materialized pass over n rows.
+// It divides twice rather than multiply workers by chunksPerWorker, so
+// no worker count can overflow the divisor.
 func (c Config) chunkRows(n, workers int) int {
 	if c.ChunkRows > 0 {
 		return c.ChunkRows
 	}
-	per := n / (workers * chunksPerWorker)
+	per := n / workers / chunksPerWorker
 	if per < MinChunkRows {
 		per = MinChunkRows
 	}
@@ -138,14 +148,15 @@ func putScratch(bs *mark.BlockScratch) {
 }
 
 // scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time:
-// each block's key and attribute columns are copied into blk and voted
-// through ScanColumns, with ctx checked and progress ticked between
-// blocks. bs and blk are the caller's per-goroutine scratch. A non-nil
-// fit collects the range's fit rows in ascending order
-// (Scanner.ScanColumnsFit).
-func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, blk *relation.Block, fit *[]int, cfg Config) error {
+// each block's key and attribute columns are copied into a pooled block
+// and voted through ScanColumns, with ctx checked and progress ticked
+// between blocks. bs is the worker's scratch. A non-nil fit collects
+// the range's fit rows in ascending order (Scanner.ScanColumnsFit).
+func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, fit *[]int, cfg Config) error {
 	br := cfg.blockRows()
 	keyCol, attrCol := sc.Columns()
+	blk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(blk)
 	for blockLo := lo; blockLo < hi; blockLo += br {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -167,13 +178,14 @@ func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, 
 }
 
 // embedRange feeds rows [lo, hi) of r through em into cs
-// block-at-a-time: each block's key column is copied into blk and
-// embedded through EmbedBlock, with ctx checked and progress ticked
-// between blocks. Runs at least one (possibly empty) block so cs always
-// carries the pass bandwidth. bs and blk are the caller's per-goroutine
-// scratch.
-func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo, hi int, cs *mark.ChunkStats, bs *mark.BlockScratch, blk *relation.Block, cfg Config) error {
+// block-at-a-time: each block's key column is copied into a pooled
+// block and embedded through EmbedBlock, with ctx checked and progress
+// ticked between blocks. Runs at least one (possibly empty) block so cs
+// always carries the pass bandwidth. bs is the worker's scratch.
+func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo, hi int, cs *mark.ChunkStats, bs *mark.BlockScratch, cfg Config) error {
 	br := cfg.blockRows()
+	blk := relation.GetBlock(r.Schema())
+	defer relation.PutBlock(blk)
 	for blockLo := lo; ; blockLo += br {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -212,114 +224,61 @@ func partition(n, chunkRows int) []chunkRange {
 	return out
 }
 
-// runChunks fans worker goroutines over the chunks, calling work for each
-// with the index (in [0, workers)) of the worker running it, so callers
-// can keep per-worker scratch; results land in a slice indexed by chunk.
-// The first error wins. A cancelled ctx stops dispatch and lets in-flight
-// chunks finish; the call then reports ctx.Err().
-func runChunks[T any](ctx context.Context, workers int, chunks []chunkRange, work func(w int, c chunkRange) (T, error)) ([]T, error) {
-	results := make([]T, len(chunks))
-	errs := make([]error, len(chunks))
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	jobs := make(chan chunkRange)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				results[c.Index], errs[c.Index] = work(w, c)
+// runRanges runs a pass over r on the pool: r's rows cut into chunks of
+// the derived chunk size, emitted in row order, on at most workers
+// goroutines and never more than there are chunks.
+func runRanges(ctx context.Context, r *relation.Relation, cfg Config, workers int, scanners []*mark.Scanner,
+	work func(p *pool, j *job, bs *mark.BlockScratch) error, collect func(j *job)) error {
+	chunks := partition(r.Len(), cfg.chunkRows(r.Len(), cfg.workers()))
+	return runPool(ctx, cfg, min(workers, len(chunks)), scanners, func(p *pool) error {
+		for _, c := range chunks {
+			j := p.next()
+			j.lo, j.hi = c.Lo, c.Hi
+			if !p.emit(j) {
+				return nil
 			}
-		}()
-	}
-feed:
-	for _, c := range chunks {
-		select {
-		case jobs <- c:
-		case <-ctx.Done():
-			break feed
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+		return nil
+	}, work, collect)
 }
 
 // Embed watermarks r in place like mark.Embed, but processes key-range
-// chunks on a worker pool. The result is equivalent to the sequential
+// chunks on the worker pool. The result is equivalent to the sequential
 // pass: the same tuples are altered to the same values (each decision
 // depends only on the tuple's own key), and the merged statistics match.
-// A relation has one writer at a time, so the workers only read r and
-// stage their rewrites (mark.ChunkStats.Stage); Embed applies them in
-// chunk order once the workers have joined.
+// A relation has one writer at a time, so several workers only read r
+// and stage their rewrites (mark.ChunkStats.Stage); Embed applies them
+// in chunk order once the workers have joined. One worker rewrites r in
+// place.
 //
 // Quality-gated embedding is inherently sequential — the assessor's
 // alteration budget makes later decisions depend on earlier ones — so
-// when opts.Assessor, opts.SkipRow or opts.OnAlter is set (or one worker
-// is requested) Embed runs the chunks in order on the calling goroutine
-// instead of the pool. Likewise when the watermarked attribute is the
-// schema's primary key (a Section 3.3 pairwise embedding with KeyAttr
-// overridden): a key rewrite can fail on a duplicate, and which one
-// fails depends on the rewrites before it. The sequential walk
-// still checks ctx between chunks, so even an order-dependent embedding
-// is cancellable mid-pass; a partially-embedded relation must be
-// discarded on error either way.
+// when opts.Assessor, opts.SkipRow or opts.OnAlter is set Embed runs the
+// same pool at one worker, chunk after chunk. Likewise when the
+// watermarked attribute is the schema's primary key (a Section 3.3
+// pairwise embedding with KeyAttr overridden): a key rewrite can fail on
+// a duplicate, and which one fails depends on the rewrites before it.
+// The one worker still checks ctx between blocks, so even an
+// order-dependent embedding is cancellable mid-pass; a
+// partially-embedded relation must be discarded on error either way.
 func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Options, cfg Config) (mark.EmbedStats, error) {
 	if err := ctx.Err(); err != nil {
 		return mark.EmbedStats{}, err
 	}
-	workers := cfg.workers()
 	em, err := mark.NewEmbedder(r, wm, opts)
 	if err != nil {
 		return mark.EmbedStats{}, err
 	}
-	chunks := partition(r.Len(), cfg.chunkRows(r.Len(), workers))
-	if workers == 1 || opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil ||
-		attrIsPrimaryKey(r, opts.Attr) {
-		// In-order chunk walk: identical to mark.Embed (EmbedBlock is its
-		// kernel, rows visited in the same order) plus cancellation points.
-		var agg mark.ChunkStats
-		bs := getScratch()
-		defer putScratch(bs)
-		blk := relation.GetBlock(r.Schema())
-		defer relation.PutBlock(blk)
-		for _, c := range chunks {
-			if err := ctx.Err(); err != nil {
-				return mark.EmbedStats{}, err
-			}
-			if err := embedRange(ctx, em, r, c.Lo, c.Hi, &agg, bs, blk, cfg); err != nil {
-				return mark.EmbedStats{}, err
-			}
-		}
-		return mark.MergeChunks(agg), nil
+	workers := cfg.workers()
+	if opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil || attrIsPrimaryKey(r, opts.Attr) {
+		workers = 1
 	}
-	workers = min(workers, len(chunks))
-	blks := make([]*relation.Block, workers)
-	scratch := make([]*mark.BlockScratch, workers)
-	for w := range scratch {
-		blks[w] = relation.GetBlock(r.Schema())
-		defer relation.PutBlock(blks[w])
-		scratch[w] = getScratch()
-		defer putScratch(scratch[w])
-	}
-	parts, err := runChunks(ctx, workers, chunks, func(w int, c chunkRange) (mark.ChunkStats, error) {
-		cs := mark.ChunkStats{Stage: true}
-		err := embedRange(ctx, em, r, c.Lo, c.Hi, &cs, scratch[w], blks[w], cfg)
-		return cs, err
-	})
+	stage := workers > 1 // one worker is the relation's only writer
+	var parts []mark.ChunkStats
+	err = runRanges(ctx, r, cfg, workers, nil, func(p *pool, j *job, bs *mark.BlockScratch) error {
+		j.cs.Stage = stage
+		return embedRange(p.ctx, em, r, j.lo, j.hi, &j.cs, bs, cfg)
+	}, func(j *job) { parts = append(parts, j.cs) })
 	if err != nil {
 		return mark.EmbedStats{}, err
 	}
@@ -332,10 +291,10 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 }
 
 // Detect recovers a watermark like mark.Detect, but scans key-range
-// chunks on a worker pool and merges the per-chunk vote tallies in scan
-// order before aggregating and decoding once. The recovered bit string is
-// bit-identical to the sequential pass for both vote-aggregation
-// policies; the suspect relation is never modified.
+// chunks on the worker pool and merges the per-chunk vote tallies in
+// scan order before aggregating and decoding once. The recovered bit
+// string is bit-identical to the sequential pass for both
+// vote-aggregation policies; the suspect relation is never modified.
 func Detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Options, cfg Config) (mark.DetectReport, error) {
 	rep, _, err := detect(ctx, r, wmLen, opts, cfg, false)
 	return rep, err
@@ -347,73 +306,34 @@ func detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 	if err := ctx.Err(); err != nil {
 		return mark.DetectReport{}, nil, err
 	}
-	workers := cfg.workers()
 	sc, err := mark.NewScanner(r, wmLen, opts)
 	if err != nil {
 		return mark.DetectReport{}, nil, err
 	}
-	chunks := partition(r.Len(), cfg.chunkRows(r.Len(), workers))
-	workers = min(workers, len(chunks))
+	// The total is a pooled group too, handed back once the report is
+	// built; the fit rows of each chunk append to fit in chunk order.
+	scanners := []*mark.Scanner{sc}
+	total := getGroup(scanners)
+	defer putGroup(total)
 	var fit *[]int
 	if keepFit {
 		fit = getRows()
 	}
-	blks := make([]*relation.Block, workers)
-	scratch := make([]*mark.BlockScratch, workers)
-	for w := range blks {
-		blks[w] = relation.GetBlock(r.Schema())
-		defer relation.PutBlock(blks[w])
-		scratch[w] = getScratch()
-		defer putScratch(scratch[w])
-	}
-	var total *mark.Tally
-	if workers == 1 {
-		// In-order chunk walk over one tally: the same row loop as
-		// mark.Detect, split only to interleave cancellation checks.
-		total = sc.NewTally()
-		for _, c := range chunks {
-			if err = scanRange(ctx, sc, r, c.Lo, c.Hi, total, scratch[0], blks[0], fit, cfg); err != nil {
-				break
-			}
+	err = runRanges(ctx, r, cfg, cfg.workers(), scanners, func(p *pool, j *job, bs *mark.BlockScratch) error {
+		j.parts = p.parts()
+		if keepFit {
+			j.fit = getRows()
 		}
-	} else {
-		// The per-chunk parts are one pooled group, handed back once
-		// the report is built or the pass fails; so are the per-chunk
-		// fit rows, concatenated in chunk order once every chunk is in.
-		same := make([]*mark.Scanner, len(chunks))
-		for i := range same {
-			same[i] = sc
-		}
-		parts := getGroup(same)
-		defer putGroup(parts)
-		var chunkFit []*[]int
+		return scanRange(p.ctx, sc, r, j.lo, j.hi, j.parts.tallies[0], bs, j.fit, cfg)
+	}, func(j *job) {
+		total.tallies[0].Merge(j.parts.tallies[0])
 		if fit != nil {
-			chunkFit = make([]*[]int, len(chunks))
-			for i := range chunkFit {
-				chunkFit[i] = getRows()
-				defer putRows(chunkFit[i])
-			}
+			*fit = append(*fit, *j.fit...)
 		}
-		_, err = runChunks(ctx, workers, chunks, func(w int, c chunkRange) (struct{}, error) {
-			var cf *[]int
-			if chunkFit != nil {
-				cf = chunkFit[c.Index]
-			}
-			return struct{}{}, scanRange(ctx, sc, r, c.Lo, c.Hi, parts.tallies[c.Index], scratch[w], blks[w], cf, cfg)
-		})
-		if err == nil {
-			total = parts.tallies[0]
-			for _, t := range parts.tallies[1:] {
-				total.Merge(t)
-			}
-			for _, rows := range chunkFit {
-				*fit = append(*fit, *rows...)
-			}
-		}
-	}
+	})
 	var rep mark.DetectReport
 	if err == nil {
-		rep, err = sc.Report(total)
+		rep, err = sc.Report(total.tallies[0])
 	}
 	if err != nil {
 		if fit != nil {

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/ecc"
 	"repro/internal/keyhash"
 	"repro/internal/mark"
@@ -155,4 +158,159 @@ func TestScanManyWarmPassAllocatesNoParts(t *testing.T) {
 		t.Fatalf("warm ScanMany allocates %.0f B per pass, want at most its totals (%.0f B) plus less than half a tally",
 			perPass, totals)
 	}
+}
+
+// TestHugeWorkerCountMatchesOne: a worker count far past any chunk
+// count must neither overflow the derived chunk size nor change a
+// result. Materialized passes cap their workers at the chunk count, so
+// Detect, DetectFit and Embed at Workers 1<<62 equal the same passes
+// at one worker.
+func TestHugeWorkerCountMatchesOne(t *testing.T) {
+	r, dom := testData(t, 5000)
+	wm := ecc.MustParseBits("1011001110")
+	opts := testOptions(dom)
+	ctx := context.Background()
+	one, huge := Config{Workers: 1}, Config{Workers: 1 << 62}
+
+	wantEmbed, wantStats := r.Clone(), mark.EmbedStats{}
+	var err error
+	if wantStats, err = Embed(ctx, wantEmbed, wm, opts, one); err != nil {
+		t.Fatal(err)
+	}
+	gotEmbed := r.Clone()
+	gotStats, err := Embed(ctx, gotEmbed, wm, opts, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gotEmbed.Equal(wantEmbed) || gotStats != wantStats {
+		t.Fatalf("Embed at 1<<62 workers diverged from one worker:\n got %+v\nwant %+v", gotStats, wantStats)
+	}
+
+	want, err := Detect(ctx, wantEmbed, len(wm), opts, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Detect(ctx, wantEmbed, len(wm), opts, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || want.WM.String() != wm.String() {
+		t.Fatalf("Detect at 1<<62 workers diverged from one worker:\n got %+v\nwant %+v", got, want)
+	}
+
+	_, wantFit, err := DetectFit(ctx, wantEmbed, len(wm), opts, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wantFit.Release()
+	gotRep, gotFit, err := DetectFit(ctx, wantEmbed, len(wm), opts, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gotFit.Release()
+	if !reflect.DeepEqual(gotRep, want) || !slices.Equal(*gotFit.rows, *wantFit.rows) {
+		t.Fatalf("DetectFit at 1<<62 workers diverged from one worker")
+	}
+}
+
+// FuzzPipelineEquivalence lets the fuzzer pick the data, the row count,
+// the worker count (1 to 8), the chunk and block sizes and the vote
+// aggregation, and holds every pass of the pool to its oracle: Detect,
+// DetectFit (and its fit rows) and ScanMany over relation.Rows to the
+// ScanTuple loop, and Embed, with and without an OnAlter hook, to
+// mark.Embed.
+func FuzzPipelineEquivalence(f *testing.F) {
+	f.Add(int64(1), uint16(3000), uint8(2), uint16(0), uint16(0), false)
+	f.Add(int64(2), uint16(777), uint8(7), uint16(100), uint16(17), true)
+	f.Add(int64(3), uint16(40), uint8(0), uint16(1), uint16(1), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, workers uint8, chunkRows, blockRows uint16, lww bool) {
+		rows := 40 + int(n)%4000
+		src, dom, err := datagen.ItemScan(datagen.ItemScanConfig{
+			N: rows, CatalogSize: 50, ZipfS: 1.0, Seed: strconv.FormatInt(seed, 10),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm := ecc.MustParseBits("1011")
+		opts := testOptions(dom)
+		opts.E = 5
+		if lww {
+			opts.Aggregation = mark.LastWriteWins
+		}
+		cfg := Config{Workers: 1 + int(workers)%8, ChunkRows: int(chunkRows) % 3000, BlockRows: int(blockRows) % 1000}
+		ctx := context.Background()
+
+		// Embed, without and with an OnAlter hook, against mark.Embed.
+		var wantAltered, gotAltered []int
+		for _, hook := range []bool{false, true} {
+			want, got := src.Clone(), src.Clone()
+			wantOpts, gotOpts := opts, opts
+			if hook {
+				wantOpts.OnAlter = func(row int) { wantAltered = append(wantAltered, row) }
+				gotOpts.OnAlter = func(row int) { gotAltered = append(gotAltered, row) }
+			}
+			wantStats, err := mark.Embed(want, wm, wantOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotStats, err := Embed(ctx, got, wm, gotOpts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) || gotStats != wantStats || !slices.Equal(gotAltered, wantAltered) {
+				t.Fatalf("cfg %+v hook %v: Embed diverged from mark.Embed:\n got %+v\nwant %+v", cfg, hook, gotStats, wantStats)
+			}
+		}
+
+		// Detection against the ScanTuple loop, over the marked relation
+		// and over the pristine one, whose fit tuples cast conflicting
+		// votes, so LastWriteWins reports depend on the merge order.
+		marked := src.Clone()
+		st, err := mark.Embed(marked, wm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*relation.Relation{marked, src} {
+			sc, err := mark.NewScanner(r, len(wm), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTally := tupleOracle(sc, r)
+			want, err := sc.Report(wantTally)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Detect(ctx, r, len(wm), opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cfg %+v: Detect diverged from the ScanTuple oracle:\n got %+v\nwant %+v", cfg, got, want)
+			}
+			fitRep, fit, err := DetectFit(ctx, r, len(wm), opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fitOK := reflect.DeepEqual(fitRep, want) && slices.Equal(*fit.rows, fitOracle(sc, r))
+			fit.Release()
+			if !fitOK {
+				t.Fatalf("cfg %+v: DetectFit diverged from the ScanTuple oracle", cfg)
+			}
+			sOpts := opts
+			sOpts.BandwidthOverride = st.Bandwidth
+			stream, err := mark.NewStreamScanner(r.Schema(), len(wm), sOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tallies, err := ScanMany(ctx, relation.Rows(r), []*mark.Scanner{stream, sc}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tally := range tallies {
+				if !reflect.DeepEqual(tally, wantTally) {
+					t.Fatalf("cfg %+v: ScanMany tally %d diverged from the ScanTuple oracle", cfg, i)
+				}
+			}
+		}
+	})
 }

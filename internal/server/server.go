@@ -75,8 +75,8 @@ const DefaultMaxBodyBytes = 256 << 20 // 256 MiB
 // Config parameterises a Server.
 type Config struct {
 	// Workers is the default per-request worker count for the pipeline;
-	// <= 0 means runtime.NumCPU(). Requests may override it downward or
-	// upward with their own "workers" field.
+	// <= 0 means runtime.NumCPU(). It is also the ceiling: a request may
+	// lower it with its own "workers" field, never raise it.
 	Workers int
 	// MaxBodyBytes caps request body size; <= 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -492,10 +492,10 @@ func encodeRelation(r *relation.Relation, format string) (string, error) {
 }
 
 // workersFor resolves a request's worker override against the server
-// default.
+// default, which also caps it.
 func (s *Server) workersFor(requested int) int {
 	if requested > 0 {
-		return requested
+		return min(requested, s.cfg.Workers)
 	}
 	return s.cfg.Workers
 }
