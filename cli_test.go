@@ -348,6 +348,12 @@ func TestCLIBatchVerify(t *testing.T) {
 
 	out := run(t, bins["wmtool"], "verify", "-in", marked, "-schema", itemScanSpec,
 		"-records", recordA+","+recordB, "-parallel", "0")
+	// A -parallel far above the CPU count runs NumCPU workers, as 0 does.
+	huge := run(t, bins["wmtool"], "verify", "-in", marked, "-schema", itemScanSpec,
+		"-records", recordA+","+recordB, "-parallel", "4611686018427387904")
+	if huge != out {
+		t.Fatalf("-parallel 4611686018427387904 report differs from -parallel 0:\n%s\nwant:\n%s", huge, out)
+	}
 	if !strings.Contains(out, "against 2 certificates (one scan)") {
 		t.Fatalf("batch verify banner: %s", out)
 	}

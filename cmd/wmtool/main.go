@@ -17,7 +17,8 @@
 // addition, alteration, shuffle, sort, remap.
 //
 // embed, detect, watermark and verify accept -parallel N to run the
-// chunked worker pool of internal/pipeline (1 = sequential, 0 = NumCPU);
+// chunked worker pool of internal/pipeline (1 = sequential, 0 = NumCPU;
+// a count above NumCPU runs NumCPU workers);
 // verify -records checks a suspect against many certificates in ONE
 // streaming scan; serve runs the wmserver HTTP API in-process.
 //
@@ -273,7 +274,7 @@ func cmdEmbed(args []string) error {
 		Code:    code,
 		Domain:  dom,
 	}
-	st, err := pipeline.Embed(context.Background(), r, wm, opts, pipeline.Config{Workers: *parallel})
+	st, err := pipeline.Embed(context.Background(), r, wm, opts, pipeline.Config{Workers: localWorkers(*parallel)})
 	if err != nil {
 		return err
 	}
@@ -332,7 +333,7 @@ func cmdDetect(args []string) error {
 		Domain:            dom,
 		BandwidthOverride: *bw,
 	}
-	rep, err := pipeline.Detect(context.Background(), r, *wmLen, opts, pipeline.Config{Workers: *parallel})
+	rep, err := pipeline.Detect(context.Background(), r, *wmLen, opts, pipeline.Config{Workers: localWorkers(*parallel)})
 	if err != nil {
 		return err
 	}
@@ -401,7 +402,7 @@ func cmdWatermark(args []string) error {
 		Domain:                dom,
 		WithFrequencyChannel:  *withFreq,
 		MaxAlterationFraction: *maxAlter,
-		Workers:               specWorkers(*parallel),
+		Workers:               localWorkers(*parallel),
 	})
 	if err != nil {
 		return err
@@ -426,11 +427,14 @@ func cmdWatermark(args []string) error {
 	return nil
 }
 
-// specWorkers maps the CLI -parallel convention (1 = sequential,
-// 0 = NumCPU) onto core.Spec.Workers (0/1 = sequential, < 0 = NumCPU).
-func specWorkers(parallel int) int {
-	if parallel == 0 {
-		return -1
+// localWorkers maps the CLI -parallel convention (1 = sequential,
+// 0 = NumCPU) onto the worker count of a local pass, which core.Spec
+// and pipeline.Config read alike. A count above runtime.NumCPU() runs
+// NumCPU workers, as 0 does: more workers than CPUs gain nothing, and
+// the stream pass sizes its queues by the count.
+func localWorkers(parallel int) int {
+	if parallel == 0 || parallel > runtime.NumCPU() {
+		return runtime.NumCPU()
 	}
 	return parallel
 }
@@ -465,7 +469,7 @@ func cmdVerify(args []string) error {
 		return remoteVerify(*serverURL, *in, *spec, *recordPath, splitList(*recordPaths), *parallel)
 	}
 	if *recordPaths != "" {
-		return verifyBatch(*in, *spec, splitList(*recordPaths), specWorkers(*parallel), kernel)
+		return verifyBatch(*in, *spec, splitList(*recordPaths), localWorkers(*parallel), kernel)
 	}
 	data, err := os.ReadFile(*recordPath)
 	if err != nil {
@@ -480,7 +484,7 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	rep, err := rec.VerifyWith(suspect, core.VerifyOptions{
-		Workers:    specWorkers(*parallel),
+		Workers:    localWorkers(*parallel),
 		HashKernel: kernel,
 	})
 	if err != nil {

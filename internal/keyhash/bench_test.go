@@ -44,10 +44,10 @@ func BenchmarkHasher(b *testing.B) {
 
 // BenchmarkKernelHashColumn compares the batched kernels against the
 // tuple-at-a-time Hasher loop over one block of realistic key values —
-// the per-certificate unit of work of every batch audit — at two value
-// lengths under a 32-byte NewKey key: 6 bytes, where the multibuffer
-// kernel takes its tail-block path (the value ends inside block 1), and
-// 32 bytes, a generic two-block message.
+// the per-certificate unit of work of every batch audit — at four value
+// lengths under a 32-byte NewKey key, all two-block messages: 6 bytes,
+// a typical key value; 24 bytes, the last length whose value ends inside
+// block 1; 32 bytes; and 47 bytes, the last length that fits two blocks.
 func BenchmarkKernelHashColumn(b *testing.B) {
 	k := NewKey("bench")
 	for _, vc := range []struct {
@@ -55,7 +55,9 @@ func BenchmarkKernelHashColumn(b *testing.B) {
 		format string
 	}{
 		{"6B", "%d"},
+		{"24B", "%024d"},
 		{"32B", "%032d"},
+		{"47B", "%047d"},
 	} {
 		values := make([]string, 1024)
 		for i := range values {

@@ -41,14 +41,13 @@ const (
 	// KernelMultiBuffer interleaves two one-shot SHA-256 message streams
 	// through the CPU's SHA extensions in one assembly loop, hiding the
 	// SHA256RNDS2 dependency-chain latency that leaves a single-stream
-	// implementation underutilizing the execution ports. When a value
-	// ends inside block 1 of a two-block message (8+len(k)+|V| <= 64,
-	// so every value of up to 24 bytes under a 32-byte NewKey key),
-	// block 2 holds only the key tail, padding and bit length: it is
-	// hashed from a W+K schedule precomputed once per key and value
-	// length, shared by both lanes of a same-length pair. The path is
-	// chosen from the key and value lengths alone. amd64 with SHA-NI
-	// only; NewKernel reports an error elsewhere.
+	// implementation underutilizing the execution ports. Values pair by
+	// padded block count, one assembly call per pair that keeps both
+	// states in registers to the digests. Under a key of 32 bytes or
+	// more (every NewKey key) message bytes 0–39 are key-only, so each
+	// call enters block 1 at round 10 from a per-key midstate computed
+	// once per kernel. amd64 with SHA-NI only; NewKernel reports an
+	// error elsewhere.
 	KernelMultiBuffer KernelKind = "multibuffer"
 	// KernelMultiBuffer4 runs four independent SHA-256 streams per
 	// assembly call — two interleaved 2-lane schedule chains feeding one

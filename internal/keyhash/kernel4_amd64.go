@@ -9,7 +9,10 @@ package keyhash
 // 2-lane kernel depends on the microarchitecture, which is exactly what
 // Calibrate measures.
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // sha256block4 folds `blocks` 64-byte blocks of four independent
 // messages (lane l at msgs[l*laneBytes:]) into four states (lane l at
@@ -94,7 +97,9 @@ func hashBatch4(m *multiKernel4, data []byte, offs []int32, out []Digest) {
 		}
 		sha256block4(&states, &msgs, &wbuf, nb)
 		for l, j := range pend[nb] {
-			putDigest(&out[j], (*[8]uint32)(states[l*8:]))
+			for w, x := range states[l*8 : l*8+8] {
+				binary.BigEndian.PutUint32(out[j][4*w:], x)
+			}
 		}
 	}
 	// Ragged tails: up to three leftovers per block count. Pairs still
@@ -107,10 +112,7 @@ func hashBatch4(m *multiKernel4, data []byte, offs []int32, out []Digest) {
 			rest = rest[2:]
 			fillPadded(&b0, m.prefix, m.key, data[offs[j0]:offs[j0+1]], nb)
 			fillPadded(&b1, m.prefix, m.key, data[offs[j1]:offs[j1+1]], nb)
-			s0, s1 := sha256IV, sha256IV
-			sha256block2(&s0, &s1, &b0[0], &b1[0], nb)
-			putDigest(&out[j0], &s0)
-			putDigest(&out[j1], &s1)
+			sha256block2(&out[j0], &out[j1], &b0[0], &b1[0], nil, nb)
 		}
 		if len(rest) == 1 {
 			j := rest[0]

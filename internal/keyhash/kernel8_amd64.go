@@ -131,11 +131,9 @@ func hashBatch8(m *mbKernel8, data []byte, offs []int32, out []Digest) {
 			sha256mb8(&state, &w)
 		}
 		for l, j := range pend[nb] {
-			var s [8]uint32
-			for i2 := range s {
-				s[i2] = state[i2*8+l]
+			for i2 := 0; i2 < 8; i2++ {
+				binary.BigEndian.PutUint32(out[j][4*i2:], state[i2*8+l])
 			}
-			putDigest(&out[j], &s)
 		}
 	}
 	for nb := 1; nb <= 2; nb++ {

@@ -2,32 +2,33 @@ package keyhash
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 // The multi-buffer backend: two independent one-shot SHA-256 message
 // streams interleaved through the CPU's SHA extensions in a single
-// assembly loop (sha256block2_amd64.s). A single-stream SHA-NI
+// assembly call (sha256block2_amd64.s). A single-stream SHA-NI
 // implementation is latency-bound — each SHA256RNDS2 depends on the
 // previous one, so the execution port sits idle most cycles. Feeding two
 // independent states through the same instruction stream fills those
 // bubbles and raises throughput well above 1.5× without changing a
 // single digest bit.
 //
-// The tail-block path: when the padded message is two blocks and the
-// value ends inside block 1 (8+len(k)+|V| <= 64 — every value of up to
-// 24 bytes under a 32-byte NewKey key), block 2 holds only the key
-// tail, 0x80, zeros and the bit length, a function of (k, |V|) alone.
-// Such values pair by exact length; sha256block2 hashes block 1 of
-// both lanes and sha256tail2 runs block 2 from the length's W+K
-// schedule, computed once per kernel and length and cached in
-// multiKernel.tails. Longer values, other key lengths, odd leftovers
-// and beyond-lane values take the general path, which doubles as the
-// equivalence oracle in the tests. Both paths reuse lane buffers: the
-// bytes after the value are rewritten only when the value length
-// changes.
+// Values pair by padded block count, and each pair is one call that
+// runs both messages to their digests. Under a key of 32 bytes or more
+// (every NewKey key) the first 40 message bytes len(k) ‖ k are key-only,
+// so rounds 0–9 of block 1 and the schedule words W0–W9 are per-key
+// constants (keyMidstate, computed once in newMultiKernel), and each
+// call enters block 1 at round 10. An odd leftover runs in both lanes of
+// one call; values beyond the two-block lane use the streaming
+// construct.
+//
+// A lane buffer is laid out in full only when the value length changes.
+// A value of the lane's last length rewrites only its own bytes, as
+// whole 8-byte words at 8-byte-aligned offsets (putValue), and the
+// assembly loads the message in 8-byte halves: every load then forwards
+// from one store instead of stalling on a wider load across narrower
+// stores.
 
 // cpuid and xgetbv are implemented in cpuid_amd64.s.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -73,13 +74,15 @@ var hasSHANI = func() bool {
 	return ebx7&shaBit != 0
 }()
 
-// sha256block2 runs the SHA-256 compression over two independent
-// messages at once: `blocks` 64-byte blocks from p0 are folded into s0
-// while the same number from p1 fold into s1. States are plain h[0..7]
-// word order (initialize to the IV for a fresh message).
+// sha256block2 hashes two fully padded messages of `blocks` (>= 1)
+// 64-byte blocks, p0 into d0 and p1 into d1, in one interleaved
+// instruction stream, and stores both digests big-endian. With mid nil
+// both messages start from the IV at round 0; with mid set, block 1
+// starts at round 10 from it and bytes 0–39 of p0 and p1 are not read.
+// p0 may equal p1.
 //
 //go:noescape
-func sha256block2(s0, s1 *[8]uint32, p0, p1 *byte, blocks int)
+func sha256block2(d0, d1 *Digest, p0, p1 *byte, mid *keyMidstate, blocks int)
 
 // sha256IV is the SHA-256 initial state (FIPS 180-4, 5.3.3).
 var sha256IV = [8]uint32{
@@ -91,44 +94,67 @@ var sha256IV = [8]uint32{
 // message plus mandatory padding.
 const laneBytes = 128
 
-// tailSlots bounds the per-value-length schedule cache. A value ends
-// inside block 1 only when 8+len(k)+|V| <= 64, so with a non-empty key
-// |V| <= 55.
-const tailSlots = 64 - 8
+// keyMidstate is what a key of 32 bytes or more fixes in block 1: the
+// message opens with the 40 key-only bytes len(k) ‖ k, words W0–W9, so
+// rounds 0–9 and the SHA256MSG1 steps over W0–W8 read nothing else.
+// Every message under such a key is two blocks. The assembly reads the
+// fields by offset.
+type keyMidstate struct {
+	abef, cdgh [4]uint32 // state after round 9, SHA-NI working order
+	m0, m4     [4]uint32 // W0–3 and W4–7 after SHA256MSG1: Wi + σ0(Wi+1)
+	w8         [2]uint32 // W8, W9
+}
 
-// tailWK is the precomputed schedule of a constant second block: the 64
-// round words W[i]+K[i], plus two zero pad words because sha256tail2
-// loads 16 bytes at an 8-byte stride.
-type tailWK [64 + 2]uint32
-
-// sha256tail2 folds one block with the precomputed schedule wk into
-// both states (plain h[0..7] word order, like sha256block2).
-//
-//go:noescape
-func sha256tail2(s0, s1 *[8]uint32, wk *uint32)
+// newKeyMidstate runs SHA-256 rounds 0–9 over the first 40 bytes of
+// prefix (len(k) ‖ k, at least that long).
+func newKeyMidstate(prefix []byte) *keyMidstate {
+	var w [10]uint32
+	for i := range w {
+		w[i] = binary.BigEndian.Uint32(prefix[4*i:])
+	}
+	a, b, c, d := sha256IV[0], sha256IV[1], sha256IV[2], sha256IV[3]
+	e, f, g, h := sha256IV[4], sha256IV[5], sha256IV[6], sha256IV[7]
+	for i, wi := range w {
+		t1 := h + (bits.RotateLeft32(e, -6) ^ bits.RotateLeft32(e, -11) ^ bits.RotateLeft32(e, -25)) +
+			(e&f ^ ^e&g) + sha256K[i] + wi
+		t2 := (bits.RotateLeft32(a, -2) ^ bits.RotateLeft32(a, -13) ^ bits.RotateLeft32(a, -22)) +
+			(a&b ^ a&c ^ b&c)
+		h, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
+	}
+	sigma0 := func(x uint32) uint32 {
+		return bits.RotateLeft32(x, -7) ^ bits.RotateLeft32(x, -18) ^ x>>3
+	}
+	ms := &keyMidstate{
+		abef: [4]uint32{f, e, b, a},
+		cdgh: [4]uint32{h, g, d, c},
+		w8:   [2]uint32{w[8], w[9]},
+	}
+	for i := 0; i < 4; i++ {
+		ms.m0[i] = w[i] + sigma0(w[i+1])
+		ms.m4[i] = w[4+i] + sigma0(w[5+i])
+	}
+	return ms
+}
 
 // multiKernel pairs values into two-lane assembly calls. Immutable and
-// safe for concurrent use: per-call scratch is on the stack, and the
-// only shared state, the tail schedules, is written once per slot
-// through an atomic pointer (two racing callers store equal tables).
+// safe for concurrent use: per-call scratch is on the stack.
 type multiKernel struct {
-	h      *Hasher
 	key    Key
-	prefix []byte // len(k) ‖ k
+	prefix []byte       // len(k) ‖ k
+	mid    *keyMidstate // nil when the key is shorter than 32 bytes
 	ctr    *kernelCounters
-	// tails caches the block-2 schedule per value length, filled on
-	// first use (see tailSchedule).
-	tails [tailSlots]atomic.Pointer[tailWK]
 }
 
 // newMultiKernel returns the two-lane multi-buffer kernel. The caller
 // (the registry) has already checked availability and validated k.
 func newMultiKernel(k Key, ctr *kernelCounters) Kernel {
-	h, err := k.NewHasher()
-	if err != nil {
-		panic(fmt.Sprintf("keyhash: multibuffer kernel: %v", err))
+	prefix := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(k)), uint64(len(k)))
+	prefix = append(prefix, k...)
+	m := &multiKernel{key: k, prefix: prefix, ctr: ctr}
+	if len(prefix) >= 40 {
+		m.mid = newKeyMidstate(prefix)
 	}
-	return &multiKernel{h: h, key: k, prefix: h.prefix, ctr: ctr}
+	return m
 }
 
 // paddedBlocks returns the padded block count of the construct for a
@@ -158,62 +184,66 @@ func fillPadded(buf *[laneBytes]byte, prefix []byte, key Key, v []byte, blocks i
 	binary.BigEndian.PutUint64(buf[end-8:end], uint64(n)*8)
 }
 
-// lane is one lane's padded message buffer, the multibuffer kernel's
-// incremental form of fillPadded. The prefix len(k) ‖ k is laid out
-// once; vLen is the value length the bytes after the value (key, 0x80,
-// zeros, bit length) were laid out for, so a value of the same length
-// rewrites only its own bytes.
+// lane is one lane's padded message buffer. vLen is the value length
+// the whole buffer was last laid out for (-1: never), which fixes every
+// byte but the value's own.
 type lane struct {
 	buf  [laneBytes]byte
 	vLen int
 }
 
-func (l *lane) init(prefix []byte) {
-	copy(l.buf[:], prefix)
-	l.vLen = -1
-}
-
-// fillLane lays v into l as the fully padded message len(k) ‖ k ‖ v ‖ k
-// ‖ 0x80 ‖ 0… ‖ len of `blocks` blocks, exactly as SHA-256 would pad it.
-// The block count follows from len(v) for a fixed key, so vLen alone
-// says whether the constant bytes are already in place.
-func fillLane(l *lane, prefixLen int, key Key, v []byte, blocks int) {
-	n := prefixLen + copy(l.buf[prefixLen:], v)
-	if l.vLen == len(v) {
+// fill lays value i of the column (data, offs) into l as the fully
+// padded message of `blocks` blocks. A value of the lane's last length
+// rewrites only its own bytes, through putValue; any other length lays
+// out the whole buffer.
+func (m *multiKernel) fill(l *lane, data []byte, offs []int32, i, blocks int) {
+	lo, hi := int(offs[i]), int(offs[i+1])
+	if l.vLen == hi-lo {
+		putValue(&l.buf, len(m.prefix), data[lo:], hi-lo)
 		return
 	}
-	l.vLen = len(v)
-	n += copy(l.buf[n:], key)
-	end := 64 * blocks
-	l.buf[n] = 0x80
-	clear(l.buf[n+1 : end-8])
-	binary.BigEndian.PutUint64(l.buf[end-8:end], uint64(n)*8)
+	l.vLen = hi - lo
+	fillPadded(&l.buf, m.prefix, m.key, data[lo:hi], blocks)
 }
 
-// tailSchedule returns the W+K schedule of block 2 for values of vLen
-// bytes that end inside block 1. That block holds only the key tail,
-// the padding and the bit length, so it depends on (k, vLen) alone;
-// block2 is the second block of any lane laid out for vLen, used to
-// compute the table on first use.
-func (m *multiKernel) tailSchedule(vLen int, block2 []byte) *tailWK {
-	if wk := m.tails[vLen].Load(); wk != nil {
-		return wk
+// putValue writes the value rest[:vLen] into buf at offset off as whole
+// 8-byte words at 8-byte-aligned offsets, keeping the buffer bytes that
+// share a word with either end of the value. rest may run on past the
+// value (it is the column arena from the value on): the extra bytes let
+// an end word load in one piece, and putPart's mask drops them.
+func putValue(buf *[laneBytes]byte, off int, rest []byte, vLen int) {
+	w, end := off&^7, off+vLen
+	if w < off {
+		putPart(buf, w, off, min(w+8, end), load64(rest))
+		w += 8
 	}
-	var w [64]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = binary.BigEndian.Uint32(block2[4*i:])
+	for ; w+8 <= end; w += 8 {
+		binary.LittleEndian.PutUint64(buf[w:], binary.LittleEndian.Uint64(rest[w-off:]))
 	}
-	for i := 16; i < 64; i++ {
-		s0 := bits.RotateLeft32(w[i-15], -7) ^ bits.RotateLeft32(w[i-15], -18) ^ w[i-15]>>3
-		s1 := bits.RotateLeft32(w[i-2], -17) ^ bits.RotateLeft32(w[i-2], -19) ^ w[i-2]>>10
-		w[i] = s1 + w[i-7] + s0 + w[i-16]
+	if w < end {
+		putPart(buf, w, w, end, load64(rest[w-off:]))
 	}
-	wk := new(tailWK)
-	for i := range w {
-		wk[i] = w[i] + sha256K[i]
+}
+
+// putPart stores the word at buf[w:] with its bytes [lo, hi) taken from
+// the low hi-lo bytes of x and the rest kept.
+func putPart(buf *[laneBytes]byte, w, lo, hi int, x uint64) {
+	sh := 8 * uint(lo-w)
+	mask := ^uint64(0) >> (64 - 8*uint(hi-lo)) << sh
+	binary.LittleEndian.PutUint64(buf[w:], binary.LittleEndian.Uint64(buf[w:])&^mask|x<<sh&mask)
+}
+
+// load64 reads the first 8 bytes of b, or all of a shorter b, as a
+// little-endian word.
+func load64(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
 	}
-	m.tails[vLen].Store(wk)
-	return wk
+	var x uint64
+	for i, c := range b {
+		x |= uint64(c) << (8 * i)
+	}
+	return x
 }
 
 // HashColumn pairs values and hashes each pair in one two-lane assembly
@@ -228,47 +258,23 @@ func (m *multiKernel) HashColumn(data []byte, offs []int32, out []Digest) {
 }
 
 // hashBatch2 is the two-lane batching core over a columnar view (value
-// i is data[offs[i]:offs[i+1]]).
-// Values whose two-block message ends inside block 1 pair by exact
-// length: block 1 runs through sha256block2 and block 2 through
-// sha256tail2 with the length's shared schedule. Other one- and
-// two-block values pair by block count through sha256block2 alone.
-// Odd leftovers run through the scalar Hasher; values beyond the lane
-// width use the streaming construct.
+// i is data[offs[i]:offs[i+1]]). Each value pairs with the next one of
+// the same padded block count, and the pair runs in one sha256block2
+// call. An odd leftover per block count runs in both lanes of one call,
+// keeping one digest; values beyond the lane width use the streaming
+// construct.
 func hashBatch2(m *multiKernel, data []byte, offs []int32, out []Digest) {
 	n := len(offs) - 1
 	if n <= 0 {
 		return
 	}
 	_ = out[:n] // one bounds check up front
-	pl := len(m.prefix)
-	var l0, l1 lane
-	l0.init(m.prefix)
-	l1.init(m.prefix)
-	var pendTail [tailSlots]int   // 1 + pending value index per tail-path length; 0 = none
-	pending := [3]int{-1, -1, -1} // other values: pending index per block count
+	l0, l1 := lane{vLen: -1}, lane{vLen: -1}
+	pending := [3]int{-1, -1, -1} // pending value index per block count
 	for i := 0; i < n; i++ {
-		v := data[offs[i]:offs[i+1]]
-		nb := paddedBlocks(pl, len(m.key), len(v))
+		nb := paddedBlocks(len(m.prefix), len(m.key), int(offs[i+1]-offs[i]))
 		if nb == 0 {
-			out[i] = Hash(m.key, v)
-			continue
-		}
-		if nb == 2 && pl+len(v) <= 64 {
-			j := pendTail[len(v)] - 1
-			if j < 0 {
-				pendTail[len(v)] = i + 1
-				continue
-			}
-			pendTail[len(v)] = 0
-			fillLane(&l0, pl, m.key, data[offs[j]:offs[j+1]], 2)
-			fillLane(&l1, pl, m.key, v, 2)
-			wk := m.tailSchedule(len(v), l0.buf[64:])
-			s0, s1 := sha256IV, sha256IV
-			sha256block2(&s0, &s1, &l0.buf[0], &l1.buf[0], 1)
-			sha256tail2(&s0, &s1, &wk[0])
-			putDigest(&out[j], &s0)
-			putDigest(&out[i], &s1)
+			out[i] = Hash(m.key, data[offs[i]:offs[i+1]])
 			continue
 		}
 		j := pending[nb]
@@ -277,42 +283,22 @@ func hashBatch2(m *multiKernel, data []byte, offs []int32, out []Digest) {
 			continue
 		}
 		pending[nb] = -1
-		fillLane(&l0, pl, m.key, data[offs[j]:offs[j+1]], nb)
-		fillLane(&l1, pl, m.key, v, nb)
-		s0, s1 := sha256IV, sha256IV
-		sha256block2(&s0, &s1, &l0.buf[0], &l1.buf[0], nb)
-		putDigest(&out[j], &s0)
-		putDigest(&out[i], &s1)
+		m.fill(&l0, data, offs, j, nb)
+		m.fill(&l1, data, offs, i, nb)
+		sha256block2(&out[j], &out[i], &l0.buf[0], &l1.buf[0], m.mid, nb)
 	}
-	for _, j := range pendTail {
-		if j > 0 {
-			out[j-1] = m.h.Hash(data[offs[j-1]:offs[j]])
-		}
-	}
-	for _, j := range pending[1:] {
+	var spare Digest
+	for nb, j := range pending {
 		if j >= 0 {
-			out[j] = m.h.Hash(data[offs[j]:offs[j+1]])
+			m.fill(&l0, data, offs, j, nb)
+			sha256block2(&out[j], &spare, &l0.buf[0], &l0.buf[0], m.mid, nb)
 		}
 	}
 }
 
-// putDigest serializes a final SHA-256 state into the big-endian digest
-// byte order.
-func putDigest(d *Digest, s *[8]uint32) {
-	for i, w := range s {
-		binary.BigEndian.PutUint32(d[4*i:], w)
-	}
-}
-
-// sha256K is the SHA-256 round constant table (FIPS 180-4, 4.2.2), for
-// the Go-side tail schedules; the assembly keeps its own copy.
-var sha256K = [64]uint32{
+// sha256K holds the SHA-256 round constants K0–K9 (FIPS 180-4, 4.2.2),
+// for the Go-side midstate; the assembly keeps the full table.
+var sha256K = [10]uint32{
 	0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-	0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-	0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-	0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-	0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-	0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-	0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+	0xd807aa98, 0x12835b01,
 }

@@ -143,12 +143,13 @@ func TestKernelMatchesHashRandom(t *testing.T) {
 
 // TestKernelTailBlockBoundaries sweeps every key length 1–64 over value
 // lengths from 0 to 3 bytes past 64−8−len(k), the last length whose
-// value ends inside block 1 — the multibuffer kernel's tail-block
-// condition — so each backend is checked on both sides of it. The
+// value ends inside block 1, so each backend is checked on both sides
+// of it; key lengths below and from 32 bytes reach both of the
+// multibuffer kernel's block-1 entries (IV and per-key midstate). The
 // batches alternate lengths (A, A, B, A, B, B) so lanes are relaid
 // and reused out of step, leave one odd leftover per length class, and
-// mix tail-path values with generic one-block, two-block and
-// beyond-lane values.
+// mix those values with generic one-block, two-block and beyond-lane
+// values.
 func TestKernelTailBlockBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	val := func(n int) string {
@@ -176,7 +177,7 @@ func TestKernelTailBlockBoundaries(t *testing.T) {
 			b := a + 1
 			batches = append(batches, []string{val(a), val(a), val(b), val(a), val(b), val(b)})
 		}
-		// Tail-path values mixed with every other path.
+		// Block-1-ending values mixed with every other path.
 		var mixed []string
 		for i := 0; i < 9; i++ {
 			mixed = append(mixed, val(i%(maxLen+1)), val(maxLen+1+i*5), val(130+i))
@@ -198,9 +199,8 @@ func TestKernelTailBlockBoundaries(t *testing.T) {
 }
 
 // TestKernelConcurrentFirstUse shares each kernel among goroutines that
-// all hit value lengths no call has hashed yet, so the multibuffer
-// kernel's lazily cached tail schedules are built and read from several
-// goroutines at once (run under -race).
+// hash values of many lengths at once, so every kernel must keep its
+// per-call state off the shared kernel (run under -race).
 func TestKernelConcurrentFirstUse(t *testing.T) {
 	k := NewKey("concurrent-first-use")
 	for kind, kern := range availableKernels(t, k) {
@@ -233,13 +233,16 @@ func TestKernelConcurrentFirstUse(t *testing.T) {
 
 // FuzzKernelMatchesHash cross-checks every available kernel against the
 // scalar construct on fuzzer-chosen key and value bytes. The NewKey
-// seeds start the fuzzer inside the multibuffer tail-block path (6 and
-// 24 bytes) and just past it (25 bytes).
+// seeds start the fuzzer under a 32-byte key at values that end inside
+// block 1 (6, 23 and 24 bytes), just past it (25 bytes), at the last
+// two-block length (47 bytes) and the first beyond the lane (48).
 func FuzzKernelMatchesHash(f *testing.F) {
 	f.Add([]byte("seed-key"), "value-a", "value-b", "value-c")
 	f.Add([]byte{1}, "", strings.Repeat("q", 60), strings.Repeat("r", 130))
 	f.Add([]byte(NewKey("fuzz-seed")), "500123", strings.Repeat("s", 24), strings.Repeat("t", 25))
 	f.Add([]byte(NewKey("fuzz-seed")), "600321", "600322", strings.Repeat("u", 24))
+	f.Add([]byte(NewKey("fuzz-seed")), strings.Repeat("a", 23), strings.Repeat("b", 24), strings.Repeat("c", 25))
+	f.Add([]byte(NewKey("fuzz-seed")), strings.Repeat("d", 47), strings.Repeat("e", 48), strings.Repeat("f", 47))
 	f.Fuzz(func(t *testing.T, keyBytes []byte, v0, v1, v2 string) {
 		if len(keyBytes) == 0 {
 			t.Skip()

@@ -1,14 +1,26 @@
-// Two-lane SHA-256 compression for the multi-buffer keyed-hash kernel.
+// Two-lane SHA-256 for the multi-buffer keyed-hash kernel.
 //
-// func sha256block2(s0, s1 *[8]uint32, p0, p1 *byte, blocks int)
+// func sha256block2(d0, d1 *Digest, p0, p1 *byte, mid *keyMidstate, blocks int)
 //
-// Folds `blocks` 64-byte blocks from p0 into state s0 and, interleaved
-// in the same instruction stream, the same number of blocks from p1
-// into s1. The two messages are independent, so their SHA256RNDS2
-// dependency chains overlap in the out-of-order core: a single-stream
-// SHA-NI loop is latency-bound on that chain (~3.3 cycles/byte on the
-// machines this was tuned on), while the paired loop keeps the SHA unit
-// busy and lands near twice the throughput.
+// Hashes two fully padded messages of `blocks` 64-byte blocks each: p0
+// into digest d0 and, interleaved in the same instruction stream, p1
+// into d1. Both states stay in registers across the blocks, and both
+// digests are stored big-endian at the end. The two messages are
+// independent, so their SHA256RNDS2 dependency chains overlap in the
+// out-of-order core: a single-stream SHA-NI loop is latency-bound on that
+// chain, while the paired loop keeps the SHA unit busy and lands near
+// twice the throughput. p0 == p1 is allowed.
+//
+// With mid nil, block 1 starts from the IV at round 0. With mid set (a
+// key of 32 bytes or more, so message bytes 0-39 are len(k) ‖ k), block 1
+// starts at round 10: mid holds the state after rounds 0-9, W0-W7 already
+// through SHA256MSG1, and W8-W9. Bytes 0-39 of p0 and p1 are then not
+// read at all.
+//
+// Every message load is two 8-byte halves (MOVQ, PINSRQ). The Go side
+// writes each value as whole 8-byte words at 8-byte-aligned offsets, so
+// each load forwards from exactly one store; a 16-byte load over two
+// narrower stores would stall on store forwarding instead.
 //
 // The round structure is the canonical Intel SHA-NI flow, the same one
 // the Go runtime uses for crypto/sha256, duplicated per lane at
@@ -19,11 +31,8 @@
 //	shared: X0 = WK staging (implicit SHA256RNDS2 operand),
 //	        X7 = scratch, X8 = byte-swap shuffle mask
 //
-// sha256tail2, below, is the companion for a second block whose message
-// schedule is precomputed: rounds only, both lanes fed from one table.
-//
-// Requires SHA-NI, SSSE3 (PSHUFB) and SSE4.1 (PBLENDW); the Go side
-// gates construction on CPUID.
+// Requires SHA-NI, SSSE3 (PSHUFB) and SSE4.1 (PBLENDW, PINSRQ); the Go
+// side gates construction on CPUID.
 
 #include "textflag.h"
 
@@ -31,7 +40,8 @@
 // run 4 rounds. MSG1 of the previous schedule word is folded in from
 // group 1 on (G_LOAD1).
 #define G_LOAD0(off, p, st0, st1, w) \
-	MOVOU       off(p), X0          \
+	MOVQ        off(p), X0          \
+	PINSRQ      $1, off+8(p), X0    \
 	PSHUFB      X8, X0              \
 	MOVO        X0, w               \
 	PADDD       off(AX), X0         \
@@ -40,7 +50,8 @@
 	SHA256RNDS2 X0, st1, st0
 
 #define G_LOAD1(off, p, st0, st1, w, wprev) \
-	MOVOU       off(p), X0          \
+	MOVQ        off(p), X0          \
+	PINSRQ      $1, off+8(p), X0    \
 	PSHUFB      X8, X0              \
 	MOVO        X0, w               \
 	PADDD       off(AX), X0         \
@@ -49,10 +60,24 @@
 	SHA256RNDS2 X0, st1, st0        \
 	SHA256MSG1  w, wprev
 
+// Midstate entry, rounds 10-11: W8-W9 come from mid, W10-W11 are message
+// bytes 40-47. The incoming state is that after round 9, ABEF in st1 and
+// CDGH in st0, as group 2's first SHA256RNDS2 would have left it.
+#define G_MID10(p, st0, st1, w2) \
+	MOVQ        40(p), X7           \
+	PSHUFB      X8, X7              \
+	MOVQ        64(DX), w2          \
+	PUNPCKLQDQ  X7, w2              \
+	MOVO        w2, X0              \
+	PADDD       32(AX), X0          \
+	PSHUFD      $0x0e, X0, X0       \
+	SHA256RNDS2 X0, st1, st0
+
 // Group 3: the last message load; the schedule pipeline starts (MSG2
 // finishes W16-19 into w0).
 #define G_LOAD3(p, st0, st1, w0, w2, w3) \
-	MOVOU       48(p), X0           \
+	MOVQ        48(p), X0           \
+	PINSRQ      $1, 56(p), X0       \
 	PSHUFB      X8, X0              \
 	MOVO        X0, w3              \
 	PADDD       48(AX), X0          \
@@ -98,33 +123,56 @@
 	PSHUFD      $0x0e, X0, X0       \
 	SHA256RNDS2 X0, st1, st0
 
-TEXT ·sha256block2(SB), NOSPLIT, $64-40
-	MOVQ s0+0(FP), DI
-	MOVQ s1+8(FP), R9
+// Working order (ABEF, CDGH) back to h[0..7], byte-swapped into the
+// big-endian digest at d.
+#define PUT_DIGEST(abef, cdgh, d) \
+	PSHUFD      $0x1b, abef, abef   \
+	PSHUFD      $0xb1, cdgh, cdgh   \
+	MOVO        abef, X7            \
+	PBLENDW     $0xf0, cdgh, abef   \
+	PALIGNR     $8, X7, cdgh        \
+	PSHUFB      X8, abef            \
+	PSHUFB      X8, cdgh            \
+	MOVOU       abef, (d)           \
+	MOVOU       cdgh, 16(d)
+
+TEXT ·sha256block2(SB), NOSPLIT, $64-48
+	MOVQ d0+0(FP), DI
+	MOVQ d1+8(FP), R9
 	MOVQ p0+16(FP), SI
 	MOVQ p1+24(FP), R8
-	MOVQ blocks+32(FP), BX
-	TESTQ BX, BX
-	JZ   done
+	MOVQ mid+32(FP), DX
+	MOVQ blocks+40(FP), BX
 	LEAQ kernelK256<>+0(SB), AX
 	MOVOU kernelFlip<>+0(SB), X8
 
-	// h[0..7] -> (ABEF, CDGH) working order, per lane.
-	MOVOU   (DI), X1
-	MOVOU   16(DI), X2
-	PSHUFD  $0xb1, X1, X1
-	PSHUFD  $0x1b, X2, X2
-	MOVO    X1, X7
-	PALIGNR $8, X2, X1
-	PBLENDW $0xf0, X7, X2
+	// Both lanes start from the IV in working order.
+	MOVOU kernelIV<>+0(SB), X1
+	MOVOU kernelIV<>+16(SB), X2
+	MOVO  X1, X9
+	MOVO  X2, X10
+	TESTQ DX, DX
+	JZ    roundLoop
 
-	MOVOU   (R9), X9
-	MOVOU   16(R9), X10
-	PSHUFD  $0xb1, X9, X9
-	PSHUFD  $0x1b, X10, X10
-	MOVO    X9, X7
-	PALIGNR $8, X10, X9
-	PBLENDW $0xf0, X7, X10
+	// Midstate entry: the IV is block 1's feed-forward; the state after
+	// round 9 and the schedule through W9 come from mid.
+	MOVOU X1, 0(SP)
+	MOVOU X2, 16(SP)
+	MOVOU X1, 32(SP)
+	MOVOU X2, 48(SP)
+	MOVOU 0(DX), X2
+	MOVOU 16(DX), X1
+	MOVO  X2, X10
+	MOVO  X1, X9
+	MOVOU 32(DX), X3
+	MOVO  X3, X11
+	MOVOU 48(DX), X4
+	MOVO  X4, X12
+	G_MID10(SI, X1, X2, X5)
+	G_MID10(R8, X9, X10, X13)
+	G_LOAD3(SI, X1, X2, X3, X5, X6)
+	G_LOAD3(R8, X9, X10, X11, X13, X14)
+	JMP   schedule
 
 roundLoop:
 	// Save the incoming states for the final feed-forward add.
@@ -142,6 +190,7 @@ roundLoop:
 	G_LOAD3(SI, X1, X2, X3, X5, X6)
 	G_LOAD3(R8, X9, X10, X11, X13, X14)
 
+schedule:
 	G_MID(64, X1, X2, X3, X6, X4)
 	G_MID(64, X9, X10, X11, X14, X12)
 	G_MID(80, X1, X2, X4, X3, X5)
@@ -184,119 +233,8 @@ roundLoop:
 	DECQ BX
 	JNZ  roundLoop
 
-	// Working order back to h[0..7], per lane.
-	PSHUFD  $0x1b, X1, X1
-	PSHUFD  $0xb1, X2, X2
-	MOVO    X1, X7
-	PBLENDW $0xf0, X2, X1
-	PALIGNR $8, X7, X2
-	MOVOU   X1, (DI)
-	MOVOU   X2, 16(DI)
-
-	PSHUFD  $0x1b, X9, X9
-	PSHUFD  $0xb1, X10, X10
-	MOVO    X9, X7
-	PBLENDW $0xf0, X10, X9
-	PALIGNR $8, X7, X10
-	MOVOU   X9, (R9)
-	MOVOU   X10, 16(R9)
-
-done:
-	RET
-
-// func sha256tail2(s0, s1 *[8]uint32, wk *uint32)
-//
-// Folds one more 64-byte block into both states whose message schedule
-// is already known: wk holds the 64 words W[i]+K[i] of that block (plus
-// two zero pad words, so the last 16-byte load stays in bounds). The
-// multibuffer kernel uses it for the second block of a two-block
-// message whose value ends inside block 1 — that block holds only the
-// key tail, the padding and the bit length, so its schedule depends on
-// the key and the value length alone and both lanes share one table.
-//
-// With the schedule precomputed the round loop is just SHA256RNDS2:
-// each 16-byte load at an 8-byte stride puts the next two W+K words in
-// the low half of X0, which feeds two rounds of lane A and two of lane
-// B. No byte swap, no shuffles, no MSG1/MSG2.
-//
-//	lane A: X1 = ABEF, X2 = CDGH, X3/X4 = saved incoming state
-//	lane B: X9 = ABEF, X10 = CDGH, X11/X12 = saved incoming state
-//	shared: X0 = WK staging (implicit SHA256RNDS2 operand), X7 = scratch
-
-// Four rounds per lane: two from the words at off, two from off+8.
-#define T_RNDS4(off) \
-	MOVOU       off(AX), X0         \
-	SHA256RNDS2 X0, X1, X2          \
-	SHA256RNDS2 X0, X9, X10         \
-	MOVOU       off+8(AX), X0       \
-	SHA256RNDS2 X0, X2, X1          \
-	SHA256RNDS2 X0, X10, X9
-
-TEXT ·sha256tail2(SB), NOSPLIT, $0-24
-	MOVQ s0+0(FP), DI
-	MOVQ s1+8(FP), R9
-	MOVQ wk+16(FP), AX
-
-	// h[0..7] -> (ABEF, CDGH) working order, per lane.
-	MOVOU   (DI), X1
-	MOVOU   16(DI), X2
-	PSHUFD  $0xb1, X1, X1
-	PSHUFD  $0x1b, X2, X2
-	MOVO    X1, X7
-	PALIGNR $8, X2, X1
-	PBLENDW $0xf0, X7, X2
-
-	MOVOU   (R9), X9
-	MOVOU   16(R9), X10
-	PSHUFD  $0xb1, X9, X9
-	PSHUFD  $0x1b, X10, X10
-	MOVO    X9, X7
-	PALIGNR $8, X10, X9
-	PBLENDW $0xf0, X7, X10
-
-	MOVO X1, X3
-	MOVO X2, X4
-	MOVO X9, X11
-	MOVO X10, X12
-
-	T_RNDS4(0)
-	T_RNDS4(16)
-	T_RNDS4(32)
-	T_RNDS4(48)
-	T_RNDS4(64)
-	T_RNDS4(80)
-	T_RNDS4(96)
-	T_RNDS4(112)
-	T_RNDS4(128)
-	T_RNDS4(144)
-	T_RNDS4(160)
-	T_RNDS4(176)
-	T_RNDS4(192)
-	T_RNDS4(208)
-	T_RNDS4(224)
-	T_RNDS4(240)
-
-	// Feed-forward, then working order back to h[0..7], per lane.
-	PADDD X3, X1
-	PADDD X4, X2
-	PADDD X11, X9
-	PADDD X12, X10
-
-	PSHUFD  $0x1b, X1, X1
-	PSHUFD  $0xb1, X2, X2
-	MOVO    X1, X7
-	PBLENDW $0xf0, X2, X1
-	PALIGNR $8, X7, X2
-	MOVOU   X1, (DI)
-	MOVOU   X2, 16(DI)
-
-	PSHUFD  $0x1b, X9, X9
-	PSHUFD  $0xb1, X10, X10
-	MOVO    X9, X7
-	PBLENDW $0xf0, X10, X9
-	PALIGNR $8, X7, X10
-	MOVOU   X9, (R9)
-	MOVOU   X10, 16(R9)
+	PUT_DIGEST(X1, X2, DI)
+	PUT_DIGEST(X9, X10, R9)
 	RET
 
 // SHA-256 round constants, packed (16-byte stride, 4 constants per
@@ -371,3 +309,15 @@ GLOBL kernelK256<>(SB), RODATA, $256
 DATA kernelFlip<>+0(SB)/8, $0x0405060700010203
 DATA kernelFlip<>+8(SB)/8, $0x0c0d0e0f08090a0b
 GLOBL kernelFlip<>(SB), RODATA, $16
+
+// The SHA-256 IV (FIPS 180-4, 5.3.3) in working order: ABEF = (F, E, B,
+// A) and CDGH = (H, G, D, C), low dword first.
+DATA kernelIV<>+0x00(SB)/4, $0x9b05688c
+DATA kernelIV<>+0x04(SB)/4, $0x510e527f
+DATA kernelIV<>+0x08(SB)/4, $0xbb67ae85
+DATA kernelIV<>+0x0c(SB)/4, $0x6a09e667
+DATA kernelIV<>+0x10(SB)/4, $0x5be0cd19
+DATA kernelIV<>+0x14(SB)/4, $0x1f83d9ab
+DATA kernelIV<>+0x18(SB)/4, $0xa54ff53a
+DATA kernelIV<>+0x1c(SB)/4, $0x3c6ef372
+GLOBL kernelIV<>(SB), RODATA, $32
