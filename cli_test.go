@@ -192,6 +192,53 @@ func TestCLICertificateFlow(t *testing.T) {
 		"-record", record)
 }
 
+// TestCLIRepeatedRows: an owner's input may repeat rows. Watermarking
+// rewrites every copy of a row alike (its key decides the rewrite), and
+// the marked copy, repeats and all, verifies through the materialized
+// -record path.
+func TestCLIRepeatedRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bins := buildCommands(t)
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data.csv")
+	marked := filepath.Join(dir, "marked.csv")
+	record := filepath.Join(dir, "record.json")
+
+	run(t, bins["wmdatagen"], "-dataset", "itemscan", "-n", "20000",
+		"-catalog", "300", "-seed", "repeat-test", "-out", data)
+	raw, err := os.ReadFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Repeat the first 200 data rows, so some fit rows repeat at e=50.
+	lines := strings.SplitAfter(string(raw), "\n")
+	repeated := strings.Join(lines[1:201], "")
+	if err := os.WriteFile(data, append(raw, repeated...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	run(t, bins["wmtool"], "watermark", "-in", data, "-schema", itemScanSpec,
+		"-attr", "Item_Nbr", "-secret", "repeat-secret", "-wm", "1011001110",
+		"-e", "50", "-out", marked, "-record", record)
+	out, err := os.ReadFile(marked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.SplitAfter(string(out), "\n")
+	if len(got) != len(lines)+200 || strings.Join(got[1:201], "") != strings.Join(got[20001:20201], "") {
+		t.Fatal("the repeated rows were not marked alike")
+	}
+	if strings.Join(got[1:201], "") == repeated {
+		t.Fatal("no repeated row was rewritten: the case tests nothing")
+	}
+	verify := run(t, bins["wmtool"], "verify", "-in", marked, "-schema", itemScanSpec,
+		"-record", record)
+	if !strings.Contains(verify, "verdict: WATERMARK PRESENT") || !strings.Contains(verify, "bit agreement:      100.0%") {
+		t.Fatalf("verify output: %s", verify)
+	}
+}
+
 func TestCLIAttackVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

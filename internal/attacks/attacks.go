@@ -77,7 +77,7 @@ func SubsetAddition(r *relation.Relation, addFrac float64, src *stats.Source) (*
 	}
 
 	next := maxIntKey(r) + 1
-	for added := 0; added < nAdd; {
+	for range nAdd {
 		t := make(relation.Tuple, schema.Arity())
 		for col := range t {
 			if col == keyCol {
@@ -88,9 +88,8 @@ func SubsetAddition(r *relation.Relation, addFrac float64, src *stats.Source) (*
 			}
 		}
 		if err := out.Append(t); err != nil {
-			continue // key collision with a non-numeric keyspace; retry
+			return nil, err
 		}
-		added++
 	}
 	return out, nil
 }

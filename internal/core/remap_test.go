@@ -305,15 +305,14 @@ func (c *afterRowsCtx) Err() error {
 	return nil
 }
 
-// TestVerifyRemapPrimaryKeyAttribute pins the one case where the rescan
-// oracle's ApplyMapping can fail: the verified attribute is the
+// TestVerifyRemapPrimaryKeyAttribute: the verified attribute is the
 // suspect's primary key (a pairwise certificate keyed on another
-// column). Rewriting a clone in place through SetValue rejects an image
-// that a later row still holds, so the rescan gave up the retry. The
-// fit-row retry rewrites nothing: it re-votes the mapped values, and
-// reports exactly a detection over the suspect with the whole mapping
-// applied at once — which, the mapping being injective, is a valid
-// relation.
+// column), and rewriting it in place row by row passes through states
+// where two rows hold one key: the last row keeps an original code that
+// the recovered mapping also assigns to row 1. A relation holds
+// repeated keys, so the rescan oracle's rewrite succeeds, and it and
+// the fit-row retry both report exactly a detection over the suspect
+// with the whole mapping applied at once.
 func TestVerifyRemapPrimaryKeyAttribute(t *testing.T) {
 	const n, e = 2000, 4
 	schema := relation.MustSchema([]relation.Attribute{
@@ -347,20 +346,16 @@ func TestVerifyRemapPrimaryKeyAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := freq.ApplyMapping(suspect.Clone(), "Code", inverse); !errors.Is(err, relation.ErrDuplicateKey) {
-		t.Fatalf("in-place rewrite: err = %v, want a transient duplicate key", err)
-	}
-	old, err := verifyByRescan(context.Background(), rec, suspect, VerifyOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.RemapRecovered {
-		t.Fatal("the rescan oracle recovered: the case does not exercise its failure")
-	}
-
 	atOnce := relation.New(schema)
 	for i, c := range codes {
 		atOnce.MustAppend(relation.Tuple{inverse[c], suspect.Tuple(i)[1]})
+	}
+	inPlace := suspect.Clone()
+	if _, err := freq.ApplyMapping(inPlace, "Code", inverse); err != nil {
+		t.Fatalf("in-place rewrite through a repeated key: %v", err)
+	}
+	if !inPlace.Equal(atOnce) {
+		t.Fatal("the in-place rewrite differs from the mapping applied at once")
 	}
 	p, err := prepared(rec, nil, keyhash.KernelAuto)
 	if err != nil {
@@ -371,12 +366,20 @@ func TestVerifyRemapPrimaryKeyAttribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		got, err := rec.VerifyWith(suspect, VerifyOptions{Workers: workers})
+		o := VerifyOptions{Workers: workers}
+		got, err := rec.VerifyWith(suspect, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.RemapRecovered || !reflect.DeepEqual(got.Primary, want) || got.FrequencyMatch != -1 {
 			t.Fatalf("workers %d: Verify %+v, want a recovered retry reporting %+v", workers, got, want)
+		}
+		old, err := verifyByRescan(context.Background(), rec, suspect, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, old) {
+			t.Fatalf("workers %d:\nVerify %+v\nrescan %+v", workers, got, old)
 		}
 	}
 	if suspect.Tuple(1)[0] != "A1" || suspect.Tuple(n - 1)[0] != origin[1] {

@@ -58,9 +58,9 @@ func EmbedWithMap(r *relation.Relation, wm ecc.Bits, opts Options) (EmbeddingMap
 			continue
 		}
 		if _, dup := em[keyVal]; dup {
-			// Duplicate key value (possible when KeyAttr is not the
-			// primary key): first assignment wins, as re-assigning would
-			// desynchronise decode.
+			// Repeated key value (a relation may repeat any KeyAttr
+			// value, its primary key's too): first assignment wins, as
+			// re-assigning would desynchronise decode.
 			continue
 		}
 		bit := uint64(wmData[idx])

@@ -254,12 +254,11 @@ func runRanges(ctx context.Context, r *relation.Relation, cfg Config, workers in
 // Quality-gated embedding is inherently sequential — the assessor's
 // alteration budget makes later decisions depend on earlier ones — so
 // when opts.Assessor, opts.SkipRow or opts.OnAlter is set Embed runs the
-// same pool at one worker, chunk after chunk. Likewise when the
-// watermarked attribute is the schema's primary key (a Section 3.3
-// pairwise embedding with KeyAttr overridden): a key rewrite can fail on
-// a duplicate, and which one fails depends on the rewrites before it.
-// The one worker still checks ctx between blocks, so even an
-// order-dependent embedding is cancellable mid-pass; a
+// same pool at one worker, chunk after chunk. A watermarked attribute
+// that is the schema's primary key (a Section 3.3 pairwise embedding
+// with KeyAttr overridden) is an ordinary column here and runs on the
+// whole pool. The one worker still checks ctx between blocks, so even
+// an order-dependent embedding is cancellable mid-pass; a
 // partially-embedded relation must be discarded on error either way.
 func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Options, cfg Config) (mark.EmbedStats, error) {
 	if err := ctx.Err(); err != nil {
@@ -270,7 +269,7 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 		return mark.EmbedStats{}, err
 	}
 	workers := cfg.workers()
-	if opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil || attrIsPrimaryKey(r, opts.Attr) {
+	if opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil {
 		workers = 1
 	}
 	stage := workers > 1 // one worker is the relation's only writer
@@ -345,11 +344,4 @@ func detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 		return rep, nil, nil
 	}
 	return rep, &FitPass{sc: sc, r: r, rows: fit, cfg: cfg}, nil
-}
-
-// attrIsPrimaryKey reports whether attr is the relation's primary key —
-// the one column whose rewrites touch the shared key index.
-func attrIsPrimaryKey(r *relation.Relation, attr string) bool {
-	i, ok := r.Schema().Index(attr)
-	return ok && i == r.Schema().KeyIndex()
 }

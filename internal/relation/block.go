@@ -295,10 +295,9 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 // few allocations per block, none per row. When the input's length in
 // bytes is known (size > 0), consumed reports how many of them br has
 // parsed, and the storage is sized once from the first block's rows per
-// byte instead of regrown as blocks arrive. Errors match ReadAll over
-// the row readers: a duplicate key is ErrDuplicateKey naming its
-// 1-based row, and it wins over a parse error, which can only come at a
-// later row.
+// byte instead of regrown as blocks arrive. It reads the rows ReadAll
+// over the row readers reads, a repeated key included, and fails where
+// ReadAll fails.
 func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, error) {
 	b := GetBlock(br.Schema())
 	defer PutBlock(b)
@@ -325,13 +324,11 @@ func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, e
 }
 
 // reserve sizes the empty r's storage for about rows rows shaped like
-// the first n rows of b: the key table for rows keys, and references
-// and arenas, at b's mean value lengths, for a sixteenth more, so an
-// input a little denser than its first block still fits without a
-// regrowth.
+// the first n rows of b: references and arenas, at b's mean value
+// lengths, for a sixteenth more, so an input a little denser than its
+// first block still fits without a regrowth.
 func (r *Relation) reserve(b *Block, n int, rows int64) {
 	rows = min(rows, maxRows)
-	r.growKeys(int(rows))
 	rows += rows/16 + 1
 	r.refs = make([]uint64, 0, rows*int64(r.arity))
 	for c := range r.arenas {
@@ -361,10 +358,9 @@ func inputSize(rd io.Reader) int64 {
 	return 0
 }
 
-// appendBlock appends the first n rows of b: each column's bytes go to
-// its arena in one copy, and the rows' keys go to the key table while
-// the block is still in cache. It fails at the first key an earlier row
-// holds, naming that row; the relation is then unusable.
+// appendBlock appends the first n rows of b, each column's bytes to
+// its arena in one copy. It fails only on the storage limits, naming
+// the row where it can; the relation is then unusable.
 func (r *Relation) appendBlock(b *Block, n int) error {
 	if n == 0 {
 		return nil
@@ -391,16 +387,6 @@ func (r *Relation) appendBlock(b *Block, n int) error {
 		}
 	}
 	r.rows += n
-	r.growKeys(r.rows)
-	for i := base; i < r.rows; i++ {
-		key := r.Key(i)
-		h := keyHash(key)
-		slot, dup := r.findKey(h, key)
-		if dup {
-			return fmt.Errorf("row %d: %w: %q", i+1, ErrDuplicateKey, key)
-		}
-		r.keys[slot] = h&^rowMask | uint64(i+1)
-	}
 	return nil
 }
 

@@ -132,9 +132,9 @@ func WriteCSV(w io.Writer, r *Relation) error {
 // name exactly the schema's attributes; column order in the file may
 // differ from schema order and is mapped by name. It drains a
 // CSVBlockReader into the relation's column storage (see Relation),
-// copying each block column's bytes into the arena and each block's
-// keys into the key table as the block is read; use the block reader
-// directly to stream without holding the whole relation. The
+// copying each block column's bytes into the arena as the block is
+// read; rows that repeat a key are read like any other. Use the block
+// reader directly to stream without holding the whole relation. The
 // stdlib-backed CSVRowReader in the package's tests accepts and rejects
 // exactly the same inputs; it is the fuzz oracle.
 func ReadCSV(rd io.Reader, schema *Schema) (*Relation, error) {

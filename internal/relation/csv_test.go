@@ -119,7 +119,6 @@ func TestReadCSVErrors(t *testing.T) {
 		"duplicate column": "k,k\n1,a\n",
 		"missing column":   "k\n1\n",
 		"bad row arity":    "k,v\n1\n",
-		"duplicate key":    "k,v\n1,a\n1,b\n",
 		"empty input":      "",
 	}
 	for name, in := range cases {

@@ -53,7 +53,6 @@ func TestReadJSONLErrors(t *testing.T) {
 		"missing key":  `{"k":"1"}`,
 		"extra key":    `{"k":"1","v":"a","z":"b"}`,
 		"unknown key":  `{"k":"1","zzz":"a"}`,
-		"duplicate pk": "{\"k\":\"1\",\"v\":\"a\"}\n{\"k\":\"1\",\"v\":\"b\"}",
 		"corrupt json": `{"k":`,
 		"non-string":   `{"k":1,"v":"a"}`,
 	}

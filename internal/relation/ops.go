@@ -58,22 +58,14 @@ func (r *Relation) identity() []int {
 }
 
 // permute reorders the rows so that row i becomes the old row order[i],
-// moving references only; the key table keeps its slots and renumbers
-// their rows.
+// moving references only.
 func (r *Relation) permute(order []int) {
 	a := r.arity
 	refs := make([]uint64, len(r.refs))
-	moved := make([]uint64, r.rows) // old row -> new row+1
 	for dst, src := range order {
 		copy(refs[dst*a:(dst+1)*a], r.row(src))
-		moved[src] = uint64(dst + 1)
 	}
 	r.refs = refs
-	for s, e := range r.keys {
-		if e != 0 {
-			r.keys[s] = e&^rowMask | moved[e&rowMask-1]
-		}
-	}
 }
 
 // tupleInto fills t, of the relation's arity, with row i's values.
@@ -104,7 +96,8 @@ func (r *Relation) SelectRows(rows []int) (*Relation, error) {
 // A5 vertical partition. The primary key follows Schema.Project semantics.
 // Rows whose projected key collides are dropped (first occurrence wins),
 // mirroring the duplicate elimination a real projection would perform; the
-// second return value counts dropped rows.
+// second return value counts dropped rows. The projection is the one
+// operation that reads keys as unique, through a set local to the call.
 func (r *Relation) Project(keep ...string) (*Relation, int, error) {
 	ps, err := r.schema.Project(keep...)
 	if err != nil {
@@ -116,15 +109,20 @@ func (r *Relation) Project(keep ...string) (*Relation, int, error) {
 		cols[i] = j
 	}
 	out := New(ps)
-	dropped := 0
+	seen := make(map[string]struct{}, r.rows)
 	nt := make(Tuple, len(cols))
 	for i := 0; i < r.rows; i++ {
 		for k, c := range cols {
 			nt[k] = r.At(i, c)
 		}
+		key := nt[ps.keyIndex]
+		if _, dup := seen[key]; dup {
+			continue
+		}
+		seen[key] = struct{}{}
 		if err := out.Append(nt); err != nil {
-			dropped++ // duplicate projected key
+			return nil, 0, err
 		}
 	}
-	return out, dropped, nil
+	return out, r.rows - out.rows, nil
 }

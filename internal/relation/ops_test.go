@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -78,11 +79,11 @@ func TestShufflePreservesContentAndIndex(t *testing.T) {
 	if !r.EqualUnordered(orig) {
 		t.Fatal("shuffle changed content")
 	}
-	// Index must still resolve every key to the right row.
+	// Each row index still pairs a key with its own values.
 	for i := 0; i < r.Len(); i++ {
-		idx, ok := r.Lookup(r.Key(i))
-		if !ok || idx != i {
-			t.Fatalf("index broken after shuffle: key %s -> %d,%v", r.Key(i), idx, ok)
+		k, _ := strconv.Atoi(r.Key(i))
+		if want := orig.Tuple(k); !slices.Equal(r.Tuple(i), want) {
+			t.Fatalf("row %d after shuffle = %q, want %q", i, r.Tuple(i), want)
 		}
 	}
 }
@@ -158,23 +159,19 @@ func TestAppendAll(t *testing.T) {
 	a := buildNumbered(t, 5)
 	b := New(a.Schema())
 	b.MustAppend(Tuple{"100", "a", "b"})
-	b.MustAppend(Tuple{"3", "a", "b"}) // collides with a's key 3
-	rejected, err := a.AppendAll(b)
-	if err != nil {
+	b.MustAppend(Tuple{"3", "a", "b"}) // repeats a's key 3, appended all the same
+	if err := a.AppendAll(b); err != nil {
 		t.Fatal(err)
 	}
-	if rejected != 1 {
-		t.Fatalf("rejected %d, want 1", rejected)
-	}
-	if a.Len() != 6 {
-		t.Fatalf("len %d, want 6", a.Len())
+	if a.Len() != 7 || a.Key(5) != "100" || a.Key(6) != "3" {
+		t.Fatalf("rows %q, want a's 5 then b's 2", rowsOf(a))
 	}
 }
 
 func TestAppendAllSchemaMismatch(t *testing.T) {
 	a := buildNumbered(t, 2)
 	other := New(MustSchema([]Attribute{{Name: "x", Type: TypeInt}}, "x"))
-	if _, err := a.AppendAll(other); err == nil {
+	if err := a.AppendAll(other); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
 }
@@ -197,33 +194,31 @@ func (r *Relation) Filter(keep func(i int, t Tuple) bool) *Relation {
 	return out
 }
 
-// AppendAll appends copies of every tuple in o, returning the number of
-// tuples rejected for duplicate keys.
-func (r *Relation) AppendAll(o *Relation) (rejected int, err error) {
+// AppendAll appends copies of every tuple in o.
+func (r *Relation) AppendAll(o *Relation) error {
 	if !r.schema.Equal(o.schema) {
-		return 0, fmt.Errorf("relation: schema mismatch in AppendAll")
+		return fmt.Errorf("relation: schema mismatch in AppendAll")
 	}
 	t := make(Tuple, o.arity)
 	for i, n := 0, o.rows; i < n; i++ {
 		o.tupleInto(t, i)
-		if appendErr := r.Append(t); appendErr != nil {
-			rejected++
+		if err := r.Append(t); err != nil {
+			return err
 		}
 	}
-	return rejected, nil
+	return nil
 }
 
-// EqualUnordered reports whether two relations contain the same tuples
-// regardless of order, matching rows by primary key.
+// EqualUnordered reports whether two relations hold the same multiset
+// of tuples, each as often in one as in the other, regardless of order.
 func (r *Relation) EqualUnordered(o *Relation) bool {
 	if !r.schema.Equal(o.schema) || r.Len() != o.Len() {
 		return false
 	}
-	for i := 0; i < r.rows; i++ {
-		j, ok := o.Lookup(r.Key(i))
-		if !ok || !r.rowEqual(i, o, j) {
-			return false
-		}
+	sorted := func(x *Relation) []Tuple {
+		rows := rowsOf(x)
+		slices.SortFunc(rows, slices.Compare)
+		return rows
 	}
-	return true
+	return slices.EqualFunc(sorted(r), sorted(o), slices.Equal)
 }

@@ -13,45 +13,27 @@ import (
 )
 
 // oracleRelation is the storage Relation had before column arenas: one
-// []string per row and a map key index, with every operation written
-// the way it was then. FuzzRelationOps holds Relation to it.
+// []string per row, a multiset of rows in order, with every operation
+// written plainly. FuzzRelationOps holds Relation to it.
 type oracleRelation struct {
 	schema *Schema
 	tuples []Tuple
-	keys   map[string]int
 }
 
 func newOracle(schema *Schema) *oracleRelation {
-	return &oracleRelation{schema: schema, keys: make(map[string]int)}
+	return &oracleRelation{schema: schema}
 }
 
 func (o *oracleRelation) append(t Tuple) error {
 	if len(t) != o.schema.Arity() {
 		return fmt.Errorf("relation: tuple arity %d, schema arity %d", len(t), o.schema.Arity())
 	}
-	key := t[o.schema.keyIndex]
-	if _, dup := o.keys[key]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
-	}
-	o.keys[key] = len(o.tuples)
 	o.tuples = append(o.tuples, t.Clone())
 	return nil
 }
 
-func (o *oracleRelation) setValueAt(i, j int, value string) error {
-	if j == o.schema.keyIndex {
-		old := o.tuples[i][j]
-		if old == value {
-			return nil
-		}
-		if _, dup := o.keys[value]; dup {
-			return fmt.Errorf("%w: %q", ErrDuplicateKey, value)
-		}
-		delete(o.keys, old)
-		o.keys[value] = i
-	}
+func (o *oracleRelation) setValueAt(i, j int, value string) {
 	o.tuples[i][j] = value
-	return nil
 }
 
 func (o *oracleRelation) clone() *oracleRelation {
@@ -62,13 +44,6 @@ func (o *oracleRelation) clone() *oracleRelation {
 		}
 	}
 	return c
-}
-
-func (o *oracleRelation) reindex() {
-	o.keys = make(map[string]int, len(o.tuples))
-	for i, t := range o.tuples {
-		o.keys[t[o.schema.keyIndex]] = i
-	}
 }
 
 func (o *oracleRelation) sortBy(j int) {
@@ -84,14 +59,12 @@ func (o *oracleRelation) sortBy(j int) {
 		}
 		return va < vb
 	})
-	o.reindex()
 }
 
 func (o *oracleRelation) shuffle(src *stats.Source) {
 	src.Shuffle(len(o.tuples), func(i, j int) {
 		o.tuples[i], o.tuples[j] = o.tuples[j], o.tuples[i]
 	})
-	o.reindex()
 }
 
 func (o *oracleRelation) selectRows(rows []int) (*oracleRelation, error) {
@@ -125,6 +98,7 @@ func (o *oracleRelation) project(keep ...string) (*oracleRelation, int, error) {
 		return nil, 0, err
 	}
 	out := newOracle(ps)
+	seen := make(map[string]bool)
 	dropped := 0
 	for _, t := range o.tuples {
 		nt := make(Tuple, len(keep))
@@ -132,21 +106,20 @@ func (o *oracleRelation) project(keep ...string) (*oracleRelation, int, error) {
 			j, _ := o.schema.Index(name)
 			nt[i] = t[j]
 		}
-		if err := out.append(nt); err != nil {
+		if key := nt[ps.keyIndex]; seen[key] {
 			dropped++
+		} else {
+			seen[key] = true
+			out.tuples = append(out.tuples, nt)
 		}
 	}
 	return out, dropped, nil
 }
 
-func (o *oracleRelation) appendAll(p *oracleRelation) int {
-	rejected := 0
+func (o *oracleRelation) appendAll(p *oracleRelation) {
 	for _, t := range slices.Clone(p.tuples) {
-		if err := o.append(t); err != nil {
-			rejected++
-		}
+		o.tuples = append(o.tuples, t.Clone())
 	}
-	return rejected
 }
 
 func (o *oracleRelation) equal(p *oracleRelation) bool {
@@ -157,11 +130,16 @@ func (o *oracleRelation) equalUnordered(p *oracleRelation) bool {
 	if !o.schema.Equal(p.schema) || len(o.tuples) != len(p.tuples) {
 		return false
 	}
+	count := make(map[string]int)
 	for _, t := range o.tuples {
-		j, ok := p.keys[t[o.schema.keyIndex]]
-		if !ok || !slices.Equal(t, p.tuples[j]) {
+		count[fmt.Sprintf("%q", t)]++
+	}
+	for _, t := range p.tuples {
+		k := fmt.Sprintf("%q", t)
+		if count[k] == 0 {
 			return false
 		}
+		count[k]--
 	}
 	return true
 }
@@ -181,24 +159,11 @@ type relPair struct {
 	o *oracleRelation
 }
 
-// checkPair requires equal rows, equal Lookup results for every key
-// held and for absent ones.
+// checkPair requires equal rows, in order.
 func checkPair(t *testing.T, step string, p relPair) {
 	t.Helper()
 	if got := rowsOf(p.r); !slices.EqualFunc(got, p.o.tuples, slices.Equal) {
 		t.Fatalf("%s: rows %q, oracle %q", step, got, p.o.tuples)
-	}
-	for key, want := range p.o.keys {
-		if i, ok := p.r.Lookup(key); !ok || i != want {
-			t.Fatalf("%s: Lookup(%q) = %d,%v, oracle %d", step, key, i, ok, want)
-		}
-	}
-	for _, key := range []string{"absent", "-1", "x"} {
-		if _, held := p.o.keys[key]; !held {
-			if i, ok := p.r.Lookup(key); ok {
-				t.Fatalf("%s: Lookup of absent %q = %d", step, key, i)
-			}
-		}
 	}
 }
 
@@ -226,9 +191,9 @@ func (s *opStream) key() string   { return fuzzKeys[s.next()%len(fuzzKeys)] }
 func (s *opStream) value() string { return fuzzValues[s.next()%len(fuzzValues)] }
 
 // FuzzRelationOps drives random operation sequences through Relation
-// and the oracle and requires the same rows, errors and Lookup results
-// after every step: Append (duplicates included), SetValue/SetValueAt on
-// key and non-key columns, Clone with both sides mutated afterwards,
+// and the oracle and requires the same rows and errors after every
+// step: Append (repeated keys included), SetValue/SetValueAt on key and
+// non-key columns, Clone with both sides mutated afterwards,
 // SortBy, Shuffle, SelectRows, Filter, Project, AppendAll,
 // Equal/EqualUnordered, FillBlock, CodeColumn + Refresh, and a
 // WriteCSV → ReadCSV round trip.
@@ -276,9 +241,10 @@ func FuzzRelationOps(f *testing.F) {
 				} else {
 					gotErr = p.r.SetValueAt(i, j, v)
 				}
-				if wantErr := p.o.setValueAt(i, j, v); fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Fatalf("%s: SetValueAt(%d,%d,%q) = %v, oracle %v", name, i, j, v, gotErr, wantErr)
+				if gotErr != nil {
+					t.Fatalf("%s: SetValueAt(%d,%d,%q) = %v", name, i, j, v, gotErr)
 				}
+				p.o.setValueAt(i, j, v)
 			case 4: // Clone; later steps mutate either side
 				if len(pairs) < 5 {
 					pairs = append(pairs, relPair{p.r.Clone(), p.o.clone()})
@@ -335,16 +301,13 @@ func FuzzRelationOps(f *testing.F) {
 				}
 			case 10: // AppendAll
 				q := pairs[s.next()%len(pairs)]
-				if !p.r.schema.Equal(q.r.schema) {
-					continue
+				if !p.r.schema.Equal(q.r.schema) || n+q.r.Len() > 1000 {
+					continue // repeated self-appends would double the rows each step
 				}
-				got, err := p.r.AppendAll(q.r)
-				if err != nil {
+				if err := p.r.AppendAll(q.r); err != nil {
 					t.Fatal(err)
 				}
-				if want := p.o.appendAll(q.o); got != want {
-					t.Fatalf("%s: AppendAll rejected %d, oracle %d", name, got, want)
-				}
+				p.o.appendAll(q.o)
 			case 11: // Equal / EqualUnordered
 				q := pairs[s.next()%len(pairs)]
 				if p.r.Equal(q.r) != p.o.equal(q.o) || p.r.EqualUnordered(q.r) != p.o.equalUnordered(q.o) {
@@ -391,9 +354,7 @@ func FuzzRelationOps(f *testing.F) {
 					if err := p.r.SetValueAt(i, j, v); err != nil {
 						t.Fatal(err)
 					}
-					if err := p.o.setValueAt(i, j, v); err != nil {
-						t.Fatal(err)
-					}
+					p.o.setValueAt(i, j, v)
 				}
 				c.Refresh(p.r)
 				counts := make([]int, len(c.Labels))
@@ -448,8 +409,8 @@ func TestRelationStorageHoldsNoPointers(t *testing.T) {
 			walk(f.Name, f.Type)
 		}
 	}
-	if perRow < 3 {
-		t.Fatalf("%d per-row arrays found, want the references, the arenas and the key table", perRow)
+	if perRow < 2 {
+		t.Fatalf("%d per-row arrays found, want the references and the arenas", perRow)
 	}
 }
 

@@ -12,7 +12,6 @@ package relation
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"strings"
 	"unsafe"
@@ -185,46 +184,38 @@ func (s *Schema) Equal(o *Schema) bool {
 // Tuple is one row: values by attribute position, stored as strings.
 type Tuple []string
 
-// Relation is an ordered multiset of tuples under a schema, with primary
-// key uniqueness enforced on insert.
+// Relation is an ordered multiset of tuples under a schema. Rows may
+// repeat, and so may primary-key values: a copied row is the A2
+// attack's added tuple, and it votes as often as it occurs, as on the
+// streaming paths. The primary key is the default key attribute, whose
+// hash decides a row's fitness; nothing here requires it to be unique.
 //
 // Storage. Each column's values live in an append-only byte arena of
 // its own. Row i's value of column j is refs[i*arity+j], a uint64
 // packing the value's offset in arena j (high 40 bits) and its length
 // (low 24 bits), so a value holds at most 16 MiB - 1 bytes and an arena
 // at most 1 TiB; a relation holds fewer than 2^31 rows. Neither the
-// arenas, the references nor the key table holds a pointer, so the
-// garbage collector marks a relation in constant time whatever its row
-// count. At reads a value as a zero-copy string over its arena. Arena
-// bytes are never rewritten once a row refers to them: SetValue appends
-// the new bytes and repoints the row, Clone shares the arenas
-// capacity-capped (an append on either side reallocates) and copies only
-// the references and the key table, and SortBy/Shuffle permute
-// references. A string read from a relation therefore stays valid
-// across later writes, and keeps its whole arena alive while held;
-// NewDomain, HistogramOf and CodeColumn copy the values they keep. A
-// rewritten value's old bytes stay in the arena until the relation is
-// dropped.
-//
-// Key index. keys is an open-addressing table of uint64 entries: the
-// high 32 bits of the key's hash as a tag and row+1 in the low 32 (0 is
-// an empty slot), probed linearly from the tag's low bits, so the table
-// doubles without rehashing a key. It is at most two thirds full and is
-// maintained eagerly: Append, ReadCSV and ReadJSONL insert, a key-column
-// SetValue deletes (backward shift) and inserts, Clone copies it, and
-// SortBy/Shuffle renumber its rows. Keys are compared through the key
-// column, and only when their tags match.
+// arenas nor the references hold a pointer, so the garbage collector
+// marks a relation in constant time whatever its row count. At reads a
+// value as a zero-copy string over its arena. Arena bytes are never
+// rewritten once a row refers to them: SetValue appends the new bytes
+// and repoints the row, Clone shares the arenas capacity-capped (an
+// append on either side reallocates) and copies only the references,
+// and SortBy/Shuffle permute references. A string read from a relation
+// therefore stays valid across later writes, and keeps its whole arena
+// alive while held; NewDomain, HistogramOf and CodeColumn copy the
+// values they keep. A rewritten value's old bytes stay in the arena
+// until the relation is dropped.
 //
 // One writer. Every mutator appends to an arena, so a relation has one
 // writer at a time. Readers may run alongside it only on columns it does
-// not write, and only while it does not append rows or rewrite keys.
+// not write, and only while it does not append rows.
 type Relation struct {
 	schema *Schema
 	arity  int
 	rows   int
 	refs   []uint64
 	arenas [][]byte
-	keys   []uint64
 }
 
 // Storage limits (see Relation).
@@ -234,14 +225,7 @@ const (
 	maxValueLen = lenMask
 	maxArena    = 1 << 40
 	maxRows     = 1<<31 - 1
-	rowMask     = 1<<32 - 1
 )
-
-// keySeed seeds the key table's hash for every relation of the process,
-// so a clone's copied table stays valid.
-var keySeed = maphash.MakeSeed()
-
-func keyHash(key string) uint64 { return maphash.String(keySeed, key) }
 
 // New returns an empty relation with the given schema.
 func New(schema *Schema) *Relation {
@@ -253,9 +237,6 @@ func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples (the paper's N).
 func (r *Relation) Len() int { return r.rows }
-
-// ErrDuplicateKey is returned by Append when a tuple reuses a primary key.
-var ErrDuplicateKey = errors.New("relation: duplicate primary key")
 
 // view returns the value of column j that ref references, as a string
 // over the column's arena.
@@ -305,70 +286,9 @@ func (r *Relation) checkRoom(j int, v string) error {
 // row returns row i's references.
 func (r *Relation) row(i int) []uint64 { return r.refs[i*r.arity : (i+1)*r.arity] }
 
-// findKey probes the key table for key, whose hash is h: it returns the
-// slot holding key's entry and true, or the empty slot that ends its
-// probe run and false. The table must not be empty.
-func (r *Relation) findKey(h uint64, key string) (uint64, bool) {
-	mask := uint64(len(r.keys) - 1)
-	tag := h >> 32
-	for slot := tag & mask; ; slot = (slot + 1) & mask {
-		e := r.keys[slot]
-		if e == 0 {
-			return slot, false
-		}
-		if e>>32 == tag && r.Key(int(e&rowMask)-1) == key {
-			return slot, true
-		}
-	}
-}
-
-// growKeys doubles the key table until it holds rows keys at most two
-// thirds full, re-slotting every entry from its tag.
-func (r *Relation) growKeys(rows int) {
-	if rows*3 <= len(r.keys)*2 {
-		return
-	}
-	size := max(8, len(r.keys))
-	for rows*3 > size*2 {
-		size <<= 1
-	}
-	old := r.keys
-	r.keys = make([]uint64, size)
-	mask := uint64(size - 1)
-	for _, e := range old {
-		if e == 0 {
-			continue
-		}
-		slot := e >> 32 & mask
-		for r.keys[slot] != 0 {
-			slot = (slot + 1) & mask
-		}
-		r.keys[slot] = e
-	}
-}
-
-// deleteKey empties slot by backward shift: each later entry of the
-// probe run whose home slot does not lie between the hole and itself
-// moves back into the hole, so no run is cut short.
-func (r *Relation) deleteKey(slot uint64) {
-	mask := uint64(len(r.keys) - 1)
-	hole := slot
-	for j := (hole + 1) & mask; ; j = (j + 1) & mask {
-		e := r.keys[j]
-		if e == 0 {
-			break
-		}
-		if home := e >> 32 & mask; (j-home)&mask >= (j-hole)&mask {
-			r.keys[hole] = e
-			hole = j
-		}
-	}
-	r.keys[hole] = 0
-}
-
-// Append adds a tuple, copying its values into the relation. It
-// validates arity, the storage limits and primary-key uniqueness, and
-// changes nothing when it fails.
+// Append adds a tuple, copying its values into the relation; a key
+// that an earlier row holds is appended like any other. It validates
+// arity and the storage limits, and changes nothing when it fails.
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.arity {
 		return fmt.Errorf("relation: tuple arity %d, schema arity %d", len(t), r.arity)
@@ -381,28 +301,16 @@ func (r *Relation) Append(t Tuple) error {
 			return err
 		}
 	}
-	return r.appendHashed(t, keyHash(t[r.schema.keyIndex]))
-}
-
-// appendHashed is Append past its checks, with h the hash of t's key.
-func (r *Relation) appendHashed(t Tuple, h uint64) error {
-	key := t[r.schema.keyIndex]
-	r.growKeys(r.rows + 1)
-	slot, dup := r.findKey(h, key)
-	if dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateKey, key)
-	}
 	r.refs = grow(r.refs, r.arity)
 	for j, v := range t {
 		r.refs = append(r.refs, r.store(j, v))
 	}
 	r.rows++
-	r.keys[slot] = h&^rowMask | uint64(r.rows)
 	return nil
 }
 
-// MustAppend is Append that panics on error; for generators whose inputs
-// are unique by construction.
+// MustAppend is Append that panics on error; for generators and tests
+// whose tuples have the schema's arity.
 func (r *Relation) MustAppend(t Tuple) {
 	if err := r.Append(t); err != nil {
 		panic(err)
@@ -434,8 +342,8 @@ func (r *Relation) Value(i int, attr string) (string, error) {
 	return r.At(i, j), nil
 }
 
-// SetValue overwrites the named attribute in row i, maintaining the
-// primary-key index if the key column is the one changed.
+// SetValue overwrites the named attribute in row i; the key column is
+// written like any other.
 func (r *Relation) SetValue(i int, attr, value string) error {
 	j, ok := r.schema.Index(attr)
 	if !ok {
@@ -448,33 +356,10 @@ func (r *Relation) SetValue(i int, attr, value string) error {
 // many rows of one column that resolved it once. It appends value to
 // the arena and repoints the row; on error the relation is unchanged.
 func (r *Relation) SetValueAt(i, j int, value string) error {
-	refs := r.row(i)
 	if err := r.checkRoom(j, value); err != nil {
 		return err
 	}
-	if j != r.schema.keyIndex {
-		refs[j] = r.store(j, value)
-		return nil
-	}
-	old := r.view(j, refs[j])
-	if old == value {
-		return nil
-	}
-	return r.setKey(i, value, keyHash(value), keyHash(old))
-}
-
-// setKey is SetValueAt on the key column past its checks, with h and
-// oldHash the hashes of value and of row i's current key: it deletes
-// the old key's entry and inserts the new one.
-func (r *Relation) setKey(i int, value string, h, oldHash uint64) error {
-	if _, dup := r.findKey(h, value); dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateKey, value)
-	}
-	oldSlot, _ := r.findKey(oldHash, r.Key(i))
-	r.deleteKey(oldSlot)
-	r.row(i)[r.schema.keyIndex] = r.store(r.schema.keyIndex, value)
-	slot, _ := r.findKey(h, value)
-	r.keys[slot] = h&^rowMask | uint64(i+1)
+	r.row(i)[j] = r.store(j, value)
 	return nil
 }
 
@@ -482,14 +367,11 @@ func (r *Relation) setKey(i int, value string, h, oldHash uint64) error {
 func (r *Relation) Key(i int) string { return r.At(i, r.schema.keyIndex) }
 
 // Clone returns a copy with a shared (immutable) schema in three
-// allocations whatever the row count: the relation, its arena headers,
-// and one array holding its references and then its key table. The
-// arenas are shared, capacity-capped so that a write on either side
-// appends to a fresh arena and never into the other's.
+// allocations whatever the row count: the relation, its arena headers
+// and its references. The arenas are shared, capacity-capped so that a
+// write on either side appends to a fresh arena and never into the
+// other's.
 func (r *Relation) Clone() *Relation {
-	store := make([]uint64, len(r.refs)+len(r.keys))
-	n := copy(store, r.refs)
-	copy(store[n:], r.keys)
 	arenas := make([][]byte, r.arity)
 	for j, a := range r.arenas {
 		arenas[j] = slices.Clip(a)
@@ -498,9 +380,8 @@ func (r *Relation) Clone() *Relation {
 		schema: r.schema,
 		arity:  r.arity,
 		rows:   r.rows,
-		refs:   store[:n:n],
+		refs:   slices.Clone(r.refs),
 		arenas: arenas,
-		keys:   store[n:],
 	}
 }
 

@@ -1,7 +1,7 @@
 package relation
 
 import (
-	"errors"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -114,11 +114,10 @@ func TestAppendAndLookup(t *testing.T) {
 	if r.Len() != 10 {
 		t.Fatalf("len %d", r.Len())
 	}
-	idx, ok := r.Lookup("7")
-	if !ok || r.Key(idx) != "7" {
-		t.Fatalf("Lookup(7) = %d,%v", idx, ok)
+	if r.Key(7) != "7" {
+		t.Fatalf("Key(7) = %q", r.Key(7))
 	}
-	v, err := r.Value(idx, "Item_Nbr")
+	v, err := r.Value(7, "Item_Nbr")
 	if err != nil || v != "101" {
 		t.Fatalf("Value = %q, %v", v, err)
 	}
@@ -134,14 +133,17 @@ func TestAppendArityMismatch(t *testing.T) {
 	}
 }
 
+// TestAppendDuplicateKey: a relation is a multiset of rows, so a key an
+// earlier row holds, or a whole repeated row, is appended like any other.
 func TestAppendDuplicateKey(t *testing.T) {
 	r := New(itemScanSchema(t))
-	if err := r.Append(Tuple{"1", "100"}); err != nil {
-		t.Fatal(err)
+	for _, tup := range []Tuple{{"1", "100"}, {"1", "200"}, {"1", "100"}} {
+		if err := r.Append(tup); err != nil {
+			t.Fatalf("Append(%q): %v", tup, err)
+		}
 	}
-	err := r.Append(Tuple{"1", "200"})
-	if !errors.Is(err, ErrDuplicateKey) {
-		t.Fatalf("duplicate key error = %v", err)
+	if r.Len() != 3 || r.At(1, 1) != "200" || !slices.Equal(r.Tuple(2), Tuple{"1", "100"}) {
+		t.Fatalf("rows %q", rowsOf(r))
 	}
 }
 
@@ -159,26 +161,23 @@ func TestSetValue(t *testing.T) {
 	}
 }
 
+// TestSetValueKeyMaintainsIndex: a key-column write is an ordinary
+// column write; a key another row holds is accepted, and every row
+// index keeps its own values.
 func TestSetValueKeyMaintainsIndex(t *testing.T) {
 	r := New(itemScanSchema(t))
 	r.MustAppend(Tuple{"1", "100"})
 	r.MustAppend(Tuple{"2", "200"})
-	if err := r.SetValue(0, "Visit_Nbr", "2"); err == nil {
-		t.Fatal("key collision accepted")
+	for _, k := range []string{"2", "42", "42"} {
+		if err := r.SetValue(0, "Visit_Nbr", k); err != nil {
+			t.Fatalf("SetValue(0, key, %q): %v", k, err)
+		}
 	}
-	if err := r.SetValue(0, "Visit_Nbr", "42"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Lookup("1"); ok {
-		t.Fatal("stale key still indexed")
-	}
-	idx, ok := r.Lookup("42")
-	if !ok || idx != 0 {
-		t.Fatalf("new key lookup = %d,%v", idx, ok)
-	}
-	// Setting a key to itself is a no-op, not a collision.
 	if err := r.SetValue(1, "Visit_Nbr", "2"); err != nil {
 		t.Fatalf("self-assignment rejected: %v", err)
+	}
+	if !slices.EqualFunc(rowsOf(r), []Tuple{{"42", "100"}, {"2", "200"}}, slices.Equal) {
+		t.Fatalf("rows %q", rowsOf(r))
 	}
 }
 
@@ -245,21 +244,8 @@ func TestTypeParseRoundTrip(t *testing.T) {
 	}
 }
 
-// Lookup, Tuple.Clone and Column.Rows are test accessors: production
-// paths find keys only through Append's duplicate check and read values
-// through At, tupleInto and the block columns.
-
-// Lookup returns the row index holding the given primary-key value.
-func (r *Relation) Lookup(key string) (int, bool) {
-	if r.rows == 0 {
-		return 0, false
-	}
-	slot, ok := r.findKey(keyHash(key), key)
-	if !ok {
-		return 0, false
-	}
-	return int(r.keys[slot]&rowMask) - 1, true
-}
+// Tuple.Clone and Column.Rows are test accessors: production paths
+// read values through At, tupleInto and the block columns.
 
 // Clone returns an independent copy of the tuple.
 func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }

@@ -288,18 +288,6 @@ func TestJSONLRowReaderMalformed(t *testing.T) {
 	}
 }
 
-func TestReadAllEnforcesKeyUniqueness(t *testing.T) {
-	schema := rowioSchema(t)
-	in := "Visit_Nbr,Item_Nbr\n1,10\n1,11\n"
-	rr, err := NewCSVRowReader(strings.NewReader(in), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadAll(rr); err == nil {
-		t.Fatal("duplicate primary key accepted by ReadAll")
-	}
-}
-
 // TestRowsReaderYieldsClones: a block read from Rows(r) holds copies of
 // the relation's values, so a later rewrite of the relation leaves it
 // untouched.
