@@ -163,15 +163,9 @@ func WatermarkContext(ctx context.Context, r *relation.Relation, s Spec) (*Recor
 	if e == 0 {
 		e = 60
 	}
-	// Without a catalog the domain comes from one coding pass over the
-	// attribute, which Refresh later brings up to date for the counts.
 	dom := s.Domain
-	var coding *relation.Coding
 	if dom == nil {
-		if coding, err = relation.CodeColumn(r, s.Attribute); err != nil {
-			return nil, st, err
-		}
-		if dom, err = coding.Domain(); err != nil {
+		if dom, err = relation.DomainOf(r, s.Attribute); err != nil {
 			return nil, st, err
 		}
 	}
@@ -203,26 +197,20 @@ func WatermarkContext(ctx context.Context, r *relation.Relation, s Spec) (*Recor
 	}
 	st.Mark = mst
 
-	// The marked attribute is coded once: the frequency channel moves
-	// rows by code, and the certificate's profile comes from the final
-	// counts.
-	if coding != nil {
-		coding.Refresh(r)
-	} else if coding, err = relation.CodeColumn(r, s.Attribute); err != nil {
-		return nil, st, err
-	}
+	// The certificate's profile is the marked attribute's final counts;
+	// the frequency channel moves rows by code and returns them.
 	var hist *stats.Histogram
 	if s.WithFrequencyChannel {
 		fp := freq.DefaultParams(s.freqKey())
 		fp.Assessor = assessor
-		fst, h, err := freq.EmbedCounts(r, coding, wm, fp)
+		fst, h, err := freq.EmbedCounts(r, s.Attribute, wm, fp)
 		if err != nil {
 			return nil, st, fmt.Errorf("core: frequency channel: %w", err)
 		}
 		st.FrequencyMoved = fst.TuplesMoved
 		hist = h
-	} else {
-		hist = coding.Histogram()
+	} else if hist, err = relation.HistogramOf(r, s.Attribute); err != nil {
+		return nil, st, err
 	}
 	rec := &Record{
 		Secret:              s.Secret,

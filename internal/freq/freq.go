@@ -82,36 +82,35 @@ type EmbedStats struct {
 // to integer counts by largest-remainder apportionment, then moves the
 // minimum number of tuples from surplus values to deficit values.
 func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, error) {
-	if _, ok := r.Schema().Index(attr); !ok {
-		return EmbedStats{}, fmt.Errorf("freq: attribute %q not in schema", attr)
-	}
-	c, err := relation.CodeColumn(r, attr)
-	if err != nil {
-		return EmbedStats{}, err
-	}
-	st, _, err := EmbedCounts(r, c, wm, p)
+	st, _, err := EmbedCounts(r, attr, wm, p)
 	return st, err
 }
 
-// EmbedCounts is Embed over c, a coding of the attribute that matches r
-// (relation.CodeColumn, or a Coding brought up to date by Refresh). It
-// counts, moves and scores by code: surplus, deficit and running counts
-// are slices indexed by code, each move adjusts two of them and c's
-// code for the row, and c stays in step with r throughout. It also
-// returns the attribute's occurrence histogram as the embedding left
-// it, built once from c's final counts — equal to
-// relation.HistogramOf(r, c.Attr) after the call; it is nil on error.
-func EmbedCounts(r *relation.Relation, c *relation.Coding, wm ecc.Bits, p Params) (EmbedStats, *stats.Histogram, error) {
+// EmbedCounts is Embed by code. It codes attr's column in place when
+// it is not coded yet (relation.Relation.Intern), then counts, moves and
+// scores by code: surplus, deficit and running counts are slices
+// indexed by code, and each move stores the row's new code and adjusts
+// two of them. It also returns the attribute's occurrence histogram as
+// the embedding left it, built once from the final counts — equal to
+// relation.HistogramOf(r, attr) after the call; it is nil on error.
+func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, *stats.Histogram, error) {
 	var st EmbedStats
-	col, ok := r.Schema().Index(c.Attr)
+	col, ok := r.Schema().Index(attr)
 	if !ok {
-		return st, nil, fmt.Errorf("freq: attribute %q not in schema", c.Attr)
+		return st, nil, fmt.Errorf("freq: attribute %q not in schema", attr)
 	}
 	if len(wm) == 0 {
 		return st, nil, errors.New("freq: empty watermark")
 	}
 	if r.Len() == 0 {
 		return st, nil, errors.New("freq: empty relation")
+	}
+	if _, err := r.Intern(col); err != nil {
+		return st, nil, err
+	}
+	c, err := relation.CodeColumn(r, attr)
+	if err != nil {
+		return st, nil, err
 	}
 	// The labels present, in the sorted order of Histogram.FreqVector.
 	present := make([]int32, 0, len(c.Labels))
@@ -187,7 +186,7 @@ func EmbedCounts(r *relation.Relation, c *relation.Coding, wm ecc.Bits, p Params
 	}
 	advance()
 	for row := 0; row < r.Len() && di < len(deficits); row++ {
-		from := c.Codes[row]
+		from := int32(r.CodeAt(row, col))
 		if surplus[from] <= 0 {
 			continue
 		}
@@ -195,19 +194,17 @@ func EmbedCounts(r *relation.Relation, c *relation.Coding, wm ecc.Bits, p Params
 			continue
 		}
 		to := deficits[di].code
-		newVal := c.Labels[to]
 		if p.Assessor != nil {
-			if aerr := p.Assessor.Apply(r, row, c.Attr, newVal); aerr != nil {
+			if aerr := p.Assessor.Apply(r, row, attr, c.Labels[to]); aerr != nil {
 				var verr *quality.ViolationError
 				if errors.As(aerr, &verr) {
 					continue
 				}
 				return st, nil, aerr
 			}
-		} else if serr := r.SetValueAt(row, col, newVal); serr != nil {
-			return st, nil, serr
+		} else {
+			r.SetCodeAt(row, col, uint32(to))
 		}
-		c.Codes[row] = to
 		c.Counts[from]--
 		c.Counts[to]++
 		surplus[from]--

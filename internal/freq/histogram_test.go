@@ -89,11 +89,7 @@ func TestEmbedCountsMatchesRecount(t *testing.T) {
 		if budget > 0 {
 			p.Assessor = quality.NewAssessor(quality.MaxAlterationFraction(1, budget))
 		}
-		c, err := relation.CodeColumn(r, "Item_Nbr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, hist, err := EmbedCounts(r, c, ecc.MustParseBits("10110"), p)
+		st, hist, err := EmbedCounts(r, "Item_Nbr", ecc.MustParseBits("10110"), p)
 		if err != nil {
 			t.Fatal(err)
 		}

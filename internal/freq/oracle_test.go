@@ -161,9 +161,9 @@ func apportionOracle(items []numeric.Item, n int) map[string]int {
 // TestEmbedCountsMatchesMapOracle holds EmbedCounts to the map-based
 // oracle across seeds and cases — plain, a SkipRow ledger, an assessor
 // that vetoes moves, OnAlter, a single distinct value and a catalog of
-// more than 2^8 values present: the same relation, EmbedStats,
-// histogram, OnAlter sequence and error, with the coding left matching
-// the relation.
+// more than 2^8 values present, on a coded column and on one EmbedCounts
+// codes in place: the same relation, EmbedStats, histogram, OnAlter
+// sequence and error, with every row's code naming its value.
 func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 	type tc struct {
 		name     string
@@ -172,7 +172,8 @@ func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 		skip     bool
 		budget   int
 		onAlter  bool
-		distinct int // minimum distinct values the data must hold
+		distinct int  // minimum distinct values the data must hold
+		uncoded  bool // the attribute is not declared categorical
 	}
 	cases := []tc{
 		{name: "plain", catalog: 60, wm: "10110"},
@@ -183,6 +184,8 @@ func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 		{name: "single-value", catalog: 1, wm: "1"},
 		{name: "single-value-two-bits", catalog: 1, wm: "10"},
 		{name: "wide-catalog", catalog: 600, wm: "1011001", distinct: 257},
+		{name: "uncoded-column", catalog: 60, wm: "10110", uncoded: true},
+		{name: "uncoded-assessor", catalog: 60, wm: "10110", budget: 40, uncoded: true},
 	}
 	for _, c := range cases {
 		for seed := 1; seed <= 3; seed++ {
@@ -192,6 +195,15 @@ func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.uncoded {
+				attrs := src.Schema().Attrs()
+				attrs[1].Categorical = false
+				plain := relation.New(relation.MustSchema(attrs, src.Schema().KeyName()))
+				for i := 0; i < src.Len(); i++ {
+					plain.MustAppend(src.Tuple(i))
+				}
+				src = plain
 			}
 			for i := 0; c.catalog == 1 && i < src.Len(); i++ {
 				if err := src.SetValue(i, "Item_Nbr", "42"); err != nil {
@@ -219,12 +231,8 @@ func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 				return embedCountsOracle(r, "Item_Nbr", wm, p)
 			})
 			got := src.Clone()
-			var coding *relation.Coding
 			gotSt, gotH, gotMoved, gotErr := run(got, func(r *relation.Relation, p Params) (EmbedStats, *stats.Histogram, error) {
-				if coding, err = relation.CodeColumn(r, "Item_Nbr"); err != nil {
-					return EmbedStats{}, nil, err
-				}
-				return EmbedCounts(r, coding, wm, p)
+				return EmbedCounts(r, "Item_Nbr", wm, p)
 			})
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: error %v, oracle %v", name, gotErr, wantErr)
@@ -247,9 +255,13 @@ func TestEmbedCountsMatchesMapOracle(t *testing.T) {
 			if !reflect.DeepEqual(gotMoved, wantMoved) {
 				t.Fatalf("%s: OnAlter sequence differs from the oracle's", name)
 			}
-			for i, code := range coding.Codes {
-				if coding.Labels[code] != got.Tuple(i)[1] {
-					t.Fatalf("%s: row %d coded %q, holds %q", name, i, coding.Labels[code], got.Tuple(i)[1])
+			coding, err := relation.CodeColumn(got, "Item_Nbr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < got.Len(); i++ {
+				if l := coding.Labels[got.CodeAt(i, 1)]; l != got.Tuple(i)[1] {
+					t.Fatalf("%s: row %d coded %q, holds %q", name, i, l, got.Tuple(i)[1])
 				}
 			}
 			if (c.skip || c.budget > 0 || c.onAlter) && wantSt.TuplesMoved == 0 {

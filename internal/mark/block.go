@@ -255,10 +255,14 @@ func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, b
 // only the fitness digests (pure functions of the keys) stay batched
 // there.
 //
-// Calls on one relation may overlap only with cs.Stage set, so that
-// none writes r (see ChunkStats); bs follows the ScanColumns sharing
-// rules.
+// A rewrite stores the new value's code in the row's own slot, so calls
+// on disjoint rows of r may overlap when Options.Assessor, SkipRow and
+// OnAlter are nil; bs follows the ScanColumns sharing rules. r must be
+// the relation the Embedder was prepared over, whose codes it holds.
 func (e *Embedder) EmbedBlock(r *relation.Relation, blk *relation.Block, lo int, cs *ChunkStats, bs *BlockScratch) error {
+	if r != e.rel {
+		return errors.New("mark: EmbedBlock on a relation other than the Embedder's")
+	}
 	cs.Bandwidth = e.bw
 	if cs.Touched == nil {
 		cs.Touched = make([]bool, e.bw)
@@ -333,14 +337,13 @@ func (e *Embedder) embedRow(r *relation.Relation, row int, d1 keyhash.Digest, po
 	// pseudorandom pair choice so the mod-e fitness constraint on
 	// word 0 cannot bias it (DESIGN.md clarification 1).
 	idx := keyhash.PairIndex(d1.Uint64At(1), e.dom.Size(), bit)
-	newVal := e.dom.Value(idx)
-	if r.At(row, e.attrCol) == newVal {
+	if r.CodeAt(row, e.attrCol) == e.codes[idx] {
 		cs.Unchanged++
 		cs.Touched[pos] = true
 		return nil
 	}
 	if opts.Assessor != nil {
-		if aerr := opts.Assessor.Apply(r, row, opts.Attr, newVal); aerr != nil {
+		if aerr := opts.Assessor.Apply(r, row, opts.Attr, e.dom.Value(idx)); aerr != nil {
 			var verr *quality.ViolationError
 			if errors.As(aerr, &verr) {
 				cs.SkippedQuality++
@@ -348,10 +351,8 @@ func (e *Embedder) embedRow(r *relation.Relation, row int, d1 keyhash.Digest, po
 			}
 			return aerr
 		}
-	} else if cs.Stage {
-		cs.staged = append(cs.staged, stagedRewrite{row, idx})
-	} else if serr := r.SetValueAt(row, e.attrCol, newVal); serr != nil {
-		return serr
+	} else {
+		r.SetCodeAt(row, e.attrCol, e.codes[idx])
 	}
 	cs.Altered++
 	cs.Touched[pos] = true

@@ -21,49 +21,32 @@ import (
 //
 // internal/pipeline builds its worker pool on these hooks.
 
-// Embedder is a prepared embedding pass: options resolved, bandwidth
-// fixed, wm_data encoded. It is immutable after construction and safe for
-// concurrent use by multiple goroutines calling EmbedBlock, staging their
-// rewrites, on disjoint row ranges of the same relation.
+// Embedder is a prepared embedding pass over one relation: options
+// resolved, bandwidth fixed, wm_data encoded, and the domain's codes in
+// the relation's attribute column resolved. It is immutable after
+// construction and safe for concurrent use by multiple goroutines
+// calling EmbedBlock on disjoint row ranges of its relation: a rewrite
+// stores a code in the row's own slot (relation.Relation.SetCodeAt).
 type Embedder struct {
 	opts         Options
 	k1s          string // opts.K1 as a string: the memo lane key, converted once
 	keyCol       int
 	attrCol      int
 	dom          *relation.Domain
+	rel          *relation.Relation
+	codes        []uint32 // codes[t] is a_t's code in rel's attribute column
 	bw           int
 	wmData       ecc.Bits
 	fit          keyhash.FitCheck // opts.E's divisibility constants
 	kern1, kern2 keyhash.Kernel
 }
 
-// newEmbedder assembles the prepared pass once parameters are validated.
-func newEmbedder(opts Options, keyCol, attrCol int, dom *relation.Domain, bw int, wmData ecc.Bits) (*Embedder, error) {
-	kern1, err := opts.K1.NewKernel(opts.HashKernel)
-	if err != nil {
-		return nil, fmt.Errorf("mark: k1: %w", err)
-	}
-	kern2, err := opts.K2.NewKernel(opts.HashKernel)
-	if err != nil {
-		return nil, fmt.Errorf("mark: k2: %w", err)
-	}
-	return &Embedder{
-		opts:    opts,
-		k1s:     string(opts.K1),
-		keyCol:  keyCol,
-		attrCol: attrCol,
-		dom:     dom,
-		bw:      bw,
-		wmData:  wmData,
-		fit:     keyhash.NewFitCheck(opts.E),
-		kern1:   kern1,
-		kern2:   kern2,
-	}, nil
-}
-
 // NewEmbedder validates options against r and prepares an embedding pass
 // over its rows. The bandwidth |wm_data| is fixed from r.Len() (or
-// Options.BandwidthOverride) at construction time.
+// Options.BandwidthOverride) at construction time. It resolves every
+// domain value's code in r's attribute column once, coding the column
+// and adding the values it lacks (relation.Relation.Intern), so it
+// writes r's storage though no value changes.
 func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, error) {
 	keyCol, attrCol, dom, err := opts.resolve(r, true)
 	if err != nil {
@@ -82,7 +65,32 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 	if err != nil {
 		return nil, err
 	}
-	return newEmbedder(opts, keyCol, attrCol, dom, bw, wmData)
+	kern1, err := opts.K1.NewKernel(opts.HashKernel)
+	if err != nil {
+		return nil, fmt.Errorf("mark: k1: %w", err)
+	}
+	kern2, err := opts.K2.NewKernel(opts.HashKernel)
+	if err != nil {
+		return nil, fmt.Errorf("mark: k2: %w", err)
+	}
+	codes, err := r.Intern(attrCol, dom.Values()...)
+	if err != nil {
+		return nil, err
+	}
+	return &Embedder{
+		opts:    opts,
+		k1s:     string(opts.K1),
+		keyCol:  keyCol,
+		attrCol: attrCol,
+		dom:     dom,
+		rel:     r,
+		codes:   codes,
+		bw:      bw,
+		wmData:  wmData,
+		fit:     keyhash.NewFitCheck(opts.E),
+		kern1:   kern1,
+		kern2:   kern2,
+	}, nil
 }
 
 // KeyColumn returns the schema position of the key column, the one
@@ -98,39 +106,13 @@ type ChunkStats struct {
 	// Touched[pos] is true when some fit tuple of the range embedded
 	// wm_data position pos. Length is the pass bandwidth.
 	Touched []bool
-	// Stage, set before the range is embedded, makes EmbedBlock record
-	// the range's value rewrites in row order instead of writing them,
-	// when Options.Assessor is nil; ApplyStaged writes them. Workers
-	// embedding ranges of one relation at once stage, because a
-	// relation has one writer at a time.
-	Stage bool
-
-	staged []stagedRewrite
-}
-
-// stagedRewrite is one rewrite EmbedBlock staged: row takes the domain
-// value at index idx.
-type stagedRewrite struct{ row, idx int }
-
-// ApplyStaged writes the rewrites EmbedBlock staged in cs to r, in the
-// order staged, and drops them.
-func (e *Embedder) ApplyStaged(r *relation.Relation, cs *ChunkStats) error {
-	for _, w := range cs.staged {
-		if err := r.SetValueAt(w.row, e.attrCol, e.dom.Value(w.idx)); err != nil {
-			return err
-		}
-	}
-	cs.staged = nil
-	return nil
 }
 
 // EmbedRange embeds rows [lo, hi) of r, filling DefaultBlockRows-sized
 // blocks and walking them through EmbedBlock (one block and one scratch
 // for the whole call, so memory stays bounded on arbitrarily large
 // ranges). It writes the watermarked attribute of rows inside the
-// range, and a relation has one writer at a time, so calls on one
-// relation must not overlap; internal/pipeline runs ranges at once
-// through EmbedBlock with ChunkStats.Stage set instead.
+// range alone, so calls on disjoint ranges may overlap.
 func (e *Embedder) EmbedRange(r *relation.Relation, lo, hi int) (ChunkStats, error) {
 	cs := ChunkStats{Touched: make([]bool, e.bw)}
 	cs.Bandwidth = e.bw

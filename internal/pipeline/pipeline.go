@@ -16,8 +16,8 @@
 // looping tuple-at-a-time: streams fill blocks from their bytes, and
 // materialized relations fill them with relation.Relation.FillBlock.
 // Detection votes through mark.Scanner.ScanColumns; embedding runs
-// mark.Embedder.EmbedBlock over the same blocks and writes its rewrites
-// back to the relation they were filled from. The
+// mark.Embedder.EmbedBlock over the same blocks and stores its rewrites
+// as codes into the rows they were filled from. The
 // multi-certificate engine runs its certificate loop inside the block
 // loop so a block's keys and digests stay cache-resident across all
 // certificates of a batch audit. Config.Progress observes the pass at
@@ -246,10 +246,9 @@ func runRanges(ctx context.Context, r *relation.Relation, cfg Config, workers in
 // chunks on the worker pool. The result is equivalent to the sequential
 // pass: the same tuples are altered to the same values (each decision
 // depends only on the tuple's own key), and the merged statistics match.
-// A relation has one writer at a time, so several workers only read r
-// and stage their rewrites (mark.ChunkStats.Stage); Embed applies them
-// in chunk order once the workers have joined. One worker rewrites r in
-// place.
+// Workers rewrite r in place: mark.NewEmbedder resolves the domain's
+// codes in the attribute column before the pool starts, and each
+// rewrite stores a code into a row of the worker's own chunk.
 //
 // Quality-gated embedding is inherently sequential — the assessor's
 // alteration budget makes later decisions depend on earlier ones — so
@@ -272,19 +271,12 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 	if opts.Assessor != nil || opts.SkipRow != nil || opts.OnAlter != nil {
 		workers = 1
 	}
-	stage := workers > 1 // one worker is the relation's only writer
 	var parts []mark.ChunkStats
 	err = runRanges(ctx, r, cfg, workers, nil, func(p *pool, j *job, bs *mark.BlockScratch) error {
-		j.cs.Stage = stage
 		return embedRange(p.ctx, em, r, j.lo, j.hi, &j.cs, bs, cfg)
 	}, func(j *job) { parts = append(parts, j.cs) })
 	if err != nil {
 		return mark.EmbedStats{}, err
-	}
-	for i := range parts {
-		if err := em.ApplyStaged(r, &parts[i]); err != nil {
-			return mark.EmbedStats{}, err
-		}
 	}
 	return mark.MergeChunks(parts...), nil
 }

@@ -86,6 +86,47 @@ func TestParallelEmbedEqualsSequential(t *testing.T) {
 	}
 }
 
+// TestEmbedInternsMissingDomainValues: on a coded column that lacks
+// some domain values before the pass, Embed at 1, 2 and 8 workers
+// equals mark.Embed in values and statistics, and the rows rewritten
+// to the missing values read them back.
+func TestEmbedInternsMissingDomainValues(t *testing.T) {
+	wm := ecc.MustParseBits("1011001110")
+	src, dom := testData(t, 20000)
+	values := dom.Values()
+	var missing []string
+	for i := range 40 {
+		missing = append(missing, "missing-"+strconv.Itoa(i))
+	}
+	opts := testOptions(relation.MustDomain(append(values, missing...)))
+	want := src.Clone()
+	wantStats, err := mark.Embed(want, wm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := relation.HistogramOf(want, "Item_Nbr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := 0
+	for _, v := range missing {
+		took += h.Count(v)
+	}
+	if took == 0 {
+		t.Fatal("no row took a value the column lacked: the case is vacuous")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got := src.Clone()
+		gotStats, err := Embed(context.Background(), got, wm, opts, Config{Workers: workers, ChunkRows: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || gotStats != wantStats {
+			t.Fatalf("%d workers: Embed differs from mark.Embed (stats %+v, want %+v)", workers, gotStats, wantStats)
+		}
+	}
+}
+
 // TestParallelDetectBitIdentical is the detect half of the acceptance
 // criterion: parallel detection must recover a bit-identical watermark to
 // the sequential core path on the same seeded relation.

@@ -156,32 +156,36 @@ func (r *Relation) FillBlock(b *Block, lo, hi int, cols ...int) {
 	refs := r.refs[lo*r.arity : hi*r.arity]
 	if len(cols) == 0 {
 		for c := range b.cols {
-			b.cols[c].fill(r.arenas[c], refs, c, r.arity)
+			b.cols[c].fill(&r.cols[c], refs, c, r.arity)
 		}
 	}
 	for _, c := range cols {
-		b.cols[c].fill(r.arenas[c], refs, c, r.arity)
+		b.cols[c].fill(&r.cols[c], refs, c, r.arity)
 	}
 	b.rows = hi - lo
 }
 
-// fill appends column c of the rows whose references refs holds, stride
-// per row, to an empty column from c's arena. Values that lie back to
-// back in the arena — a block column ReadCSV copied in one run — are
-// copied as one run.
-func (col *Column) fill(arena []byte, refs []uint64, c, stride int) {
+// fill appends column j of the rows whose slots refs holds, stride per
+// row, to an empty column from c's storage. Values that lie back to
+// back in the arena — a plain block column ReadCSV copied in one run —
+// are copied as one run.
+func (col *Column) fill(c *column, refs []uint64, j, stride int) {
 	col.offs = slices.Grow(col.offs, len(refs)/stride)
 	var start, end uint64
-	for i := c; i < len(refs); i += stride {
-		off := refs[i] >> lenBits
+	for i := j; i < len(refs); i += stride {
+		ref := refs[i]
+		if c.coded {
+			ref = c.labels[ref]
+		}
+		off := ref >> lenBits
 		if off != end {
-			col.data = append(col.data, arena[start:end]...)
+			col.data = append(col.data, c.arena[start:end]...)
 			start = off
 		}
-		end = off + refs[i]&lenMask
+		end = off + ref&lenMask
 		col.offs = append(col.offs, int32(uint64(len(col.data))+end-start))
 	}
-	col.data = append(col.data, arena[start:end]...)
+	col.data = append(col.data, c.arena[start:end]...)
 }
 
 // blockPool recycles blocks across reads and workers; arenas stay warm,
@@ -294,9 +298,9 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 // ReadCSV and ReadJSONL — one block at a time through appendBlock, a
 // few allocations per block, none per row. When the input's length in
 // bytes is known (size > 0), consumed reports how many of them br has
-// parsed, and the storage is sized once from the first block's rows per
-// byte instead of regrown as blocks arrive. It reads the rows ReadAll
-// over the row readers reads, a repeated key included, and fails where
+// parsed, and reserve sizes the storage from the rate read so far
+// instead of regrowing it by doubling. It reads the rows ReadAll over
+// the row readers reads, a repeated key included, and fails where
 // ReadAll fails.
 func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, error) {
 	b := GetBlock(br.Schema())
@@ -306,13 +310,13 @@ func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, e
 	if size > 0 {
 		start = consumed()
 	}
-	for first := true; ; first = false {
+	for {
 		n, err := br.ReadBlock(b, defaultBlockRows)
 		if err == io.EOF {
 			return out, nil
 		}
-		if first && size > 0 && n > 0 {
-			out.reserve(b, n, int64(n)*(size-start)/max(1, consumed()-start))
+		if size > 0 && n > 0 {
+			out.reserve(b, n, float64(size-start)/float64(max(1, consumed()-start)))
 		}
 		if appendErr := out.appendBlock(b, n); appendErr != nil {
 			return nil, appendErr
@@ -323,17 +327,33 @@ func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, e
 	}
 }
 
-// reserve sizes the empty r's storage for about rows rows shaped like
-// the first n rows of b: references and arenas, at b's mean value
-// lengths, for a sixteenth more, so an input a little denser than its
-// first block still fits without a regrowth.
-func (r *Relation) reserve(b *Block, n int, rows int64) {
-	rows = min(rows, maxRows)
-	rows += rows/16 + 1
-	r.refs = make([]uint64, 0, rows*int64(r.arity))
-	for c := range r.arenas {
-		r.arenas[c] = make([]byte, 0, rows*int64(b.cols[c].offs[n])/int64(n))
+// reserve makes room in r's references and plain arenas for the first
+// n rows of b, with scale the input's length over the bytes read so
+// far. Storage that must regrow is sized for the whole input at the
+// rate read so far, a sixteenth more, so the first block sizes it once
+// and an input that grows denser than its start re-estimates at its
+// first regrowth. A coded column's arena holds only its labels, and
+// grows with them.
+func (r *Relation) reserve(b *Block, n int, scale float64) {
+	r.refs = reserveScaled(r.refs, n*r.arity, scale)
+	for c := range r.cols {
+		if dst := &r.cols[c]; !dst.coded {
+			dst.arena = reserveScaled(dst.arena, int(b.cols[c].offs[n]), scale)
+		}
 	}
+}
+
+// reserveScaled returns s with room for n more elements. When it must
+// reallocate, it holds (len(s)+n)·scale elements and a sixteenth more,
+// and at least a quarter of len(s) more than len(s)+n, so a run of low
+// estimates still grows geometrically.
+func reserveScaled[E any](s []E, n int, scale float64) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	need := len(s) + n
+	want := int(float64(need) * scale * 17 / 16)
+	return slices.Grow(s, max(want, need+len(s)/4)-len(s))
 }
 
 // countingReader counts the bytes read through it, so a reader
@@ -358,8 +378,8 @@ func inputSize(rd io.Reader) int64 {
 	return 0
 }
 
-// appendBlock appends the first n rows of b, each column's bytes to
-// its arena in one copy. It fails only on the storage limits, naming
+// appendBlock appends the first n rows of b, each plain column's bytes
+// to its arena in one copy, and each coded value by its code. It fails only on the storage limits, naming
 // the row where it can; the relation is then unusable.
 func (r *Relation) appendBlock(b *Block, n int) error {
 	if n == 0 {
@@ -371,19 +391,27 @@ func (r *Relation) appendBlock(b *Block, n int) error {
 	base, a := r.rows, r.arity
 	r.refs = grow(r.refs, n*a)[:(base+n)*a]
 	for c := range a {
-		col := &b.cols[c]
+		col, dst := &b.cols[c], &r.cols[c]
 		data := col.data[:col.offs[n]]
-		if len(r.arenas[c])+len(data) > maxArena {
+		if len(dst.arena)+len(data) > maxArena {
 			return fmt.Errorf("relation: column %d exceeds the %d-byte arena limit", c, maxArena)
 		}
-		off := uint64(len(r.arenas[c]))
-		r.arenas[c] = append(grow(r.arenas[c], len(data)), data...)
+		off := uint64(len(dst.arena))
+		if !dst.coded {
+			dst.arena = append(grow(dst.arena, len(data)), data...)
+		}
 		for i := 0; i < n; i++ {
 			lo, hi := col.offs[i], col.offs[i+1]
 			if hi-lo > maxValueLen {
 				return fmt.Errorf("row %d: relation: value of %d bytes exceeds the %d-byte limit", base+i+1, hi-lo, maxValueLen)
 			}
-			r.refs[(base+i)*a+c] = (off+uint64(lo))<<lenBits | uint64(hi-lo)
+			ref := uint64(lo)<<lenBits | uint64(hi-lo)
+			if dst.coded {
+				ref = uint64(dst.intern(viewIn(data, ref)))
+			} else {
+				ref += off << lenBits
+			}
+			r.refs[(base+i)*a+c] = ref
 		}
 	}
 	r.rows += n

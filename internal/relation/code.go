@@ -2,110 +2,190 @@ package relation
 
 import (
 	"fmt"
-	"strings"
+	"hash/maphash"
 
 	"repro/internal/stats"
 )
 
-// Coding is one attribute column coded to small integers: Codes[i] is
-// row i's index into Labels, the column's distinct values in first-seen
-// order, and Counts[c] is how many rows hold Labels[c]. Counting, moving
-// and scoring by code turns the per-row work of the frequency channel
-// (Section 4.2) and of every histogram into slice arithmetic; the one
-// per-row map operation left is the coding pass's lookup into a map the
-// size of the domain.
+// column is one column's storage (see Relation). A coded column keeps
+// a label table, labels[code] referencing the label's bytes in the
+// arena, and its writer's value → code index over it.
+type column struct {
+	arena  []byte
+	labels []uint64
+	// index is an open-addressing table over labels: code+1 in the slot
+	// a label's hash probes to first free, 0 in an empty slot, at most
+	// half full. nil until the writer's first lookup.
+	index []uint32
+	coded bool
+}
+
+// view returns the value a row's slot holds, as a string over the
+// column's arena.
+func (c *column) view(ref uint64) string {
+	if c.coded {
+		ref = c.labels[ref]
+	}
+	return viewIn(c.arena, ref)
+}
+
+// add appends v to the arena and returns its reference.
+func (c *column) add(v string) uint64 {
+	off := len(c.arena)
+	c.arena = append(grow(c.arena, len(v)), v...)
+	return uint64(off)<<lenBits | uint64(len(v))
+}
+
+// labelSeed seeds the label index's hash; codes never depend on it.
+var labelSeed = maphash.MakeSeed()
+
+// intern returns v's code in the coded column c, adding v as the next
+// label when c lacks it: every write of a coded value comes here. It
+// probes the index (building it first when it is missing or full) and
+// compares at most the labels that share v's probe run.
+func (c *column) intern(v string) uint32 {
+	if 2*(len(c.labels)+1) > len(c.index) {
+		c.rehash()
+	}
+	mask := uint64(len(c.index) - 1)
+	for i := maphash.String(labelSeed, v) & mask; ; i = (i + 1) & mask {
+		s := c.index[i]
+		if s == 0 {
+			c.labels = append(c.labels, c.add(v))
+			c.index[i] = uint32(len(c.labels))
+			return uint32(len(c.labels) - 1)
+		}
+		if viewIn(c.arena, c.labels[s-1]) == v {
+			return s - 1
+		}
+	}
+}
+
+// rehash builds the index afresh for c's labels, at most a quarter full.
+func (c *column) rehash() {
+	n := 16
+	for n < 4*(len(c.labels)+1) {
+		n *= 2
+	}
+	c.index = make([]uint32, n)
+	mask := uint64(n - 1)
+	for code, ref := range c.labels {
+		i := maphash.String(labelSeed, viewIn(c.arena, ref)) & mask
+		for c.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.index[i] = uint32(code + 1)
+	}
+}
+
+// Intern returns the code of each value in column j, adding a label
+// for each value the column lacks. A plain column is coded in place
+// first, through the same index every coded write takes, so a writer
+// that moves rows by code (mark.Embedder, freq.EmbedCounts) may ask it
+// of any column. It writes r (see Relation); on error r is unchanged.
+func (r *Relation) Intern(j int, values ...string) ([]uint32, error) {
+	for _, v := range values {
+		if err := r.checkRoom(j, v); err != nil {
+			return nil, err
+		}
+	}
+	c := &r.cols[j]
+	if !c.coded {
+		plain := c.arena
+		*c = column{coded: true}
+		for k := j; k < len(r.refs); k += r.arity {
+			r.refs[k] = uint64(c.intern(viewIn(plain, r.refs[k])))
+		}
+	}
+	codes := make([]uint32, len(values))
+	for i, v := range values {
+		codes[i] = c.intern(v)
+	}
+	return codes, nil
+}
+
+// CodeAt returns the code of row i's value in column j, which must be
+// coded.
+func (r *Relation) CodeAt(i, j int) uint32 {
+	if !r.cols[j].coded {
+		panic(fmt.Sprintf("relation: CodeAt on plain column %d", j))
+	}
+	return uint32(r.refs[i*r.arity+j])
+}
+
+// SetCodeAt sets row i's value in the coded column j to the label of
+// code, which Intern returned. It writes row i's slot alone, so calls
+// on distinct rows may run at once (see Relation).
+func (r *Relation) SetCodeAt(i, j int, code uint32) {
+	if c := &r.cols[j]; !c.coded || int(code) >= len(c.labels) {
+		panic(fmt.Sprintf("relation: SetCodeAt of code %d in column %d", code, j))
+	}
+	r.refs[i*r.arity+j] = uint64(code)
+}
+
+// Coding is one attribute column's label table with counts: Counts[c]
+// is how many rows hold Labels[c]. On a coded column the codes are the
+// relation's own (CodeAt), in the order the column first stored each
+// label, and counting them is one slice increment per row, with no
+// lookup; a plain column is coded into a scratch label table. Counting,
+// moving and scoring by code turns the per-row work of the frequency
+// channel (Section 4.2) and of every histogram into slice arithmetic.
 //
 // Labels are owned copies (ownStrings), so a Coding never pins the
 // storage of the relation it was taken from. A Coding describes the
-// column as it stood when coded; after the column is rewritten in
-// place, Refresh brings it back in step.
+// column as it stood when counted.
 type Coding struct {
 	// Attr names the coded attribute.
 	Attr string
-	// Codes holds each row's label index.
-	Codes []int32
-	// Labels holds the distinct values in first-seen order. A label
-	// whose count fell to zero stays, so codes never shift.
+	// Labels holds the column's labels by code. A label no row holds
+	// has a count of zero.
 	Labels []string
 	// Counts holds each label's number of rows.
 	Counts []int
-
-	col int
 }
 
-// CodeColumn codes attr over r in one pass.
+// CodeColumn counts attr's codes over r in one pass. It only reads r.
 func CodeColumn(r *Relation, attr string) (*Coding, error) {
 	j, ok := r.Schema().Index(attr)
 	if !ok {
 		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
 	}
-	c := &Coding{Attr: attr, Codes: make([]int32, r.rows), col: j}
-	c.Labels, c.Counts = codeColumn(r, j, c.Codes)
-	ownStrings(c.Labels)
-	return c, nil
-}
-
-// codeColumn is the coding pass: one lookup per row into a label index
-// the size of the domain, and an insertion per distinct value. It
-// stores row i's code in codes[i] unless codes is nil. The labels it
-// returns are r's own strings.
-func codeColumn(r *Relation, j int, codes []int32) (labels []string, counts []int) {
-	index := make(map[string]int32)
-	arena, refs := r.arenas[j], r.refs
-	for i, k := 0, j; i < r.rows; i, k = i+1, k+r.arity {
-		v := viewIn(arena, refs[k])
-		c, ok := index[v]
-		if !ok {
-			c = int32(len(labels))
-			index[v] = c
-			labels = append(labels, v)
-			counts = append(counts, 0)
+	c := r.cols[j]
+	var counts []int
+	if c.coded {
+		counts = make([]int, len(c.labels))
+		for k := j; k < len(r.refs); k += r.arity {
+			counts[r.refs[k]]++
 		}
-		counts[c]++
-		if codes != nil {
-			codes[i] = c
-		}
-	}
-	return labels, counts
-}
-
-// Refresh brings c back in step with r's column after in-place
-// rewrites: a row whose value still equals its label keeps its code
-// for the price of a string comparison, and only a changed row takes a
-// lookup. A value c has never seen gets a new label. r must hold the
-// rows c was coded from, in the same order.
-func (c *Coding) Refresh(r *Relation) {
-	var index map[string]int32
-	arena, refs := r.arenas[c.col], r.refs
-	for i, k := 0, c.col; i < r.rows; i, k = i+1, k+r.arity {
-		v := viewIn(arena, refs[k])
-		old := c.Codes[i]
-		if v == c.Labels[old] {
-			continue
-		}
-		if index == nil {
-			index = make(map[string]int32, len(c.Labels))
-			for code, l := range c.Labels {
-				index[l] = int32(code)
+	} else {
+		plain := c.arena
+		c = column{coded: true}
+		for k := j; k < len(r.refs); k += r.arity {
+			if code := c.intern(viewIn(plain, r.refs[k])); int(code) < len(counts) {
+				counts[code]++
+			} else {
+				counts = append(counts, 1)
 			}
 		}
-		code, ok := index[v]
-		if !ok {
-			code = int32(len(c.Labels))
-			v = strings.Clone(v)
-			index[v] = code
-			c.Labels = append(c.Labels, v)
-			c.Counts = append(c.Counts, 0)
-		}
-		c.Counts[old]--
-		c.Counts[code]++
-		c.Codes[i] = code
 	}
+	out := &Coding{Attr: attr, Labels: make([]string, len(c.labels)), Counts: counts}
+	for code, ref := range c.labels {
+		out.Labels[code] = viewIn(c.arena, ref)
+	}
+	ownStrings(out.Labels)
+	return out, nil
 }
 
-// Histogram returns the occurrence histogram of the coded column.
+// Histogram returns the occurrence histogram of the coded column;
+// labels with a count of zero are left out.
 func (c *Coding) Histogram() *stats.Histogram {
-	return histogramOf(c.Labels, c.Counts)
+	m := make(map[string]int, len(c.Labels))
+	for code, l := range c.Labels {
+		if c.Counts[code] > 0 {
+			m[l] = c.Counts[code]
+		}
+	}
+	return stats.HistogramOfCounts(m)
 }
 
 // Domain returns the domain of the values the coded column holds, as
@@ -121,16 +201,4 @@ func (c *Coding) Domain() (*Domain, error) {
 		return nil, fmt.Errorf("relation: cannot derive domain of %q from empty relation", c.Attr)
 	}
 	return NewDomain(values)
-}
-
-// histogramOf builds a histogram of labels[i] occurring counts[i] times;
-// labels with a count of zero are left out.
-func histogramOf(labels []string, counts []int) *stats.Histogram {
-	m := make(map[string]int, len(labels))
-	for i, l := range labels {
-		if counts[i] > 0 {
-			m[l] = counts[i]
-		}
-	}
-	return stats.HistogramOfCounts(m)
 }

@@ -90,17 +90,18 @@ func histTotal(h *stats.Histogram) int {
 	return int(math.Round(float64(h.Count(labels[0])) / h.Freq(labels[0])))
 }
 
-// checkCoding holds a coding to the column it codes: every row's code
-// names its value, labels are distinct, and the counts are the rows
-// per code.
+// checkCoding holds a coding of a coded column to the column: every
+// row's code names its value, labels are distinct, and the counts are
+// the rows per code.
 func checkCoding(t *testing.T, name string, c *Coding, r *Relation) {
 	t.Helper()
 	j, _ := r.Schema().Index(c.Attr)
-	if len(c.Codes) != r.Len() || len(c.Counts) != len(c.Labels) {
-		t.Fatalf("%s: %d codes for %d rows, %d counts for %d labels", name, len(c.Codes), r.Len(), len(c.Counts), len(c.Labels))
+	if len(c.Counts) != len(c.Labels) {
+		t.Fatalf("%s: %d counts for %d labels", name, len(c.Counts), len(c.Labels))
 	}
 	counts := make([]int, len(c.Labels))
-	for i, code := range c.Codes {
+	for i := 0; i < r.Len(); i++ {
+		code := r.CodeAt(i, j)
 		if c.Labels[code] != r.Tuple(i)[j] {
 			t.Fatalf("%s: row %d coded %q, holds %q", name, i, c.Labels[code], r.Tuple(i)[j])
 		}
@@ -147,14 +148,13 @@ func TestCodingMatchesMapOracles(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkCoding(t, name, c, r)
+			rows, prev := rowsOf(r), -1
 			for i, l := range c.Labels {
-				first := 0
-				for first < r.Len() && r.At(first, 1) != l {
-					first++
-				}
-				if slices.Index(c.Codes, int32(i)) != first {
+				first := slices.IndexFunc(rows, func(t Tuple) bool { return t[1] == l })
+				if first <= prev {
 					t.Fatalf("%s: label %d %q is not in first-seen order", name, i, l)
 				}
+				prev = first
 			}
 			codedD, err := c.Domain()
 			if err != nil {
@@ -177,11 +177,11 @@ func TestCodingMatchesMapOracles(t *testing.T) {
 	}
 }
 
-// TestCodingRefresh: after in-place rewrites — to known labels, to new
-// values, and emptying a label — Refresh leaves the coding describing
-// the column, with the histogram and domain of the map oracles, and the
+// TestCodingAfterRewrites: after in-place rewrites — to known labels,
+// to new values, and emptying a label — CodeColumn describes the
+// column, with the histogram and domain of the map oracles, and the
 // emptied label keeps its code at a count of zero.
-func TestCodingRefresh(t *testing.T) {
+func TestCodingAfterRewrites(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		r := codedRelation(t, 3000, 40, seed)
 		c, err := CodeColumn(r, "v")
@@ -207,7 +207,9 @@ func TestCodingRefresh(t *testing.T) {
 				}
 			}
 		}
-		c.Refresh(r)
+		if c, err = CodeColumn(r, "v"); err != nil {
+			t.Fatal(err)
+		}
 		name := fmt.Sprintf("seed %d", seed)
 		checkCoding(t, name, c, r)
 		if c.Counts[0] != 0 || c.Labels[0] != gone {
@@ -216,14 +218,14 @@ func TestCodingRefresh(t *testing.T) {
 		wantH, _ := histogramOfOracle(r, "v")
 		wantD, _ := domainOfOracle(r, "v")
 		if got := c.Histogram(); !reflect.DeepEqual(histCounts(got), histCounts(wantH)) || histTotal(got) != histTotal(wantH) {
-			t.Fatalf("%s: refreshed histogram differs from the map oracle", name)
+			t.Fatalf("%s: histogram after rewrites differs from the map oracle", name)
 		}
 		d, err := c.Domain()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(d.Values(), wantD.Values()) {
-			t.Fatalf("%s: refreshed domain %q, want %q", name, d.Values(), wantD.Values())
+			t.Fatalf("%s: domain after rewrites %q, want %q", name, d.Values(), wantD.Values())
 		}
 	}
 }
@@ -247,10 +249,9 @@ func TestCodingErrors(t *testing.T) {
 	}
 }
 
-// TestCodeColumnAllocsIndependentOfRows: CodeColumn reads the column in
-// place (At) and allocates per distinct value, not per row, so a 36k-row
-// column over the same three values costs what a 9k-row one does; a
-// Refresh with nothing rewritten allocates nothing.
+// TestCodeColumnAllocsIndependentOfRows: CodeColumn counts the codes
+// in place and allocates per distinct value, not per row, so a 36k-row
+// column over the same three values costs what a 9k-row one does.
 func TestCodeColumnAllocsIndependentOfRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
@@ -258,16 +259,11 @@ func TestCodeColumnAllocsIndependentOfRows(t *testing.T) {
 	allocs := make(map[int]float64)
 	for _, n := range []int{9000, 36000} {
 		r := buildNumbered(t, n)
-		var c *Coding
 		allocs[n] = testing.AllocsPerRun(5, func() {
-			var err error
-			if c, err = CodeColumn(r, "v"); err != nil {
+			if _, err := CodeColumn(r, "v"); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if refresh := testing.AllocsPerRun(5, func() { c.Refresh(r) }); refresh != 0 {
-			t.Fatalf("n=%d: Refresh with nothing rewritten allocates %.0f times", n, refresh)
-		}
 	}
 	t.Logf("CodeColumn: %.0f allocs at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
 	if allocs[36000] != allocs[9000] {

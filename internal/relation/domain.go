@@ -79,17 +79,13 @@ func MustDomain(values []string) *Domain {
 }
 
 // DomainOf derives the domain of attr from the values present in r,
-// through one coding pass.
+// through CodeColumn.
 func DomainOf(r *Relation, attr string) (*Domain, error) {
-	j, ok := r.Schema().Index(attr)
-	if !ok {
-		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
+	c, err := CodeColumn(r, attr)
+	if err != nil {
+		return nil, err
 	}
-	if r.Len() == 0 {
-		return nil, fmt.Errorf("relation: cannot derive domain of %q from empty relation", attr)
-	}
-	labels, _ := codeColumn(r, j, nil)
-	return NewDomain(labels)
+	return c.Domain()
 }
 
 // Size returns n_A, the number of distinct values.
@@ -129,15 +125,12 @@ func (d *Domain) Contains(v string) bool {
 
 // HistogramOf computes the occurrence histogram of attr over r — the
 // paper's frequency transform [f_A(a_i)] (Sections 3.1, 4.2). It counts
-// through one coding pass, then copies the distinct labels out
-// (ownStrings), so labels that outlive r — a certificate's profile keys
-// — do not pin its storage.
+// through CodeColumn, whose labels are owned copies, so labels that
+// outlive r — a certificate's profile keys — do not pin its storage.
 func HistogramOf(r *Relation, attr string) (*stats.Histogram, error) {
-	j, ok := r.Schema().Index(attr)
-	if !ok {
-		return nil, fmt.Errorf("relation: unknown attribute %q", attr)
+	c, err := CodeColumn(r, attr)
+	if err != nil {
+		return nil, err
 	}
-	labels, counts := codeColumn(r, j, nil)
-	ownStrings(labels)
-	return histogramOf(labels, counts), nil
+	return c.Histogram(), nil
 }

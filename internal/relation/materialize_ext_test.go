@@ -108,10 +108,7 @@ func TestDerivedValuesDoNotPinRelation(t *testing.T) {
 // BenchmarkMaterialize measures building a 40k-row ItemScan relation:
 // Clone, and ReadCSV/ReadJSONL of its encoding.
 func BenchmarkMaterialize(b *testing.B) {
-	r, _, err := datagen.ItemScan(datagen.ItemScanConfig{N: 40_000, CatalogSize: 60, ZipfS: 1.3, Seed: "materialize"})
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := itemScan40k(b)
 	var csvBuf, jsonlBuf bytes.Buffer
 	if err := relation.WriteCSV(&csvBuf, r); err != nil {
 		b.Fatal(err)
@@ -138,6 +135,41 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 	b.Run("ReadCSV", read(csvBuf.Bytes(), relation.ReadCSV))
 	b.Run("ReadJSONL", read(jsonlBuf.Bytes(), relation.ReadJSONL))
+}
+
+// itemScan40k is the 40k-row ItemScan relation the column benchmarks
+// count.
+func itemScan40k(b *testing.B) *relation.Relation {
+	b.Helper()
+	r, _, err := datagen.ItemScan(datagen.ItemScanConfig{N: 40_000, CatalogSize: 60, ZipfS: 1.3, Seed: "materialize"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkCodeColumn measures counting the Item_Nbr column of a 40k-row
+// ItemScan relation per label.
+func BenchmarkCodeColumn(b *testing.B) {
+	r := itemScan40k(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := relation.CodeColumn(r, "Item_Nbr"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHistogramOf measures the Item_Nbr histogram of a 40k-row
+// ItemScan relation.
+func BenchmarkHistogramOf(b *testing.B) {
+	r := itemScan40k(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := relation.HistogramOf(r, "Item_Nbr"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRelationGC reports the cost of one runtime.GC() (ns/op) with

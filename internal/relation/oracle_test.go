@@ -195,13 +195,24 @@ func (s *opStream) value() string { return fuzzValues[s.next()%len(fuzzValues)] 
 // step: Append (repeated keys included), SetValue/SetValueAt on key and
 // non-key columns, Clone with both sides mutated afterwards,
 // SortBy, Shuffle, SelectRows, Filter, Project, AppendAll,
-// Equal/EqualUnordered, FillBlock, CodeColumn + Refresh, and a
-// WriteCSV → ReadCSV round trip.
+// Equal/EqualUnordered, FillBlock, CodeColumn and HistogramOf counts
+// after rewrites to new labels, and a WriteCSV → ReadCSV round trip.
+// Column v is coded and w plain, so both storage forms meet the oracle.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 1, 0, 1, 3, 4, 2, 0, 1, 5, 5, 6, 1})
 	f.Add([]byte{0, 3, 0, 0, 4, 0, 0, 5, 1, 1, 0, 3, 2, 4, 0, 0, 9, 14, 0})
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 6, 4, 4, 1, 9, 12, 0, 3, 13, 0, 1, 2, 7, 0, 5, 11, 0, 1})
 	f.Add(bytes.Repeat([]byte{0, 5, 3, 1, 0, 2, 4, 8, 0, 0, 7, 3, 10, 1, 0, 12, 2, 1, 14}, 6))
+	// AppendAll between relations whose coded columns hold different
+	// label sets: their codes differ and must be remapped.
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 0, 6, 0, 3, 2, 0, 4, 1, 0, 3, 0, 4, 3, 1, 13, 0, 1, 0, 2, 1, 0,
+		0, 0, 5, 0, 0, 4, 0, 10, 1, 0, 13, 0, 0, 1, 10, 0, 1, 13, 2, 1, 1, 1, 1, 2})
+	// Clone, then a label the other side never held on each side.
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 2, 0, 4, 0, 3, 0, 0, 0, 6, 1, 3, 1, 0, 0, 5,
+		0, 13, 0, 1, 0, 0, 1, 1, 1, 13, 0, 1, 1, 0, 1, 2, 0, 11, 1, 1, 11, 0})
+	// SelectRows, Project and SortBy over a coded column.
+	f.Add([]byte{0, 0, 6, 0, 0, 3, 0, 0, 0, 0, 1, 1, 0, 0, 3, 0, 6, 2, 0, 0, 6, 0, 2, 4, 0, 5, 0,
+		0, 7, 3, 1, 2, 1, 0, 9, 0, 0, 1, 1, 5, 0, 1, 13, 0, 2, 0, 6, 1, 1, 1, 0, 1, 0, 0, 10, 0, 1})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 400 {
 			in = in[:400]
@@ -339,33 +350,44 @@ func FuzzRelationOps(f *testing.F) {
 						}
 					}
 				}
-			case 13: // CodeColumn, rewrites, Refresh
+			case 13: // SetValueAt, labels the column never held included; CodeColumn, HistogramOf
 				j := s.next() % arity
-				if j == p.r.schema.keyIndex {
-					continue
+				for k := s.next() % 4; k > 0 && n > 0; k-- {
+					i, v := s.next()%n, s.value()
+					if s.next()%2 == 1 {
+						v = "new" + strconv.Itoa(s.next()%3)
+					}
+					if err := p.r.SetValueAt(i, j, v); err != nil {
+						t.Fatal(err)
+					}
+					p.o.setValueAt(i, j, v)
+				}
+				want := make(map[string]int)
+				for _, tup := range p.o.tuples {
+					want[tup[j]]++
 				}
 				attr := p.r.schema.Attr(j).Name
 				c, err := CodeColumn(p.r, attr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k := s.next() % 4; k > 0 && n > 0; k-- {
-					i, v := s.next()%n, s.value()
-					if err := p.r.SetValueAt(i, j, v); err != nil {
-						t.Fatal(err)
-					}
-					p.o.setValueAt(i, j, v)
+				h, err := HistogramOf(p.r, attr)
+				if err != nil {
+					t.Fatal(err)
 				}
-				c.Refresh(p.r)
-				counts := make([]int, len(c.Labels))
-				for i, code := range c.Codes {
-					if c.Labels[code] != p.o.tuples[i][j] {
-						t.Fatalf("%s: row %d coded %q, oracle %q", name, i, c.Labels[code], p.o.tuples[i][j])
+				counts := make(map[string]int)
+				for code, l := range c.Labels {
+					if c.Counts[code] > 0 {
+						counts[l] = c.Counts[code]
 					}
-					counts[code]++
 				}
-				if len(c.Codes) != n || !slices.Equal(counts, c.Counts) {
-					t.Fatalf("%s: %d codes, counts %v, want %d codes, counts %v", name, len(c.Codes), c.Counts, n, counts)
+				if !reflect.DeepEqual(counts, want) || !reflect.DeepEqual(histCounts(h), want) || histTotal(h) != n {
+					t.Fatalf("%s: CodeColumn counts %v, HistogramOf %v, oracle %v", name, counts, histCounts(h), want)
+				}
+				for i := 0; p.r.cols[j].coded && i < n; i++ {
+					if got := c.Labels[p.r.CodeAt(i, j)]; got != p.o.tuples[i][j] {
+						t.Fatalf("%s: row %d coded %q, oracle %q", name, i, got, p.o.tuples[i][j])
+					}
 				}
 			case 14: // WriteCSV → ReadCSV
 				var buf bytes.Buffer
@@ -387,16 +409,27 @@ func FuzzRelationOps(f *testing.F) {
 
 // TestRelationStorageHoldsNoPointers walks Relation's fields by
 // reflection and fails if a per-row array holds pointers the garbage
-// collector would have to walk row by row. A slice of slices is a
-// per-column container, one header per column; the slices inside it,
-// like every other slice field, are per-row storage.
+// collector would have to walk row by row. A slice of slices, or of
+// structs, is a per-column container, one element per column; the
+// slices inside it, like every other slice field, are per-row storage,
+// and so is a struct element's every other field a pointer-free value.
 func TestRelationStorageHoldsNoPointers(t *testing.T) {
 	typ := reflect.TypeOf(Relation{})
 	perRow := 0
 	var walk func(name string, s reflect.Type)
 	walk = func(name string, s reflect.Type) {
-		if s.Elem().Kind() == reflect.Slice {
-			walk(name+"[j]", s.Elem())
+		switch e := s.Elem(); e.Kind() {
+		case reflect.Slice:
+			walk(name+"[j]", e)
+			return
+		case reflect.Struct:
+			for i := 0; i < e.NumField(); i++ {
+				if f := e.Field(i); f.Type.Kind() == reflect.Slice {
+					walk(name+"[j]."+f.Name, f.Type)
+				} else if holdsPointers(f.Type) {
+					t.Errorf("Relation.%s[j].%s is a %s, which holds pointers", name, f.Name, f.Type)
+				}
+			}
 			return
 		}
 		perRow++
@@ -409,8 +442,8 @@ func TestRelationStorageHoldsNoPointers(t *testing.T) {
 			walk(f.Name, f.Type)
 		}
 	}
-	if perRow < 2 {
-		t.Fatalf("%d per-row arrays found, want the references and the arenas", perRow)
+	if perRow < 4 {
+		t.Fatalf("%d per-row arrays found, want the references, the arenas, the label tables and their indexes", perRow)
 	}
 }
 

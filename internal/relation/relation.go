@@ -191,31 +191,40 @@ type Tuple []string
 // hash decides a row's fitness; nothing here requires it to be unique.
 //
 // Storage. Each column's values live in an append-only byte arena of
-// its own. Row i's value of column j is refs[i*arity+j], a uint64
-// packing the value's offset in arena j (high 40 bits) and its length
-// (low 24 bits), so a value holds at most 16 MiB - 1 bytes and an arena
-// at most 1 TiB; a relation holds fewer than 2^31 rows. Neither the
-// arenas nor the references hold a pointer, so the garbage collector
-// marks a relation in constant time whatever its row count. At reads a
-// value as a zero-copy string over its arena. Arena bytes are never
-// rewritten once a row refers to them: SetValue appends the new bytes
-// and repoints the row, Clone shares the arenas capacity-capped (an
-// append on either side reallocates) and copies only the references,
-// and SortBy/Shuffle permute references. A string read from a relation
-// therefore stays valid across later writes, and keeps its whole arena
-// alive while held; NewDomain, HistogramOf and CodeColumn copy the
-// values they keep. A rewritten value's old bytes stay in the arena
-// until the relation is dropped.
+// its own, and row i's value of column j is held by refs[i*arity+j].
+// In a plain column that slot is a reference, a uint64 packing the
+// value's offset in the arena (high 40 bits) and its length (low 24
+// bits), so a value holds at most 16 MiB - 1 bytes and an arena at most
+// 1 TiB. A coded column (Attribute.Categorical, or one a writer coded
+// through Intern) holds a label code there instead: an index into the
+// column's label table of references, whose bytes sit in its arena
+// once. A relation holds fewer than 2^31 rows. No arena, label table or
+// reference holds a pointer, so the garbage collector marks a relation
+// in constant time whatever its row count. At reads a value as a
+// zero-copy string over its arena. Arena bytes and labels are never
+// rewritten once stored: SetValue appends a plain value's bytes and
+// repoints the row, and stores a coded value's code, adding a label the
+// column lacks; Clone shares the arenas and label tables
+// capacity-capped (an append on either side reallocates) and copies
+// only the references, and SortBy/Shuffle permute references. A string
+// read from a relation therefore stays valid across later writes, and
+// keeps its whole arena alive while held; NewDomain, HistogramOf and
+// CodeColumn copy the values they keep. A rewritten plain value's old
+// bytes stay in the arena until the relation is dropped.
 //
-// One writer. Every mutator appends to an arena, so a relation has one
-// writer at a time. Readers may run alongside it only on columns it does
+// One writer. Appending rows and adding labels need the relation to
+// themselves: Append, SetValue (which may add a label, or build the
+// value → code index a coded column's writer keeps and a clone rebuilds
+// on its first write) and Intern. SetCodeAt writes one row's slot and
+// nothing else, so writers of disjoint rows may store codes at once.
+// Readers may run alongside a writer only on rows or columns it does
 // not write, and only while it does not append rows.
 type Relation struct {
 	schema *Schema
 	arity  int
 	rows   int
 	refs   []uint64
-	arenas [][]byte
+	cols   []column
 }
 
 // Storage limits (see Relation).
@@ -229,7 +238,11 @@ const (
 
 // New returns an empty relation with the given schema.
 func New(schema *Schema) *Relation {
-	return &Relation{schema: schema, arity: schema.Arity(), arenas: make([][]byte, schema.Arity())}
+	cols := make([]column, schema.Arity())
+	for j := range cols {
+		cols[j].coded = schema.Attr(j).Categorical
+	}
+	return &Relation{schema: schema, arity: len(cols), cols: cols}
 }
 
 // Schema returns the relation's schema.
@@ -238,9 +251,9 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Len returns the number of tuples (the paper's N).
 func (r *Relation) Len() int { return r.rows }
 
-// view returns the value of column j that ref references, as a string
-// over the column's arena.
-func (r *Relation) view(j int, ref uint64) string { return viewIn(r.arenas[j], ref) }
+// view returns the value of column j that ref, a row's slot, holds, as
+// a string over the column's arena.
+func (r *Relation) view(j int, ref uint64) string { return r.cols[j].view(ref) }
 
 // viewIn returns the value ref references in arena, as a string over
 // it; a loop over one column hoists the arena out and calls it
@@ -253,12 +266,15 @@ func viewIn(arena []byte, ref uint64) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// store appends v to column j's arena and returns its reference. The
-// caller has checked the room (checkRoom).
+// store stores v in column j and returns the slot a row holding it
+// keeps: v's code in a coded column, else the reference of its bytes
+// appended to the arena. The caller has checked the room (checkRoom).
 func (r *Relation) store(j int, v string) uint64 {
-	off := len(r.arenas[j])
-	r.arenas[j] = append(grow(r.arenas[j], len(v)), v...)
-	return uint64(off)<<lenBits | uint64(len(v))
+	c := &r.cols[j]
+	if c.coded {
+		return uint64(c.intern(v))
+	}
+	return c.add(v)
 }
 
 // grow returns s with room for n more elements, at least doubling its
@@ -277,7 +293,7 @@ func (r *Relation) checkRoom(j int, v string) error {
 	if len(v) > maxValueLen {
 		return fmt.Errorf("relation: value of %d bytes exceeds the %d-byte limit", len(v), maxValueLen)
 	}
-	if len(r.arenas[j])+len(v) > maxArena {
+	if len(r.cols[j].arena)+len(v) > maxArena {
 		return fmt.Errorf("relation: column %d exceeds the %d-byte arena limit", j, maxArena)
 	}
 	return nil
@@ -353,8 +369,8 @@ func (r *Relation) SetValue(i int, attr, value string) error {
 }
 
 // SetValueAt is SetValue by column position, for a caller rewriting
-// many rows of one column that resolved it once. It appends value to
-// the arena and repoints the row; on error the relation is unchanged.
+// many rows of one column that resolved it once. It stores value as
+// Append does; on error the relation is unchanged.
 func (r *Relation) SetValueAt(i, j int, value string) error {
 	if err := r.checkRoom(j, value); err != nil {
 		return err
@@ -367,21 +383,22 @@ func (r *Relation) SetValueAt(i, j int, value string) error {
 func (r *Relation) Key(i int) string { return r.At(i, r.schema.keyIndex) }
 
 // Clone returns a copy with a shared (immutable) schema in three
-// allocations whatever the row count: the relation, its arena headers
-// and its references. The arenas are shared, capacity-capped so that a
-// write on either side appends to a fresh arena and never into the
-// other's.
+// allocations whatever the row count: the relation, its column headers
+// and its references. The arenas and label tables are shared,
+// capacity-capped so that a write on either side appends to a fresh
+// one and never into the other's; the clone rebuilds a coded column's
+// value → code index on its first write to the column.
 func (r *Relation) Clone() *Relation {
-	arenas := make([][]byte, r.arity)
-	for j, a := range r.arenas {
-		arenas[j] = slices.Clip(a)
+	cols := make([]column, r.arity)
+	for j, c := range r.cols {
+		cols[j] = column{arena: slices.Clip(c.arena), labels: slices.Clip(c.labels), coded: c.coded}
 	}
 	return &Relation{
 		schema: r.schema,
 		arity:  r.arity,
 		rows:   r.rows,
 		refs:   slices.Clone(r.refs),
-		arenas: arenas,
+		cols:   cols,
 	}
 }
 

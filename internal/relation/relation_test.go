@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"reflect"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -194,6 +196,53 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if r.Len() != 1 || c.Len() != 2 {
 		t.Fatal("clone append leaked")
+	}
+}
+
+// TestCloneConcurrentNewLabels: an original and its clone share their
+// arenas and label tables; each writes, from its own goroutine, labels
+// the other has never held, and each reads back only its own.
+func TestCloneConcurrentNewLabels(t *testing.T) {
+	r := buildNumbered(t, 3000)
+	c := r.Clone()
+	write := func(x *Relation, label string, wg *sync.WaitGroup) {
+		defer wg.Done()
+		for i := 0; i < x.Len(); i += 3 {
+			if err := x.SetValue(i, "v", label); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := x.Append(Tuple{"new", label, label + "-w"}); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go write(r, "orig", &wg)
+	go write(c, "clone", &wg)
+	wg.Wait()
+	for _, side := range []struct {
+		x     *Relation
+		label string
+	}{{r, "orig"}, {c, "clone"}} {
+		x, l := side.x, side.label
+		for i := 0; i < 3000; i++ {
+			want := Tuple{strconv.Itoa(i), []string{l, "b", "c"}[i%3], []string{"b", "c", "a"}[i%3]}
+			if !slices.Equal(x.Tuple(i), want) {
+				t.Fatalf("%s: row %d = %q, want %q", l, i, x.Tuple(i), want)
+			}
+		}
+		if got := x.Tuple(3000); x.Len() != 3001 || !slices.Equal(got, Tuple{"new", l, l + "-w"}) {
+			t.Fatalf("%s: %d rows, last %q", l, x.Len(), got)
+		}
+		hv, _ := HistogramOf(x, "v")
+		hw, _ := HistogramOf(x, "w")
+		wantV := map[string]int{l: 1001, "b": 1000, "c": 1000}
+		wantW := map[string]int{"a": 1000, "b": 1000, "c": 1000, l + "-w": 1}
+		if !reflect.DeepEqual(histCounts(hv), wantV) || !reflect.DeepEqual(histCounts(hw), wantW) {
+			t.Fatalf("%s: histograms v %v, w %v", l, histCounts(hv), histCounts(hw))
+		}
 	}
 }
 
