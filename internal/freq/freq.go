@@ -86,12 +86,11 @@ func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats
 	return st, err
 }
 
-// EmbedCounts is Embed by code. It codes attr's column in place when
-// it is not coded yet (relation.Relation.Intern), then counts, moves and
-// scores by code: surplus, deficit and running counts are slices
-// indexed by code, and each move stores the row's new code and adjusts
-// two of them. It also returns the attribute's occurrence histogram as
-// the embedding left it, built once from the final counts — equal to
+// EmbedCounts is Embed by code, on attr's column coded in place
+// (relation.Relation.Intern): surplus, deficit and running counts are
+// slices indexed by code, and each move stores a row's new code and
+// adjusts two of them. It also returns the attribute's occurrence
+// histogram as the embedding left it, built from the final counts —
 // relation.HistogramOf(r, attr) after the call; it is nil on error.
 func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats, *stats.Histogram, error) {
 	var st EmbedStats

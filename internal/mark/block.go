@@ -239,8 +239,9 @@ func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, b
 	return fit, nil
 }
 
-// EmbedBlock embeds the rows of blk into r, accumulating into cs. blk
-// holds rows [lo, lo+blk.Rows()) of r, filled by Relation.FillBlock.
+// EmbedBlock embeds the rows of blk into r, the Embedder's relation,
+// accumulating into cs. blk holds rows [lo, lo+blk.Rows()) of r, filled
+// by Relation.FillBlock.
 // It is the batched form of the tuple-at-a-time embedding walk: fitness
 // digests of the key column in one kernel call (replayed from the
 // scratch memo when another pass of the same lane got there first), the
@@ -257,18 +258,14 @@ func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, b
 //
 // A rewrite stores the new value's code in the row's own slot, so calls
 // on disjoint rows of r may overlap when Options.Assessor, SkipRow and
-// OnAlter are nil; bs follows the ScanColumns sharing rules. r must be
-// the relation the Embedder was prepared over, whose codes it holds.
-func (e *Embedder) EmbedBlock(r *relation.Relation, blk *relation.Block, lo int, cs *ChunkStats, bs *BlockScratch) error {
-	if r != e.rel {
-		return errors.New("mark: EmbedBlock on a relation other than the Embedder's")
-	}
+// OnAlter are nil; bs follows the ScanColumns sharing rules.
+func (e *Embedder) EmbedBlock(blk *relation.Block, lo int, cs *ChunkStats, bs *BlockScratch) error {
 	cs.Bandwidth = e.bw
 	if cs.Touched == nil {
 		cs.Touched = make([]bool, e.bw)
 	}
 	n := blk.Rows()
-	if err := checkRange(r, lo, lo+n); err != nil {
+	if err := checkRange(e.rel, lo, lo+n); err != nil {
 		return err
 	}
 	if err := checkArity(blk, e.keyCol, e.attrCol); err != nil {
@@ -298,7 +295,7 @@ func (e *Embedder) EmbedBlock(r *relation.Relation, blk *relation.Block, lo int,
 			bs.stageColumns()
 			bs.stageKey(keyData, keyOffs, j)
 			e.kern2.HashColumn(bs.fitData, bs.fitOffs, d2)
-			if err := e.embedRow(r, lo+j, d1[j], int(d2[0].Mod(bw)), cs); err != nil {
+			if err := e.embedRow(lo+j, d1[j], int(d2[0].Mod(bw)), cs); err != nil {
 				return err
 			}
 		}
@@ -319,7 +316,7 @@ func (e *Embedder) EmbedBlock(r *relation.Relation, blk *relation.Block, lo int,
 	e.kern2.HashColumn(bs.fitData, bs.fitOffs, d2)
 	for i, j32 := range bs.fitRows {
 		j := int(j32)
-		if err := e.embedRow(r, lo+j, d1[j], int(d2[i].Mod(bw)), cs); err != nil {
+		if err := e.embedRow(lo+j, d1[j], int(d2[i].Mod(bw)), cs); err != nil {
 			return err
 		}
 	}
@@ -330,20 +327,20 @@ func (e *Embedder) EmbedBlock(r *relation.Relation, blk *relation.Block, lo int,
 // index from the fitness digest and the wm_data bit at pos, rewrite
 // through the quality gate, count, and fire OnAlter — the shared back
 // half of both EmbedBlock walks.
-func (e *Embedder) embedRow(r *relation.Relation, row int, d1 keyhash.Digest, pos int, cs *ChunkStats) error {
+func (e *Embedder) embedRow(row int, d1 keyhash.Digest, pos int, cs *ChunkStats) error {
 	opts := &e.opts
 	bit := uint64(e.wmData[pos])
 	// Value-index selection: an independent digest word drives the
 	// pseudorandom pair choice so the mod-e fitness constraint on
 	// word 0 cannot bias it (DESIGN.md clarification 1).
 	idx := keyhash.PairIndex(d1.Uint64At(1), e.dom.Size(), bit)
-	if r.CodeAt(row, e.attrCol) == e.codes[idx] {
+	if e.rel.CodeAt(row, e.attrCol) == e.codes[idx] {
 		cs.Unchanged++
 		cs.Touched[pos] = true
 		return nil
 	}
 	if opts.Assessor != nil {
-		if aerr := opts.Assessor.Apply(r, row, opts.Attr, e.dom.Value(idx)); aerr != nil {
+		if aerr := opts.Assessor.Apply(e.rel, row, opts.Attr, e.dom.Value(idx)); aerr != nil {
 			var verr *quality.ViolationError
 			if errors.As(aerr, &verr) {
 				cs.SkippedQuality++
@@ -352,7 +349,7 @@ func (e *Embedder) embedRow(r *relation.Relation, row int, d1 keyhash.Digest, po
 			return aerr
 		}
 	} else {
-		r.SetCodeAt(row, e.attrCol, e.codes[idx])
+		e.rel.SetCodeAt(row, e.attrCol, e.codes[idx])
 	}
 	cs.Altered++
 	cs.Touched[pos] = true

@@ -242,7 +242,7 @@ func TestScanBlockSharedScratchAcrossScanners(t *testing.T) {
 func embedRows(t *testing.T, em *Embedder, r *relation.Relation, blk *relation.Block, lo, hi int, cs *ChunkStats, bs *BlockScratch) {
 	t.Helper()
 	r.FillBlock(blk, lo, hi)
-	if err := em.EmbedBlock(r, blk, lo, cs, bs); err != nil {
+	if err := em.EmbedBlock(blk, lo, cs, bs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -473,8 +473,8 @@ func TestEmbedBlockAllocsIndependentOfRows(t *testing.T) {
 		var cs ChunkStats
 		pass := func() {
 			for lo := 0; lo < r.Len(); lo += DefaultBlockRows {
-				r.FillBlock(blk, lo, min(lo+DefaultBlockRows, r.Len()), em.KeyColumn())
-				if err := em.EmbedBlock(r, blk, lo, &cs, &bs); err != nil {
+				r.FillBlock(blk, lo, min(lo+DefaultBlockRows, r.Len()), em.keyCol)
+				if err := em.EmbedBlock(blk, lo, &cs, &bs); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -22,11 +22,9 @@ import (
 // internal/pipeline builds its worker pool on these hooks.
 
 // Embedder is a prepared embedding pass over one relation: options
-// resolved, bandwidth fixed, wm_data encoded, and the domain's codes in
-// the relation's attribute column resolved. It is immutable after
-// construction and safe for concurrent use by multiple goroutines
-// calling EmbedBlock on disjoint row ranges of its relation: a rewrite
-// stores a code in the row's own slot (relation.Relation.SetCodeAt).
+// resolved, bandwidth fixed, wm_data encoded, domain codes resolved. It
+// is immutable after construction and safe for concurrent use by
+// goroutines embedding disjoint row ranges of its relation.
 type Embedder struct {
 	opts         Options
 	k1s          string // opts.K1 as a string: the memo lane key, converted once
@@ -43,10 +41,9 @@ type Embedder struct {
 
 // NewEmbedder validates options against r and prepares an embedding pass
 // over its rows. The bandwidth |wm_data| is fixed from r.Len() (or
-// Options.BandwidthOverride) at construction time. It resolves every
-// domain value's code in r's attribute column once, coding the column
-// and adding the values it lacks (relation.Relation.Intern), so it
-// writes r's storage though no value changes.
+// Options.BandwidthOverride) at construction time. It resolves each
+// domain value's code in r's attribute column (relation.Relation.Intern),
+// so it writes r's storage though no value changes.
 func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, error) {
 	keyCol, attrCol, dom, err := opts.resolve(r, true)
 	if err != nil {
@@ -93,11 +90,6 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 	}, nil
 }
 
-// KeyColumn returns the schema position of the key column, the one
-// column EmbedBlock reads from a block (Relation.FillBlock copies just
-// it).
-func (e *Embedder) KeyColumn() int { return e.keyCol }
-
 // ChunkStats is the partial result of embedding one row range: the usual
 // statistics plus the set of wm_data positions the range touched, which
 // MergeChunks needs to count distinct positions across ranges.
@@ -108,28 +100,34 @@ type ChunkStats struct {
 	Touched []bool
 }
 
-// EmbedRange embeds rows [lo, hi) of r, filling DefaultBlockRows-sized
-// blocks and walking them through EmbedBlock (one block and one scratch
-// for the whole call, so memory stays bounded on arbitrarily large
-// ranges). It writes the watermarked attribute of rows inside the
-// range alone, so calls on disjoint ranges may overlap.
-func (e *Embedder) EmbedRange(r *relation.Relation, lo, hi int) (ChunkStats, error) {
-	cs := ChunkStats{Touched: make([]bool, e.bw)}
-	cs.Bandwidth = e.bw
-	if err := checkRange(r, lo, hi); err != nil {
-		return cs, err
+// EmbedRange embeds rows [lo, hi) of the Embedder's relation into cs,
+// blockRows rows at a time through one block and one scratch (bs, or a
+// fresh one when nil), so memory stays bounded on any range. It runs at
+// least one, possibly empty, block, so cs carries the pass bandwidth,
+// and stops at the error of after, called when not nil with each
+// block's row count. Calls on disjoint ranges may overlap.
+func (e *Embedder) EmbedRange(lo, hi, blockRows int, cs *ChunkStats, bs *BlockScratch, after func(rows int) error) error {
+	if err := checkRange(e.rel, lo, hi); err != nil {
+		return err
 	}
-	var bs BlockScratch
-	blk := relation.GetBlock(r.Schema())
+	if bs == nil {
+		bs = &BlockScratch{}
+	}
+	blk := relation.GetBlock(e.rel.Schema())
 	defer relation.PutBlock(blk)
-	for blockLo := lo; ; blockLo += DefaultBlockRows {
-		blockHi := min(blockLo+DefaultBlockRows, hi)
-		r.FillBlock(blk, blockLo, blockHi, e.keyCol)
-		if err := e.EmbedBlock(r, blk, blockLo, &cs, &bs); err != nil {
-			return cs, err
+	for blockLo := lo; ; blockLo += blockRows {
+		blockHi := min(blockLo+blockRows, hi)
+		e.rel.FillBlock(blk, blockLo, blockHi, e.keyCol)
+		if err := e.EmbedBlock(blk, blockLo, cs, bs); err != nil {
+			return err
 		}
-		if blockHi == hi {
-			return cs, nil
+		if after != nil {
+			if err := after(blockHi - blockLo); err != nil {
+				return err
+			}
+		}
+		if blockHi >= hi {
+			return nil
 		}
 	}
 }

@@ -47,8 +47,8 @@ func TestEmbedRangeChunkedEqualsSequential(t *testing.T) {
 		}
 		var parts []ChunkStats
 		for _, b := range chunkBoundaries(chunkRel.Len(), chunks) {
-			cs, err := em.EmbedRange(chunkRel, b[0], b[1])
-			if err != nil {
+			var cs ChunkStats
+			if err := em.EmbedRange(b[0], b[1], DefaultBlockRows, &cs, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			parts = append(parts, cs)
@@ -122,7 +122,7 @@ func TestEmbedRangeBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range [][2]int{{-1, 10}, {0, 501}, {400, 300}} {
-		if _, err := em.EmbedRange(r, b[0], b[1]); err == nil {
+		if err := em.EmbedRange(b[0], b[1], DefaultBlockRows, &ChunkStats{}, nil, nil); err == nil {
 			t.Fatalf("range [%d,%d): expected error", b[0], b[1])
 		}
 	}

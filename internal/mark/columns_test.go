@@ -228,7 +228,7 @@ func TestScanColumnsArityGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := em.EmbedBlock(r, blk, 0, &ChunkStats{}, nil); err == nil {
+	if err := em.EmbedBlock(blk, 0, &ChunkStats{}, nil); err == nil {
 		t.Fatal("EmbedBlock: expected arity error for a block lacking the attribute column")
 	}
 	relation.PutBlock(blk)

@@ -51,6 +51,7 @@ func Embed(r *relation.Relation, wm ecc.Bits, opts Options) (EmbedStats, error) 
 	if err != nil {
 		return EmbedStats{}, err
 	}
-	cs, err := e.EmbedRange(r, 0, r.Len())
+	var cs ChunkStats
+	err = e.EmbedRange(0, r.Len(), DefaultBlockRows, &cs, nil, nil)
 	return MergeChunks(cs), err
 }

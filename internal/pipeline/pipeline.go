@@ -177,31 +177,6 @@ func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, 
 	return nil
 }
 
-// embedRange feeds rows [lo, hi) of r through em into cs
-// block-at-a-time: each block's key column is copied into a pooled
-// block and embedded through EmbedBlock, with ctx checked and progress
-// ticked between blocks. Runs at least one (possibly empty) block so cs
-// always carries the pass bandwidth. bs is the worker's scratch.
-func embedRange(ctx context.Context, em *mark.Embedder, r *relation.Relation, lo, hi int, cs *mark.ChunkStats, bs *mark.BlockScratch, cfg Config) error {
-	br := cfg.blockRows()
-	blk := relation.GetBlock(r.Schema())
-	defer relation.PutBlock(blk)
-	for blockLo := lo; ; blockLo += br {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		blockHi := min(blockLo+br, hi)
-		r.FillBlock(blk, blockLo, blockHi, em.KeyColumn())
-		if err := em.EmbedBlock(r, blk, blockLo, cs, bs); err != nil {
-			return err
-		}
-		cfg.report(blockHi - blockLo)
-		if blockHi >= hi {
-			return nil
-		}
-	}
-}
-
 // chunkRange is one [Lo, Hi) row range of a partitioned relation.
 type chunkRange struct {
 	Index  int
@@ -273,7 +248,10 @@ func Embed(ctx context.Context, r *relation.Relation, wm ecc.Bits, opts mark.Opt
 	}
 	var parts []mark.ChunkStats
 	err = runRanges(ctx, r, cfg, workers, nil, func(p *pool, j *job, bs *mark.BlockScratch) error {
-		return embedRange(p.ctx, em, r, j.lo, j.hi, &j.cs, bs, cfg)
+		return em.EmbedRange(j.lo, j.hi, cfg.blockRows(), &j.cs, bs, func(rows int) error {
+			cfg.report(rows)
+			return p.ctx.Err()
+		})
 	}, func(j *job) { parts = append(parts, j.cs) })
 	if err != nil {
 		return mark.EmbedStats{}, err

@@ -298,10 +298,10 @@ func (c *cursor) records(maxRows int, next func() error) (int, error) {
 // ReadCSV and ReadJSONL — one block at a time through appendBlock, a
 // few allocations per block, none per row. When the input's length in
 // bytes is known (size > 0), consumed reports how many of them br has
-// parsed, and reserve sizes the storage from the rate read so far
-// instead of regrowing it by doubling. It reads the rows ReadAll over
-// the row readers reads, a repeated key included, and fails where
-// ReadAll fails.
+// parsed, and storage grows to the whole input at the rate read so far
+// and a sixteenth more, not by doubling: the first block sizes it, and
+// a denser tail re-estimates. It reads the rows ReadAll over the row
+// readers reads, a repeated key included, and fails where ReadAll fails.
 func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, error) {
 	b := GetBlock(br.Schema())
 	defer PutBlock(b)
@@ -315,45 +315,17 @@ func readBlocks(br BlockReader, size int64, consumed func() int64) (*Relation, e
 		if err == io.EOF {
 			return out, nil
 		}
-		if size > 0 && n > 0 {
-			out.reserve(b, n, float64(size-start)/float64(max(1, consumed()-start)))
+		scale := 2.0
+		if size > 0 {
+			scale = float64(size-start) / float64(max(1, consumed()-start)) * 17 / 16
 		}
-		if appendErr := out.appendBlock(b, n); appendErr != nil {
+		if appendErr := out.appendBlock(b, n, scale); appendErr != nil {
 			return nil, appendErr
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-}
-
-// reserve makes room in r's references and plain arenas for the first
-// n rows of b, with scale the input's length over the bytes read so
-// far. Storage that must regrow is sized for the whole input at the
-// rate read so far, a sixteenth more, so the first block sizes it once
-// and an input that grows denser than its start re-estimates at its
-// first regrowth. A coded column's arena holds only its labels, and
-// grows with them.
-func (r *Relation) reserve(b *Block, n int, scale float64) {
-	r.refs = reserveScaled(r.refs, n*r.arity, scale)
-	for c := range r.cols {
-		if dst := &r.cols[c]; !dst.coded {
-			dst.arena = reserveScaled(dst.arena, int(b.cols[c].offs[n]), scale)
-		}
-	}
-}
-
-// reserveScaled returns s with room for n more elements. When it must
-// reallocate, it holds (len(s)+n)·scale elements and a sixteenth more,
-// and at least a quarter of len(s) more than len(s)+n, so a run of low
-// estimates still grows geometrically.
-func reserveScaled[E any](s []E, n int, scale float64) []E {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	need := len(s) + n
-	want := int(float64(need) * scale * 17 / 16)
-	return slices.Grow(s, max(want, need+len(s)/4)-len(s))
 }
 
 // countingReader counts the bytes read through it, so a reader
@@ -379,9 +351,10 @@ func inputSize(rd io.Reader) int64 {
 }
 
 // appendBlock appends the first n rows of b, each plain column's bytes
-// to its arena in one copy, and each coded value by its code. It fails only on the storage limits, naming
+// to its arena in one copy and each coded value as its code, growing
+// storage by scale (grow). It fails only on the storage limits, naming
 // the row where it can; the relation is then unusable.
-func (r *Relation) appendBlock(b *Block, n int) error {
+func (r *Relation) appendBlock(b *Block, n int, scale float64) error {
 	if n == 0 {
 		return nil
 	}
@@ -389,7 +362,7 @@ func (r *Relation) appendBlock(b *Block, n int) error {
 		return fmt.Errorf("relation: more than %d rows", maxRows)
 	}
 	base, a := r.rows, r.arity
-	r.refs = grow(r.refs, n*a)[:(base+n)*a]
+	r.refs = grow(r.refs, n*a, scale)[:(base+n)*a]
 	for c := range a {
 		col, dst := &b.cols[c], &r.cols[c]
 		data := col.data[:col.offs[n]]
@@ -398,7 +371,7 @@ func (r *Relation) appendBlock(b *Block, n int) error {
 		}
 		off := uint64(len(dst.arena))
 		if !dst.coded {
-			dst.arena = append(grow(dst.arena, len(data)), data...)
+			dst.arena = append(grow(dst.arena, len(data), scale), data...)
 		}
 		for i := 0; i < n; i++ {
 			lo, hi := col.offs[i], col.offs[i+1]

@@ -3,25 +3,24 @@ package relation
 import (
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 
 	"repro/internal/stats"
 )
 
 // column is one column's storage (see Relation). A coded column keeps
-// a label table, labels[code] referencing the label's bytes in the
-// arena, and its writer's value → code index over it.
+// labels[code], the reference of a label's bytes in the arena, and its
+// writer's value → code index: an open-addressing table holding code+1
+// in the first free slot of a label's probe run, at most half full, and
+// nil until the writer's first lookup.
 type column struct {
 	arena  []byte
 	labels []uint64
-	// index is an open-addressing table over labels: code+1 in the slot
-	// a label's hash probes to first free, 0 in an empty slot, at most
-	// half full. nil until the writer's first lookup.
-	index []uint32
-	coded bool
+	index  []uint32
+	coded  bool
 }
 
-// view returns the value a row's slot holds, as a string over the
-// column's arena.
+// view returns the value a row's slot holds, as a string over the arena.
 func (c *column) view(ref uint64) string {
 	if c.coded {
 		ref = c.labels[ref]
@@ -32,57 +31,71 @@ func (c *column) view(ref uint64) string {
 // add appends v to the arena and returns its reference.
 func (c *column) add(v string) uint64 {
 	off := len(c.arena)
-	c.arena = append(grow(c.arena, len(v)), v...)
+	c.arena = append(grow(c.arena, len(v), 2), v...)
 	return uint64(off)<<lenBits | uint64(len(v))
 }
 
 // labelSeed seeds the label index's hash; codes never depend on it.
 var labelSeed = maphash.MakeSeed()
 
-// intern returns v's code in the coded column c, adding v as the next
-// label when c lacks it: every write of a coded value comes here. It
-// probes the index (building it first when it is missing or full) and
-// compares at most the labels that share v's probe run.
+// intern returns v's code in the coded column c, adding v's bytes as
+// the next label when c lacks it: every coded write comes here.
 func (c *column) intern(v string) uint32 {
+	s := c.slot(v)
+	if *s == 0 {
+		c.labels = append(grow(c.labels, 1, 2), c.add(v))
+		*s = uint32(len(c.labels))
+	}
+	return *s - 1
+}
+
+// slot returns the index slot holding v's code+1, or the empty one where
+// it goes. An index that is missing, or that one more label would fill
+// past half, is first rebuilt at 2 to 4 slots per label.
+func (c *column) slot(v string) *uint32 {
 	if 2*(len(c.labels)+1) > len(c.index) {
-		c.rehash()
+		c.index = make([]uint32, max(16, 1<<bits.Len(uint(2*len(c.labels)+1))))
+		for code, ref := range c.labels {
+			*c.slot(viewIn(c.arena, ref)) = uint32(code + 1)
+		}
 	}
 	mask := uint64(len(c.index) - 1)
 	for i := maphash.String(labelSeed, v) & mask; ; i = (i + 1) & mask {
-		s := c.index[i]
-		if s == 0 {
-			c.labels = append(c.labels, c.add(v))
-			c.index[i] = uint32(len(c.labels))
-			return uint32(len(c.labels) - 1)
-		}
-		if viewIn(c.arena, c.labels[s-1]) == v {
-			return s - 1
+		if s := c.index[i]; s == 0 || viewIn(c.arena, c.labels[s-1]) == v {
+			return &c.index[i]
 		}
 	}
 }
 
-// rehash builds the index afresh for c's labels, at most a quarter full.
-func (c *column) rehash() {
-	n := 16
-	for n < 4*(len(c.labels)+1) {
-		n *= 2
-	}
-	c.index = make([]uint32, n)
-	mask := uint64(n - 1)
-	for code, ref := range c.labels {
-		i := maphash.String(labelSeed, viewIn(c.arena, ref)) & mask
-		for c.index[i] != 0 {
-			i = (i + 1) & mask
+// codePlain codes the plain column over arena whose slots are refs[j],
+// refs[j+stride], …: each distinct value, in first-seen order, becomes
+// a label referencing its first occurrence's bytes, so nothing is
+// copied. It returns the column and, unless it stores each slot's code
+// in dst (which may be refs), each label's count.
+func codePlain(arena []byte, refs []uint64, j, stride int, dst []uint64) (column, []int) {
+	c := column{arena: arena, coded: true}
+	var counts []int
+	for k := j; k < len(refs); k += stride {
+		s := c.slot(viewIn(arena, refs[k]))
+		if *s == 0 {
+			c.labels = append(grow(c.labels, 1, 2), refs[k])
+			*s = uint32(len(c.labels))
 		}
-		c.index[i] = uint32(code + 1)
+		if dst != nil {
+			dst[k] = uint64(*s - 1)
+		} else if int(*s) > len(counts) {
+			counts = append(grow(counts, 1, 2), 1)
+		} else {
+			counts[*s-1]++
+		}
 	}
+	return c, counts
 }
 
-// Intern returns the code of each value in column j, adding a label
-// for each value the column lacks. A plain column is coded in place
-// first, through the same index every coded write takes, so a writer
-// that moves rows by code (mark.Embedder, freq.EmbedCounts) may ask it
-// of any column. It writes r (see Relation); on error r is unchanged.
+// Intern returns the code of each value in column j, adding the labels
+// the column lacks, after coding a plain column in place (codePlain), so
+// a writer that moves rows by code may ask it of any column. It writes r
+// (see Relation); on error r is unchanged.
 func (r *Relation) Intern(j int, values ...string) ([]uint32, error) {
 	for _, v := range values {
 		if err := r.checkRoom(j, v); err != nil {
@@ -91,11 +104,7 @@ func (r *Relation) Intern(j int, values ...string) ([]uint32, error) {
 	}
 	c := &r.cols[j]
 	if !c.coded {
-		plain := c.arena
-		*c = column{coded: true}
-		for k := j; k < len(r.refs); k += r.arity {
-			r.refs[k] = uint64(c.intern(viewIn(plain, r.refs[k])))
-		}
+		*c, _ = codePlain(c.arena, r.refs, j, r.arity, r.refs)
 	}
 	codes := make([]uint32, len(values))
 	for i, v := range values {
@@ -114,8 +123,8 @@ func (r *Relation) CodeAt(i, j int) uint32 {
 }
 
 // SetCodeAt sets row i's value in the coded column j to the label of
-// code, which Intern returned. It writes row i's slot alone, so calls
-// on distinct rows may run at once (see Relation).
+// code, as Intern returned it. It writes row i's slot alone (see
+// Relation).
 func (r *Relation) SetCodeAt(i, j int, code uint32) {
 	if c := &r.cols[j]; !c.coded || int(code) >= len(c.labels) {
 		panic(fmt.Sprintf("relation: SetCodeAt of code %d in column %d", code, j))
@@ -124,16 +133,13 @@ func (r *Relation) SetCodeAt(i, j int, code uint32) {
 }
 
 // Coding is one attribute column's label table with counts: Counts[c]
-// is how many rows hold Labels[c]. On a coded column the codes are the
-// relation's own (CodeAt), in the order the column first stored each
-// label, and counting them is one slice increment per row, with no
-// lookup; a plain column is coded into a scratch label table. Counting,
-// moving and scoring by code turns the per-row work of the frequency
-// channel (Section 4.2) and of every histogram into slice arithmetic.
-//
-// Labels are owned copies (ownStrings), so a Coding never pins the
-// storage of the relation it was taken from. A Coding describes the
-// column as it stood when counted.
+// rows hold Labels[c]. A coded column's codes are the relation's own
+// (CodeAt) and are counted with no lookup; a plain column is coded into
+// a scratch table. Counting, moving and scoring by code turns the
+// per-row work of the frequency channel (Section 4.2) and of every
+// histogram into slice arithmetic. Labels are owned copies
+// (ownStrings), so a Coding never pins the relation's storage; it
+// describes the column as it stood when counted.
 type Coding struct {
 	// Attr names the coded attribute.
 	Attr string
@@ -158,15 +164,7 @@ func CodeColumn(r *Relation, attr string) (*Coding, error) {
 			counts[r.refs[k]]++
 		}
 	} else {
-		plain := c.arena
-		c = column{coded: true}
-		for k := j; k < len(r.refs); k += r.arity {
-			if code := c.intern(viewIn(plain, r.refs[k])); int(code) < len(counts) {
-				counts[code]++
-			} else {
-				counts = append(counts, 1)
-			}
-		}
+		c, counts = codePlain(c.arena, r.refs, j, r.arity, nil)
 	}
 	out := &Coding{Attr: attr, Labels: make([]string, len(c.labels)), Counts: counts}
 	for code, ref := range c.labels {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -268,5 +269,54 @@ func TestCodeColumnAllocsIndependentOfRows(t *testing.T) {
 	t.Logf("CodeColumn: %.0f allocs at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
 	if allocs[36000] != allocs[9000] {
 		t.Fatalf("CodeColumn allocations depend on the row count: %.0f at 9k rows, %.0f at 36k", allocs[9000], allocs[36000])
+	}
+}
+
+// TestInternCodesPlainColumnInPlace: Intern on a plain column of mostly
+// distinct values codes it in place over the arena it already has, with
+// the labels referencing their first occurrence's bytes; every value
+// reads as before, the interned values get codes (a new one the next
+// label), and a clone taken before keeps its plain column untouched by
+// later code stores.
+func TestInternCodesPlainColumnInPlace(t *testing.T) {
+	r := codedRelation(t, 5000, 3, 7)
+	j, _ := r.Schema().Index("k")
+	for i := 0; i < r.Len(); i += 10 {
+		if err := r.SetValueAt(i, j, "0"); err != nil { // a repeated key
+			t.Fatal(err)
+		}
+	}
+	before := r.Clone()
+	want := rowsOf(r)
+	arena := unsafe.SliceData(r.cols[j].arena)
+	codes, err := r.Intern(j, "17", "fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.cols[j].coded || unsafe.SliceData(r.cols[j].arena) != arena {
+		t.Fatal("Intern did not code the plain column over its own arena")
+	}
+	if got := rowsOf(r); !reflect.DeepEqual(got, want) {
+		t.Fatal("Intern changed a value")
+	}
+	if r.CodeAt(17, j) != codes[0] || r.At(17, j) != "17" {
+		t.Fatalf("row 17 coded %d, Intern gave %d", r.CodeAt(17, j), codes[0])
+	}
+	c, err := CodeColumn(r, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCoding(t, "interned key", c, r)
+	if int(codes[1]) != len(c.Labels)-1 || c.Labels[codes[1]] != "fresh" || c.Counts[codes[1]] != 0 {
+		t.Fatalf("new value coded %d of %d labels", codes[1], len(c.Labels))
+	}
+	for i := 0; i < r.Len(); i += 7 {
+		r.SetCodeAt(i, j, codes[1])
+	}
+	if got := rowsOf(before); !reflect.DeepEqual(got, want) || before.cols[j].coded {
+		t.Fatal("the clone taken before Intern changed")
+	}
+	if r.At(7, j) != "fresh" || r.At(8, j) != "8" {
+		t.Fatalf("after code stores rows hold %q, %q", r.At(7, j), r.At(8, j))
 	}
 }

@@ -71,7 +71,7 @@ func (r *Relation) permute(order []int) {
 // tupleInto fills t, of the relation's arity, with row i's values.
 func (r *Relation) tupleInto(t Tuple, i int) {
 	for j, ref := range r.row(i) {
-		t[j] = r.view(j, ref)
+		t[j] = r.cols[j].view(ref)
 	}
 }
 

@@ -191,32 +191,27 @@ type Tuple []string
 // hash decides a row's fitness; nothing here requires it to be unique.
 //
 // Storage. Each column's values live in an append-only byte arena of
-// its own, and row i's value of column j is held by refs[i*arity+j].
-// In a plain column that slot is a reference, a uint64 packing the
-// value's offset in the arena (high 40 bits) and its length (low 24
-// bits), so a value holds at most 16 MiB - 1 bytes and an arena at most
-// 1 TiB. A coded column (Attribute.Categorical, or one a writer coded
-// through Intern) holds a label code there instead: an index into the
-// column's label table of references, whose bytes sit in its arena
-// once. A relation holds fewer than 2^31 rows. No arena, label table or
-// reference holds a pointer, so the garbage collector marks a relation
-// in constant time whatever its row count. At reads a value as a
-// zero-copy string over its arena. Arena bytes and labels are never
-// rewritten once stored: SetValue appends a plain value's bytes and
-// repoints the row, and stores a coded value's code, adding a label the
-// column lacks; Clone shares the arenas and label tables
-// capacity-capped (an append on either side reallocates) and copies
-// only the references, and SortBy/Shuffle permute references. A string
-// read from a relation therefore stays valid across later writes, and
-// keeps its whole arena alive while held; NewDomain, HistogramOf and
-// CodeColumn copy the values they keep. A rewritten plain value's old
-// bytes stay in the arena until the relation is dropped.
+// its own, and row i's slot of column j is refs[i*arity+j]. A plain
+// column's slot is a reference, a uint64 packing the value's offset in
+// the arena (high 40 bits) and its length (low 24 bits), so a value
+// holds at most 16 MiB - 1 bytes and an arena at most 1 TiB. A coded
+// column's slot (Attribute.Categorical, or a column Intern coded) is a
+// code into the column's table of label references. A relation holds
+// fewer than 2^31 rows. No arena, label table or slot holds a pointer,
+// so the garbage collector marks a relation in constant time whatever
+// its row count. At reads a value as a zero-copy string over its arena.
+// Stored bytes are never rewritten: SetValue appends a plain value and
+// repoints the row, or stores a code, adding a label the column lacks;
+// Clone shares arenas and label tables capacity-capped (an append on
+// either side reallocates) and copies only the slots; SortBy/Shuffle
+// permute slots. A string read from a relation therefore stays valid
+// across later writes, and keeps its whole arena alive while held;
+// NewDomain, HistogramOf and CodeColumn copy the values they keep.
+// Replaced bytes stay in the arena until the relation is dropped.
 //
-// One writer. Appending rows and adding labels need the relation to
-// themselves: Append, SetValue (which may add a label, or build the
-// value → code index a coded column's writer keeps and a clone rebuilds
-// on its first write) and Intern. SetCodeAt writes one row's slot and
-// nothing else, so writers of disjoint rows may store codes at once.
+// One writer. Appending rows and adding labels (Append, SetValue,
+// Intern) need the relation to themselves; SetCodeAt writes one row's
+// slot alone, so writers of disjoint rows may store codes at once.
 // Readers may run alongside a writer only on rows or columns it does
 // not write, and only while it does not append rows.
 type Relation struct {
@@ -251,10 +246,6 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Len returns the number of tuples (the paper's N).
 func (r *Relation) Len() int { return r.rows }
 
-// view returns the value of column j that ref, a row's slot, holds, as
-// a string over the column's arena.
-func (r *Relation) view(j int, ref uint64) string { return r.cols[j].view(ref) }
-
 // viewIn returns the value ref references in arena, as a string over
 // it; a loop over one column hoists the arena out and calls it
 // directly.
@@ -266,9 +257,8 @@ func viewIn(arena []byte, ref uint64) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// store stores v in column j and returns the slot a row holding it
-// keeps: v's code in a coded column, else the reference of its bytes
-// appended to the arena. The caller has checked the room (checkRoom).
+// store stores v in column j and returns a row's slot for it: v's code,
+// or the reference of its bytes. The caller has checked the room.
 func (r *Relation) store(j int, v string) uint64 {
 	c := &r.cols[j]
 	if c.coded {
@@ -277,15 +267,16 @@ func (r *Relation) store(j int, v string) uint64 {
 	return c.add(v)
 }
 
-// grow returns s with room for n more elements, at least doubling its
-// capacity when it must reallocate: append grows a large slice by a
-// quarter, which copies an arena filled a value at a time several
-// times over.
-func grow[E any](s []E, n int) []E {
+// grow returns s with room for n more elements, reallocated to scale
+// times len(s)+n, and at least a quarter of len(s) more. A writer with
+// no estimate passes 2, a doubling: append grows a large slice by a
+// quarter, which copies an arena filled a value at a time several times.
+func grow[E any](s []E, n int, scale float64) []E {
 	if cap(s)-len(s) >= n {
 		return s
 	}
-	return slices.Grow(s, max(n, len(s)))
+	need := len(s) + n
+	return slices.Grow(s, max(int(float64(need)*scale), need+len(s)/4)-len(s))
 }
 
 // checkRoom reports whether v fits column j's arena.
@@ -317,7 +308,7 @@ func (r *Relation) Append(t Tuple) error {
 			return err
 		}
 	}
-	r.refs = grow(r.refs, r.arity)
+	r.refs = grow(r.refs, r.arity, 2)
 	for j, v := range t {
 		r.refs = append(r.refs, r.store(j, v))
 	}
@@ -336,7 +327,7 @@ func (r *Relation) MustAppend(t Tuple) {
 // At returns the value of column j in row i without allocating. The
 // string shares the relation's storage and stays valid after later
 // writes (see Relation).
-func (r *Relation) At(i, j int) string { return r.view(j, r.row(i)[j]) }
+func (r *Relation) At(i, j int) string { return r.cols[j].view(r.row(i)[j]) }
 
 // Tuple returns a copy of the i-th tuple: one allocation, the values
 // shared with the relation's storage. Writing to it leaves the relation
@@ -384,10 +375,9 @@ func (r *Relation) Key(i int) string { return r.At(i, r.schema.keyIndex) }
 
 // Clone returns a copy with a shared (immutable) schema in three
 // allocations whatever the row count: the relation, its column headers
-// and its references. The arenas and label tables are shared,
-// capacity-capped so that a write on either side appends to a fresh
-// one and never into the other's; the clone rebuilds a coded column's
-// value → code index on its first write to the column.
+// and its slots. Arenas and label tables are shared capacity-capped, so
+// a write on either side appends to a fresh one, never into the other's;
+// a clone builds its own value → code index on its first write.
 func (r *Relation) Clone() *Relation {
 	cols := make([]column, r.arity)
 	for j, c := range r.cols {
