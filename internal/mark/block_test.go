@@ -136,7 +136,7 @@ func TestScanBlockMatchesScanTuple(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						hi = min(lo+1+rng.Intn(8), r.Len())
 					}
-					if err := sc.Scan(r, lo, hi, got); err != nil {
+					if err := sc.Scan(r, lo, hi, DefaultBlockRows, got, nil, nil, nil); err != nil {
 						t.Fatal(err)
 					}
 					lo = hi
@@ -439,7 +439,7 @@ func BenchmarkScanColumns(b *testing.B) {
 	b.Run(fmt.Sprintf("fill+columns=%d", DefaultBlockRows), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := sc.Scan(r, 0, n, sc.NewTally()); err != nil {
+			if err := sc.Scan(r, 0, n, DefaultBlockRows, sc.NewTally(), nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -339,24 +339,37 @@ func (s *Scanner) ScanTuple(tup relation.Tuple, t *Tally) {
 	t.Last[pos] = bit
 }
 
-// Scan reads rows [lo, hi) of r and accumulates their votes into t,
-// copying the range's key and attribute columns DefaultBlockRows rows
-// at a time into one pooled block (Relation.FillBlock) and voting
-// through ScanColumns with one scratch for the whole call. The votes
-// are bit-identical to the ScanTuple loop over the same rows; the
-// relation is never modified.
-// Concurrent Scan calls must use distinct tallies; merge them afterwards
-// with Tally.Merge.
-func (s *Scanner) Scan(r *relation.Relation, lo, hi int, t *Tally) error {
+// Scan votes rows [lo, hi) of r into t, blockRows rows at a time
+// through one block (Relation.FillBlock copies the key and attribute
+// columns) and one scratch (bs, or a fresh one when nil). A non-nil fit
+// collects the range's fit rows in ascending order (ScanColumnsFit), and
+// Scan stops at the error of after, called when not nil with each
+// block's row count. The votes are bit-identical to the ScanTuple loop
+// over the same rows; the relation is never modified. Concurrent Scan
+// calls must use distinct tallies; merge them afterwards with
+// Tally.Merge.
+func (s *Scanner) Scan(r *relation.Relation, lo, hi, blockRows int, t *Tally, bs *BlockScratch, fit *[]int, after func(rows int) error) error {
 	if err := checkRange(r, lo, hi); err != nil {
 		return err
 	}
-	var bs BlockScratch
+	if bs == nil {
+		bs = &BlockScratch{}
+	}
 	blk := relation.GetBlock(r.Schema())
 	defer relation.PutBlock(blk)
-	for blockLo := lo; blockLo < hi; blockLo += DefaultBlockRows {
-		r.FillBlock(blk, blockLo, min(blockLo+DefaultBlockRows, hi), s.keyCol, s.attrCol)
-		if err := s.ScanColumns(blk, t, &bs); err != nil {
+	for blockLo := lo; blockLo < hi; blockLo += blockRows {
+		blockHi := min(blockLo+blockRows, hi)
+		r.FillBlock(blk, blockLo, blockHi, s.keyCol, s.attrCol)
+		var err error
+		if fit != nil {
+			*fit, err = s.ScanColumnsFit(blk, t, bs, blockLo, *fit)
+		} else {
+			err = s.ScanColumns(blk, t, bs)
+		}
+		if err == nil && after != nil {
+			err = after(blockHi - blockLo)
+		}
+		if err != nil {
 			return err
 		}
 	}

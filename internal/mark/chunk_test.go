@@ -86,7 +86,7 @@ func TestScannerChunkedEqualsSequential(t *testing.T) {
 			var total *Tally
 			for _, b := range chunkBoundaries(r.Len(), chunks) {
 				part := sc.NewTally()
-				if err := sc.Scan(r, b[0], b[1], part); err != nil {
+				if err := sc.Scan(r, b[0], b[1], DefaultBlockRows, part, nil, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 				if total == nil {

@@ -51,7 +51,7 @@ func Detect(r *relation.Relation, wmLen int, opts Options) (DetectReport, error)
 		return DetectReport{}, err
 	}
 	t := s.NewTally()
-	if err := s.Scan(r, 0, r.Len(), t); err != nil {
+	if err := s.Scan(r, 0, r.Len(), DefaultBlockRows, t, nil, nil, nil); err != nil {
 		return DetectReport{}, err
 	}
 	return s.Report(t)

@@ -32,7 +32,7 @@ func TestScanTupleMatchesScan(t *testing.T) {
 		}
 
 		whole := sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), whole); err != nil {
+		if err := sc.Scan(r, 0, r.Len(), DefaultBlockRows, whole, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 

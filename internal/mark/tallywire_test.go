@@ -78,7 +78,7 @@ func TestTallyWireRoundTripMergesIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		whole := sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), whole); err != nil {
+		if err := sc.Scan(r, 0, r.Len(), DefaultBlockRows, whole, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 
@@ -93,7 +93,7 @@ func TestTallyWireRoundTripMergesIdentically(t *testing.T) {
 			total := sc.NewTally()
 			for i := 0; i+1 < len(cuts); i++ {
 				part := sc.NewTally()
-				if err := sc.Scan(r, cuts[i], cuts[i+1], part); err != nil {
+				if err := sc.Scan(r, cuts[i], cuts[i+1], DefaultBlockRows, part, nil, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 				data, err := json.Marshal(part.Wire())
@@ -153,7 +153,7 @@ func TestTallyWireOutOfOrderShardCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 		whole := sc.NewTally()
-		if err := sc.Scan(r, 0, r.Len(), whole); err != nil {
+		if err := sc.Scan(r, 0, r.Len(), DefaultBlockRows, whole, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 
@@ -167,7 +167,7 @@ func TestTallyWireOutOfOrderShardCompletion(t *testing.T) {
 		parked := make([]*Tally, len(ranges))
 		for _, i := range rng.Perm(len(ranges)) {
 			part := sc.NewTally()
-			if err := sc.Scan(r, ranges[i][0], ranges[i][1], part); err != nil {
+			if err := sc.Scan(r, ranges[i][0], ranges[i][1], DefaultBlockRows, part, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			decoded, err := part.Wire().Tally()

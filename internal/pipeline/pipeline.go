@@ -147,36 +147,6 @@ func putScratch(bs *mark.BlockScratch) {
 	scratchPool.Put(bs)
 }
 
-// scanRange feeds rows [lo, hi) of r through sc into t block-at-a-time:
-// each block's key and attribute columns are copied into a pooled block
-// and voted through ScanColumns, with ctx checked and progress ticked
-// between blocks. bs is the worker's scratch. A non-nil fit collects
-// the range's fit rows in ascending order (Scanner.ScanColumnsFit).
-func scanRange(ctx context.Context, sc *mark.Scanner, r *relation.Relation, lo, hi int, t *mark.Tally, bs *mark.BlockScratch, fit *[]int, cfg Config) error {
-	br := cfg.blockRows()
-	keyCol, attrCol := sc.Columns()
-	blk := relation.GetBlock(r.Schema())
-	defer relation.PutBlock(blk)
-	for blockLo := lo; blockLo < hi; blockLo += br {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		blockHi := min(blockLo+br, hi)
-		r.FillBlock(blk, blockLo, blockHi, keyCol, attrCol)
-		var err error
-		if fit != nil {
-			*fit, err = sc.ScanColumnsFit(blk, t, bs, blockLo, *fit)
-		} else {
-			err = sc.ScanColumns(blk, t, bs)
-		}
-		if err != nil {
-			return err
-		}
-		cfg.report(blockHi - blockLo)
-	}
-	return nil
-}
-
 // chunkRange is one [Lo, Hi) row range of a partitioned relation.
 type chunkRange struct {
 	Index  int
@@ -293,7 +263,10 @@ func detect(ctx context.Context, r *relation.Relation, wmLen int, opts mark.Opti
 		if keepFit {
 			j.fit = getRows()
 		}
-		return scanRange(p.ctx, sc, r, j.lo, j.hi, j.parts.tallies[0], bs, j.fit, cfg)
+		return sc.Scan(r, j.lo, j.hi, cfg.blockRows(), j.parts.tallies[0], bs, j.fit, func(rows int) error {
+			cfg.report(rows)
+			return p.ctx.Err()
+		})
 	}, func(j *job) {
 		total.tallies[0].Merge(j.parts.tallies[0])
 		if fit != nil {
