@@ -87,7 +87,7 @@ func Embed(r *relation.Relation, attr string, wm ecc.Bits, p Params) (EmbedStats
 }
 
 // EmbedCounts is Embed by code, on attr's column coded in place
-// (relation.Relation.Intern): surplus, deficit and running counts are
+// (relation.Relation.Code): surplus, deficit and running counts are
 // slices indexed by code, and each move stores a row's new code and
 // adjusts two of them. It also returns the attribute's occurrence
 // histogram as the embedding left it, built from the final counts —
@@ -104,9 +104,7 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 	if r.Len() == 0 {
 		return st, nil, errors.New("freq: empty relation")
 	}
-	if _, err := r.Intern(col); err != nil {
-		return st, nil, err
-	}
+	r.Code(col)
 	c, err := relation.CodeColumn(r, attr)
 	if err != nil {
 		return st, nil, err
@@ -202,7 +200,7 @@ func EmbedCounts(r *relation.Relation, attr string, wm ecc.Bits, p Params) (Embe
 				return st, nil, aerr
 			}
 		} else {
-			r.SetCodeAt(row, col, uint32(to))
+			r.SetSlotAt(row, col, uint64(to))
 		}
 		c.Counts[from]--
 		c.Counts[to]++

@@ -256,7 +256,7 @@ func (s *Scanner) scanColumns(blk *relation.Block, t *Tally, bs *BlockScratch, b
 // only the fitness digests (pure functions of the keys) stay batched
 // there.
 //
-// A rewrite stores the new value's code in the row's own slot, so calls
+// A rewrite stores the new value's resolved slot in its row, so calls
 // on disjoint rows of r may overlap when Options.Assessor, SkipRow and
 // OnAlter are nil; bs follows the ScanColumns sharing rules.
 func (e *Embedder) EmbedBlock(blk *relation.Block, lo int, cs *ChunkStats, bs *BlockScratch) error {
@@ -334,7 +334,7 @@ func (e *Embedder) embedRow(row int, d1 keyhash.Digest, pos int, cs *ChunkStats)
 	// pseudorandom pair choice so the mod-e fitness constraint on
 	// word 0 cannot bias it (DESIGN.md clarification 1).
 	idx := keyhash.PairIndex(d1.Uint64At(1), e.dom.Size(), bit)
-	if e.rel.CodeAt(row, e.attrCol) == e.codes[idx] {
+	if e.rel.Holds(row, e.attrCol, e.slots[idx]) {
 		cs.Unchanged++
 		cs.Touched[pos] = true
 		return nil
@@ -349,7 +349,7 @@ func (e *Embedder) embedRow(row int, d1 keyhash.Digest, pos int, cs *ChunkStats)
 			return aerr
 		}
 	} else {
-		e.rel.SetCodeAt(row, e.attrCol, e.codes[idx])
+		e.rel.SetSlotAt(row, e.attrCol, e.slots[idx])
 	}
 	cs.Altered++
 	cs.Touched[pos] = true

@@ -22,7 +22,7 @@ import (
 // internal/pipeline builds its worker pool on these hooks.
 
 // Embedder is a prepared embedding pass over one relation: options
-// resolved, bandwidth fixed, wm_data encoded, domain codes resolved. It
+// resolved, bandwidth fixed, wm_data encoded, domain slots resolved. It
 // is immutable after construction and safe for concurrent use by
 // goroutines embedding disjoint row ranges of its relation.
 type Embedder struct {
@@ -32,7 +32,7 @@ type Embedder struct {
 	attrCol      int
 	dom          *relation.Domain
 	rel          *relation.Relation
-	codes        []uint32 // codes[t] is a_t's code in rel's attribute column
+	slots        []uint64 // slots[t] holds a_t in rel's attribute column
 	bw           int
 	wmData       ecc.Bits
 	fit          keyhash.FitCheck // opts.E's divisibility constants
@@ -42,7 +42,7 @@ type Embedder struct {
 // NewEmbedder validates options against r and prepares an embedding pass
 // over its rows. The bandwidth |wm_data| is fixed from r.Len() (or
 // Options.BandwidthOverride) at construction time. It resolves each
-// domain value's code in r's attribute column (relation.Relation.Intern),
+// domain value's slot in r's attribute column (relation.Relation.Slots),
 // so it writes r's storage though no value changes.
 func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, error) {
 	keyCol, attrCol, dom, err := opts.resolve(r, true)
@@ -70,7 +70,7 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 	if err != nil {
 		return nil, fmt.Errorf("mark: k2: %w", err)
 	}
-	codes, err := r.Intern(attrCol, dom.Values()...)
+	slots, err := r.Slots(attrCol, dom.Values()...)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func NewEmbedder(r *relation.Relation, wm ecc.Bits, opts Options) (*Embedder, er
 		attrCol: attrCol,
 		dom:     dom,
 		rel:     r,
-		codes:   codes,
+		slots:   slots,
 		bw:      bw,
 		wmData:  wmData,
 		fit:     keyhash.NewFitCheck(opts.E),

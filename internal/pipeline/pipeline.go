@@ -17,7 +17,7 @@
 // materialized relations fill them with relation.Relation.FillBlock.
 // Detection votes through mark.Scanner.ScanColumns; embedding runs
 // mark.Embedder.EmbedBlock over the same blocks and stores its rewrites
-// as codes into the rows they were filled from. The
+// into the slots of the rows they were filled from. The
 // multi-certificate engine runs its certificate loop inside the block
 // loop so a block's keys and digests stay cache-resident across all
 // certificates of a batch audit. Config.Progress observes the pass at
@@ -192,8 +192,8 @@ func runRanges(ctx context.Context, r *relation.Relation, cfg Config, workers in
 // pass: the same tuples are altered to the same values (each decision
 // depends only on the tuple's own key), and the merged statistics match.
 // Workers rewrite r in place: mark.NewEmbedder resolves the domain's
-// codes in the attribute column before the pool starts, and each
-// rewrite stores a code into a row of the worker's own chunk.
+// slots in the attribute column before the pool starts, and each
+// rewrite stores one into a row of the worker's own chunk.
 //
 // Quality-gated embedding is inherently sequential — the assessor's
 // alteration budget makes later decisions depend on earlier ones — so

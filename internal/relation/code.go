@@ -92,25 +92,31 @@ func codePlain(arena []byte, refs []uint64, j, stride int, dst []uint64) (column
 	return c, counts
 }
 
-// Intern returns the code of each value in column j, adding the labels
-// the column lacks, after coding a plain column in place (codePlain), so
-// a writer that moves rows by code may ask it of any column. It writes r
-// (see Relation); on error r is unchanged.
-func (r *Relation) Intern(j int, values ...string) ([]uint32, error) {
+// Code codes column j in place when it is plain (codePlain), for a
+// writer that moves rows by code (freq.EmbedCounts). It writes r (see
+// Relation).
+func (r *Relation) Code(j int) {
+	if c := &r.cols[j]; !c.coded {
+		*c, _ = codePlain(c.arena, r.refs, j, r.arity, r.refs)
+	}
+}
+
+// Slots returns the slot a row of column j holding each value keeps:
+// its code in a coded column, adding the labels the column lacks, else
+// the reference of its bytes, appended once. A writer that resolves its
+// values first (mark.Embedder) then stores them with SetSlotAt. It
+// writes r (see Relation); on error r is unchanged.
+func (r *Relation) Slots(j int, values ...string) ([]uint64, error) {
 	for _, v := range values {
 		if err := r.checkRoom(j, v); err != nil {
 			return nil, err
 		}
 	}
-	c := &r.cols[j]
-	if !c.coded {
-		*c, _ = codePlain(c.arena, r.refs, j, r.arity, r.refs)
-	}
-	codes := make([]uint32, len(values))
+	slots := make([]uint64, len(values))
 	for i, v := range values {
-		codes[i] = c.intern(v)
+		slots[i] = r.store(j, v)
 	}
-	return codes, nil
+	return slots, nil
 }
 
 // CodeAt returns the code of row i's value in column j, which must be
@@ -122,14 +128,23 @@ func (r *Relation) CodeAt(i, j int) uint32 {
 	return uint32(r.refs[i*r.arity+j])
 }
 
-// SetCodeAt sets row i's value in the coded column j to the label of
-// code, as Intern returned it. It writes row i's slot alone (see
-// Relation).
-func (r *Relation) SetCodeAt(i, j int, code uint32) {
-	if c := &r.cols[j]; !c.coded || int(code) >= len(c.labels) {
-		panic(fmt.Sprintf("relation: SetCodeAt of code %d in column %d", code, j))
+// SetSlotAt sets row i's slot of column j to slot: one Slots returned
+// for the column, or in a coded column any of its codes. It writes row
+// i's slot alone (see Relation).
+func (r *Relation) SetSlotAt(i, j int, slot uint64) {
+	c := &r.cols[j]
+	if c.coded && slot >= uint64(len(c.labels)) || !c.coded && slot>>lenBits+slot&lenMask > uint64(len(c.arena)) {
+		panic(fmt.Sprintf("relation: SetSlotAt of slot %#x in column %d", slot, j))
 	}
-	r.refs[i*r.arity+j] = uint64(code)
+	r.refs[i*r.arity+j] = slot
+}
+
+// Holds reports whether row i of column j holds slot's value: a slot
+// comparison, which in a coded column compares codes, else a comparison
+// of the bytes.
+func (r *Relation) Holds(i, j int, slot uint64) bool {
+	c, s := &r.cols[j], r.refs[i*r.arity+j]
+	return s == slot || !c.coded && viewIn(c.arena, s) == viewIn(c.arena, slot)
 }
 
 // Coding is one attribute column's label table with counts: Counts[c]

@@ -272,13 +272,13 @@ func TestCodeColumnAllocsIndependentOfRows(t *testing.T) {
 	}
 }
 
-// TestInternCodesPlainColumnInPlace: Intern on a plain column of mostly
+// TestCodePlainColumnInPlace: Code on a plain column of mostly
 // distinct values codes it in place over the arena it already has, with
 // the labels referencing their first occurrence's bytes; every value
-// reads as before, the interned values get codes (a new one the next
-// label), and a clone taken before keeps its plain column untouched by
-// later code stores.
-func TestInternCodesPlainColumnInPlace(t *testing.T) {
+// reads as before, Slots then gives codes (a new value the next label),
+// and a clone taken before keeps its plain column untouched by later
+// slot stores.
+func TestCodePlainColumnInPlace(t *testing.T) {
 	r := codedRelation(t, 5000, 3, 7)
 	j, _ := r.Schema().Index("k")
 	for i := 0; i < r.Len(); i += 10 {
@@ -289,34 +289,83 @@ func TestInternCodesPlainColumnInPlace(t *testing.T) {
 	before := r.Clone()
 	want := rowsOf(r)
 	arena := unsafe.SliceData(r.cols[j].arena)
-	codes, err := r.Intern(j, "17", "fresh")
+	r.Code(j)
+	if !r.cols[j].coded || unsafe.SliceData(r.cols[j].arena) != arena {
+		t.Fatal("Code did not code the plain column over its own arena")
+	}
+	if got := rowsOf(r); !reflect.DeepEqual(got, want) {
+		t.Fatal("Code changed a value")
+	}
+	slots, err := r.Slots(j, "17", "fresh")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.cols[j].coded || unsafe.SliceData(r.cols[j].arena) != arena {
-		t.Fatal("Intern did not code the plain column over its own arena")
-	}
-	if got := rowsOf(r); !reflect.DeepEqual(got, want) {
-		t.Fatal("Intern changed a value")
-	}
-	if r.CodeAt(17, j) != codes[0] || r.At(17, j) != "17" {
-		t.Fatalf("row 17 coded %d, Intern gave %d", r.CodeAt(17, j), codes[0])
+	if uint64(r.CodeAt(17, j)) != slots[0] || r.At(17, j) != "17" {
+		t.Fatalf("row 17 coded %d, Slots gave %d", r.CodeAt(17, j), slots[0])
 	}
 	c, err := CodeColumn(r, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCoding(t, "interned key", c, r)
-	if int(codes[1]) != len(c.Labels)-1 || c.Labels[codes[1]] != "fresh" || c.Counts[codes[1]] != 0 {
-		t.Fatalf("new value coded %d of %d labels", codes[1], len(c.Labels))
+	checkCoding(t, "coded key", c, r)
+	if int(slots[1]) != len(c.Labels)-1 || c.Labels[slots[1]] != "fresh" || c.Counts[slots[1]] != 0 {
+		t.Fatalf("new value coded %d of %d labels", slots[1], len(c.Labels))
 	}
 	for i := 0; i < r.Len(); i += 7 {
-		r.SetCodeAt(i, j, codes[1])
+		r.SetSlotAt(i, j, slots[1])
 	}
 	if got := rowsOf(before); !reflect.DeepEqual(got, want) || before.cols[j].coded {
-		t.Fatal("the clone taken before Intern changed")
+		t.Fatal("the clone taken before Code changed")
 	}
 	if r.At(7, j) != "fresh" || r.At(8, j) != "8" {
-		t.Fatalf("after code stores rows hold %q, %q", r.At(7, j), r.At(8, j))
+		t.Fatalf("after slot stores rows hold %q, %q", r.At(7, j), r.At(8, j))
+	}
+}
+
+// TestSlotsOnPlainColumn: Slots leaves a plain column plain, appending
+// each value's bytes once; storing the slots rewrites the rows they are
+// stored in, and nothing else; Holds compares values, not slots; and
+// SetSlotAt refuses a slot past the arena or a code past the label table.
+func TestSlotsOnPlainColumn(t *testing.T) {
+	r := codedRelation(t, 300, 3, 9)
+	j, _ := r.Schema().Index("k")
+	want := rowsOf(r)
+	arenaLen := len(r.cols[j].arena)
+	slots, err := r.Slots(j, "x", "yy", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.cols[j].coded || len(r.cols[j].arena) != arenaLen+4 {
+		t.Fatalf("Slots coded the column or grew its arena by %d bytes", len(r.cols[j].arena)-arenaLen)
+	}
+	if !reflect.DeepEqual(rowsOf(r), want) {
+		t.Fatal("Slots changed a value")
+	}
+	for i := 0; i < r.Len(); i += 3 {
+		r.SetSlotAt(i, j, slots[i%2])
+		want[i][0] = []string{"x", "yy"}[i%2]
+	}
+	if !reflect.DeepEqual(rowsOf(r), want) {
+		t.Fatal("slot stores differ from the rewrites they stand for")
+	}
+	if !r.Holds(0, j, slots[0]) || !r.Holds(0, j, slots[2]) || r.Holds(3, j, slots[0]) || !r.Holds(3, j, slots[1]) || r.Holds(1, j, slots[0]) {
+		t.Fatal("Holds disagrees with the values stored")
+	}
+	v, _ := r.Schema().Index("v")
+	if cv := r.refs[v]; !r.Holds(0, v, cv) || r.Holds(0, v, cv+1) {
+		t.Fatal("Holds disagrees with a coded row's code")
+	}
+	for _, bad := range []struct {
+		col  int
+		slot uint64
+	}{{j, uint64(len(r.cols[j].arena)+1) << lenBits}, {j, (uint64(len(r.cols[j].arena))-1)<<lenBits | 2}, {v, uint64(len(r.cols[v].labels))}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetSlotAt of slot %#x in column %d did not panic", bad.slot, bad.col)
+				}
+			}()
+			r.SetSlotAt(0, bad.col, bad.slot)
+		}()
 	}
 }

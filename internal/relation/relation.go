@@ -195,7 +195,7 @@ type Tuple []string
 // column's slot is a reference, a uint64 packing the value's offset in
 // the arena (high 40 bits) and its length (low 24 bits), so a value
 // holds at most 16 MiB - 1 bytes and an arena at most 1 TiB. A coded
-// column's slot (Attribute.Categorical, or a column Intern coded) is a
+// column's slot (Attribute.Categorical, or a column Code coded) is a
 // code into the column's table of label references. A relation holds
 // fewer than 2^31 rows. No arena, label table or slot holds a pointer,
 // so the garbage collector marks a relation in constant time whatever
@@ -209,9 +209,9 @@ type Tuple []string
 // NewDomain, HistogramOf and CodeColumn copy the values they keep.
 // Replaced bytes stay in the arena until the relation is dropped.
 //
-// One writer. Appending rows and adding labels (Append, SetValue,
-// Intern) need the relation to themselves; SetCodeAt writes one row's
-// slot alone, so writers of disjoint rows may store codes at once.
+// One writer. Appending rows, values or labels (Append, SetValue, Code,
+// Slots) needs the relation to itself; SetSlotAt writes one row's slot
+// alone, so writers of disjoint rows may store slots at once.
 // Readers may run alongside a writer only on rows or columns it does
 // not write, and only while it does not append rows.
 type Relation struct {
